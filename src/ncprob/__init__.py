@@ -7,14 +7,12 @@ classical Markov-chain, Metropolis, and random-matrix oracles.
 
 import os as _os
 
-# honor the thread cap before any BLAS/numba pools spin up
+# honor the thread cap before any BLAS pool spins up
 _threads = _os.environ.get("NCPROB_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMBA_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from ._backend import backend_name
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence, Dirac,
                        Bernoulli, Normal, Arcsine, Semicircle, Poisson,
                        MarchenkoPastur, FreeMeixner, levy_distance, moments,

@@ -1,7 +1,4 @@
-"""Hot numeric kernels, numba-compiled by default.
-
-All functions here are written in the njit-compatible subset of Python; with
-``NCPROB_BACKEND=numpy`` they run uncompiled with identical semantics.
+"""Hot numeric kernels: Loewner flows, Metropolis chunks, Markov episodes.
 
 Loewner flows integrate the characteristic ODE dy/dtau = G_{nu_tau}(y) for a
 field whose atoms move linearly within time segments:
@@ -16,15 +13,12 @@ trajectory further than half its distance to the field support.
 
 import numpy as np
 
-from ._backend import jit
-
 FLOW_OK = 0
 FLOW_UNDERFLOW = 1
 FLOW_ESCAPE = 2
 FLOW_STRANGLED = 3  # singularity clamp forced the step below the floor
 
 
-@jit
 def _field_eval(tau, y, j, tbreaks, pos, slope, wts):
     g = 0j
     dist = 1e300
@@ -42,7 +36,6 @@ def _field_eval(tau, y, j, tbreaks, pos, slope, wts):
     return g, dist
 
 
-@jit
 def _flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
     y = z
     tau = tau0
@@ -148,7 +141,6 @@ def _flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
     return y, FLOW_OK, min_im, steps
 
 
-@jit
 def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
     n = zs.shape[0]
     out = np.empty(n, dtype=np.complex128)
@@ -169,7 +161,6 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
 # Metropolis single-flip Ising
 # ---------------------------------------------------------------------------
 
-@jit
 def ising_run(spins, frozen, beta, coupling, field, sites, urand):
     """Consume one chunk of proposals in place; returns accepted count.
 
@@ -205,7 +196,6 @@ def ising_run(spins, frozen, beta, coupling, field, sites, urand):
 # Markov chain return-time episodes
 # ---------------------------------------------------------------------------
 
-@jit
 def return_time_episodes(cum, start, urand, state, steps, done, total, totalsq):
     """Simulate first-return times to ``start``; consumes one uniform per
     transition.  ``cum[:, s]`` is the cumulative next-state law from s.

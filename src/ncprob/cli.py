@@ -37,6 +37,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _nonnegative(text):
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ def build_parser():
 
     c = sub.add_parser("loewner", help="recover the chain measure at time t")
     c.add_argument("--driving", required=True)
-    c.add_argument("--t", type=float, required=True)
+    c.add_argument("--t", type=_nonnegative, required=True)
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--grid-min", type=float)
     c.add_argument("--grid-max", type=float)

@@ -22,7 +22,7 @@ from .measures import AtomicMeasure
 from .transforms import HerglotzMap
 
 
-class LoewnerError(Exception):
+class LoewnerError(ValueError):
     pass
 
 
@@ -175,6 +175,8 @@ class HerglotzField:
             horizon = driving.horizon()
         if not math.isfinite(horizon):
             raise LoewnerError("constant drivings need an explicit horizon")
+        if horizon < 0:
+            raise LoewnerError(f"horizon must be >= 0, got {horizon}")
         if driving.kind == "constant":
             return cls.constant(AtomicMeasure.dirac(driving.values[0]), horizon)
         if driving.kind == "piecewise_constant":

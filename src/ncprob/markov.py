@@ -140,6 +140,8 @@ def convergence_report(p, v, nmax=200):
 
 def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     """Monte Carlo first-return times to ``state``; returns (mean, se, n)."""
+    if chunk <= 0:
+        raise MarkovError("chunk must be positive")
     m = _as_matrix(p)
     cum = np.cumsum(m, axis=0)
     rng = np.random.default_rng(seed)
@@ -173,7 +175,9 @@ def mrp_value(p, rewards, gamma):
     m = _as_matrix(p)
     r = expected_reward(m, rewards)
     v = np.linalg.solve(np.eye(m.shape[0]) - gamma * m.T, r)
-    assert np.abs(v - (r + gamma * v @ m)).max() <= 1e-10
+    residual = np.abs(v - (r + gamma * v @ m)).max()
+    if not residual <= 1e-10:
+        raise NotConverged(f"Bellman residual {residual:.3g} exceeds 1e-10")
     return v
 
 
@@ -347,6 +351,9 @@ class IsingState:
     def __post_init__(self):
         s = np.asarray(self.spins, dtype=np.int8)
         object.__setattr__(self, "spins", s)
+        # floats, so the kernel's coupling * (int8 neighbour sum) cannot wrap
+        for name in ("coupling", "field", "beta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not np.all(np.isin(s, (-1, 1))):
             raise MarkovError("spins must be +-1")
         if self.coupling <= 0 or self.field < 0 or self.beta <= 0:
@@ -380,20 +387,27 @@ def magnetization(state):
     return float(state.spins.mean())
 
 
+def _proposal_chunks(rng, n_sites, proposals, chunk):
+    """Yield (sites, uniforms) for ``proposals`` single-flip proposals,
+    ``chunk`` at a time: sites drawn before uniforms in every chunk."""
+    if chunk <= 0:
+        raise MarkovError("chunk must be positive")
+    left = int(proposals)
+    while left > 0:
+        k = min(chunk, left)
+        yield rng.integers(0, n_sites, size=k), rng.random(k)
+        left -= k
+
+
 def metropolis_ising(state, steps, seed, chunk=1 << 20):
     """Run the single-flip Metropolis chain; returns the final state."""
     if state.spins.size > 1 << 30:
         raise MarkovError("lattice too large")
     spins = state.spins.copy()
     rng = np.random.default_rng(seed)
-    left = int(steps)
-    while left > 0:
-        m = min(chunk, left)
-        sites = rng.integers(0, spins.size, size=m)
-        u = rng.random(m)
+    for sites, u in _proposal_chunks(rng, spins.size, steps, chunk):
         _kernels.ising_run(spins, state.frozen, state.beta, state.coupling,
                            state.field, sites, u)
-        left -= m
     return IsingState(spins, state.coupling, state.field, state.beta,
                       state.frozen)
 
@@ -534,12 +548,8 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     config = (1 << m) - 1
     hist = np.zeros(1 << m, dtype=np.int64)
     for proposals, counted in ((burn_in, False), (samples, True)):
-        left = int(proposals)
-        while left > 0:
-            k = min(chunk, left)
-            sites = rng.integers(0, m, size=k)
-            u = rng.random(k)
-            for lo in range(0, k, _HIST_BLOCK):
+        for sites, u in _proposal_chunks(rng, m, proposals, chunk):
+            for lo in range(0, sites.size, _HIST_BLOCK):
                 hi = lo + _HIST_BLOCK
                 visited = [
                     (config := config ^ (1 << i))
@@ -548,7 +558,6 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
                 ]
                 if counted:  # add.at, not bincount: no pass over all 2**m ids
                     np.add.at(hist, np.array(visited, dtype=np.intp), 1)
-            left -= k
     return hist
 
 

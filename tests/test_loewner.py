@@ -46,6 +46,10 @@ class TestDrivingFunction:
         back = lw.DrivingFunction.from_json(u.to_json())
         assert back == u
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(lw.LoewnerError, match="horizon must be >= 0"):
+            lw.HerglotzField.from_driving(zero_driving(), horizon=-1.0)
+
 
 class TestChainClosedForms:
     def test_identity_at_equal_times(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestMRP:
         v = mk.mrp_value(p, r, 0.95)
         resid = v - (mk.expected_reward(p, r) + 0.95 * v @ p.p)
         assert np.abs(resid).max() < 1e-10
+
+    def test_bad_solve_raises(self, monkeypatch):
+        p, r = basketball()
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.zeros_like(b))
+        with pytest.raises(mk.NotConverged, match="Bellman residual"):
+            mk.mrp_value(p, r, 0.5)
 
 
 class TestMDP:
@@ -332,6 +340,27 @@ class TestIsing:
     def test_enumeration_guard(self):
         with pytest.raises(mk.EnumerationTooLarge):
             mk.exact_boltzmann((5, 5), beta=1.0)
+
+    def test_integer_coupling_matches_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            runs = [mk.metropolis_ising(
+                mk.IsingState.aligned((4, 4), beta=1.0, coupling=j),
+                2000, seed=1) for j in (100, 100.0)]
+        assert np.array_equal(runs[0].spins, runs[1].spins)
+        assert mk.magnetization(runs[0]) == 1.0
+
+    @pytest.mark.parametrize("sampler", [
+        lambda: mk.metropolis_ising(mk.IsingState.aligned((2, 2)), 10,
+                                    seed=1, chunk=0),
+        lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 10,
+                                        seed=1, chunk=0),
+        lambda: mk.hitting_time_mc(np.array([[0.5, 0.5], [0.5, 0.5]]), 0,
+                                   10, seed=1, chunk=0),
+    ], ids=["ising", "histogram", "hitting"])
+    def test_nonpositive_chunk_raises(self, sampler):
+        with pytest.raises(mk.MarkovError, match="chunk must be positive"):
+            sampler()
 
     def test_metropolis_tv_against_exact(self):
         probs, _ = mk.exact_boltzmann((3, 3), beta=0.3)
