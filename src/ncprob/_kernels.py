@@ -9,7 +9,35 @@ on segment j = [tbreaks[j], tbreaks[j+1]); zero-weight atom slots are
 padding.  Steps use an embedded Dormand-Prince 5(4) pair, are confined to
 one time segment, and are clamped so a single step never moves the
 trajectory further than half its distance to the field support.
+
+``flow_batch`` advances all points in lockstep: every point keeps its own
+y, tau, step h, segment index, lowest Im y, step count and status, and one
+loop iteration makes one step attempt for every point still running, with
+the field evaluated on (active points x atom slots) arrays.  A point leaves
+the active set when it reaches tau1 or ends with FLOW_ESCAPE,
+FLOW_UNDERFLOW or FLOW_STRANGLED.  Each point's result is bit-identical to
+integrating it alone with scalar numpy arithmetic in the same operation
+order (the reference oracle in the tests), so it does not depend on the
+other points in its batch.  Three rules keep that parity and must survive
+any edit:
+
+* every operation is elementwise, in the scalar order (for example
+  ``y + h * 0.2 * k1``), and G sums the atom slots one at a time in slot
+  order, never with ``np.sum``, whose pairwise summation rounds otherwise;
+* complex magnitudes are ``np.hypot(z.real, z.imag)``: ``np.abs`` on a
+  complex array takes a SIMD path that differs from the scalar ``abs`` in
+  the last bit;
+* the step factor ``(tol/err)**0.2`` is libm ``math.pow`` per point:
+  numpy's vectorised ``power`` differs from libm in the last bit;
+* a padding slot (weight <= 0, skipped by the scalar loop) becomes a
+  zero-weight atom at +inf with zero slope.  For finite y its term w/diff
+  is exactly +-0 and its distance is inf, so it changes neither the support
+  distance nor G: the parts of G start at +0 and, in round-to-nearest, a
+  sum is -0 only when both addends are, so they are never -0 and adding
+  +-0 leaves them bitwise unchanged.
 """
+
+import math
 
 import numpy as np
 
@@ -19,141 +47,132 @@ FLOW_ESCAPE = 2
 FLOW_STRANGLED = 3  # singularity clamp forced the step below the floor
 
 
-def _field_eval(tau, y, j, tbreaks, pos, slope, wts):
-    g = 0j
-    dist = 1e300
-    dt = tau - tbreaks[j]
-    for k in range(pos.shape[1]):
-        w = wts[j, k]
-        if w <= 0.0:
-            continue
-        p = pos[j, k] + slope[j, k] * dt
-        diff = y - p
-        ad = abs(diff)
-        if ad < dist:
-            dist = ad
-        g += w / diff
+def _field(t, z, t0, slots, with_dist=False):
+    """G at the points z (one per active point) and, on request, their
+    distance to the field support.  ``slots`` holds one (position, slope,
+    weight) column per atom slot; slots are summed in order."""
+    dt = t - t0
+    g, dist = 0.0, 1e300
+    for p, s, w in slots:
+        diff = z - (p + s * dt)
+        g = g + w / diff
+        if with_dist:
+            ad = np.hypot(diff.real, diff.imag)
+            dist = np.where(ad < dist, ad, dist)
     return g, dist
 
 
-def _flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
-    y = z
-    tau = tau0
+def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
+    """Flow every point of ``zs`` from tau0 to tau1.
+
+    Returns (values, status, lowest Im y along each path, accepted steps).
+    """
+    n = zs.shape[0]
+    out = np.array(zs, dtype=np.complex128)
+    status = np.zeros(n, dtype=np.int64)
+    min_im = out.imag.copy()
+    steps = np.zeros(n, dtype=np.int64)
     total = abs(tau1 - tau0)
-    min_im = y.imag
-    steps = 0
     if total == 0.0:
-        return y, FLOW_OK, min_im, steps
+        return out, status, min_im, steps
     sgn = 1.0 if tau1 >= tau0 else -1.0
+    side = "right" if sgn > 0 else "left"
     ns = tbreaks.shape[0] - 1
-    h = sgn * total / 16.0
     min_h = 1e-14 * total
+    pad = wts <= 0.0  # padding: a zero-weight atom at infinity, see above
+    pos = np.where(pad, np.inf, pos)
+    slope = np.where(pad, 0.0, slope)
+    wts = np.where(pad, 0.0, wts)
 
-    while sgn * (tau1 - tau) > 0.0:
+    act = np.arange(n)
+    y = out.copy()
+    tau = np.full(n, tau0, dtype=np.float64)
+    h = np.full(n, sgn * total / 16.0)
+    low = min_im.copy()
+    nstep = np.zeros(n, dtype=np.int64)
+
+    while act.size:
         rem = tau1 - tau
-        if sgn > 0:
-            j = int(np.searchsorted(tbreaks, tau, side="right")) - 1
-        else:
-            j = int(np.searchsorted(tbreaks, tau, side="left")) - 1
-        if j < 0:
-            j = 0
-        if j > ns - 1:
-            j = ns - 1
-        if sgn > 0:
-            hseg = tbreaks[j + 1] - tau
-        else:
-            hseg = tbreaks[j] - tau
-        if sgn * h <= 0.0:
-            h = sgn * min_h
-        if abs(h) > abs(rem):
-            h = rem
-        if sgn * hseg > 0.0 and abs(h) > abs(hseg):
-            h = hseg
+        j = np.searchsorted(tbreaks, tau, side=side) - 1
+        j = np.minimum(np.maximum(j, 0), ns - 1)
+        hseg = tbreaks[j + 1] - tau if sgn > 0 else tbreaks[j] - tau
+        h = np.where(sgn * h <= 0.0, sgn * min_h, h)
+        h = np.where(np.abs(h) > np.abs(rem), rem, h)
+        h = np.where((sgn * hseg > 0.0) & (np.abs(h) > np.abs(hseg)), hseg, h)
 
-        k1, dist = _field_eval(tau, y, j, tbreaks, pos, slope, wts)
-        gm = abs(k1)
-        if gm > 0.0 and dist < 1e299:
-            hmax = 0.5 * dist / gm
-            if hmax <= min_h and (sgn * k1).imag <= 0.0:
-                # clamp strangles a trajectory heading into the support
-                return y, FLOW_STRANGLED, min_im, steps
-            if abs(h) > hmax:
-                h = sgn * hmax if sgn * h > 0 else -sgn * hmax
-                if abs(h) > abs(rem):
-                    h = rem
+        t0 = tbreaks[j]
+        slots = list(zip(pos[j].T, slope[j].T, wts[j].T))
+
+        k1, dist = _field(tau, y, t0, slots, with_dist=True)
+        gm = np.hypot(k1.real, k1.imag)
+        clamp = (gm > 0.0) & (dist < 1e299)
+        hmax = 0.5 * dist / np.where(clamp, gm, 1.0)
+        # the clamp strangles a trajectory heading into the support
+        strangled = clamp & (hmax <= min_h) & (sgn * k1.imag <= 0.0)
+        # h points towards tau1 with |h| <= |rem|, so the clamped step
+        # sgn * hmax needs no further check
+        h = np.where(clamp & ~strangled & (np.abs(h) > hmax), sgn * hmax, h)
 
         # Dormand-Prince 5(4) stages
-        k2, _ = _field_eval(tau + h * 0.2, y + h * 0.2 * k1,
-                            j, tbreaks, pos, slope, wts)
-        k3, _ = _field_eval(tau + h * 0.3, y + h * (0.075 * k1 + 0.225 * k2),
-                            j, tbreaks, pos, slope, wts)
-        k4, _ = _field_eval(tau + h * 0.8,
-                            y + h * (0.9777777777777777 * k1
-                                     - 3.7333333333333334 * k2
-                                     + 3.5555555555555554 * k3),
-                            j, tbreaks, pos, slope, wts)
-        k5, _ = _field_eval(tau + h * 0.8888888888888888,
-                            y + h * (2.9525986892242035 * k1
-                                     - 11.595793324188385 * k2
-                                     + 9.822892851699436 * k3
-                                     - 0.2908093278463649 * k4),
-                            j, tbreaks, pos, slope, wts)
-        k6, _ = _field_eval(tau + h,
-                            y + h * (2.8462752525252526 * k1
-                                     - 10.757575757575758 * k2
-                                     + 8.906422717743473 * k3
-                                     + 0.2784090909090909 * k4
-                                     - 0.2735313036020583 * k5),
-                            j, tbreaks, pos, slope, wts)
+        k2, _ = _field(tau + h * 0.2, y + h * 0.2 * k1, t0, slots)
+        k3, _ = _field(tau + h * 0.3, y + h * (0.075 * k1 + 0.225 * k2),
+                       t0, slots)
+        k4, _ = _field(tau + h * 0.8,
+                       y + h * (0.9777777777777777 * k1
+                                - 3.7333333333333334 * k2
+                                + 3.5555555555555554 * k3), t0, slots)
+        k5, _ = _field(tau + h * 0.8888888888888888,
+                       y + h * (2.9525986892242035 * k1
+                                - 11.595793324188385 * k2
+                                + 9.822892851699436 * k3
+                                - 0.2908093278463649 * k4), t0, slots)
+        k6, _ = _field(tau + h,
+                       y + h * (2.8462752525252526 * k1
+                                - 10.757575757575758 * k2
+                                + 8.906422717743473 * k3
+                                + 0.2784090909090909 * k4
+                                - 0.2735313036020583 * k5), t0, slots)
         ynew = y + h * (0.09114583333333333 * k1
                         + 0.44923629829290207 * k3
                         + 0.6510416666666666 * k4
                         - 0.322376179245283 * k5
                         + 0.13095238095238096 * k6)
-        k7, _ = _field_eval(tau + h, ynew, j, tbreaks, pos, slope, wts)
-        y4 = y + h * (0.08991319444444444 * k1
-                      + 0.4534890685834082 * k3
-                      + 0.6140625 * k4
-                      - 0.2715123820754717 * k5
-                      + 0.08904761904761904 * k6
-                      + 0.025 * k7)
-        err = abs(ynew - y4)
+        k7, _ = _field(tau + h, ynew, t0, slots)
+        e = ynew - (y + h * (0.08991319444444444 * k1
+                             + 0.4534890685834082 * k3
+                             + 0.6140625 * k4
+                             - 0.2715123820754717 * k5
+                             + 0.08904761904761904 * k6
+                             + 0.025 * k7))
+        err = np.hypot(e.real, e.imag)
 
-        if err <= tol or abs(h) <= min_h:
-            tau = tau + h
-            y = ynew
-            steps += 1
-            if y.imag < min_im:
-                min_im = y.imag
-            if y.imag < im_floor:
-                return y, FLOW_ESCAPE, min_im, steps
-            if err > tol:
-                return y, FLOW_UNDERFLOW, min_im, steps
-        if err > 0.0:
-            fac = 0.9 * (tol / err) ** 0.2
-            if fac < 0.2:
-                fac = 0.2
-            elif fac > 5.0:
-                fac = 5.0
-        else:
-            fac = 5.0
-        h = h * fac
-    return y, FLOW_OK, min_im, steps
+        accept = ((err <= tol) | (np.abs(h) <= min_h)) & ~strangled
+        tau = np.where(accept, tau + h, tau)
+        y = np.where(accept, ynew, y)
+        nstep += accept
+        low = np.where(accept & (y.imag < low), y.imag, low)
+        escape = accept & (y.imag < im_floor)
+        underflow = accept & (err > tol) & ~escape
 
+        grow = err > 0.0
+        fac = np.where(grow, 0.0, 5.0)
+        fac[grow] = [0.9 * math.pow(r, 0.2)
+                     for r in (tol / err[grow]).tolist()]
+        h = h * np.where(fac < 0.2, 0.2, np.where(fac > 5.0, 5.0, fac))
 
-def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
-    n = zs.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    status = np.zeros(n, dtype=np.int64)
-    min_im = np.empty(n, dtype=np.float64)
-    steps = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        v, st, mi, ns_ = _flow_one(zs[i], tau0, tau1, tbreaks, pos, slope,
-                                   wts, tol, im_floor)
-        out[i] = v
-        status[i] = st
-        min_im[i] = mi
-        steps[i] = ns_
+        done = strangled | escape | underflow | ~(sgn * (tau1 - tau) > 0.0)
+        if done.any():
+            sel = act[done]
+            out[sel] = y[done]
+            status[sel] = np.where(
+                strangled, FLOW_STRANGLED,
+                np.where(escape, FLOW_ESCAPE,
+                         np.where(underflow, FLOW_UNDERFLOW, FLOW_OK)))[done]
+            min_im[sel] = low[done]
+            steps[sel] = nstep[done]
+            run = ~done
+            act, y, tau, h = act[run], y[run], tau[run], h[run]
+            low, nstep = low[run], nstep[run]
     return out, status, min_im, steps
 
 

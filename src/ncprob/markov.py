@@ -142,6 +142,8 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     """Monte Carlo first-return times to ``state``; returns (mean, se, n)."""
     if chunk <= 0:
         raise MarkovError("chunk must be positive")
+    if episodes <= 0:
+        raise MarkovError("episodes must be positive")
     m = _as_matrix(p)
     cum = np.cumsum(m, axis=0)
     rng = np.random.default_rng(seed)

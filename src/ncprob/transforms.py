@@ -204,21 +204,62 @@ def _spike_candidates(grid, density, eps_min, limit=8):
     return out
 
 
+# bisection levels whose midpoints one call of the map evaluates
+_TREE_LEVELS = 6
+
+
+def _bisect(f, lo, hi, flo, eps, iters):
+    """Bisect sign changes of Re f(x + i*eps) on brackets [lo, hi].
+
+    ``flo`` is Re f at each ``lo``.  Gives the midpoints of ``iters`` steps
+    of the sequential rule (keep the left half where flo*fm <= 0, else the
+    right half) for every bracket at once.  Each call of ``f`` evaluates the
+    heap-ordered midpoints of the next _TREE_LEVELS bisection levels of all
+    brackets, built by the sequential loop's own 0.5*(lo + hi) recursion,
+    and the rule then walks each bracket down its tree; so the roots are
+    bit-identical to the sequential loop while ``f`` is called
+    ceil(iters / _TREE_LEVELS) times instead of ``iters`` times per root.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = np.array(flo, dtype=float)
+    nb = lo.size
+    left = iters
+    while left > 0 and nb:
+        depth = min(_TREE_LEVELS, left)
+        los, his, levels = lo[:, None], hi[:, None], []
+        for _ in range(depth):
+            mids = 0.5 * (los + his)
+            levels.append(mids)
+            los = np.stack([los, mids], axis=2).reshape(nb, -1)
+            his = np.stack([mids, his], axis=2).reshape(nb, -1)
+        heap = np.concatenate(levels, axis=1)
+        vals = np.asarray(f(heap.ravel() + 1j * eps)).real.reshape(heap.shape)
+        for b in range(nb):
+            node = 0
+            for _ in range(depth):
+                mid, fm = heap[b, node], vals[b, node]
+                if flo[b] * fm <= 0:
+                    hi[b] = mid
+                    node = 2 * node + 1
+                else:
+                    lo[b], flo[b] = mid, fm
+                    node = 2 * node + 2
+        left -= depth
+    return 0.5 * (lo + hi)
+
+
 def _refine_pole(g, a, halfwidth, eps=1e-7, iters=50):
-    """Sharpen an atom position: Re G(x + i*eps) changes sign at a pole."""
+    """Sharpen an atom position: Re G(x + i*eps) changes sign at a pole.
+
+    Both bracket ends are evaluated in one call, and the ``iters`` bisection
+    steps take one call per _TREE_LEVELS tree levels (see ``_bisect``).
+    """
     lo, hi = a - halfwidth, a + halfwidth
-    flo = np.asarray(g(np.array([lo + 1j * eps])))[0].real
-    fhi = np.asarray(g(np.array([hi + 1j * eps])))[0].real
+    flo, fhi = np.asarray(g(np.array([lo + 1j * eps, hi + 1j * eps]))).real
     if flo * fhi >= 0:
         return a
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(g(np.array([mid + 1j * eps])))[0].real
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return float(_bisect(g, [lo], [hi], [flo], eps, iters)[0])
 
 
 def _vetted_atom(g, a, eps_ladder):
@@ -320,25 +361,17 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
 def scan_real_zeros(f, grid, eps=1e-6, refine=40):
     """Real-axis zero candidates of a holomorphic map from a sign scan.
 
-    Looks for sign changes of Re f(x + i*eps) along the grid and refines by
-    bisection; used to locate poles of 1/F, i.e. atom candidates.
+    Looks for sign changes of Re f(x + i*eps) along the grid and refines all
+    of them together by ``refine`` bisection steps; used to locate poles of
+    1/F, i.e. atom candidates.  Each call of ``f`` evaluates the midpoints
+    of the next _TREE_LEVELS tree levels of every bracket (see ``_bisect``).
     """
     vals = np.asarray(f(grid + 1j * eps))
     re = vals.real
-    roots = []
     sign = np.sign(re)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        flo = re[i]
-        for _ in range(refine):
-            mid = 0.5 * (lo + hi)
-            fm = np.asarray(f(np.array([mid + 1j * eps])))[0].real
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
-    return roots
+    cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return list(_bisect(f, grid[cross], grid[cross + 1], re[cross], eps,
+                        refine))
 
 
 def measure_from_ftransform(f, grid, atom_candidates=None,

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncprob import _kernels
 from ncprob import loewner as lw
 from ncprob import measures as ms
 from ncprob import transforms as tr
@@ -30,6 +33,221 @@ def random_pc_field(seed, horizon=1.0, segments=3):
         w = rng.uniform(0.2, 0.8)
         measures.append(ms.AtomicMeasure(((xs[0], w), (xs[1], 1 - w))))
     return lw.HerglotzField.piecewise(breaks, measures)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the scalar per-point Dormand-Prince kernel.  The lockstep
+# ``_kernels.flow_batch`` must reproduce it bit for bit, point by point.
+# ---------------------------------------------------------------------------
+
+def _field_eval(tau, y, j, tbreaks, pos, slope, wts):
+    g = 0j
+    dist = 1e300
+    dt = tau - tbreaks[j]
+    for k in range(pos.shape[1]):
+        w = wts[j, k]
+        if w <= 0.0:
+            continue
+        p = pos[j, k] + slope[j, k] * dt
+        diff = y - p
+        ad = abs(diff)
+        if ad < dist:
+            dist = ad
+        g += w / diff
+    return g, dist
+
+
+def _flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
+    y = z
+    tau = tau0
+    total = abs(tau1 - tau0)
+    min_im = y.imag
+    steps = 0
+    if total == 0.0:
+        return y, _kernels.FLOW_OK, min_im, steps
+    sgn = 1.0 if tau1 >= tau0 else -1.0
+    ns = tbreaks.shape[0] - 1
+    h = sgn * total / 16.0
+    min_h = 1e-14 * total
+
+    while sgn * (tau1 - tau) > 0.0:
+        rem = tau1 - tau
+        if sgn > 0:
+            j = int(np.searchsorted(tbreaks, tau, side="right")) - 1
+        else:
+            j = int(np.searchsorted(tbreaks, tau, side="left")) - 1
+        if j < 0:
+            j = 0
+        if j > ns - 1:
+            j = ns - 1
+        if sgn > 0:
+            hseg = tbreaks[j + 1] - tau
+        else:
+            hseg = tbreaks[j] - tau
+        if sgn * h <= 0.0:
+            h = sgn * min_h
+        if abs(h) > abs(rem):
+            h = rem
+        if sgn * hseg > 0.0 and abs(h) > abs(hseg):
+            h = hseg
+
+        k1, dist = _field_eval(tau, y, j, tbreaks, pos, slope, wts)
+        gm = abs(k1)
+        if gm > 0.0 and dist < 1e299:
+            hmax = 0.5 * dist / gm
+            if hmax <= min_h and (sgn * k1).imag <= 0.0:
+                # clamp strangles a trajectory heading into the support
+                return y, _kernels.FLOW_STRANGLED, min_im, steps
+            if abs(h) > hmax:
+                h = sgn * hmax if sgn * h > 0 else -sgn * hmax
+                if abs(h) > abs(rem):
+                    h = rem
+
+        # Dormand-Prince 5(4) stages
+        k2, _ = _field_eval(tau + h * 0.2, y + h * 0.2 * k1,
+                            j, tbreaks, pos, slope, wts)
+        k3, _ = _field_eval(tau + h * 0.3, y + h * (0.075 * k1 + 0.225 * k2),
+                            j, tbreaks, pos, slope, wts)
+        k4, _ = _field_eval(tau + h * 0.8,
+                            y + h * (0.9777777777777777 * k1
+                                     - 3.7333333333333334 * k2
+                                     + 3.5555555555555554 * k3),
+                            j, tbreaks, pos, slope, wts)
+        k5, _ = _field_eval(tau + h * 0.8888888888888888,
+                            y + h * (2.9525986892242035 * k1
+                                     - 11.595793324188385 * k2
+                                     + 9.822892851699436 * k3
+                                     - 0.2908093278463649 * k4),
+                            j, tbreaks, pos, slope, wts)
+        k6, _ = _field_eval(tau + h,
+                            y + h * (2.8462752525252526 * k1
+                                     - 10.757575757575758 * k2
+                                     + 8.906422717743473 * k3
+                                     + 0.2784090909090909 * k4
+                                     - 0.2735313036020583 * k5),
+                            j, tbreaks, pos, slope, wts)
+        ynew = y + h * (0.09114583333333333 * k1
+                        + 0.44923629829290207 * k3
+                        + 0.6510416666666666 * k4
+                        - 0.322376179245283 * k5
+                        + 0.13095238095238096 * k6)
+        k7, _ = _field_eval(tau + h, ynew, j, tbreaks, pos, slope, wts)
+        y4 = y + h * (0.08991319444444444 * k1
+                      + 0.4534890685834082 * k3
+                      + 0.6140625 * k4
+                      - 0.2715123820754717 * k5
+                      + 0.08904761904761904 * k6
+                      + 0.025 * k7)
+        err = abs(ynew - y4)
+
+        if err <= tol or abs(h) <= min_h:
+            tau = tau + h
+            y = ynew
+            steps += 1
+            if y.imag < min_im:
+                min_im = y.imag
+            if y.imag < im_floor:
+                return y, _kernels.FLOW_ESCAPE, min_im, steps
+            if err > tol:
+                return y, _kernels.FLOW_UNDERFLOW, min_im, steps
+        if err > 0.0:
+            fac = 0.9 * (tol / err) ** 0.2
+            if fac < 0.2:
+                fac = 0.2
+            elif fac > 5.0:
+                fac = 5.0
+        else:
+            fac = 5.0
+        h = h * fac
+    return y, _kernels.FLOW_OK, min_im, steps
+
+
+def reference_flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol,
+                         im_floor):
+    results = [_flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol,
+                         im_floor) for z in zs]
+    return (np.array([r[0] for r in results], dtype=np.complex128),
+            np.array([r[1] for r in results], dtype=np.int64),
+            np.array([r[2] for r in results], dtype=np.float64),
+            np.array([r[3] for r in results], dtype=np.int64))
+
+
+def assert_flows_identical(got, want):
+    for name, g, w in zip(("values", "status", "min_im", "steps"), got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name, strict=True)
+
+
+@st.composite
+def flow_problems(draw):
+    """A random field (constant, piecewise or sampled, several atom slots
+    with padding of weight <= 0 and arbitrary position and slope), a span
+    in either direction and a batch."""
+    kind = draw(st.sampled_from(["constant", "piecewise", "sampled"]))
+    segments = 1 if kind == "constant" else draw(st.integers(1, 8))
+    slots = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = rng.uniform(0.05, 1.0)
+    tbreaks = np.concatenate([[0.0], np.sort(rng.uniform(0, horizon,
+                                                         segments - 1)),
+                              [horizon]])
+    pos = rng.uniform(-1.5, 1.5, (segments, slots))
+    slope = (rng.uniform(-3.0, 3.0, (segments, slots)) if kind == "sampled"
+             else np.zeros((segments, slots)))
+    wts = rng.uniform(0.05, 1.0, (segments, slots))
+    pad = rng.random((segments, slots)) < 0.3
+    wts[pad] = rng.choice([0.0, -0.5, -np.inf], pad.sum())
+    pos[pad] = rng.choice([0.0, 1e300, np.nan], pad.sum())
+    slope[pad] = rng.choice([0.0, 2.0, np.nan], pad.sum())
+    span = draw(st.sampled_from(["backward", "forward", "empty"]))
+    taus = (np.sort(rng.uniform(0.0, horizon, 2)) if draw(st.booleans())
+            else (0.0, horizon))
+    tau0, tau1 = {"backward": (taus[1], taus[0]),
+                  "forward": (taus[0], taus[1]),
+                  "empty": (taus[0], taus[0])}[span]
+    zs = rng.uniform(-2.5, 2.5, n) + 1j * 10.0 ** rng.uniform(-6, 0.5, n)
+    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-11]))
+    im_floor = draw(st.sampled_from([1e-12, 1e-9, 1e-2]))
+    return (zs, float(tau0), float(tau1), tbreaks, pos, slope, wts, tol,
+            im_floor)
+
+
+ZERO_SLIT = (np.array([0.0, 1.0]), np.zeros((1, 1)), np.zeros((1, 1)),
+             np.ones((1, 1)))
+
+
+class TestLockstepFlow:
+    @given(problem=flow_problems(), perm_seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, problem, perm_seed):
+        zs, *rest = problem
+        got = _kernels.flow_batch(zs, *rest)
+        assert_flows_identical(got, reference_flow_batch(zs, *rest))
+        # a point's result does not depend on the rest of its batch
+        perm = np.random.default_rng(perm_seed).permutation(zs.size)
+        shuffled = _kernels.flow_batch(zs[perm], *rest)
+        assert_flows_identical(tuple(a[np.argsort(perm)] for a in shuffled),
+                               got)
+        for i in range(min(zs.size, 2)):
+            alone = _kernels.flow_batch(zs[i:i + 1], *rest)
+            assert_flows_identical(alone, tuple(a[i:i + 1] for a in got))
+
+    @pytest.mark.parametrize("im_floor, code", [
+        (1e-9, _kernels.FLOW_STRANGLED),  # inverse flow into the slit hull
+        (0.5, _kernels.FLOW_ESCAPE),      # Im falls below a high floor
+    ])
+    def test_terminal_statuses(self, im_floor, code):
+        zs = np.array([0.5j, 1.0j, 0.3 + 0.6j, 2 + 1j, -1.4 + 0.05j])
+        args = (zs, 0.0, 1.0, *ZERO_SLIT, 1e-10, im_floor)
+        got = _kernels.flow_batch(*args)
+        assert code in got[1] and _kernels.FLOW_OK in got[1]
+        assert_flows_identical(got, reference_flow_batch(*args))
+
+    def test_backward_slit_batch(self):
+        zs = np.linspace(-1.75, 1.75, 41) + 1e-6j
+        args = (zs, 1.0, 0.0, *ZERO_SLIT, 1e-9, 1e-12)
+        assert_flows_identical(_kernels.flow_batch(*args),
+                               reference_flow_batch(*args))
 
 
 class TestDrivingFunction:

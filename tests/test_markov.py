@@ -76,6 +76,12 @@ class TestStationary:
         mean, se, _ = mk.hitting_time_mc(p, 0, 100_000, seed=11)
         assert abs(mean - 1 / pi[0]) < 3 * se
 
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_nonpositive_episodes_raises(self, episodes):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(mk.MarkovError, match="episodes must be positive"):
+            mk.hitting_time_mc(p, 0, episodes, seed=4)
+
 
 class TestIrreducibilityPeriod:
     def test_two_cycle(self):

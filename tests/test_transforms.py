@@ -7,6 +7,7 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import loewner as lw
 from ncprob import measures as ms
 from ncprob import transforms as tr
 
@@ -186,6 +187,120 @@ class TestStieltjesInversion:
         m = rec.moments(4)
         want = ms.FreeMeixner(4, 2, 1).moments(4)
         assert np.abs(m.floats() - want.floats()).max() < 2e-3
+
+
+# reference: the sequential bisection loops, one evaluation per step.  The
+# tree-level bisection must return the same floats.
+
+def reference_scan_real_zeros(f, grid, eps=1e-6, refine=40):
+    vals = np.asarray(f(grid + 1j * eps))
+    re = vals.real
+    roots = []
+    sign = np.sign(re)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        lo, hi = grid[i], grid[i + 1]
+        flo = re[i]
+        for _ in range(refine):
+            mid = 0.5 * (lo + hi)
+            fm = np.asarray(f(np.array([mid + 1j * eps])))[0].real
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def reference_refine_pole(g, a, halfwidth, eps=1e-7, iters=50):
+    lo, hi = a - halfwidth, a + halfwidth
+    flo = np.asarray(g(np.array([lo + 1j * eps])))[0].real
+    fhi = np.asarray(g(np.array([hi + 1j * eps])))[0].real
+    if flo * fhi >= 0:
+        return a
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(g(np.array([mid + 1j * eps])))[0].real
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+class Counted:
+    """A map that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.fn(np.asarray(z, dtype=complex))
+
+
+D = tr._TREE_LEVELS
+STEP_COUNTS = (0, 1, D - 1, D, D + 1, 2 * D + 3, 40, 50)
+
+
+class TestTreeBisection:
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_sle_chain_roots(self, seed):
+        field = lw.HerglotzField.from_driving(
+            lw.sle_driving(2.0, 1.0, 0.1, seed=seed), horizon=1.0)
+        f = lw.chain_fmap(field, 1.0)
+        b = field.support_bound
+        grid = np.linspace(-b - 0.5, b + 0.5, 41)
+        got = tr.scan_real_zeros(f, grid)
+        assert got and got == reference_scan_real_zeros(f, grid)
+        g = f.reciprocal("cauchy")
+        a = round(float(got[0]), 2)
+        pole = tr._refine_pole(g, a, halfwidth=0.02, iters=13)
+        assert pole != a
+        assert pole == reference_refine_pole(g, a, 0.02, iters=13)
+
+    @given(seed=st.integers(0, 10_000), points=st.integers(2, 60),
+           refine=st.sampled_from(STEP_COUNTS))
+    @settings(max_examples=40, deadline=None)
+    def test_scan_f_transform(self, seed, points, refine):
+        f = tr.HerglotzMap.from_measure(random_atomic(seed), "f")
+        grid = np.linspace(-2.5, 2.5, points)
+        got = tr.scan_real_zeros(f, grid, refine=refine)
+        assert got == reference_scan_real_zeros(f, grid, refine=refine)
+        assert all(type(r) is np.float64 for r in got)
+
+    @given(seed=st.integers(0, 10_000), iters=st.sampled_from(STEP_COUNTS),
+           shift=st.floats(-0.01, 0.01))
+    @settings(max_examples=40, deadline=None)
+    def test_refine_pole_cauchy(self, seed, iters, shift):
+        mu = random_atomic(seed)
+        g = tr.HerglotzMap.from_measure(mu, "cauchy")
+        a = float(mu.atoms[0][0]) + shift
+        got = tr._refine_pole(g, a, halfwidth=0.02, iters=iters)
+        assert got == reference_refine_pole(g, a, 0.02, iters=iters)
+
+    @pytest.mark.parametrize("refine", STEP_COUNTS)
+    @pytest.mark.parametrize("root", [0.5, 0.375, 0.5625, 0.3])
+    def test_exact_zero_at_midpoint(self, root, refine):
+        # dyadic roots make flo * fm == 0 at some midpoint of the tree
+        f = tr.HerglotzMap(lambda z: z - root)
+        grid = np.array([0.0, 1.0])
+        got = tr.scan_real_zeros(f, grid, refine=refine)
+        assert got == reference_scan_real_zeros(f, grid, refine=refine)
+        g = tr.HerglotzMap(lambda z: 1.0 / (z - root))
+        assert (tr._refine_pole(g, 0.5, 0.25, iters=refine)
+                == reference_refine_pole(g, 0.5, 0.25, iters=refine))
+
+    @pytest.mark.parametrize("refine", STEP_COUNTS)
+    def test_one_call_per_tree_level_block(self, refine):
+        f = Counted(tr.HerglotzMap.from_measure(random_atomic(1), "f"))
+        roots = tr.scan_real_zeros(f, np.linspace(-2.5, 2.5, 41),
+                                   refine=refine)
+        assert len(roots) > 1  # one call serves every bracket
+        assert f.calls == 1 + math.ceil(refine / D)
+        g = Counted(tr.HerglotzMap.from_measure(random_atomic(1), "cauchy"))
+        a = float(random_atomic(1).atoms[0][0])
+        tr._refine_pole(g, a, halfwidth=0.02, iters=refine)
+        assert g.calls == 1 + math.ceil(refine / D)
 
 
 class TestCumulantMaps:
