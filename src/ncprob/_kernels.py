@@ -1,7 +1,7 @@
-"""Hot numeric kernels: Loewner flows, Metropolis chunks, Markov episodes.
+"""The Loewner flow kernel.
 
-Loewner flows integrate the characteristic ODE dy/dtau = G_{nu_tau}(y) for a
-field whose atoms move linearly within time segments:
+``flow_batch`` integrates the characteristic ODE dy/dtau = G_{nu_tau}(y)
+for a field whose atoms move linearly within time segments:
 
     position_k(tau) = pos[j, k] + slope[j, k] * (tau - tbreaks[j])
 
@@ -15,11 +15,13 @@ y, tau, step h, segment index, lowest Im y, step count and status, and one
 loop iteration makes one step attempt for every point still running, with
 the field evaluated on (active points x atom slots) arrays.  A point leaves
 the active set when it reaches tau1 or ends with FLOW_ESCAPE,
-FLOW_UNDERFLOW or FLOW_STRANGLED.  Each point's result is bit-identical to
-integrating it alone with scalar numpy arithmetic in the same operation
-order (the reference oracle in the tests), so it does not depend on the
-other points in its batch.  Three rules keep that parity and must survive
-any edit:
+FLOW_UNDERFLOW or FLOW_STRANGLED; a step whose error estimate is not
+finite (a NaN point or field) ends the point as FLOW_UNDERFLOW, because
+the step-size control would otherwise retry it forever.  Each point's
+result is bit-identical to integrating it alone with scalar numpy
+arithmetic in the same operation order (the reference oracle in the
+tests), so it does not depend on the other points in its batch.  Four
+rules keep that parity and must survive any edit:
 
 * every operation is elementwise, in the scalar order (for example
   ``y + h * 0.2 * k1``), and G sums the atom slots one at a time in slot
@@ -146,13 +148,14 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
                              + 0.025 * k7))
         err = np.hypot(e.real, e.imag)
 
-        accept = ((err <= tol) | (np.abs(h) <= min_h)) & ~strangled
+        broken = ~np.isfinite(err) & ~strangled
+        accept = ((err <= tol) | (np.abs(h) <= min_h)) & ~strangled & ~broken
         tau = np.where(accept, tau + h, tau)
         y = np.where(accept, ynew, y)
         nstep += accept
         low = np.where(accept & (y.imag < low), y.imag, low)
         escape = accept & (y.imag < im_floor)
-        underflow = accept & (err > tol) & ~escape
+        underflow = (accept & (err > tol) & ~escape) | broken
 
         grow = err > 0.0
         fac = np.where(grow, 0.0, 5.0)
@@ -175,66 +178,3 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
             low, nstep = low[run], nstep[run]
     return out, status, min_im, steps
 
-
-# ---------------------------------------------------------------------------
-# Metropolis single-flip Ising
-# ---------------------------------------------------------------------------
-
-def ising_run(spins, frozen, beta, coupling, field, sites, urand):
-    """Consume one chunk of proposals in place; returns accepted count.
-
-    Free boundary; ``sites`` are flat indices, ``urand`` uniforms of the
-    same length.
-    """
-    h, w = spins.shape
-    accepted = 0
-    for m in range(sites.shape[0]):
-        idx = sites[m]
-        i = idx // w
-        jc = idx - i * w
-        if frozen[i, jc]:
-            continue
-        s = spins[i, jc]
-        nb = 0
-        if i > 0:
-            nb += spins[i - 1, jc]
-        if i < h - 1:
-            nb += spins[i + 1, jc]
-        if jc > 0:
-            nb += spins[i, jc - 1]
-        if jc < w - 1:
-            nb += spins[i, jc + 1]
-        delta = 2.0 * s * (coupling * nb + field)
-        if delta <= 0.0 or urand[m] < np.exp(-beta * delta):
-            spins[i, jc] = -s
-            accepted += 1
-    return accepted
-
-
-# ---------------------------------------------------------------------------
-# Markov chain return-time episodes
-# ---------------------------------------------------------------------------
-
-def return_time_episodes(cum, start, urand, state, steps, done, total, totalsq):
-    """Simulate first-return times to ``start``; consumes one uniform per
-    transition.  ``cum[:, s]`` is the cumulative next-state law from s.
-    Carries (state, steps) across chunks; returns updated carry and tallies.
-    """
-    n = cum.shape[0]
-    for m in range(urand.shape[0]):
-        u = urand[m]
-        nxt = 0
-        col = cum[:, state]
-        for i in range(n):
-            if u <= col[i]:
-                nxt = i
-                break
-            nxt = i
-        state = nxt
-        steps += 1
-        if state == start:
-            done += 1
-            total += steps
-            totalsq += steps * steps
-            steps = 0
-    return state, steps, done, total, totalsq

@@ -12,6 +12,7 @@ chains are the special case nu_t = delta_{U(t)} for a real driving
 function U.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,8 @@ class DrivingFunction:
         else:
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ValueError("sampled driving needs matching times/values")
+        if not all(map(math.isfinite, self.times + self.values)):
+            raise ValueError("driving times and values must be finite")
         if self.times and any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -246,11 +249,6 @@ class HerglotzField:
 # chain evaluation
 # ---------------------------------------------------------------------------
 
-_STATUS_ERRORS = {
-    _kernels.FLOW_UNDERFLOW: StepUnderflow,
-}
-
-
 @dataclass(frozen=True)
 class ChainPoint:
     """One chain evaluation with its trajectory diagnostics."""
@@ -270,7 +268,8 @@ def _flow(field, tau0, tau1, z, tol, im_floor, escape_error):
         field.wts, float(tol), float(im_floor),
     )
     if np.any(status == _kernels.FLOW_UNDERFLOW):
-        raise StepUnderflow("required step below 1e-14 of the time span")
+        raise StepUnderflow("required step below 1e-14 of the time span, "
+                            "or a non-finite error estimate")
     if np.any(status == _kernels.FLOW_ESCAPE):
         raise escape_error("trajectory imaginary part fell below the floor")
     if np.any(status == _kernels.FLOW_STRANGLED):
@@ -287,6 +286,8 @@ def evaluate_chain(field, s, t, z, tol=1e-9):
     if not 0 <= s <= t <= field.horizon + 1e-12:
         raise LoewnerError("need 0 <= s <= t <= horizon")
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise LoewnerError("chain evaluation requires finite z")
     if np.any(z.imag <= 0):
         raise LoewnerError("chain evaluation requires Im(z) > 0")
     out, _, _ = _flow(field, t, s, z, tol, 1e-12, DomainEscape)
@@ -296,6 +297,8 @@ def evaluate_chain(field, s, t, z, tol=1e-9):
 def evaluate_chain_point(field, s, t, z, tol=1e-9):
     """Like evaluate_chain for a single point, with step diagnostics."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise LoewnerError("chain evaluation requires finite z")
     if z.imag <= 0:
         raise LoewnerError("chain evaluation requires Im(z) > 0")
     out, min_im, steps = _flow(field, t, s, np.array([z]), tol, 1e-12,
@@ -315,6 +318,8 @@ def inverse_flow(field, t, w, tol=1e-9):
     if not 0 <= t <= field.horizon + 1e-12:
         raise LoewnerError("need 0 <= t <= horizon")
     w = np.asarray(w, dtype=complex)
+    if not np.all(np.isfinite(w)):
+        raise LoewnerError("inverse flow requires finite w")
     if np.any(w.imag <= 0):
         raise LoewnerError("inverse flow requires Im(w) > 0")
     out, _, _ = _flow(field, 0.0, t, w, tol, 1e-9, HullCollision)

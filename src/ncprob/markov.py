@@ -7,13 +7,13 @@ chain for the two-dimensional Ising model, loop-erased random walks, and
 the monotone-homogeneous transition kernels built from F-transforms.
 """
 
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, transforms
+from . import transforms
 from .measures import AtomicMeasure
 from .transforms import HerglotzMap
 
@@ -81,6 +81,18 @@ def is_irreducible(p):
     return ncomp == 1
 
 
+def _reachable(m, start):
+    """Mask of the states the chain with column-stochastic ``m`` can reach
+    from ``start`` (``start`` included)."""
+    seen = np.zeros(m.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = (m[:, frontier] > 0).any(axis=1) & ~seen
+        seen |= frontier
+    return seen
+
+
 def period(p, state):
     """gcd of return-walk lengths through the state, scanned up to 2N."""
     m = _as_matrix(p) > 0
@@ -138,26 +150,67 @@ def convergence_report(p, v, nmax=200):
     return pi, float(np.exp(slope)), float(np.exp(intercept))
 
 
-def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
-    """Monte Carlo first-return times to ``state``; returns (mean, se, n)."""
+# draws per Python list handed to a walker, which bounds the lists' memory
+_BLOCK = 4096
+
+
+def _draw_blocks(rng, chunk, n_sites=0, count=None):
+    """Draw ``chunk`` at a time (``count`` in all, or without end) and yield
+    the draws as Python lists of at most _BLOCK entries.  With ``n_sites``
+    every chunk draws its sites before its uniforms and the blocks are
+    (sites, uniforms) pairs; without, they are uniforms."""
     if chunk <= 0:
         raise MarkovError("chunk must be positive")
+    left = math.inf if count is None else int(count)
+    while left > 0:
+        k = min(chunk, left)
+        sites = rng.integers(0, n_sites, size=k) if n_sites else None
+        u = rng.random(k)
+        for lo in range(0, k, _BLOCK):
+            us = u[lo:lo + _BLOCK].tolist()
+            yield (sites[lo:lo + _BLOCK].tolist(), us) if n_sites else us
+        left -= k
+
+
+def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
+    """Monte Carlo first-return times to ``state``; returns (mean, se, n).
+
+    One uniform u per transition, drawn ``chunk`` at a time, moves the
+    chain from k to the first j with u <= sum_{i <= j} p_{ik} (the last
+    state if there is none).  The walk stops at the ``episodes``-th
+    return, so n == episodes.  Raises NotIrreducible when ``state`` is
+    transient: the chain might never return.
+    """
     if episodes <= 0:
         raise MarkovError("episodes must be positive")
     m = _as_matrix(p)
-    cum = np.cumsum(m, axis=0)
-    rng = np.random.default_rng(seed)
-    carry_state, carry_steps = state, 0
-    done = total = totalsq = 0
-    while done < episodes:
-        u = rng.random(chunk)
-        carry_state, carry_steps, done, total, totalsq = (
-            _kernels.return_time_episodes(cum, state, u, carry_state,
-                                          carry_steps, done, total, totalsq)
-        )
-    mean = total / done
-    var = totalsq / done - mean**2
-    return mean, math.sqrt(max(var, 0.0) / done), done
+    if not 0 <= state < m.shape[0]:
+        raise MarkovError(f"state {state} is not one of the chain's "
+                          f"{m.shape[0]} states")
+    # a state is recurrent iff every state it reaches can reach it back;
+    # a search, not scipy's strong components, whose import costs every
+    # caller about 10 MB and 0.1 s
+    if not np.all(_reachable(m.T, state)[_reachable(m, state)]):
+        raise NotIrreducible(f"state {state} is transient: its "
+                             "communicating class is not closed")
+    # bisect_left on a cumulative law finds the first j with u <= cum[j];
+    # without the last entry, a u beyond all the others lands on the last
+    # state
+    cols = np.cumsum(m, axis=0)[:-1].T.tolist()
+    cur, steps, done, total, totalsq = state, 0, 0, 0, 0
+    for block in _draw_blocks(np.random.default_rng(seed), chunk):
+        for u in block:
+            cur = bisect_left(cols[cur], u)
+            steps += 1
+            if cur == state:
+                done += 1
+                total += steps
+                totalsq += steps * steps
+                steps = 0
+                if done == episodes:
+                    mean = total / done
+                    var = totalsq / done - mean**2
+                    return mean, math.sqrt(max(var, 0.0) / done), done
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +442,68 @@ def magnetization(state):
     return float(state.spins.mean())
 
 
-def _proposal_chunks(rng, n_sites, proposals, chunk):
-    """Yield (sites, uniforms) for ``proposals`` single-flip proposals,
-    ``chunk`` at a time: sites drawn before uniforms in every chunk."""
-    if chunk <= 0:
-        raise MarkovError("chunk must be positive")
-    left = int(proposals)
-    while left > 0:
-        k = min(chunk, left)
-        yield rng.integers(0, n_sites, size=k), rng.random(k)
-        left -= k
+def _acceptance_table(beta, coupling, field):
+    """Single-flip acceptance thresholds: flipping spin s with neighbour sum
+    nb is accepted iff u < table[5*s + nb] (negative indices wrap, so the
+    2 x 9 entries do not collide).  The threshold is 2.0 where the energy
+    change dE = 2 s (J nb + B) is <= 0, so every u in [0, 1) accepts, and
+    exp(-beta dE) where dE > 0."""
+    table = [0.0] * 19
+    for s in (-1, 1):
+        for nb in range(-4, 5):
+            delta = 2.0 * s * (coupling * nb + field)
+            table[5 * s + nb] = (2.0 if delta <= 0.0
+                                 else float(np.exp(-beta * delta)))
+    return table
+
+
+def _walker(spins, frozen, beta, coupling, field):
+    """The single-flip chain on a free-boundary lattice: returns the
+    zero-padded flat spin list and ``walk(sites, u)``, which makes one
+    proposal per (site, uniform) pair on that list and returns the flip
+    flag of each.  A frozen site's thresholds are -1.0, so it never flips."""
+    h, w = spins.shape
+    stride = w + 2
+    padded = np.zeros((h + 2, stride), dtype=np.int64)
+    padded[1:-1, 1:-1] = spins
+    grid = padded.ravel().tolist()
+    where = (np.arange(1, h + 1)[:, None] * stride
+             + np.arange(1, w + 1)).ravel().tolist()
+    table = _acceptance_table(beta, coupling, field)
+    never = [-1.0] * len(table)
+    rows = [never if f else table for f in np.ravel(frozen).tolist()]
+
+    def walk(sites, u):
+        flipped = []
+        for i, x in zip(sites, u):
+            p = where[i]
+            s = grid[p]
+            flip = x < rows[i][5 * s + grid[p - 1] + grid[p + 1]
+                               + grid[p - stride] + grid[p + stride]]
+            if flip:
+                grid[p] = -s
+            flipped.append(flip)
+        return flipped
+
+    return grid, walk
 
 
 def metropolis_ising(state, steps, seed, chunk=1 << 20):
-    """Run the single-flip Metropolis chain; returns the final state."""
+    """Run the single-flip Metropolis chain; returns the final state.
+
+    Each of the ``steps`` proposals picks a uniform site and flips it with
+    the Metropolis probability; sites and uniforms are drawn ``chunk`` at
+    a time, sites first.
+    """
     if state.spins.size > 1 << 30:
         raise MarkovError("lattice too large")
-    spins = state.spins.copy()
+    h, w = state.spins.shape
+    grid, walk = _walker(state.spins, state.frozen, state.beta,
+                         state.coupling, state.field)
     rng = np.random.default_rng(seed)
-    for sites, u in _proposal_chunks(rng, spins.size, steps, chunk):
-        _kernels.ising_run(spins, state.frozen, state.beta, state.coupling,
-                           state.field, sites, u)
+    for sites, u in _draw_blocks(rng, chunk, h * w, steps):
+        walk(sites, u)
+    spins = np.array(grid, dtype=np.int8).reshape(h + 2, w + 2)[1:-1, 1:-1]
     return IsingState(spins, state.coupling, state.field, state.beta,
                       state.frozen)
 
@@ -496,40 +590,6 @@ def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
     return True, worst
 
 
-def _flip_thresholds(shape, beta, coupling, field):
-    """Single-flip acceptance table of a small free-boundary lattice.
-
-    Flipping site i of configuration id c is accepted iff
-    ``u < tables[i][c & masks[i]]``, where ``masks[i]`` selects site i and
-    its lattice neighbours.  The threshold is 2.0 where dE <= 0, so every
-    u in [0, 1) accepts, and exp(-beta*dE) where dE > 0.  Keying each site
-    by its at most five neighbourhood spins keeps the table at m * 32
-    entries where a (configuration x site) table would need m * 2**m.
-    """
-    m = shape[0] * shape[1]
-    nbrs = [[] for _ in range(m)]
-    for a, b in _lattice_edges(shape):
-        nbrs[a].append(int(b))
-        nbrs[b].append(int(a))
-    masks, tables = [], []
-    for i in range(m):
-        closed = [i, *nbrs[i]]
-        table = {}
-        for ups in itertools.product((0, 1), repeat=len(closed)):
-            s, *nb = (2 * up - 1 for up in ups)
-            delta = 2.0 * s * (coupling * sum(nb) + field)
-            key = sum(up << j for up, j in zip(ups, closed))
-            table[key] = (2.0 if delta <= 0.0
-                          else float(np.exp(-beta * delta)))
-        masks.append(sum(1 << j for j in closed))
-        tables.append(table)
-    return masks, tables
-
-
-# proposals per Python list of visited ids, which bounds that list's memory
-_HIST_BLOCK = 4096
-
-
 def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
                          seed, chunk=1 << 20):
     """Visit counts over configuration ids after burn-in (small lattices).
@@ -538,28 +598,26 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     ``burn_in`` proposals, then ``samples`` more; the histogram counts the
     configuration id (bit i set iff flat spin i is up) after each of the
     ``samples`` proposals, so it sums to ``samples``.  Sites and uniforms
-    are drawn ``chunk`` at a time.  The chain is table-driven: it looks up
-    each proposal's acceptance threshold in a table built once per call.
+    are drawn ``chunk`` at a time.  The chain is ``metropolis_ising``'s
+    walker; each visited id is the previous one with the flipped site's
+    bit toggled.
     """
     h, w = shape
     m = h * w
     if m > 20:
         raise EnumerationTooLarge("histogram limited to 20 spins")
-    masks, tables = _flip_thresholds(shape, beta, coupling, field)
+    _, walk = _walker(np.ones(shape, dtype=np.int64), np.zeros(shape), beta,
+                      coupling, field)
     rng = np.random.default_rng(seed)
     config = (1 << m) - 1
     hist = np.zeros(1 << m, dtype=np.int64)
     for proposals, counted in ((burn_in, False), (samples, True)):
-        for sites, u in _proposal_chunks(rng, m, proposals, chunk):
-            for lo in range(0, sites.size, _HIST_BLOCK):
-                hi = lo + _HIST_BLOCK
-                visited = [
-                    (config := config ^ (1 << i))
-                    if x < tables[i][config & masks[i]] else config
-                    for i, x in zip(sites[lo:hi].tolist(), u[lo:hi].tolist())
-                ]
-                if counted:  # add.at, not bincount: no pass over all 2**m ids
-                    np.add.at(hist, np.array(visited, dtype=np.intp), 1)
+        for sites, u in _draw_blocks(rng, chunk, m, proposals):
+            bits = np.where(walk(sites, u), 1 << np.array(sites), 0)
+            visited = config ^ np.bitwise_xor.accumulate(bits)
+            config = int(visited[-1])
+            if counted:  # add.at, not bincount: no pass over all 2**m ids
+                np.add.at(hist, visited, 1)
     return hist
 
 

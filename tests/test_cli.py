@@ -65,6 +65,14 @@ class TestExitCodes:
         assert code == 2
         assert "argument --t: must be >= 0" in capsys.readouterr().err
 
+    def test_nan_driving(self, files, capsys):
+        json.dump({"kind": "constant", "values": [math.nan]},
+                  open(files / "nan.json", "w"))
+        code = run(["loewner", "--driving", "nan.json", "--t", "1",
+                    "--out", "c"], files)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_convolve_boolean(self, files):
@@ -220,7 +228,7 @@ class TestPerSeedPin:
         "[-1, -1, -1, -1, -1, -1, 1, 1]]\n"
         "[424, 110, 64, 100, 99, 100, 19, 90, 96, 21,"
         " 90, 113, 101, 78, 101, 394]\n"
-        "(2.33553320295969, 0.0017241904328204596, 448966)\n"
+        "(2.364, 0.04731815719150527, 500)\n"
     )
 
     def test_script_output_matches_pin(self):

@@ -139,6 +139,8 @@ def _flow_one(z, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
                       + 0.08904761904761904 * k6
                       + 0.025 * k7)
         err = abs(ynew - y4)
+        if not math.isfinite(err):
+            return y, _kernels.FLOW_UNDERFLOW, min_im, steps
 
         if err <= tol or abs(h) <= min_h:
             tau = tau + h
@@ -243,6 +245,24 @@ class TestLockstepFlow:
         assert code in got[1] and _kernels.FLOW_OK in got[1]
         assert_flows_identical(got, reference_flow_batch(*args))
 
+    def test_nonfinite_error_ends_as_underflow(self):
+        zs = np.array([complex(np.nan, 1.0), 1.0j, complex(np.inf, 1.0),
+                       complex(0.5, np.nan)])
+        args = (zs, 1.0, 0.0, *ZERO_SLIT, 1e-9, 1e-12)
+        with np.errstate(invalid="ignore"):
+            got = _kernels.flow_batch(*args)
+            assert_flows_identical(got, reference_flow_batch(*args))
+        assert got[1].tolist() == [_kernels.FLOW_UNDERFLOW, _kernels.FLOW_OK,
+                                   _kernels.FLOW_UNDERFLOW,
+                                   _kernels.FLOW_UNDERFLOW]
+
+    def test_nan_field_raises_step_underflow(self):
+        field = lw.HerglotzField([0.0, 1.0], [[np.nan]], [[0.0]], [[1.0]],
+                                 1.0, 1.0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(lw.StepUnderflow, match="non-finite"):
+            lw.evaluate_chain(field, 0.0, 1.0, np.array([1j, 2j]))
+
     def test_backward_slit_batch(self):
         zs = np.linspace(-1.75, 1.75, 41) + 1e-6j
         args = (zs, 1.0, 0.0, *ZERO_SLIT, 1e-9, 1e-12)
@@ -263,6 +283,28 @@ class TestDrivingFunction:
         u = lw.DrivingFunction.sampled([0, 0.5, 1], [0, 1, 0.5])
         back = lw.DrivingFunction.from_json(u.to_json())
         assert back == u
+
+    @pytest.mark.parametrize("driving", [
+        lambda: lw.DrivingFunction.constant(math.nan),
+        lambda: lw.DrivingFunction.piecewise([0, 1, math.inf], [0.5, 0.0]),
+        lambda: lw.DrivingFunction.sampled([0, 1], [0.0, -math.inf]),
+    ], ids=["nan-value", "inf-time", "inf-sample"])
+    def test_nonfinite_rejected(self, driving):
+        with pytest.raises(ValueError, match="must be finite"):
+            driving()
+
+    @pytest.mark.parametrize("call", [
+        lambda z: lw.slit_chain(zero_driving(), 1.0, z),
+        lambda z: lw.evaluate_chain(zero_field(), 0.0, 1.0, np.array([z])),
+        lambda z: lw.evaluate_chain_point(zero_field(), 0.0, 1.0, z),
+        lambda z: lw.inverse_flow(zero_field(), 1.0, np.array([1j, z])),
+    ], ids=["slit_chain", "evaluate_chain", "evaluate_chain_point",
+            "inverse_flow"])
+    @pytest.mark.parametrize("z", [complex(math.nan, 1.0),
+                                   complex(0.0, math.inf)])
+    def test_nonfinite_points_rejected(self, call, z):
+        with pytest.raises(lw.LoewnerError, match="finite"):
+            call(z)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(lw.LoewnerError, match="horizon must be >= 0"):

@@ -76,6 +76,47 @@ class TestStationary:
         mean, se, _ = mk.hitting_time_mc(p, 0, 100_000, seed=11)
         assert abs(mean - 1 / pi[0]) < 3 * se
 
+    def test_transient_state_raises(self):
+        p = np.array([[0.5, 0.0], [0.5, 1.0]])
+        with pytest.raises(mk.NotIrreducible, match="transient"):
+            mk.hitting_time_mc(p, 0, 10, seed=1)
+        # the absorbing state returns at every step
+        assert mk.hitting_time_mc(p, 1, 10, seed=1) == (1.0, 0.0, 10)
+
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_state_out_of_range_raises(self, state):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(mk.MarkovError, match="not one of the chain's"):
+            mk.hitting_time_mc(p, state, 10, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), episodes=st.integers(1, 300),
+           chunk=st.integers(1, 5000), sparsity=st.sampled_from([0.0, 0.4]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, episodes=300, chunk=4097, sparsity=0.0, seed=0)
+    @example(n=5, episodes=300, chunk=1, sparsity=0.4, seed=1)
+    def test_hitting_matches_reference(self, n, episodes, chunk, sparsity,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        p = rng.random((n, n)) * (rng.random((n, n)) >= sparsity)
+        p[rng.integers(0, n, n), np.arange(n)] += 0.1  # no empty column
+        p /= p.sum(axis=0)
+        state = int(rng.integers(0, n))
+        if not returns_surely(p, state):
+            with pytest.raises(mk.NotIrreducible):
+                mk.hitting_time_mc(p, state, episodes, seed, chunk=chunk)
+            return
+        got = mk.hitting_time_mc(p, state, episodes, seed, chunk=chunk)
+        want = reference_hitting(p, state, episodes, seed, chunk)
+        assert got == want and got[2] == episodes
+
+    def test_hitting_matches_reference_across_blocks(self):
+        # mean return time 100: 300 episodes cross 4096-uniform blocks and
+        # 5000-uniform chunks
+        p = np.array([[0.01, 0.01], [0.99, 0.99]])
+        got = mk.hitting_time_mc(p, 0, 300, seed=7, chunk=5000)
+        assert got == reference_hitting(p, 0, 300, 7, 5000)
+
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_nonpositive_episodes_raises(self, episodes):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -259,6 +300,100 @@ class TestChannels:
             mk.KrausChannel((0.5 * np.eye(2),))
 
 
+def reference_return_times(cum, start, urand, state, steps, done, total,
+                           totalsq):
+    """Scalar reference for first-return times to ``start``: one uniform
+    per transition, a linear scan of ``cum[:, s]``, the cumulative
+    next-state law from s.  Carries (state, steps) across calls."""
+    n = cum.shape[0]
+    for m in range(urand.shape[0]):
+        u = urand[m]
+        nxt = 0
+        col = cum[:, state]
+        for i in range(n):
+            if u <= col[i]:
+                nxt = i
+                break
+            nxt = i
+        state = nxt
+        steps += 1
+        if state == start:
+            done += 1
+            total += steps
+            totalsq += steps * steps
+            steps = 0
+    return state, steps, done, total, totalsq
+
+
+def reference_hitting(p, state, episodes, seed, chunk):
+    """``hitting_time_mc`` driven by ``reference_return_times`` on the same
+    uniforms, one at a time, stopped at the ``episodes``-th return."""
+    cum = np.cumsum(p, axis=0)
+    rng = np.random.default_rng(seed)
+    carry = (state, 0, 0, 0, 0)
+    while True:
+        for u in np.split(rng.random(chunk), chunk):
+            carry = reference_return_times(cum, state, u, *carry)
+            done, total, totalsq = carry[2:]
+            if done == episodes:
+                mean = total / done
+                var = totalsq / done - mean**2
+                return mean, math.sqrt(max(var, 0.0) / done), done
+
+
+def returns_surely(p, state):
+    """Whether the chain started at ``state`` returns to it with
+    probability 1: every state it can reach can reach it back."""
+    n = p.shape[0]
+    reach = np.linalg.matrix_power(np.eye(n) + (p > 0), n) > 0
+    return bool(np.all(reach[state, reach[:, state]]))
+
+
+def reference_ising_run(spins, frozen, beta, coupling, field, sites, urand):
+    """Scalar reference for the single-flip chain: consumes one chunk of
+    proposals in place on a free-boundary lattice; returns the accepted
+    count."""
+    h, w = spins.shape
+    accepted = 0
+    for m in range(sites.shape[0]):
+        idx = sites[m]
+        i = idx // w
+        jc = idx - i * w
+        if frozen[i, jc]:
+            continue
+        s = spins[i, jc]
+        nb = 0
+        if i > 0:
+            nb += spins[i - 1, jc]
+        if i < h - 1:
+            nb += spins[i + 1, jc]
+        if jc > 0:
+            nb += spins[i, jc - 1]
+        if jc < w - 1:
+            nb += spins[i, jc + 1]
+        delta = 2.0 * s * (coupling * nb + field)
+        if delta <= 0.0 or urand[m] < np.exp(-beta * delta):
+            spins[i, jc] = -s
+            accepted += 1
+    return accepted
+
+
+def reference_ising(state, steps, seed, chunk):
+    """``metropolis_ising``'s final spins by ``reference_ising_run``,
+    drawing sites and uniforms in the same chunks and order."""
+    spins = state.spins.copy()
+    rng = np.random.default_rng(seed)
+    left = steps
+    while left > 0:
+        k = min(chunk, left)
+        sites = rng.integers(0, spins.size, size=k)
+        u = rng.random(k)
+        reference_ising_run(spins, state.frozen, state.beta, state.coupling,
+                            state.field, sites, u)
+        left -= k
+    return spins
+
+
 def reference_run_hist(spins, beta, coupling, field, sites, urand, hist,
                        config):
     """Scalar reference for the histogram chain: one proposal at a time,
@@ -376,6 +511,29 @@ class TestIsing:
         emp = hist / hist.sum()
         tv = 0.5 * np.abs(emp - probs).sum()
         assert tv <= 0.05
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 6), w=st.integers(1, 7),
+           frozen_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           beta=st.floats(0.0, 60.0, exclude_min=True),
+           coupling=st.one_of(st.integers(1, 5), st.floats(0.01, 3.0)),
+           field=st.one_of(st.just(0), st.floats(0.0, 2.0)),
+           steps=st.integers(0, 9000), chunk=st.integers(1, 10_000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(h=6, w=7, frozen_frac=0.3, beta=0.44, coupling=1, field=0,
+             steps=9000, chunk=5000, seed=0)
+    @example(h=1, w=1, frozen_frac=0.0, beta=60.0, coupling=2.0, field=0.5,
+             steps=100, chunk=7, seed=1)
+    def test_ising_matches_reference(self, h, w, frozen_frac, beta, coupling,
+                                     field, steps, chunk, seed):
+        rng = np.random.default_rng(seed)
+        state = mk.IsingState.random(
+            (h, w), seed=seed, beta=beta, coupling=coupling, field=field,
+            frozen=rng.random((h, w)) < frozen_frac)
+        got = mk.metropolis_ising(state, steps, seed, chunk=chunk)
+        want = reference_ising(state, steps, seed, chunk)
+        assert got.spins.dtype == want.dtype
+        assert np.array_equal(got.spins, want)
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(1, 3), w=st.integers(1, 3),
