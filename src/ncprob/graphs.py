@@ -50,14 +50,13 @@ class RootedGraph:
     def from_edges(cls, n, edges, root=0):
         if n > VERTEX_GUARD:
             raise GraphError(f"vertex count {n} exceeds guard {VERTEX_GUARD}")
-        rows, cols = [], []
-        for a, b in edges:
-            if a == b:
-                raise GraphError("loops are not allowed")
-            rows += [a, b]
-            cols += [b, a]
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if np.any(e[:, 0] == e[:, 1]):
+            raise GraphError("loops are not allowed")
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
         adj = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n)
+            (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
         )
         adj.data[:] = 1  # collapse duplicate edge listings
         return cls(adj, root)
@@ -76,20 +75,20 @@ class RootedGraph:
         return self.adj.indices[self.adj.indptr[v]:self.adj.indptr[v + 1]]
 
     def depths(self):
-        """BFS distances from the root (-1 for unreachable vertices)."""
+        """BFS distances from the root (-1 for unreachable vertices).
+
+        Level-synchronous: each round gathers the CSR rows of the whole
+        frontier at once.
+        """
         out = np.full(self.n, -1, dtype=np.int64)
         out[self.root] = 0
-        frontier = [self.root]
+        frontier = np.array([self.root])
         d = 0
-        while frontier:
+        while frontier.size:
             d += 1
-            nxt = []
-            for v in frontier:
-                for w in self.neighbors(v):
-                    if out[w] < 0:
-                        out[w] = d
-                        nxt.append(w)
-            frontier = nxt
+            reached = np.unique(self.adj[frontier].indices)
+            frontier = reached[out[reached] < 0]
+            out[frontier] = d
         return out
 
     def check_valid(self):
@@ -157,27 +156,26 @@ def spidernet(spec_or_n, u=None, depth=None):
     total = sum(shell_sizes[: depth + 1])
     if total > VERTEX_GUARD:
         raise GraphError(f"truncated spidernet has {total} > {VERTEX_GUARD} vertices")
-    edges = []
+    parts = []
     start = 1
     prev_start = 0
     for k in range(1, depth + 1):
         m = shell_sizes[k]
-        # forward edges from the previous shell
-        if k == 1:
-            edges += [(0, start + i) for i in range(m)]
-        else:
-            prev_m = shell_sizes[k - 1]
-            for i in range(prev_m):
-                for c in range(n):
-                    edges.append((prev_start + i, start + i * n + c))
+        j = np.arange(m)
+        # forward edges: vertex i of the previous shell owns children
+        # i*fan .. i*fan + fan - 1 of this one
+        fan = m // shell_sizes[k - 1]
+        parts.append(np.column_stack([prev_start + j // fan, start + j]))
         # lateral circulant inside this shell
         for off in range(1, u // 2 + 1):
-            edges += [(start + i, start + (i + off) % m) for i in range(m)]
+            parts.append(np.column_stack([start + j, start + (j + off) % m]))
         if u % 2:
-            half = m // 2
-            edges += [(start + i, start + i + half) for i in range(half)]
+            half = np.arange(m // 2)
+            parts.append(np.column_stack([start + half,
+                                          start + half + m // 2]))
         prev_start = start
         start += m
+    edges = np.concatenate(parts)
     return RootedGraph.from_edges(total, edges, 0)
 
 
@@ -209,6 +207,56 @@ def comb_product(g1, g2):
         shape=(n1 * n2, n1 * n2),
     )
     return RootedGraph(adj, g1.root * n2 + o2)
+
+
+def comb_ball(g1, g2, radius):
+    """``ball(comb_product(g1, g2), radius)`` without building the product.
+
+    The comb-product vertex (v, w) lies at root distance d1(v) + d2(w): a
+    walk leaves v only while the second factor sits at its root.  The ball
+    is therefore {(v, w) : d1(v) + d2(w) <= radius}; its edges are g1's
+    edges at w = o2 plus g2's edges inside each copy v whose ends are both
+    within the copy's budget radius - d1(v).  Pairs keep the product's
+    order v * n2 + w, so the adjacency and root equal the pruned product's
+    exactly.
+    """
+    if radius < 0:
+        raise GraphError(f"radius must be >= 0, got {radius}")
+    d1, d2 = g1.depths(), g2.depths()
+    # shells1[k] = #{v : d1(v) = k}; within2[j] = |W_j| for the ascending
+    # W_j = {w : 0 <= d2(w) <= j}, the second coordinates kept beside v when
+    # d1(v) = radius - j
+    shells1 = np.bincount(d1[d1 >= 0], minlength=radius + 1)[:radius + 1]
+    within2 = np.cumsum(np.bincount(d2[d2 >= 0], minlength=radius + 1)
+                        [:radius + 1])
+    total = int(shells1 @ within2[::-1])
+    if total > VERTEX_GUARD:
+        raise GraphError(f"ball would have {total} > {VERTEX_GUARD} vertices")
+    # copy v occupies ball indices offset[v] .. offset[v] + |W_{r - d1(v)}|
+    size = np.zeros(g1.n, dtype=np.int64)
+    kept1 = (d1 >= 0) & (d1 <= radius)
+    size[kept1] = within2[radius - d1[kept1]]
+    offset = np.cumsum(size) - size
+    a1, a2 = g1.adj.tocoo(), g2.adj.tocoo()
+    rank_o2 = np.empty(radius + 1, dtype=np.int64)  # position of o2 in W_j
+    rows, cols = [], []
+    for k in range(radius + 1):
+        budget = radius - k
+        inside = (d2 >= 0) & (d2 <= budget)
+        rank = np.cumsum(inside) - 1
+        rank_o2[budget] = rank[g2.root]
+        copies = offset[np.nonzero(d1 == k)[0], None]
+        e = inside[a2.row] & inside[a2.col]
+        rows.append((copies + rank[a2.row[e]]).ravel())
+        cols.append((copies + rank[a2.col[e]]).ravel())
+    e = kept1[a1.row] & kept1[a1.col]
+    at_o2 = offset + rank_o2[np.where(kept1, radius - d1, 0)]
+    rows.append(at_o2[a1.row[e]])
+    cols.append(at_o2[a1.col[e]])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    adj = sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
+                        shape=(total, total))
+    return RootedGraph(adj, int(at_o2[g1.root]))
 
 
 def star_product(g1, g2):
@@ -346,10 +394,14 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     """Spidernet comb-product approximation of the chain driven by U >= 0.
 
     Builds C_{n,k} = S_{n^2, u_1} comb ... comb S_{n^2, u_k} with
-    u_k = floor(sqrt(2 n^3 / T) * U(k T / n)), each factor truncated at
-    walk-sufficient depth, and intermediate products pruned to the root
-    ball that closed walks of the requested order can reach.
+    u_k = floor(sqrt(2 n^3 / T) * U(k T / n)).  Each C_{n,k} is built
+    directly as the root ball that closed walks of the requested order can
+    reach (``comb_ball``), never as the full product, and each factor is
+    truncated at the ball's radius, since the ball never reaches a deeper
+    shell.
     """
+    if order < 1:
+        raise GraphError("order must be >= 1")
     if k_max is None:
         k_max = n
     if not 1 <= k_max <= n:
@@ -364,7 +416,6 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
         )
     scale_sq = 2.0 * n**3 / TT
     c = math.sqrt(scale_sq)
-    depth = order // 2 + (order % 2) + 1  # ceil(order/2) + 1
     radius = (order + 1) // 2
 
     us = []
@@ -374,8 +425,8 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     for k in range(1, k_max + 1):
         uk = int(math.floor(c * float(driving(k * TT / n))))
         us.append(uk)
-        factor = spidernet(n * n, uk, depth)
-        current = ball(comb_product(current, factor), radius)
+        factor = spidernet(n * n, uk, radius)
+        current = comb_ball(current, factor, radius)
         graphs.append(current)
         raw.append(walk_moments(current, order))
     return ApproxProcess(tuple(us), tuple(graphs), tuple(raw), scale_sq)

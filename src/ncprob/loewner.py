@@ -141,6 +141,11 @@ class HerglotzField:
         self.pos = np.asarray(pos, dtype=float)
         self.slope = np.asarray(slope, dtype=float)
         self.wts = np.asarray(wts, dtype=float)
+        for name, arr in (("time breaks", self.tbreaks),
+                          ("positions", self.pos), ("slopes", self.slope),
+                          ("weights", self.wts)):
+            if not np.all(np.isfinite(arr)):
+                raise LoewnerError(f"field {name} must be finite")
         self.horizon = float(horizon)
         self.support_bound = float(support_bound)
         self.evaluator = evaluator

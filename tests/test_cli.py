@@ -74,6 +74,14 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
 
 
+    def test_spidernet_too_large(self, files, capsys):
+        code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",
+                    "--n", "48", "--out", "sp.csv"], files)
+        assert code == 2
+        assert ("error: truncated spidernet has 10621441 > 10000000 vertices"
+                in capsys.readouterr().err)
+
+
 class TestSubcommands:
     def test_convolve_boolean(self, files):
         code = run(["convolve", "--kind", "boolean", "--lhs", "bern.json",
@@ -133,6 +141,15 @@ class TestSubcommands:
         assert code == 0
         rows = np.genfromtxt(files / "sp.csv", delimiter=",", names=True)
         assert rows["m2"][2] == pytest.approx(2.0)
+
+    def test_spidernet_approx_fourth_level(self, files):
+        code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",
+                    "--n", "4", "--order", "4", "--out", "sp4.csv"], files)
+        assert code == 0
+        rows = np.genfromtxt(files / "sp4.csv", delimiter=",", names=True)
+        assert rows["vertices"].tolist() == [1, 545, 2113, 4705, 8321]
+        assert rows["m2"].tolist() == [k * 2 / 4 for k in range(5)]
+        assert rows["m4"].tolist() == [0, 0.375, 1.5, 3.375, 6.0]
 
     def test_markov_mrp(self, files):
         code = run(["markov", "mrp", "--spec", "mrp.json",

@@ -4,12 +4,97 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import convolutions as cv
 from ncprob import graphs as gr
 from ncprob import measures as ms
 from ncprob import transforms as tr
 from ncprob.loewner import DrivingFunction
+
+
+# ---------------------------------------------------------------------------
+# per-edge and per-vertex references for the array constructions
+# ---------------------------------------------------------------------------
+
+def reference_from_edges(n, edges, root=0):
+    rows, cols = [], []
+    for a, b in edges:
+        if a == b:
+            raise gr.GraphError("loops are not allowed")
+        rows += [a, b]
+        cols += [b, a]
+    adj = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n)
+    )
+    adj.data[:] = 1
+    return gr.RootedGraph(adj, root)
+
+
+def reference_spidernet(n, u, depth):
+    shell_sizes = [1, 2 * n]
+    while len(shell_sizes) <= depth:
+        shell_sizes.append(shell_sizes[-1] * n)
+    total = sum(shell_sizes[: depth + 1])
+    edges = []
+    start = 1
+    prev_start = 0
+    for k in range(1, depth + 1):
+        m = shell_sizes[k]
+        if k == 1:
+            edges += [(0, start + i) for i in range(m)]
+        else:
+            for i in range(shell_sizes[k - 1]):
+                for c in range(n):
+                    edges.append((prev_start + i, start + i * n + c))
+        for off in range(1, u // 2 + 1):
+            edges += [(start + i, start + (i + off) % m) for i in range(m)]
+        if u % 2:
+            half = m // 2
+            edges += [(start + i, start + i + half) for i in range(half)]
+        prev_start = start
+        start += m
+    return reference_from_edges(total, edges, 0)
+
+
+def reference_depths(g):
+    out = np.full(g.n, -1, dtype=np.int64)
+    out[g.root] = 0
+    frontier = [g.root]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if out[w] < 0:
+                    out[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return out
+
+
+def assert_same_graph(a, b):
+    """Same root and the same CSR arrays, not merely isomorphic."""
+    assert a.root == b.root
+    assert a.adj.shape == b.adj.shape
+    assert a.adj.dtype == b.adj.dtype
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a.adj, name),
+                                      getattr(b.adj, name))
+
+
+@st.composite
+def rooted_graphs(draw):
+    """Rooted graphs of 1-9 vertices, often disconnected, any root."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    return gr.RootedGraph.from_edges(n, edges, draw(st.integers(0, n - 1)))
 
 
 def zoo():
@@ -31,6 +116,33 @@ class TestRootedGraph:
     def test_depths(self):
         g = gr.path_graph(4)
         assert list(g.depths()) == [0, 1, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=rooted_graphs())
+    def test_depths_match_reference(self, g):
+        np.testing.assert_array_equal(g.depths(), reference_depths(g))
+
+    def test_depths_match_reference_on_large_product(self):
+        g = gr.comb_product(gr.comb_product(gr.spidernet(9, 5, 2),
+                                            gr.spidernet(4, 3, 2)),
+                            gr.spidernet(2, 1, 3))
+        assert g.n >= 10**5
+        np.testing.assert_array_equal(g.depths(), reference_depths(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12),
+           edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=30),
+           data=st.data())
+    def test_from_edges_matches_reference(self, n, edges, data):
+        edges = [(a % n, b % n) for a, b in edges]  # repeats kept on purpose
+        root = data.draw(st.integers(0, n - 1))
+        if any(a == b for a, b in edges):
+            with pytest.raises(gr.GraphError, match="loops are not allowed"):
+                gr.RootedGraph.from_edges(n, edges, root)
+        else:
+            assert_same_graph(gr.RootedGraph.from_edges(n, edges, root),
+                              reference_from_edges(n, edges, root))
 
     def test_vertex_guard(self):
         with pytest.raises(gr.GraphError):
@@ -75,6 +187,24 @@ class TestSpidernet:
     def test_existence_constraint(self):
         with pytest.raises(gr.GraphError):
             gr.spidernet(1, 2, 3)  # u > 2n - 1
+
+    def test_matches_reference(self):
+        for n in range(1, 6):
+            for u in range(2 * n):
+                for depth in range(1, 5):
+                    assert_same_graph(gr.spidernet(n, u, depth),
+                                      reference_spidernet(n, u, depth))
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, 2), "need n >= 1 and depth >= 1"),
+        ((2, 0, 0), "need n >= 1 and depth >= 1"),
+        ((2, 4, 2), "spidernet needs 0 <= u <= 3"),
+        ((2, -1, 2), "spidernet needs 0 <= u <= 3"),
+        ((100, 0, 4), "truncated spidernet has 202020201 > 10000000"),
+    ])
+    def test_error_messages(self, args, message):
+        with pytest.raises(gr.GraphError, match=message):
+            gr.spidernet(*args)
 
     def test_truncation_sufficiency(self):
         for n, u in ((2, 1), (2, 2)):
@@ -149,6 +279,32 @@ class TestProducts:
         with pytest.raises(gr.GraphError):
             gr.comb_product(big, big)
 
+    @settings(max_examples=300, deadline=None)
+    @given(g1=rooted_graphs(), g2=rooted_graphs(), radius=st.integers(0, 5))
+    def test_comb_ball_matches_pruned_product(self, g1, g2, radius):
+        assert_same_graph(gr.comb_ball(g1, g2, radius),
+                          gr.ball(gr.comb_product(g1, g2), radius))
+
+    def test_comb_ball_of_spidernets_matches_pruned_product(self):
+        g1 = gr.comb_ball(gr.spidernet(4, 3, 2), gr.spidernet(4, 5, 2), 2)
+        g2 = gr.spidernet(4, 1, 3)
+        for radius in (1, 2, 3):
+            assert_same_graph(gr.comb_ball(g1, g2, radius),
+                              gr.ball(gr.comb_product(g1, g2), radius))
+
+    def test_comb_ball_guard(self):
+        star = gr.star_graph(4000)
+        # 4001 + 4000 * 4001 pairs lie within distance 2; the guard fires
+        # on that count, before the product's 16M vertices would be formed
+        with pytest.raises(gr.GraphError,
+                           match="ball would have 16008001 > 10000000"):
+            gr.comb_ball(star, star, 2)
+        assert gr.comb_ball(star, star, 1).n == 2 * 4000 + 1
+
+    def test_comb_ball_negative_radius(self):
+        with pytest.raises(gr.GraphError, match="radius must be >= 0"):
+            gr.comb_ball(gr.path_graph(2), gr.path_graph(2), -1)
+
     def test_ball_preserves_walk_moments(self):
         g = gr.spidernet(2, 1, 5)
         pruned = gr.ball(g, 3)
@@ -194,6 +350,40 @@ class TestApproxProcess:
         # u values follow the floor formula
         c2 = math.sqrt(2 * 2**3 / 2.0)
         assert res2.us[0] == math.floor(c2 * 0.4)
+
+    @pytest.mark.parametrize("u", [0.2, 0.4, 0.8])
+    def test_convergence_to_chain(self, u):
+        """Scaled moments of C_{n,n} approach the chain's as n grows.
+
+        Constant driving u gives the chain f_T(z) = u + sqrt((z-u)^2 - 2T);
+        the spidernets see it quantized to u~ = floor(c u) / c with
+        c = sqrt(2 n^3 / T), and match the chain at u~ exactly, so against
+        u the error is T (u - u~) <= T / c in m3 and T (u^2 - u~^2) <= 2 T u / c
+        in m4.  (Zero driving cannot show this: it is exact at every n.)
+        """
+        horizon = 2.0
+
+        def chain_moments(drive):
+            f = tr.free_meixner_f_series(Fraction(horizon) / 2, drive, 6)
+            return [float(v) for v in tr.series_moments(f, 4).values]
+
+        at_u = chain_moments(u)
+        bounds = []
+        for n in range(2, 6):
+            res = gr.approx_process(DrivingFunction.constant(u), horizon, n)
+            got = res.scaled_moments(n).values
+            c = math.sqrt(res.scale_sq)
+            at_quantized = chain_moments(math.floor(c * u) / c)
+            assert np.abs(np.array(got) - at_quantized).max() <= 1e-12
+            bounds.append((horizon / c, 2 * horizon * u / c))
+            assert abs(got[2] - at_u[2]) <= bounds[-1][0]
+            assert abs(got[3] - at_u[3]) <= bounds[-1][1]
+        assert all(b[0] > a[0] and b[1] > a[1]
+                   for a, b in zip(bounds[1:], bounds))
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(gr.GraphError, match="order must be >= 1"):
+            gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2, order=0)
 
     def test_bound_error(self):
         with pytest.raises(gr.BoundError):

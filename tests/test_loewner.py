@@ -256,12 +256,26 @@ class TestLockstepFlow:
                                    _kernels.FLOW_UNDERFLOW,
                                    _kernels.FLOW_UNDERFLOW]
 
-    def test_nan_field_raises_step_underflow(self):
-        field = lw.HerglotzField([0.0, 1.0], [[np.nan]], [[0.0]], [[1.0]],
-                                 1.0, 1.0)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(lw.StepUnderflow, match="non-finite"):
-            lw.evaluate_chain(field, 0.0, 1.0, np.array([1j, 2j]))
+    def test_nonfinite_field_raises_loewner_error(self):
+        good = ([0.0, 1.0], [[0.0]], [[0.0]], [[1.0]])
+        for i, name in enumerate(("time breaks", "positions", "slopes",
+                                  "weights")):
+            for bad in (np.nan, np.inf, -np.inf):
+                arrays = [np.array(a, dtype=float) for a in good]
+                arrays[i].flat[-1] = bad
+                with pytest.raises(lw.LoewnerError, match=name):
+                    lw.HerglotzField(*arrays, 1.0, 1.0)
+
+    def test_nan_field_arrays_end_as_underflow(self):
+        # the kernel itself still ends a point whose field value is NaN
+        zs = np.array([1j, 2j, 0.5 + 0.1j])
+        for pos, slope in (([[np.nan]], [[0.0]]), ([[0.0]], [[np.nan]])):
+            args = (zs, 1.0, 0.0, np.array([0.0, 1.0]), np.array(pos),
+                    np.array(slope), np.ones((1, 1)), 1e-9, 1e-12)
+            with np.errstate(invalid="ignore"):
+                got = _kernels.flow_batch(*args)
+                assert_flows_identical(got, reference_flow_batch(*args))
+            assert got[1].tolist() == [_kernels.FLOW_UNDERFLOW] * zs.size
 
     def test_backward_slit_batch(self):
         zs = np.linspace(-1.75, 1.75, 41) + 1e-6j
