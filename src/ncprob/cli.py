@@ -51,7 +51,8 @@ def _nonnegative(text):
 def _cmd_convolve(args):
     lhs = measures.measure_from_json(_load_json(args.lhs))
     rhs = measures.measure_from_json(_load_json(args.rhs))
-    if isinstance(lhs, measures.MomentSequence):
+    if isinstance(lhs, measures.MomentSequence) and isinstance(
+            rhs, measures.MomentSequence):
         lhs = lhs.truncate(min(lhs.order, args.order))
         rhs = rhs.truncate(min(rhs.order, args.order))
     out = convolutions.convolve(args.kind, lhs, rhs, order=args.order)

@@ -44,14 +44,10 @@ def _convolve_moments(kind, a, b):
         vals = [sum(math.comb(n, j) * av[j] * bv[n - j] for j in range(n + 1))
                 for n in range(1, k + 1)]
         return MomentSequence(tuple(vals))
-    if kind == "boolean":
-        ca = tr.moments_to_boolean_cumulants(a)
-        cb = tr.moments_to_boolean_cumulants(b)
-        return tr.boolean_cumulants_to_moments([x + y for x, y in zip(ca, cb)])
-    if kind == "free":
-        ca = tr.moments_to_free_cumulants(a)
-        cb = tr.moments_to_free_cumulants(b)
-        return tr.free_cumulants_to_moments([x + y for x, y in zip(ca, cb)])
+    if kind in tr.CUMULANT_KINDS:
+        ca = tr.moments_to_cumulants(kind, a)
+        cb = tr.moments_to_cumulants(kind, b)
+        return tr.cumulants_to_moments(kind, [x + y for x, y in zip(ca, cb)])
     if kind == "antimonotone":
         return _convolve_moments("monotone", b, a)
     comp = tr.f_series(a).compose(tr.f_series(b))
@@ -101,13 +97,17 @@ def _convolve_measures(kind, mu, nu, order=8, grid=None):
 def convolve(kind, a, b, order=8, grid=None):
     """Convolution of two measures or two moment sequences.
 
-    Moment sequences must share the same order.  Measure-level inputs must
-    be atomic; the result is atomic for the classical kind, a quadrature
+    Both inputs are moment sequences of the same order, or both are
+    measures; mixing the two raises ``MeasureError``.  Measures must be
+    atomic; the result is atomic for the classical kind, a quadrature
     measure matching 2*order moments for the free kind, and a recovered
     GridMeasure for the monotone/Boolean kinds.
     """
     _check_kind(kind)
-    if isinstance(a, MomentSequence) or isinstance(b, MomentSequence):
+    if isinstance(a, MomentSequence) != isinstance(b, MomentSequence):
+        raise MeasureError(
+            "convolve needs two moment sequences or two atomic measures")
+    if isinstance(a, MomentSequence):
         return _convolve_moments(kind, a, b)
     return _convolve_measures(kind, a, b, order=order, grid=grid)
 
@@ -119,15 +119,9 @@ def convolve_power(kind, m, n, order=None):
         m = m.moments(order or 8)
     if n < 1:
         raise ValueError("need n >= 1")
-    if kind == "classical":
-        cum = tr.moments_to_classical_cumulants(m)
-        return tr.classical_cumulants_to_moments([n * c for c in cum])
-    if kind == "boolean":
-        cum = tr.moments_to_boolean_cumulants(m)
-        return tr.boolean_cumulants_to_moments([n * c for c in cum])
-    if kind == "free":
-        cum = tr.moments_to_free_cumulants(m)
-        return tr.free_cumulants_to_moments([n * c for c in cum])
+    if kind in tr.CUMULANT_KINDS:
+        cum = tr.moments_to_cumulants(kind, m)
+        return tr.cumulants_to_moments(kind, [n * c for c in cum])
     comp = compose_power(tr.f_series(m), n)
     return tr.series_moments(comp, m.order)
 
@@ -136,8 +130,8 @@ def boolean_divisibility_root(m, n):
     """The n-th Boolean convolution root: B-transform divided by n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cum = tr.moments_to_boolean_cumulants(m)
-    return tr.boolean_cumulants_to_moments([_divide(c, n) for c in cum])
+    cum = tr.moments_to_cumulants("boolean", m)
+    return tr.cumulants_to_moments("boolean", [_divide(c, n) for c in cum])
 
 
 def _divide(c, n):
@@ -181,15 +175,6 @@ def clt_iterate(kind, base, n):
         f = tr.f_series(base)
         scaled = f.dilate(lam)
         return tr.series_moments(compose_power(scaled, n), base.order)
-    if kind == "classical":
-        to, back = (tr.moments_to_classical_cumulants,
-                    tr.classical_cumulants_to_moments)
-    elif kind == "boolean":
-        to, back = (tr.moments_to_boolean_cumulants,
-                    tr.boolean_cumulants_to_moments)
-    else:
-        to, back = (tr.moments_to_free_cumulants,
-                    tr.free_cumulants_to_moments)
-    cum = to(base)
+    cum = tr.moments_to_cumulants(kind, base)
     scaled = [_scale_cumulant(c, n, k) for k, c in enumerate(cum, start=1)]
-    return back(scaled)
+    return tr.cumulants_to_moments(kind, scaled)

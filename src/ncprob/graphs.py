@@ -138,6 +138,16 @@ class SpidernetSpec:
         return 2 * self.n, self.n + 1 + self.u, self.n
 
 
+def _spidernet_shells(n, depth):
+    """Shell sizes 1, 2n, 2n^2, ... of a spidernet truncated at ``depth``
+    (they do not depend on u), checked against the vertex guard."""
+    shells = [1] + [2 * n**k for k in range(1, depth + 1)]
+    if sum(shells) > VERTEX_GUARD:
+        raise GraphError(
+            f"truncated spidernet has {sum(shells)} > {VERTEX_GUARD} vertices")
+    return shells
+
+
 def spidernet(spec_or_n, u=None, depth=None):
     """Spidernet S_{n,u} with degree data (2n, n+1+u, n), truncated.
 
@@ -150,12 +160,8 @@ def spidernet(spec_or_n, u=None, depth=None):
     spec = (spec_or_n if isinstance(spec_or_n, SpidernetSpec)
             else SpidernetSpec(spec_or_n, u, depth))
     n, u, depth = spec.n, spec.u, spec.depth
-    shell_sizes = [1, 2 * n]
-    while len(shell_sizes) <= depth:
-        shell_sizes.append(shell_sizes[-1] * n)
-    total = sum(shell_sizes[: depth + 1])
-    if total > VERTEX_GUARD:
-        raise GraphError(f"truncated spidernet has {total} > {VERTEX_GUARD} vertices")
+    shell_sizes = _spidernet_shells(n, depth)
+    total = sum(shell_sizes)
     parts = []
     start = 1
     prev_start = 0
@@ -417,6 +423,15 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     scale_sq = 2.0 * n**3 / TT
     c = math.sqrt(scale_sq)
     radius = (order + 1) // 2
+    # refuse before building anything: shell sizes do not depend on u, and
+    # the k-th ball counts the k-tuples of depths that sum to <= radius
+    shells = _spidernet_shells(n * n, radius)
+    sizes = np.ones(1, dtype=np.int64)
+    for _ in range(k_max):
+        sizes = np.convolve(sizes, shells)[:radius + 1]
+        if sizes.sum() > VERTEX_GUARD:
+            raise GraphError(
+                f"ball would have {sizes.sum()} > {VERTEX_GUARD} vertices")
 
     us = []
     graphs = [RootedGraph.single_vertex()]

@@ -129,14 +129,12 @@ class DrivingFunction:
 class HerglotzField:
     """Time-indexed family of finite atomic measures driving a chain.
 
-    Tabulated fields store per-segment atom positions (moving linearly in
-    time), weights, and time breaks; generic fields wrap an evaluator
-    ``t -> AtomicMeasure``.  Weights may sum to a rate other than 1 (used
+    Fields store per-segment atom positions (moving linearly in time),
+    weights, and time breaks.  Weights may sum to a rate other than 1 (used
     by the scaling lemma); probability fields have rate 1.
     """
 
-    def __init__(self, tbreaks, pos, slope, wts, horizon, support_bound,
-                 evaluator=None, rate_factor=1.0):
+    def __init__(self, tbreaks, pos, slope, wts, horizon, support_bound):
         self.tbreaks = np.asarray(tbreaks, dtype=float)
         self.pos = np.asarray(pos, dtype=float)
         self.slope = np.asarray(slope, dtype=float)
@@ -148,8 +146,6 @@ class HerglotzField:
                 raise LoewnerError(f"field {name} must be finite")
         self.horizon = float(horizon)
         self.support_bound = float(support_bound)
-        self.evaluator = evaluator
-        self.rate_factor = float(rate_factor)
 
     # -- constructors -------------------------------------------------------
 
@@ -200,26 +196,10 @@ class HerglotzField:
         return cls(times, pos, slope, np.ones_like(pos), horizon,
                    driving.bound())
 
-    @classmethod
-    def from_evaluator(cls, evaluator, horizon, support_bound, segments=256):
-        """Tabulate a generic ``t -> AtomicMeasure`` evaluator on a uniform
-        time partition (atoms held constant within each segment, sampled at
-        midpoints)."""
-        tbreaks = np.linspace(0.0, horizon, segments + 1)
-        measures = [evaluator(0.5 * (a + b))
-                    for a, b in zip(tbreaks[:-1], tbreaks[1:])]
-        field = cls.piecewise(tbreaks, measures)
-        field.evaluator = evaluator
-        field.support_bound = float(support_bound)
-        return field
-
     # -- queries -------------------------------------------------------------
 
     def atoms(self, t):
         """Field atoms (positions, weights) at time t."""
-        if self.evaluator is not None:
-            m = self.evaluator(t)
-            return m.positions, m.weights * self.rate_factor
         j = int(np.clip(np.searchsorted(self.tbreaks, t, side="right") - 1,
                         0, self.pos.shape[0] - 1))
         dt = t - self.tbreaks[j]
@@ -234,20 +214,10 @@ class HerglotzField:
         """Field of the rescaled chain h_t(z) = f_{d t}(c z) / c."""
         if c <= 0 or d <= 0:
             raise LoewnerError("scaling parameters must be positive")
-        out = HerglotzField(
+        return HerglotzField(
             self.tbreaks / d, self.pos / c, self.slope * (d / c),
             self.wts * (d / c**2), self.horizon / d, self.support_bound / c,
-            rate_factor=self.rate_factor * d / c**2,
         )
-        if self.evaluator is not None:
-            ev = self.evaluator
-
-            def scaled_ev(t):
-                m = ev(d * t)
-                return AtomicMeasure(tuple((x / c, w) for x, w in m.atoms))
-
-            out.evaluator = scaled_ev
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ extrapolation in the regularization parameter, Nevanlinna data extraction,
 and the bijections between moments and free/Boolean/classical cumulants.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -446,97 +448,55 @@ def _values(m):
     return list(m)
 
 
-def _poly_mul(p, q, order):
-    out = [0] * (order + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > order:
-            continue
-        for j, b in enumerate(q):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + a * b
-    return out
+CUMULANT_KINDS = ("classical", "boolean", "free")
 
 
-def moments_to_free_cumulants(m):
-    """Free cumulants (kappa_1..kappa_K) from raw moments.
+def _moment_cumulant(kind, given, to_cumulants):
+    """Solve m_k = c_k + sum_{j<k} c_j w_{k,j} for the side not given.
 
-    Inverts m_n = sum_k kappa_k [z^(n-k)] M(z)^k with M = 1 + m_1 z + ...
+    The weight depends on the family: m_{k-j} (Boolean),
+    C(k-1, j-1) m_{k-j} (classical), and [z^(k-j)] M(z)^j (free, from
+    M(z) = 1 + sum_k kappa_k z^k M(z)^k).  w_{k,j} needs moments below
+    order k only, so one pass solves either direction; the free powers
+    gain one degree per known moment and are never rebuilt.
     """
-    mom = _values(m)
-    n = len(mom)
-    mpoly = [1] + mom
-    powers = [[1]]  # M^0
-    for _ in range(n):
-        powers.append(_poly_mul(powers[-1], mpoly, n))
-    kappa = []
-    for k in range(1, n + 1):
-        acc = mom[k - 1]
-        for j in range(1, k):
-            acc = acc - kappa[j - 1] * powers[j][k - j]
-        kappa.append(acc)
-    return kappa
+    if kind not in CUMULANT_KINDS:
+        raise ValueError(
+            f"unknown cumulant kind {kind!r}; one of {CUMULANT_KINDS}")
+    given = _values(given)
+    op = operator.sub if to_cumulants else operator.add
+    mom, cum = [1], []  # mom[d] = m_d, so mom is the series M(z) too
+    powers = [[1]]  # powers[j][d] = [z^d] M(z)^j, known for d <= k - j
+    for k in range(1, len(given) + 1):
+        if kind == "free":
+            for j in range(1, k):
+                d = k - j
+                powers[j].append(sum(a * mom[d - i] for i, a
+                                     in enumerate(powers[j - 1][:d + 1])))
+            powers.append([1])
+            terms = (cum[j - 1] * powers[j][k - j] for j in range(1, k))
+        elif kind == "classical":
+            terms = (math.comb(k - 1, j - 1) * cum[j - 1] * mom[k - j]
+                     for j in range(1, k))
+        else:
+            terms = (cum[j - 1] * mom[k - j] for j in range(1, k))
+        solved = functools.reduce(op, terms, given[k - 1])
+        mom.append(given[k - 1] if to_cumulants else solved)
+        cum.append(solved if to_cumulants else given[k - 1])
+    return cum if to_cumulants else mom[1:]
 
 
-def free_cumulants_to_moments(kappa):
-    kappa = _values(kappa)
-    n = len(kappa)
-    mom = []
-    for k in range(1, n + 1):
-        mpoly = [1] + mom
-        powers = [[1]]
-        for _ in range(k):
-            powers.append(_poly_mul(powers[-1], mpoly, k))
-        acc = 0
-        for j in range(1, k + 1):
-            acc = acc + kappa[j - 1] * powers[j][k - j]
-        mom.append(acc)
-    return MomentSequence(tuple(mom))
+def moments_to_cumulants(kind, m):
+    """Cumulants c_1..c_K of a kind in ``CUMULANT_KINDS`` from K moments.
+
+    Exact inputs (int, Fraction) give exact cumulants.
+    """
+    return _moment_cumulant(kind, m, True)
 
 
-def moments_to_boolean_cumulants(m):
-    """Boolean cumulants: the 1/z^(k-1) coefficients of B = z - 1/G."""
-    mom = _values(m)
-    beta = []
-    for k in range(1, len(mom) + 1):
-        acc = mom[k - 1]
-        for j in range(1, k):
-            acc = acc - beta[j - 1] * ([1] + mom)[k - j]
-        beta.append(acc)
-    return beta
-
-
-def boolean_cumulants_to_moments(beta):
-    beta = _values(beta)
-    mom = []
-    for k in range(1, len(beta) + 1):
-        acc = beta[k - 1]
-        for j in range(1, k):
-            acc = acc + beta[j - 1] * mom[k - j - 1]
-        mom.append(acc)
-    return MomentSequence(tuple(mom))
-
-
-def moments_to_classical_cumulants(m):
-    mom = _values(m)
-    cum = []
-    for k in range(1, len(mom) + 1):
-        acc = mom[k - 1]
-        for j in range(1, k):
-            acc = acc - math.comb(k - 1, j - 1) * cum[j - 1] * mom[k - j - 1]
-        cum.append(acc)
-    return cum
-
-
-def classical_cumulants_to_moments(cum):
-    cum = _values(cum)
-    mom = []
-    for k in range(1, len(cum) + 1):
-        acc = cum[k - 1]
-        for j in range(1, k):
-            acc = acc + math.comb(k - 1, j - 1) * cum[j - 1] * mom[k - j - 1]
-        mom.append(acc)
-    return MomentSequence(tuple(mom))
+def cumulants_to_moments(kind, c):
+    """The MomentSequence m_1..m_K whose cumulants of ``kind`` are c."""
+    return MomentSequence(tuple(_moment_cumulant(kind, c, False)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +525,7 @@ def b_series(m):
 def r_series(m):
     """Truncated R-transform polynomial kappa_1 + kappa_2 z + ... ; its
     coefficients are the free cumulants, and free convolution adds it."""
-    kappa = moments_to_free_cumulants(m)
+    kappa = moments_to_cumulants("free", m)
     return LaurentSeries(len(kappa) - 1, list(reversed(kappa)), 0)
 
 

@@ -53,6 +53,16 @@ class TestExitCodes:
                     "--rhs", "bern.json", "--out", "x.json"], files)
         assert code == 2
 
+    @pytest.mark.parametrize("lhs, rhs", [("mom.json", "bern.json"),
+                                          ("bern.json", "mom.json")])
+    def test_convolve_mixed_inputs(self, files, capsys, lhs, rhs):
+        json.dump({"moments": [0, 1, 0, 1]}, open(files / "mom.json", "w"))
+        code = run(["convolve", "--kind", "free", "--lhs", lhs, "--rhs", rhs,
+                    "--out", "x.json"], files)
+        assert code == 2
+        assert ("convolve needs two moment sequences or two atomic measures"
+                in capsys.readouterr().err)
+
     def test_loewner_error_is_usage_error(self, files, capsys):
         code = run(["sle", "--kappa", "-1", "--T", "1", "--dt", "1e-2",
                     "--seed", "1", "--out", "s.csv"], files)

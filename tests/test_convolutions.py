@@ -54,6 +54,13 @@ class TestMomentLevel:
         with pytest.raises(ValueError):
             cv.convolve("quantum", BERN, BERN)
 
+    @pytest.mark.parametrize("moments_first", [True, False])
+    def test_mixed_inputs_rejected(self, moments_first):
+        pair = (BERN, ms.AtomicMeasure.dirac(0))
+        a, b = pair if moments_first else pair[::-1]
+        with pytest.raises(ms.MeasureError, match="two moment sequences"):
+            cv.convolve("free", a, b)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_variance_additivity_all_kinds(self, seed):

@@ -381,6 +381,17 @@ class TestApproxProcess:
         assert all(b[0] > a[0] and b[1] > a[1]
                    for a, b in zip(bounds[1:], bounds))
 
+    def test_oversize_ball_refused_before_building(self, monkeypatch):
+        calls = []
+        for name in ("spidernet", "comb_ball"):
+            monkeypatch.setattr(gr, name,
+                                lambda *args, name=name: calls.append(name))
+        # factor 699,049 vertices, two-level ball 12,116,881 > guard
+        with pytest.raises(gr.GraphError,
+                           match="ball would have 12116881 > 10000000"):
+            gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2, order=18)
+        assert calls == []
+
     def test_order_must_be_positive(self):
         with pytest.raises(gr.GraphError, match="order must be >= 1"):
             gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2, order=0)

@@ -303,42 +303,183 @@ class TestTreeBisection:
         assert g.calls == 1 + math.ceil(refine / D)
 
 
+def _reference_values(m):
+    return list(m.values) if isinstance(m, ms.MomentSequence) else list(m)
+
+
+def reference_poly_mul(p, q, order):
+    out = [0] * (order + 1)
+    for i, a in enumerate(p):
+        if a == 0 or i > order:
+            continue
+        for j, b in enumerate(q):
+            if i + j > order:
+                break
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def reference_moments_to_free_cumulants(m):
+    """Inverts m_n = sum_k kappa_k [z^(n-k)] M(z)^k with M = 1 + m_1 z + ..."""
+    mom = _reference_values(m)
+    n = len(mom)
+    mpoly = [1] + mom
+    powers = [[1]]  # M^0
+    for _ in range(n):
+        powers.append(reference_poly_mul(powers[-1], mpoly, n))
+    kappa = []
+    for k in range(1, n + 1):
+        acc = mom[k - 1]
+        for j in range(1, k):
+            acc = acc - kappa[j - 1] * powers[j][k - j]
+        kappa.append(acc)
+    return kappa
+
+
+def reference_free_cumulants_to_moments(kappa):
+    """Rebuilds every power M^j for each k: O(K^4).  The cumulants-to-moments
+    references return plain lists."""
+    kappa = _reference_values(kappa)
+    n = len(kappa)
+    mom = []
+    for k in range(1, n + 1):
+        mpoly = [1] + mom
+        powers = [[1]]
+        for _ in range(k):
+            powers.append(reference_poly_mul(powers[-1], mpoly, k))
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + kappa[j - 1] * powers[j][k - j]
+        mom.append(acc)
+    return mom
+
+
+def reference_moments_to_boolean_cumulants(m):
+    mom = _reference_values(m)
+    beta = []
+    for k in range(1, len(mom) + 1):
+        acc = mom[k - 1]
+        for j in range(1, k):
+            acc = acc - beta[j - 1] * ([1] + mom)[k - j]
+        beta.append(acc)
+    return beta
+
+
+def reference_boolean_cumulants_to_moments(beta):
+    beta = _reference_values(beta)
+    mom = []
+    for k in range(1, len(beta) + 1):
+        acc = beta[k - 1]
+        for j in range(1, k):
+            acc = acc + beta[j - 1] * mom[k - j - 1]
+        mom.append(acc)
+    return mom
+
+
+def reference_moments_to_classical_cumulants(m):
+    mom = _reference_values(m)
+    cum = []
+    for k in range(1, len(mom) + 1):
+        acc = mom[k - 1]
+        for j in range(1, k):
+            acc = acc - math.comb(k - 1, j - 1) * cum[j - 1] * mom[k - j - 1]
+        cum.append(acc)
+    return cum
+
+
+def reference_classical_cumulants_to_moments(cum):
+    cum = _reference_values(cum)
+    mom = []
+    for k in range(1, len(cum) + 1):
+        acc = cum[k - 1]
+        for j in range(1, k):
+            acc = acc + math.comb(k - 1, j - 1) * cum[j - 1] * mom[k - j - 1]
+        mom.append(acc)
+    return mom
+
+
+REFERENCE_MAPS = {
+    "free": (reference_moments_to_free_cumulants,
+             reference_free_cumulants_to_moments),
+    "boolean": (reference_moments_to_boolean_cumulants,
+                reference_boolean_cumulants_to_moments),
+    "classical": (reference_moments_to_classical_cumulants,
+                  reference_classical_cumulants_to_moments),
+}
+
+KIND = st.sampled_from(tr.CUMULANT_KINDS)
+FRACTION_SEQ = st.lists(st.fractions(-3, 3, max_denominator=12),
+                        min_size=1, max_size=12)
+FLOAT_SEQ = st.lists(st.floats(-3, 3), min_size=1, max_size=12)
+
+
+def _both_directions(kind, seq):
+    """(new, reference) pairs for moments -> cumulants and back.
+
+    Random sequences are rarely valid moment sequences, so both sides are
+    compared before the library wraps moments in a MomentSequence.
+    """
+    to_ref, back_ref = REFERENCE_MAPS[kind]
+    return ((tr.moments_to_cumulants(kind, seq), to_ref(seq)),
+            (tr._moment_cumulant(kind, seq, False), back_ref(seq)))
+
+
 class TestCumulantMaps:
     def test_free_cumulant_identities(self):
         m = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)]
-        k = tr.moments_to_free_cumulants(m)
+        k = tr.moments_to_cumulants("free", m)
         m1, m2, m3 = m
         assert k[0] == m1
         assert k[1] == m2 - m1**2
         assert k[2] == m3 - 3 * m2 * m1 + 2 * m1**3
 
     def test_semicircle_free_cumulants(self):
-        kappa = tr.moments_to_free_cumulants(ms.Semicircle(0, 1).moments(6))
+        kappa = tr.moments_to_cumulants("free", ms.Semicircle(0, 1).moments(6))
         assert [int(v) for v in kappa] == [0, 1, 0, 0, 0, 0]
 
     def test_centered_second(self):
-        kappa = tr.moments_to_free_cumulants([0, 1, 0])
+        kappa = tr.moments_to_cumulants("free", [0, 1, 0])
         assert kappa == [0, 1, 0]
 
     def test_bernoulli_boolean_cumulants(self):
-        beta = tr.moments_to_boolean_cumulants([0, 1, 0, 1])
+        beta = tr.moments_to_cumulants("boolean", [0, 1, 0, 1])
         assert [int(v) for v in beta] == [0, 1, 0, 0]
 
     def test_dirac_boolean(self):
-        beta = tr.moments_to_boolean_cumulants(ms.Dirac(2).moments(4))
+        beta = tr.moments_to_cumulants("boolean", ms.Dirac(2).moments(4))
         assert [int(v) for v in beta] == [2, 0, 0, 0]
+
+    def test_unknown_kind(self):
+        for call in (tr.moments_to_cumulants, tr.cumulants_to_moments):
+            with pytest.raises(ValueError, match="classical.*boolean.*free"):
+                call("monotone", [0, 1])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_roundtrips(self, seed):
         m = random_moments(seed)
-        back_f = tr.free_cumulants_to_moments(tr.moments_to_free_cumulants(m))
-        back_b = tr.boolean_cumulants_to_moments(
-            tr.moments_to_boolean_cumulants(m))
-        back_c = tr.classical_cumulants_to_moments(
-            tr.moments_to_classical_cumulants(m))
-        for back in (back_f, back_b, back_c):
+        for kind in tr.CUMULANT_KINDS:
+            back = tr.cumulants_to_moments(
+                kind, tr.moments_to_cumulants(kind, m))
             assert np.abs(back.floats() - m.floats()).max() < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(KIND, FRACTION_SEQ)
+    def test_exact_inputs_match_reference(self, kind, seq):
+        for new, old in _both_directions(kind, seq):
+            assert new == old
+            assert all(type(a) is type(b) for a, b in zip(new, old))
+
+    @settings(max_examples=100, deadline=None)
+    @given(KIND, FLOAT_SEQ)
+    def test_float_inputs_match_reference(self, kind, seq):
+        (to_new, to_old), (back_new, back_old) = _both_directions(kind, seq)
+        assert [v.hex() for v in to_new] == [v.hex() for v in to_old]
+        if kind != "free":
+            assert [v.hex() for v in back_new] == [v.hex() for v in back_old]
+        # the recursion adds kappa_k first where the reference adds it last
+        for new, old in zip(back_new, back_old):
+            assert abs(new - old) <= 1e-12 * max(1, abs(old))
 
 
 class TestSeriesTransforms:
@@ -380,7 +521,7 @@ class TestSeriesTransforms:
         b = random_moments(32, order=6)
         summed = tr.r_series(a) + tr.r_series(b)
         kappa = [summed.coeff(k - 1) for k in range(1, 7)]
-        direct = tr.free_cumulants_to_moments(kappa)
+        direct = tr.cumulants_to_moments("free", kappa)
         from ncprob import convolutions as cv
 
         want = cv.convolve("free", a, b)
