@@ -44,6 +44,13 @@ def _nonnegative(text):
     return value
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -262,8 +269,8 @@ def build_parser():
     c.add_argument("--fm-a", type=int, default=2)
     c.add_argument("--fm-c", type=int, default=1)
     c.add_argument("--fm-u", type=int, default=0)
-    c.add_argument("--grid-min", type=float)
-    c.add_argument("--grid-max", type=float)
+    c.add_argument("--grid-min", type=_finite)
+    c.add_argument("--grid-max", type=_finite)
     c.add_argument("--grid-points", type=int, default=1201)
     c.add_argument("--atom", type=float, action="append")
     c.add_argument("--out", required=True)
@@ -274,8 +281,8 @@ def build_parser():
     c.add_argument("--driving", required=True)
     c.add_argument("--t", type=_nonnegative, required=True)
     c.add_argument("--tol", type=float, default=1e-9)
-    c.add_argument("--grid-min", type=float)
-    c.add_argument("--grid-max", type=float)
+    c.add_argument("--grid-min", type=_finite)
+    c.add_argument("--grid-max", type=_finite)
     c.add_argument("--grid-points", type=int, default=1201)
     c.add_argument("--out", required=True, help="prefix for .csv and .json")
     c.set_defaults(fn=_cmd_loewner)

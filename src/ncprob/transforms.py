@@ -95,8 +95,13 @@ def _cauchy_linear_density(grid, dens, z, chunk=128):
         # log((z-x0)/(z-x1)) = log1p(w); series branch avoids cancellation
         small = np.abs(w) < 1e-2
         ws = np.where(small, w, 0.0)
-        series = ws * (1 + ws * (-1 / 2 + ws * (1 / 3 + ws * (
-            -1 / 4 + ws * (1 / 5 + ws * (-1 / 6))))))
+        # each complex product keeps its temporary as the left operand:
+        # complex multiplication is not bitwise commutative (fused
+        # multiply-add SIMD loops), and numpy's temporary elision turns
+        # ws * tmp into tmp * ws once tmp exceeds 256 KiB, so the other
+        # order would make a value depend on how many points share a chunk
+        series = (1 + (-1 / 2 + (1 / 3 + (-1 / 4 + (
+            1 / 5 + ws * (-1 / 6)) * ws) * ws) * ws) * ws) * ws
         logs = np.where(small, series, np.log(np.where(small, 1.0, 1.0 + w)))
         vals = (intercept + slope * zz) * logs - slope * h
         out[start:start + chunk] = vals.sum(axis=1)
@@ -170,12 +175,52 @@ def extrapolate_to_zero(xs, values):
 # Stieltjes-Perron inversion
 # ---------------------------------------------------------------------------
 
-def check_cauchy_normalization(g, y=1e6, tol=1e-3):
-    val = 1j * y * np.asarray(g(np.array([1j * y])))[0]
+_NORM_Y = 1e6  # height of the normalization probe iy*G(iy)
+_SCAN_EPS, _SCAN_REFINE = 1e-6, 40  # real-zero scan height and bisection steps
+
+
+def _require_normalized(value, y, tol):
+    """Raise NormalizationError unless iy*G(iy) is 1 within tol, given
+    ``value`` = G(iy)."""
+    val = 1j * y * value
     if abs(val - 1.0) > tol:
         raise NormalizationError(
             f"iy*G(iy) = {val:.6g} at y={y:.0e}; not a probability Cauchy transform"
         )
+
+
+def check_cauchy_normalization(g, y=_NORM_Y, tol=1e-3):
+    _require_normalized(np.asarray(g(np.array([1j * y])))[0], y, tol)
+
+
+def _inversion_grid(grid):
+    """``grid`` as floats, or TransformError naming what makes it unusable."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise TransformError("inversion grid needs at least 2 points in a "
+                             f"1-d array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise TransformError("inversion grid must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise TransformError("inversion grid must be strictly increasing")
+    return grid
+
+
+def _ladder_points(xs, eps_ladder):
+    """xs + i*eps for every eps of the ladder, one layer after another."""
+    return np.concatenate([xs + 1j * eps for eps in eps_ladder])
+
+
+def _ladder_density(xs, vals, atoms, eps_ladder):
+    """-Im G(x + i*eps)/pi extrapolated over the ladder, from ``vals`` = G at
+    _ladder_points(xs, eps_ladder); each atom's own term is subtracted from
+    every layer first."""
+    layers = []
+    for eps, v in zip(eps_ladder, np.split(np.asarray(vals), len(eps_ladder))):
+        for a, w in atoms:
+            v = v - w / (xs + 1j * eps - a)
+        layers.append(-v.imag / math.pi)
+    return extrapolate_to_zero(eps_ladder, layers)
 
 
 def atom_mass(g, position, ladder=DEFAULT_EPS_LADDER):
@@ -285,13 +330,26 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
     narrow spikes the first density pass exposes.  Cells with steep density
     jumps (square-root support edges) are locally refined so the trapezoid
     mass stays accurate.  The result is renormalized to unit mass if the
-    recovered mass lies within 2 percent of 1.
+    recovered mass lies within 2 percent of 1.  One call of ``g`` evaluates
+    the normalization probe and every ladder layer of the grid; each refine
+    pass makes one more.
     """
     if isinstance(g, (AtomicMeasure, GridMeasure)):
         g = HerglotzMap.from_measure(g, "cauchy")
-    grid = np.asarray(grid, dtype=float)
-    check_cauchy_normalization(g)
+    grid = _inversion_grid(grid)
+    first = np.asarray(g(np.concatenate(
+        [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
+    return _invert(g, grid, first, atom_candidates, eps_ladder,
+                   refine_passes, auto_atoms)
 
+
+def _invert(g, grid, first, atom_candidates, eps_ladder, refine_passes=2,
+            auto_atoms=True):
+    """``stieltjes_invert`` given ``first``, the values of ``g`` at i*_NORM_Y
+    followed by _ladder_points(grid, eps_ladder), which the normalization
+    check and every density pass over the grid read."""
+    _require_normalized(first[0], _NORM_Y, 1e-3)
+    ladder = first[1:]
     atoms = []
     for a in atom_candidates:
         hit = _vetted_atom(g, a, eps_ladder)
@@ -299,16 +357,7 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
             atoms.append(hit)
     atoms.sort()
 
-    def density_at(xs):
-        layers = []
-        for eps in eps_ladder:
-            vals = np.asarray(g(xs + 1j * eps))
-            for a, w in atoms:
-                vals = vals - w / (xs + 1j * eps - a)
-            layers.append(-vals.imag / math.pi)
-        return extrapolate_to_zero(eps_ladder, layers)
-
-    density = density_at(grid)
+    density = _ladder_density(grid, ladder, atoms, eps_ladder)
     if auto_atoms:
         eps_min = min(eps_ladder)
         h = float(np.median(np.diff(grid)))
@@ -323,7 +372,7 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
                 found = True
         if found:
             atoms.sort()
-            density = density_at(grid)
+            density = _ladder_density(grid, ladder, atoms, eps_ladder)
 
     for _ in range(refine_passes):
         scale = max(np.abs(density).max(), 1e-12)
@@ -337,8 +386,10 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
         extra = np.concatenate([
             np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
         ])
+        vals = g(_ladder_points(extra, eps_ladder))
         grid = np.concatenate([grid, extra])
-        density = np.concatenate([density, density_at(extra)])
+        density = np.concatenate(
+            [density, _ladder_density(extra, vals, atoms, eps_ladder)])
         order = np.argsort(grid)
         grid, density = grid[order], density[order]
 
@@ -360,7 +411,7 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
     return GridMeasure(grid, density, tuple(atoms))
 
 
-def scan_real_zeros(f, grid, eps=1e-6, refine=40):
+def scan_real_zeros(f, grid, eps=_SCAN_EPS, refine=_SCAN_REFINE):
     """Real-axis zero candidates of a holomorphic map from a sign scan.
 
     Looks for sign changes of Re f(x + i*eps) along the grid and refines all
@@ -368,23 +419,39 @@ def scan_real_zeros(f, grid, eps=1e-6, refine=40):
     1/F, i.e. atom candidates.  Each call of ``f`` evaluates the midpoints
     of the next _TREE_LEVELS tree levels of every bracket (see ``_bisect``).
     """
-    vals = np.asarray(f(grid + 1j * eps))
-    re = vals.real
-    sign = np.sign(re)
+    row = np.asarray(f(grid + 1j * eps)).real
+    return _sign_change_roots(f, grid, row, eps, refine)
+
+
+def _sign_change_roots(f, grid, row, eps, refine):
+    """Bisect every sign change of ``row`` = Re f(grid + i*eps)."""
+    sign = np.sign(row)
     cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return list(_bisect(f, grid[cross], grid[cross + 1], re[cross], eps,
+    return list(_bisect(f, grid[cross], grid[cross + 1], row[cross], eps,
                         refine))
 
 
 def measure_from_ftransform(f, grid, atom_candidates=None,
                             eps_ladder=DEFAULT_EPS_LADDER):
-    """Stieltjes inversion of 1/F for an F-transform evaluator."""
+    """Stieltjes inversion of 1/F for an F-transform evaluator.
+
+    Without ``atom_candidates`` the real zeros of F are scanned for at
+    height _SCAN_EPS.  One call of ``f`` evaluates that scan row, the
+    normalization probe and every ladder layer of the grid.
+    """
     if not isinstance(f, HerglotzMap):
         f = HerglotzMap(f, "f")
-    if atom_candidates is None:
-        atom_candidates = scan_real_zeros(f, np.asarray(grid, dtype=float))
-    return stieltjes_invert(f.reciprocal("cauchy"), grid, atom_candidates,
-                            eps_ladder)
+    grid = _inversion_grid(grid)
+    scan = atom_candidates is None
+    rows = [grid + 1j * _SCAN_EPS] if scan else []
+    vals = np.asarray(f(np.concatenate(
+        rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
+    if scan:
+        atom_candidates = _sign_change_roots(
+            f, grid, vals[:grid.size].real, _SCAN_EPS, _SCAN_REFINE)
+        vals = vals[grid.size:]
+    return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
+                   eps_ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +470,14 @@ class NevanlinnaData:
 
 def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
     """Extract (a, b): a = Re f(i), b = lim f(iy)/(iy), Richardson in 1/y."""
-    check_zs = np.array([1j, 1 + 1j, -2 + 0.5j, 3j])
-    vals = np.asarray(f(check_zs))
-    if np.any(vals.imag < -1e-9):
+    check_zs = [1j, 1 + 1j, -2 + 0.5j, 3j]  # the first gives a = Re f(i)
+    vals = np.asarray(f(np.array(check_zs + [1j * y for y in probe_ys])))
+    if np.any(vals[:len(check_zs)].imag < -1e-9):
         raise NotHerglotz("Im f < 0 at a probe point")
-    ratios = []
-    for y in probe_ys:
-        v = np.asarray(f(np.array([1j * y])))[0]
-        ratios.append((v / (1j * y)).real)
+    ratios = [(v / (1j * y)).real
+              for y, v in zip(probe_ys, vals[len(check_zs):])]
     b = float(extrapolate_to_zero([1.0 / y for y in probe_ys], ratios))
-    a = float(np.asarray(f(np.array([1j])))[0].real)
-    return NevanlinnaData(a=a, b=b)
+    return NevanlinnaData(a=float(vals[0].real), b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +497,8 @@ def hilbert_transform(measure, x, eps=1e-2):
     else:
         g = measure
     ladder = (eps, eps / 2, eps / 4)
-    vals = [np.asarray(g(np.array([x + 1j * e])))[0].real / math.pi
-            for e in ladder]
-    return float(extrapolate_to_zero(ladder, vals))
+    vals = np.asarray(g(np.array([x + 1j * e for e in ladder]))).real
+    return float(extrapolate_to_zero(ladder, list(vals / math.pi)))
 
 
 # ---------------------------------------------------------------------------

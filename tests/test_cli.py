@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,36 @@ class TestExitCodes:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invert", "--law", "semicircle", "--grid-min", "1", "--grid-max",
+          "1"], "must be strictly increasing"),
+        (["invert", "--law", "semicircle", "--grid-min", "3", "--grid-max",
+          "-3"], "must be strictly increasing"),
+        (["invert", "--law", "arcsine", "--grid-points", "0"],
+         "needs at least 2 points"),
+        (["invert", "--law", "arcsine", "--grid-points", "1"],
+         "needs at least 2 points"),
+        (["loewner", "--driving", "u0.json", "--t", "1", "--grid-points",
+          "0"], "needs at least 2 points"),
+        (["loewner", "--driving", "u0.json", "--t", "1", "--grid-points",
+          "1"], "needs at least 2 points"),
+    ])
+    def test_bad_inversion_grid(self, files, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning exits 1
+            code = run(argv + ["--out", "bad.csv"], files)
+        assert code == 2
+        assert f"error: inversion grid {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "loewner"])
+    @pytest.mark.parametrize("bound", ["--grid-min", "--grid-max"])
+    def test_nonfinite_grid_bound(self, files, capsys, command, bound):
+        args = (["--law", "semicircle"] if command == "invert"
+                else ["--driving", "u0.json", "--t", "1"])
+        code = run([command, *args, bound, "nan", "--out", "bad.csv"], files)
+        assert code == 2
+        assert (f"argument {bound}: must be finite, got nan"
+                in capsys.readouterr().err)
 
     def test_spidernet_too_large(self, files, capsys):
         code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",

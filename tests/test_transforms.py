@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import _kernels, cli
 from ncprob import loewner as lw
 from ncprob import measures as ms
 from ncprob import transforms as tr
@@ -301,6 +303,352 @@ class TestTreeBisection:
         a = float(random_atomic(1).atoms[0][0])
         tr._refine_pole(g, a, halfwidth=0.02, iters=refine)
         assert g.calls == 1 + math.ceil(refine / D)
+
+
+# reference: the inversion with one call of the map per eps layer, a
+# separate call for the normalization probe and, in
+# reference_measure_from_ftransform, a separate scan row.  The shared-call
+# inversion must return the same grid, density and atoms bit for bit.
+
+def reference_stieltjes_invert(g, grid, atom_candidates=(),
+                               eps_ladder=tr.DEFAULT_EPS_LADDER,
+                               refine_passes=2, auto_atoms=True):
+    if isinstance(g, (ms.AtomicMeasure, ms.GridMeasure)):
+        g = tr.HerglotzMap.from_measure(g, "cauchy")
+    grid = np.asarray(grid, dtype=float)
+    tr.check_cauchy_normalization(g)
+
+    atoms = []
+    for a in atom_candidates:
+        hit = tr._vetted_atom(g, a, eps_ladder)
+        if hit:
+            atoms.append(hit)
+    atoms.sort()
+
+    def density_at(xs):
+        layers = []
+        for eps in eps_ladder:
+            vals = np.asarray(g(xs + 1j * eps))
+            for a, w in atoms:
+                vals = vals - w / (xs + 1j * eps - a)
+            layers.append(-vals.imag / math.pi)
+        return tr.extrapolate_to_zero(eps_ladder, layers)
+
+    density = density_at(grid)
+    if auto_atoms:
+        eps_min = min(eps_ladder)
+        h = float(np.median(np.diff(grid)))
+        found = False
+        for a in tr._spike_candidates(grid, density, eps_min):
+            if any(abs(a - x) <= 5 * max(eps_min, h) for x, _ in atoms):
+                continue
+            a = tr._refine_pole(g, a, halfwidth=3 * max(eps_min, h))
+            hit = tr._vetted_atom(g, a, eps_ladder)
+            if hit:
+                atoms.append(hit)
+                found = True
+        if found:
+            atoms.sort()
+            density = density_at(grid)
+
+    for _ in range(refine_passes):
+        scale = max(np.abs(density).max(), 1e-12)
+        jump = np.abs(np.diff(density))
+        flagged = np.nonzero(jump > 0.2 * scale)[0]
+        if flagged.size == 0:
+            break
+        cells = set()
+        for i in flagged:
+            cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
+        extra = np.concatenate([
+            np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
+        ])
+        grid = np.concatenate([grid, extra])
+        density = np.concatenate([density, density_at(extra)])
+        order = np.argsort(grid)
+        grid, density = grid[order], density[order]
+
+    mass = float(np.trapezoid(density, grid)) + sum(w for _, w in atoms)
+    if not 0.98 <= mass <= 1.02:
+        raise tr.MassError(f"recovered mass {mass:.4f} outside [0.98, 1.02]")
+    density = np.clip(density / mass, 0.0, None)
+    atoms = [(a, w / mass) for a, w in atoms]
+    atom_total = sum(w for _, w in atoms)
+    dens_mass = float(np.trapezoid(density, grid))
+    if atom_total >= 1.0 or dens_mass <= 1e-12:
+        density = np.zeros_like(density)
+        atoms = [(a, w / atom_total) for a, w in atoms]
+    else:
+        density *= (1.0 - atom_total) / dens_mass
+    return ms.GridMeasure(grid, density, tuple(atoms))
+
+
+def reference_measure_from_ftransform(f, grid, atom_candidates=None,
+                                      eps_ladder=tr.DEFAULT_EPS_LADDER):
+    if not isinstance(f, tr.HerglotzMap):
+        f = tr.HerglotzMap(f, "f")
+    if atom_candidates is None:
+        atom_candidates = tr.scan_real_zeros(f, np.asarray(grid, dtype=float))
+    return reference_stieltjes_invert(f.reciprocal("cauchy"), grid,
+                                      atom_candidates, eps_ladder)
+
+
+def reference_hilbert_transform(measure, x, eps=1e-2):
+    if isinstance(measure, (ms.AtomicMeasure, ms.GridMeasure)):
+        for a, _ in measure.atoms:
+            if abs(x - a) < 1e-9:
+                raise tr.AtomCollision(f"x = {x} collides with atom at {a}")
+        g = tr.HerglotzMap.from_measure(measure, "cauchy")
+    else:
+        g = measure
+    ladder = (eps, eps / 2, eps / 4)
+    vals = [np.asarray(g(np.array([x + 1j * e])))[0].real / math.pi
+            for e in ladder]
+    return float(tr.extrapolate_to_zero(ladder, vals))
+
+
+def reference_nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
+    check_zs = np.array([1j, 1 + 1j, -2 + 0.5j, 3j])
+    vals = np.asarray(f(check_zs))
+    if np.any(vals.imag < -1e-9):
+        raise tr.NotHerglotz("Im f < 0 at a probe point")
+    ratios = []
+    for y in probe_ys:
+        v = np.asarray(f(np.array([1j * y])))[0]
+        ratios.append((v / (1j * y)).real)
+    b = float(tr.extrapolate_to_zero([1.0 / y for y in probe_ys], ratios))
+    a = float(np.asarray(f(np.array([1j])))[0].real)
+    return tr.NevanlinnaData(a=a, b=b)
+
+
+def outcome(fn, *args, **kwargs):
+    """A recovered measure as bytes and float hexes, or the error raised."""
+    try:
+        rec = fn(*args, **kwargs)
+    except tr.TransformError as exc:
+        return type(exc), str(exc)
+    return (rec.grid.tobytes(), rec.density.tobytes(),
+            [(float(a).hex(), float(w).hex()) for a, w in rec.atoms])
+
+
+def law_map(law):
+    args = cli.build_parser().parse_args(
+        ["invert", "--law", law, "--c", "0.5", "--fm-a", "4", "--fm-c", "2",
+         "--fm-u", "1", "--out", "unused.csv"])
+    return cli._LAW_MAPS[law](args)
+
+
+LAWS = ("semicircle", "arcsine", "marchenko-pastur", "free-meixner")
+LOEWNER_LADDER = (5e-3, 2.5e-3, 1.25e-3)  # the one ``ncprob loewner`` uses
+
+
+def loewner_grid(driving, points):
+    """``ncprob loewner``'s default grid for a driving at t = 1."""
+    half = driving.bound() + math.sqrt(2.0) + 0.5
+    return np.linspace(-half, half, points)
+
+
+class TestSharedCallInversion:
+    @pytest.mark.parametrize("u", [0.0, 0.023648, -0.3])
+    def test_slit_chain_measure(self, u):
+        driving = lw.DrivingFunction.constant(u)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, 301)
+        got = outcome(tr.measure_from_ftransform, f, grid,
+                      eps_ladder=LOEWNER_LADDER)
+        assert len(got[2]) == (u != 0)  # the atom of the free Meixner law
+        assert got == outcome(reference_measure_from_ftransform, f, grid,
+                              eps_ladder=LOEWNER_LADDER)
+
+    def test_sle_chain_measure(self):
+        driving = lw.sle_driving(2.0, 1.0, 1e-2, seed=7)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, 61)
+        assert tr.scan_real_zeros(f, grid)  # the scan has a root to bisect
+        got = outcome(tr.measure_from_ftransform, f, grid,
+                      eps_ladder=LOEWNER_LADDER)
+        assert len(np.frombuffer(got[0])) > grid.size  # cells were refined
+        assert got == outcome(reference_measure_from_ftransform, f, grid,
+                              eps_ladder=LOEWNER_LADDER)
+
+    @pytest.mark.parametrize("law, lo, hi, candidates", [
+        ("semicircle", -2.2, 2.2, []),
+        ("arcsine", -1.62, 1.62, []),
+        ("marchenko-pastur", -0.2, 3.12, [0.0]),
+        ("free-meixner", -4.03, 4.03,
+         tr._free_meixner_atom_candidates(4, 2, 1)),
+    ])
+    def test_closed_form_laws(self, law, lo, hi, candidates):
+        g, grid = law_map(law), np.linspace(lo, hi, 301)
+        got = outcome(tr.stieltjes_invert, g, grid, candidates)
+        assert isinstance(got[0], bytes)
+        assert got == outcome(reference_stieltjes_invert, g, grid, candidates)
+
+    def test_spike_autodetection(self):
+        # an atom found from a density spike: the grid's density is redone
+        # from the same ladder values with the atom's terms removed
+        g = tr.HerglotzMap(lambda z: 0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2
+                           + 0.3 / (z - 3.0), "cauchy")
+        grid = np.linspace(-2.4, 3.6, 601)
+        got = outcome(tr.stieltjes_invert, g, grid)
+        assert len(got[2]) == 1
+        assert got == outcome(reference_stieltjes_invert, g, grid)
+
+    def test_free_meixner_realization(self):
+        # explicit candidates: no scan row in the shared call
+        fmap, grid = tr.free_meixner_fmap(4, 2, 1), np.linspace(-4, 4, 301)
+        cands = tr._free_meixner_atom_candidates(4, 2, 1)
+        ladder = (1e-4, 5e-5, 2.5e-5)
+        assert outcome(tr.measure_from_ftransform, fmap, grid, cands,
+                       ladder) == outcome(reference_measure_from_ftransform,
+                                          fmap, grid, cands, ladder)
+
+    def test_grid_measure(self):
+        gm = ms.Semicircle(0, 1).to_measure()
+        grid = np.linspace(-2.5, 2.5, 201)
+        got = outcome(tr.stieltjes_invert, gm, grid)
+        assert isinstance(got[0], bytes)
+        assert got == outcome(reference_stieltjes_invert, gm, grid)
+        f = tr.HerglotzMap.from_measure(gm, "f")
+        assert (outcome(tr.measure_from_ftransform, f, grid)
+                == outcome(reference_measure_from_ftransform, f, grid))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 5),
+           points=st.integers(21, 201), extra=st.floats(-2.5, 2.5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_atomic(self, seed, n, points, extra):
+        mu = random_atomic(seed, n=n)
+        grid = np.linspace(-3, 3, points)
+        cands = [x for x, _ in mu.atoms] + [extra]
+        assert (outcome(tr.stieltjes_invert, mu, grid, cands)
+                == outcome(reference_stieltjes_invert, mu, grid, cands))
+        f = tr.HerglotzMap.from_measure(mu, "f")
+        assert (outcome(tr.measure_from_ftransform, f, grid)
+                == outcome(reference_measure_from_ftransform, f, grid))
+
+
+class TestFlowCalls:
+    """Flow calls of one ``ncprob loewner`` inversion at the benchmark's
+    inputs.  With one call per ladder layer, plus one for the scan row and
+    one for the normalization probe, they were 11 (slit) and 19 (SLE) for
+    the same points."""
+
+    def run(self, tmp_path, monkeypatch, driving, points):
+        path = tmp_path / "driving.json"
+        path.write_text(json.dumps(driving.to_json()))
+        sizes, flow = [], _kernels.flow_batch
+
+        def counted(z, *args):
+            sizes.append(len(z))
+            return flow(z, *args)
+
+        monkeypatch.setattr(_kernels, "flow_batch", counted)
+        assert cli.main(["loewner", "--driving", str(path), "--t", "1",
+                         "--grid-points", str(points),
+                         "--out", str(tmp_path / "chain")]) == 0
+        return sizes
+
+    def test_slit(self, tmp_path, monkeypatch):
+        sizes = self.run(tmp_path, monkeypatch,
+                         lw.DrivingFunction.constant(0.0), 151)
+        # scan row, probe and three layers; two refine passes
+        assert sizes == [151 + 1 + 3 * 151, 3 * 84, 3 * 84]
+
+    def test_sle(self, tmp_path, monkeypatch):
+        sizes = self.run(tmp_path, monkeypatch,
+                         lw.sle_driving(2.0, 1.0, 1e-2, seed=7), 201)
+        assert len(sizes) == 11 and sum(sizes) == 1453
+        assert sizes[0] == 201 + 1 + 3 * 201
+
+
+CLOSED_FORM_MAPS = {law: law_map(law) for law in LAWS}
+CLOSED_FORM_MAPS["free_meixner_fmap"] = tr.free_meixner_fmap(4, 2, 1)
+
+upper_points = st.lists(
+    st.builds(complex, st.floats(-5, 5),
+              st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(1e-6, 1e6))),
+    min_size=1, max_size=30)
+
+
+class TestBatchIndependence:
+    """The shared call is bit-identical to one call per layer only because
+    each map's value at a point does not depend on the rest of the batch."""
+
+    @given(a=upper_points, b=upper_points)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms(self, a, b):
+        a, b = np.array(a), np.array(b)
+        for name, g in CLOSED_FORM_MAPS.items():
+            assert (g(np.concatenate([a, b])).tobytes()
+                    == np.concatenate([g(a), g(b)]).tobytes()), name
+
+    def test_grid_measure_cauchy(self):
+        # 300 points fill 128-row chunks whose temporaries exceed numpy's
+        # 256 KiB elision threshold; one point alone stays below it
+        gm = ms.Semicircle(0, 1).to_measure()
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-3, 3, 300) + 1j * np.exp(rng.uniform(-14, 14, 300))
+        alone = np.concatenate([tr.cauchy(gm, z[i:i + 1])
+                                for i in range(z.size)])
+        assert tr.cauchy(gm, z).tobytes() == alone.tobytes()
+
+
+class TestOneCallHelpers:
+    @pytest.mark.parametrize("x", [0.0, 0.3, -1.7, 2.5])
+    def test_hilbert_transform(self, x):
+        for measure in (ms.Semicircle(0, 1).to_measure(), random_atomic(3)):
+            assert (tr.hilbert_transform(measure, x)
+                    == reference_hilbert_transform(measure, x))
+        g = law_map("marchenko-pastur")
+        counted = Counted(g)
+        assert (tr.hilbert_transform(counted, x)
+                == reference_hilbert_transform(g, x))
+        assert counted.calls == 1
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_MAPS) + ["slit"])
+    def test_nevanlinna_extract(self, name):
+        if name == "slit":
+            field = lw.HerglotzField.from_driving(
+                lw.DrivingFunction.constant(0.3), 1.0)
+            f = lw.chain_fmap(field, 1.0)
+        elif name in LAWS:  # F = 1/G of the law
+            f = CLOSED_FORM_MAPS[name].reciprocal("f")
+        else:
+            f = CLOSED_FORM_MAPS[name]
+        counted = Counted(f)
+        assert (tr.nevanlinna_extract(counted)
+                == reference_nevanlinna_extract(f))
+        assert counted.calls == 1
+
+    def test_nevanlinna_not_herglotz(self):
+        g = Counted(law_map("semicircle"))  # G maps H to the lower half-plane
+        with pytest.raises(tr.NotHerglotz):
+            tr.nevanlinna_extract(g)
+        assert g.calls == 1
+
+
+BAD_GRIDS = [
+    ([], "at least 2 points"),
+    ([0.5], "at least 2 points"),
+    ([[0.0, 1.0], [2.0, 3.0]], "at least 2 points"),
+    ([0.0, math.nan, 1.0], "finite"),
+    ([0.0, 1.0, math.inf], "finite"),
+    ([0.0, 1.0, 1.0, 2.0], "strictly increasing"),
+    ([1.0, 0.0], "strictly increasing"),
+]
+
+
+class TestInversionGrid:
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    def test_refused_before_any_evaluation(self, grid, message):
+        g = Counted(law_map("semicircle"))
+        with pytest.raises(tr.TransformError, match=message):
+            tr.stieltjes_invert(g, grid)
+        f = Counted(tr.free_meixner_fmap(2, 1, 0))
+        for cands in (None, [0.0]):
+            with pytest.raises(tr.TransformError, match=message):
+                tr.measure_from_ftransform(f, grid, cands)
+        assert g.calls == f.calls == 0
 
 
 def _reference_values(m):
