@@ -51,6 +51,20 @@ def _finite(text):
     return value
 
 
+def _positive(text):
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -263,11 +277,11 @@ def build_parser():
     c.add_argument("--law", choices=sorted(_LAW_MAPS))
     c.add_argument("--measure", help="measure JSON to round-trip")
     c.add_argument("--mean", type=float, default=0.0)
-    c.add_argument("--sigma", dest="var", type=lambda s: float(s) ** 2,
+    c.add_argument("--sigma", dest="var", type=lambda s: _positive(s) ** 2,
                    default=1.0, help="standard deviation")
-    c.add_argument("--c", type=float, default=1.0)
+    c.add_argument("--c", type=_positive, default=1.0)
     c.add_argument("--fm-a", type=int, default=2)
-    c.add_argument("--fm-c", type=int, default=1)
+    c.add_argument("--fm-c", type=_positive_int, default=1)
     c.add_argument("--fm-u", type=int, default=0)
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)

@@ -30,15 +30,23 @@ class GaussianStream:
         u1 = 1.0 - self._rng.random(half)  # avoid log(0)
         u2 = self._rng.random(half)
         r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2 * math.pi * u2),
-                            r * np.sin(2 * math.pi * u2)])[:n]
-        return z.reshape(shape)
+        theta = 2 * math.pi * u2
+        z = np.empty((2, half))
+        np.cos(theta, out=z[0])
+        np.sin(theta, out=z[1])
+        z *= r
+        return z.reshape(-1)[:n].reshape(shape)
 
 
 def trace_state(a):
     """Normalized trace expectation phi(A) = tr(A)/N."""
     a = np.asarray(a)
     return float(np.trace(a).real) / a.shape[0]
+
+
+def trace_product(a, b):
+    """phi(AB) = sum_ij A_ij B_ji / N, in O(N^2) without forming AB."""
+    return float(np.sum(a * b.T).real) / a.shape[0]
 
 
 def sample_gue(n, seed, stream=None):
@@ -49,12 +57,10 @@ def sample_gue(n, seed, stream=None):
     g = stream if stream is not None else GaussianStream(seed)
     sd = math.sqrt(1.0 / (2 * n))
     x = g.normals((n, n)) * sd
-    y = g.normals((n, n)) * sd
-    a = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    a[iu] = x[iu] + 1j * y[iu]
-    a = a + a.conj().T
-    a[np.diag_indices(n)] = np.diag(x)
+    y = np.triu(g.normals((n, n)) * sd, 1)
+    a = np.empty((n, n), dtype=complex)
+    a.real = np.triu(x) + np.triu(x, 1).T
+    a.imag = y - y.T
     return a
 
 
@@ -120,31 +126,35 @@ def wigner_check(n, seeds):
 
 def freeness_statistic(a, b):
     """Largest |phi| over centered alternating words of length <= 4 in
-    {A, A^2} and {B, B^2}; near zero for (asymptotically) free pairs."""
+    {A, A^2} and {B, B^2}; near zero for (asymptotically) free pairs.
+
+    Each prefix product is formed once and shared by every word that
+    extends it; a word's trace is taken against its last letter without
+    forming the last product."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise RandMatError("matrices must share a shape")
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(a.shape[0])
 
     def centered(m):
-        return [m - trace_state(m) * eye,
-                m @ m - trace_state(m @ m) * eye]
+        m2 = m @ m
+        return [m - trace_state(m) * eye, m2 - trace_state(m2) * eye]
+
+    def worst_word(prefix, length, nxt, other):
+        # words prefix * m * ... of lengths length+1 .. 4, m from nxt,
+        # the letters after m alternating between other and nxt
+        worst = 0.0
+        for m in nxt:
+            worst = max(worst, abs(trace_product(prefix, m)))
+            if length + 1 < 4:
+                worst = max(worst, worst_word(prefix @ m, length + 1,
+                                              other, nxt))
+        return worst
 
     xa, xb = centered(a), centered(b)
-    worst = 0.0
-    for length in range(2, 5):
-        for first in (xa, xb):
-            second = xb if first is xa else xa
-            letters = [first if i % 2 == 0 else second for i in range(length)]
-            for choice in range(2**length):
-                w = None
-                for i, let in enumerate(letters):
-                    m = let[(choice >> i) & 1]
-                    w = m if w is None else w @ m
-                worst = max(worst, abs(trace_state(w)))
-    return worst
+    return max(worst_word(p, 1, second, first)
+               for first, second in ((xa, xb), (xb, xa)) for p in first)
 
 
 @dataclass(frozen=True)
@@ -159,8 +169,13 @@ class FreeAR1Result:
 def free_ar1(n, steps, c, noise="gue", seed=0):
     """X_0 = I, X_m = c X_{m-1} + eps_m with GUE or centered squared-GUE
     noise; reports phi(X_m), phi(X_m^2), and the alternating mixed moment
-    phi(X_{m-1} eps_m X_{m-1} eps_m)."""
-    if abs(c) >= 1:
+    phi(X_{m-1} eps_m X_{m-1} eps_m).
+
+    phi(X^2) of a Hermitian X is sum |X_ij|^2 / N, and the mixed moment
+    forms only P = X_{m-1} eps_m and takes phi(P P) as a trace of the
+    product, so one call forms one N x N product (plus one per step for
+    squared noise)."""
+    if not abs(c) < 1:
         raise RandMatError("need |c| < 1 for stationarity")
     if steps < 1:
         raise RandMatError("need at least one step")
@@ -175,16 +190,17 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
         g = sample_gue(n, None, stream=stream)
         if noise == "squared_gue":
             g = g @ g
-            g = g - trace_state(g) * np.eye(n)
+            g.flat[::n + 1] -= trace_state(g)
         prev = x
         eps = g
         x = c * x + g
-        traj.append(trace_state(x @ x))
-    mixed = trace_state(prev @ eps @ prev @ eps)
+        traj.append(float(np.vdot(x, x).real) / n)
+    pe = prev @ eps
+    mean = trace_state(x)
     return FreeAR1Result(
-        mean_last=trace_state(x),
-        var_last=trace_state(x @ x) - trace_state(x) ** 2,
-        mixed_moment=mixed,
-        noise_var_last=trace_state(eps @ eps),
+        mean_last=mean,
+        var_last=traj[-1] - mean ** 2,
+        mixed_moment=trace_product(pe, pe),
+        noise_var_last=float(np.vdot(eps, eps).real) / n,
         var_trajectory=tuple(traj),
     )

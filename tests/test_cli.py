@@ -115,6 +115,38 @@ class TestExitCodes:
         assert (f"argument {bound}: must be finite, got nan"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("law, flag, value, message", [
+        ("marchenko-pastur", "--c", "-1", "must be finite and > 0"),
+        ("marchenko-pastur", "--c", "0", "must be finite and > 0"),
+        ("marchenko-pastur", "--c", "nan", "must be finite and > 0"),
+        ("marchenko-pastur", "--c", "inf", "must be finite and > 0"),
+        ("semicircle", "--sigma", "0", "must be finite and > 0"),
+        ("arcsine", "--sigma", "-1", "must be finite and > 0"),
+        ("semicircle", "--sigma", "nan", "must be finite and > 0"),
+        ("semicircle", "--sigma", "inf", "must be finite and > 0"),
+        ("free-meixner", "--fm-c", "0", "must be > 0"),
+        ("free-meixner", "--fm-c", "-1", "must be > 0"),
+    ])
+    def test_bad_law_parameter(self, files, capsys, law, flag, value,
+                               message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning exits 1
+            code = run(["invert", "--law", law, flag, value,
+                        "--out", "bad.csv"], files)
+        assert code == 2
+        assert (f"argument {flag}: {message}, got {value}"
+                in capsys.readouterr().err)
+        assert not (files / "bad.csv").exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_nonfinite_ar1_coefficient(self, files, capsys, c):
+        code = run(["free-ar1", "--N", "4", "--steps", "2", f"--c={c}",
+                    "--seed", "1"], files)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: need |c| < 1 for stationarity" in captured.err
+        assert captured.out == ""
+
     def test_spidernet_too_large(self, files, capsys):
         code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",
                     "--n", "48", "--out", "sp.csv"], files)

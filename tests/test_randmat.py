@@ -2,8 +2,91 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import randmat as rm
+
+
+# Reference implementations: the straightforward bodies that the library's
+# randmat functions must reproduce (bytes for sampling, 1e-12 for traces).
+
+def reference_normals(rng, shape):
+    n = int(np.prod(shape))
+    half = (n + 1) // 2
+    u1 = 1.0 - rng.random(half)  # avoid log(0)
+    u2 = rng.random(half)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2 * math.pi * u2),
+                        r * np.sin(2 * math.pi * u2)])[:n]
+    return z.reshape(shape)
+
+
+def reference_sample_gue(n, rng):
+    sd = math.sqrt(1.0 / (2 * n))
+    x = reference_normals(rng, (n, n)) * sd
+    y = reference_normals(rng, (n, n)) * sd
+    a = np.zeros((n, n), dtype=complex)
+    iu = np.triu_indices(n, 1)
+    a[iu] = x[iu] + 1j * y[iu]
+    a = a + a.conj().T
+    a[np.diag_indices(n)] = np.diag(x)
+    return a
+
+
+def reference_freeness_statistic(a, b):
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = a.shape[0]
+    eye = np.eye(n)
+
+    def centered(m):
+        return [m - rm.trace_state(m) * eye,
+                m @ m - rm.trace_state(m @ m) * eye]
+
+    xa, xb = centered(a), centered(b)
+    worst = 0.0
+    for length in range(2, 5):
+        for first in (xa, xb):
+            second = xb if first is xa else xa
+            letters = [first if i % 2 == 0 else second for i in range(length)]
+            for choice in range(2**length):
+                w = None
+                for i, let in enumerate(letters):
+                    m = let[(choice >> i) & 1]
+                    w = m if w is None else w @ m
+                worst = max(worst, abs(rm.trace_state(w)))
+    return worst
+
+
+def reference_free_ar1(n, steps, c, noise, seed):
+    rng = np.random.default_rng(seed)
+    x = np.eye(n, dtype=complex)
+    traj = []
+    prev = x
+    eps = None
+    for _ in range(steps):
+        g = reference_sample_gue(n, rng)
+        if noise == "squared_gue":
+            g = g @ g
+            g = g - rm.trace_state(g) * np.eye(n)
+        prev = x
+        eps = g
+        x = c * x + g
+        traj.append(rm.trace_state(x @ x))
+    mixed = rm.trace_state(prev @ eps @ prev @ eps)
+    return rm.FreeAR1Result(
+        mean_last=rm.trace_state(x),
+        var_last=rm.trace_state(x @ x) - rm.trace_state(x) ** 2,
+        mixed_moment=mixed,
+        noise_var_last=rm.trace_state(eps @ eps),
+        var_trajectory=tuple(traj),
+    )
+
+
+def random_complex(rng, n, scale=1.0):
+    return scale * (rng.standard_normal((n, n))
+                    + 1j * rng.standard_normal((n, n)))
 
 
 class TestGUE:
@@ -108,3 +191,61 @@ class TestTraceState:
     def test_unit_on_identity(self):
         for n in (1, 7, 64):
             assert rm.trace_state(np.eye(n)) == 1.0
+
+
+class TestReferencePins:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 500])
+    def test_sample_gue_bytes(self, n):
+        for seed in (0, 3):
+            want = reference_sample_gue(n, np.random.default_rng(seed))
+            assert rm.sample_gue(n, seed).tobytes() == want.tobytes()
+
+    def test_stream_bytes(self):
+        stream, rng = rm.GaussianStream(5), np.random.default_rng(5)
+        for shape in [(1,), (7,), (3, 3), (4, 4), (2, 5, 3)]:
+            assert (stream.normals(shape).tobytes()
+                    == reference_normals(rng, shape).tobytes())
+
+    @pytest.mark.parametrize("noise", ["gue", "squared_gue"])
+    @pytest.mark.parametrize("n, steps, c, seed", [
+        (1, 3, 0.5, 0), (17, 1, -0.4, 1), (64, 6, 0.5, 2), (200, 4, 0.9, 3)])
+    def test_free_ar1(self, noise, n, steps, c, seed):
+        got = rm.free_ar1(n, steps, c, noise, seed)
+        want = reference_free_ar1(n, steps, c, noise, seed)
+        for field in ("mean_last", "var_last", "mixed_moment",
+                      "noise_var_last", "var_trajectory"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=1e-12, abs=0), field
+
+    def test_freeness_gue_pair(self):
+        a, b = rm.sample_gue(200, seed=1), rm.sample_gue(200, seed=2)
+        assert rm.freeness_statistic(a, b) == pytest.approx(
+            reference_freeness_statistic(a, b), rel=1e-12, abs=0)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
+           scale=st.sampled_from([0.3, 1.0, 3.0]),
+           hermitian=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_freeness_random_pairs(self, seed, n, scale, hermitian):
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, n, scale), random_complex(rng, n, scale)
+        if hermitian:
+            a, b = a + a.conj().T, b + b.conj().T
+        assert rm.freeness_statistic(a, b) == pytest.approx(
+            reference_freeness_statistic(a, b), rel=1e-12, abs=0)
+
+    def test_freeness_reads_longest_words(self):
+        # scaled letters make the length-4 words of squares the largest
+        rng = np.random.default_rng(11)
+        a, b = random_complex(rng, 6, 3.0), random_complex(rng, 6, 3.0)
+        assert rm.freeness_statistic(a, b) == pytest.approx(
+            reference_freeness_statistic(a, b), rel=1e-12, abs=0)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_product(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, n), random_complex(rng, n)
+        scale = np.abs(a).sum() * np.abs(b).sum() / n
+        assert abs(rm.trace_product(a, b)
+                   - rm.trace_state(a @ b)) <= 1e-13 * scale
