@@ -58,6 +58,15 @@ def _positive(text):
     return value
 
 
+def _sigma_squared(text):
+    sigma = float(text)
+    var = sigma * sigma
+    if not (sigma > 0 and 0 < var < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 with a finite, nonzero square, got {text}")
+    return var
+
+
 def _positive_int(text):
     value = int(text)
     if value <= 0:
@@ -277,7 +286,7 @@ def build_parser():
     c.add_argument("--law", choices=sorted(_LAW_MAPS))
     c.add_argument("--measure", help="measure JSON to round-trip")
     c.add_argument("--mean", type=float, default=0.0)
-    c.add_argument("--sigma", dest="var", type=lambda s: _positive(s) ** 2,
+    c.add_argument("--sigma", dest="var", type=_sigma_squared,
                    default=1.0, help="standard deviation")
     c.add_argument("--c", type=_positive, default=1.0)
     c.add_argument("--fm-a", type=int, default=2)

@@ -171,10 +171,10 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
     noise; reports phi(X_m), phi(X_m^2), and the alternating mixed moment
     phi(X_{m-1} eps_m X_{m-1} eps_m).
 
-    phi(X^2) of a Hermitian X is sum |X_ij|^2 / N, and the mixed moment
-    forms only P = X_{m-1} eps_m and takes phi(P P) as a trace of the
-    product, so one call forms one N x N product (plus one per step for
-    squared noise)."""
+    Traces are taken without forming the last product: phi(X^2) of the
+    Hermitian X is sum |X_ij|^2 / N, and the mixed moment forms only
+    P = X_{m-1} eps_m and reads phi(PP) with `trace_product`, so a call
+    forms one N x N product (plus one per step for squared noise)."""
     if not abs(c) < 1:
         raise RandMatError("need |c| < 1 for stationarity")
     if steps < 1:

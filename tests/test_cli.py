@@ -115,15 +115,19 @@ class TestExitCodes:
         assert (f"argument {bound}: must be finite, got nan"
                 in capsys.readouterr().err)
 
+    SIGMA = "must be > 0 with a finite, nonzero square"
+
     @pytest.mark.parametrize("law, flag, value, message", [
         ("marchenko-pastur", "--c", "-1", "must be finite and > 0"),
         ("marchenko-pastur", "--c", "0", "must be finite and > 0"),
         ("marchenko-pastur", "--c", "nan", "must be finite and > 0"),
         ("marchenko-pastur", "--c", "inf", "must be finite and > 0"),
-        ("semicircle", "--sigma", "0", "must be finite and > 0"),
-        ("arcsine", "--sigma", "-1", "must be finite and > 0"),
-        ("semicircle", "--sigma", "nan", "must be finite and > 0"),
-        ("semicircle", "--sigma", "inf", "must be finite and > 0"),
+        ("semicircle", "--sigma", "0", SIGMA),
+        ("arcsine", "--sigma", "-1", SIGMA),
+        ("semicircle", "--sigma", "nan", SIGMA),
+        ("semicircle", "--sigma", "inf", SIGMA),
+        ("semicircle", "--sigma", "1e200", SIGMA),
+        ("arcsine", "--sigma", "1e-200", SIGMA),
         ("free-meixner", "--fm-c", "0", "must be > 0"),
         ("free-meixner", "--fm-c", "-1", "must be > 0"),
     ])
