@@ -289,7 +289,7 @@ def build_parser():
     c.add_argument("--sigma", dest="var", type=_sigma_squared,
                    default=1.0, help="standard deviation")
     c.add_argument("--c", type=_positive, default=1.0)
-    c.add_argument("--fm-a", type=int, default=2)
+    c.add_argument("--fm-a", type=_positive_int, default=2)
     c.add_argument("--fm-c", type=_positive_int, default=1)
     c.add_argument("--fm-u", type=int, default=0)
     c.add_argument("--grid-min", type=_finite)
@@ -303,7 +303,7 @@ def build_parser():
     c = sub.add_parser("loewner", help="recover the chain measure at time t")
     c.add_argument("--driving", required=True)
     c.add_argument("--t", type=_nonnegative, required=True)
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_positive, default=1e-9)
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
     c.add_argument("--grid-points", type=int, default=1201)
@@ -322,15 +322,15 @@ def build_parser():
                        help="growing graph approximation table "
                             "(levels n = 4 and 5 run in under a second)")
     c.add_argument("--driving", required=True)
-    c.add_argument("--T", type=float, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--T", type=_positive, required=True)
+    c.add_argument("--n", type=_positive_int, required=True)
     c.add_argument("--order", type=int, default=4)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_spidernet_approx)
 
     c = sub.add_parser("clt", help="scaled moments of an iterated convolution")
     c.add_argument("--kind", required=True, choices=convolutions.KINDS)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_positive_int, required=True)
     c.add_argument("--order", type=int, default=6)
     c.add_argument("--base", default="bernoulli", choices=sorted(_CLT_BASES))
     c.add_argument("--out", required=True)

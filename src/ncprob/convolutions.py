@@ -170,6 +170,8 @@ def clt_iterate(kind, base, n):
         raise MeasureError("clt_iterate expects a MomentSequence")
     if abs(float(base[1])) > 1e-12 or abs(float(base[2]) - 1) > 1e-12:
         raise MeasureError("base must have mean 0 and variance 1")
+    if n < 1:
+        raise MeasureError(f"need n >= 1 convolution factors, got {n}")
     lam = _sqrt_scale(n)
     if kind in ("monotone", "antimonotone"):
         f = tr.f_series(base)

@@ -408,6 +408,8 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     """
     if order < 1:
         raise GraphError("order must be >= 1")
+    if not horizon > 0:
+        raise GraphError(f"horizon must be > 0, got {horizon}")
     if k_max is None:
         k_max = n
     if not 1 <= k_max <= n:

@@ -12,7 +12,6 @@ chains are the special case nu_t = delta_{U(t)} for a real driving
 function U.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -175,24 +174,20 @@ class HerglotzField:
 
     @classmethod
     def from_driving(cls, driving, horizon=None):
+        """Single-atom field at U(t); a constant driving is the one segment
+        [0, horizon], and only sampled drivings move between breaks."""
         if horizon is None:
             horizon = driving.horizon()
         if not math.isfinite(horizon):
             raise LoewnerError("constant drivings need an explicit horizon")
         if horizon < 0:
             raise LoewnerError(f"horizon must be >= 0, got {horizon}")
-        if driving.kind == "constant":
-            return cls.constant(AtomicMeasure.dirac(driving.values[0]), horizon)
-        if driving.kind == "piecewise_constant":
-            times = np.asarray(driving.times)
-            vals = np.asarray(driving.values)
-            pos = vals[:, None]
-            return cls(times, pos, np.zeros_like(pos),
-                       np.ones_like(pos), horizon, driving.bound())
-        times = np.asarray(driving.times)
+        times = np.asarray(driving.times or (0.0, horizon), dtype=float)
         vals = np.asarray(driving.values)
-        pos = vals[:-1, None]
-        slope = ((vals[1:] - vals[:-1]) / np.diff(times))[:, None]
+        pos = vals[:len(times) - 1, None]
+        slope = np.zeros_like(pos)
+        if driving.kind == "sampled":
+            slope = (np.diff(vals) / np.diff(times))[:, None]
         return cls(times, pos, slope, np.ones_like(pos), horizon,
                    driving.bound())
 
@@ -256,15 +251,24 @@ def _flow(field, tau0, tau1, z, tol, im_floor, escape_error):
     return out, min_im, steps
 
 
-def evaluate_chain(field, s, t, z, tol=1e-9):
-    """Transition mapping f_{s,t}(z) of the chain driven by the field."""
+def _checked(field, s, t, z, tol, what, var):
+    """The arguments every chain entry point shares, as a complex array."""
     if not 0 <= s <= t <= field.horizon + 1e-12:
-        raise LoewnerError("need 0 <= s <= t <= horizon")
+        raise LoewnerError(f"need 0 <= s <= t <= horizon, got s={s}, t={t}, "
+                           f"horizon={field.horizon}")
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
-        raise LoewnerError("chain evaluation requires finite z")
+        raise LoewnerError(f"{what} requires finite {var}")
     if np.any(z.imag <= 0):
-        raise LoewnerError("chain evaluation requires Im(z) > 0")
+        raise LoewnerError(f"{what} requires Im({var}) > 0")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise LoewnerError(f"tol must be finite and > 0, got {tol}")
+    return z
+
+
+def evaluate_chain(field, s, t, z, tol=1e-9):
+    """Transition mapping f_{s,t}(z) of the chain driven by the field."""
+    z = _checked(field, s, t, z, tol, "chain evaluation", "z")
     out, _, _ = _flow(field, t, s, z, tol, 1e-12, DomainEscape)
     return out[0] if z.ndim == 0 else out
 
@@ -272,12 +276,8 @@ def evaluate_chain(field, s, t, z, tol=1e-9):
 def evaluate_chain_point(field, s, t, z, tol=1e-9):
     """Like evaluate_chain for a single point, with step diagnostics."""
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise LoewnerError("chain evaluation requires finite z")
-    if z.imag <= 0:
-        raise LoewnerError("chain evaluation requires Im(z) > 0")
-    out, min_im, steps = _flow(field, t, s, np.array([z]), tol, 1e-12,
-                               DomainEscape)
+    zs = _checked(field, s, t, [z], tol, "chain evaluation", "z")
+    out, min_im, steps = _flow(field, t, s, zs, tol, 1e-12, DomainEscape)
     return ChainPoint(s=float(s), t=float(t), z=z, value=complex(out[0]),
                       min_imag=float(min_im[0]), steps=int(steps[0]))
 
@@ -290,13 +290,7 @@ def slit_chain(driving, t, z, tol=1e-9):
 
 def inverse_flow(field, t, w, tol=1e-9):
     """g_t(w) with f_{0,t}(g_t(w)) = w; raises HullCollision inside the hull."""
-    if not 0 <= t <= field.horizon + 1e-12:
-        raise LoewnerError("need 0 <= t <= horizon")
-    w = np.asarray(w, dtype=complex)
-    if not np.all(np.isfinite(w)):
-        raise LoewnerError("inverse flow requires finite w")
-    if np.any(w.imag <= 0):
-        raise LoewnerError("inverse flow requires Im(w) > 0")
+    w = _checked(field, 0.0, t, w, tol, "inverse flow", "w")
     out, _, _ = _flow(field, 0.0, t, w, tol, 1e-9, HullCollision)
     return out[0] if w.ndim == 0 else out
 
@@ -306,13 +300,11 @@ def chain_fmap(field, t, tol=1e-9):
     return HerglotzMap(lambda z: evaluate_chain(field, 0.0, t, z, tol), "f")
 
 
-def chain_measure(field, t, grid, tol=1e-9, eps_ladder=None):
+def chain_measure(field, t, grid, tol=1e-9,
+                  eps_ladder=transforms.DEFAULT_EPS_LADDER):
     """Recover the measure mu_t with F_{mu_t} = f_{0,t} by inversion."""
-    kwargs = {}
-    if eps_ladder is not None:
-        kwargs["eps_ladder"] = eps_ladder
     return transforms.measure_from_ftransform(chain_fmap(field, t, tol),
-                                              grid, **kwargs)
+                                              grid, eps_ladder=eps_ladder)
 
 
 def scale_chain(field, c, d):
@@ -366,12 +358,9 @@ def approximate_field_by_slits(field, horizon, m, probe_points=None,
         if np.any(p < -1e-9) or np.any(p > M + 1e-9):
             raise BoundError("field support leaves [0, M]")
         total = w.sum()
-        lam = np.zeros(m)
-        centroid = np.zeros(m)
         idx = np.clip(np.searchsorted(edges, p, side="right") - 1, 0, m - 1)
-        for i, pi, wi in zip(idx, p, w):
-            lam[i] += wi / total
-            centroid[i] += wi / total * pi
+        lam = np.bincount(idx, w / total, m)
+        centroid = np.bincount(idx, w / total * p, m)
         for k in range(m):
             if lam[k] <= 1e-12:
                 continue
@@ -394,6 +383,52 @@ def approximate_field_by_slits(field, horizon, m, probe_points=None,
 # nonlinear resolvents
 # ---------------------------------------------------------------------------
 
+def _damped_newton(gen, t, w, tol, max_steps):
+    """Solve z - t*G(z) = w entrywise for z in H, starting at z = w.
+
+    The slope is the central difference of phi(z) = z - t*G(z) - w; each
+    entry halves its own step, up to 60 times, until |phi| drops with
+    Im z > 0.  Entries stop once |phi| <= tol, so every entry takes the
+    same steps as it would alone.
+    """
+    def phi(z, w):
+        return z - t * np.asarray(gen(z)) - w
+
+    z = w.copy()
+    r = phi(z, w)
+    for _ in range(max_steps):
+        live = np.flatnonzero(~(np.abs(r) <= tol))
+        if live.size == 0:
+            return z
+        zl, rl, wl = z[live], r[live], w[live]
+        h = 1e-7 * np.maximum(1.0, np.abs(zl))
+        dphi = (phi(zl + h, wl) - phi(zl - h, wl)) / (2 * h)
+        if np.any(dphi == 0):
+            raise NoConvergence("vanishing derivative in Newton step")
+        step = rl / dphi
+        lam = 1.0
+        pending = np.ones(live.size, dtype=bool)
+        for _ in range(60):
+            znew = zl - lam * step
+            trial = np.flatnonzero(pending & (znew.imag > 0))
+            if trial.size:
+                rnew = phi(znew[trial], wl[trial])
+                better = np.abs(rnew) < np.abs(rl[trial])
+                took = trial[better]
+                zl[took], rl[took] = znew[took], rnew[better]
+                pending[took] = False
+                if not pending.any():
+                    break
+            lam *= 0.5
+        else:
+            raise NoConvergence("damping failed to reduce the residual")
+        z[live], r[live] = zl, rl
+    if np.all(np.abs(r) <= tol):
+        return z
+    raise NoConvergence(f"residual {np.abs(r).max():.2e} after {max_steps} "
+                        "steps")
+
+
 def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
     """Solve w = z - t*G(z) for z in H by damped Newton iteration.
 
@@ -408,64 +443,21 @@ def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
         raise LoewnerError("resolvent requires Im(w) > 0")
     if t == 0:
         return w
-
-    def phi(z):
-        return z - t * np.asarray(gen(np.array([z])))[0] - w
-
-    z = w
-    r = phi(z)
-    for _ in range(max_steps):
-        if abs(r) <= tol:
-            return z
-        h = 1e-7 * max(1.0, abs(z))
-        dphi = (phi(z + h) - phi(z - h)) / (2 * h)
-        if dphi == 0:
-            raise NoConvergence("vanishing derivative in Newton step")
-        step = r / dphi
-        lam = 1.0
-        for _ in range(60):
-            znew = z - lam * step
-            if znew.imag > 0:
-                rnew = phi(znew)
-                if abs(rnew) < abs(r):
-                    z, r = znew, rnew
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("damping failed to reduce the residual")
-    if abs(r) <= tol:
-        return z
-    raise NoConvergence(f"residual {abs(r):.2e} after {max_steps} steps")
+    return complex(_damped_newton(gen, t, np.array([w]), tol, max_steps)[0])
 
 
 def resolvent_fmap(gen, t, tol=1e-12):
     """J_t packaged as a vectorized HerglotzMap (F-transform of a freely
     infinitely divisible law when gen is time-independent).
 
-    Runs plain Newton on the whole array and falls back to the damped
-    scalar iteration on entries that fail to converge.
+    Runs the damped Newton iteration of nonlinear_resolvent on the whole
+    array, so each entry equals the one-point result.
     """
     def ev(w):
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         if t == 0:
             return w.copy()
-        z = w.copy()
-        for _ in range(60):
-            r = z - t * np.asarray(gen(z)) - w
-            done = np.abs(r) <= tol
-            if done.all():
-                break
-            h = 1e-7 * np.maximum(1.0, np.abs(z))
-            dphi = ((z + h) - t * np.asarray(gen(z + h))
-                    - (z - h) + t * np.asarray(gen(z - h))) / (2 * h)
-            step = np.where(done, 0.0, r / np.where(dphi == 0, 1.0, dphi))
-            znew = z - step
-            # keep iterates in H; bad entries get the damped fallback later
-            z = np.where(znew.imag > 0, znew, z)
-        bad = np.abs(z - t * np.asarray(gen(z)) - w) > tol
-        for i in np.nonzero(bad)[0]:
-            z[i] = nonlinear_resolvent(gen, t, w[i], tol)
-        return z
+        return _damped_newton(gen, t, w, tol, 200)
 
     return HerglotzMap(ev, "f")
 
@@ -479,6 +471,8 @@ def sle_driving(kappa, horizon, dt, seed):
     increments, U(0) = 0; deterministic per seed."""
     if kappa < 0 or dt <= 0:
         raise LoewnerError("need kappa >= 0 and dt > 0")
+    if not horizon > 0:
+        raise LoewnerError(f"horizon must be > 0, got {horizon}")
     steps = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, steps * dt, steps + 1)
     rng = np.random.default_rng(seed)

@@ -409,6 +409,9 @@ class IsingState:
         # floats, so the kernel's coupling * (int8 neighbour sum) cannot wrap
         for name in ("coupling", "field", "beta"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if s.ndim != 2 or s.size == 0:
+            raise MarkovError(f"spins must be a non-empty 2-d grid, got "
+                              f"shape {s.shape}")
         if not np.all(np.isin(s, (-1, 1))):
             raise MarkovError("spins must be +-1")
         if self.coupling <= 0 or self.field < 0 or self.beta <= 0:
@@ -497,6 +500,8 @@ def metropolis_ising(state, steps, seed, chunk=1 << 20):
     """
     if state.spins.size > 1 << 30:
         raise MarkovError("lattice too large")
+    if steps < 0:
+        raise MarkovError(f"steps must be >= 0, got {steps}")
     h, w = state.spins.shape
     grid, walk = _walker(state.spins, state.frozen, state.beta,
                          state.coupling, state.field)
@@ -647,6 +652,8 @@ def loop_erase(path):
 def lerw(width, steps_cap, seed):
     """Loop-erased random walk from the origin until it exits the centered
     square of half-width ``width``; raises CapExceeded at the step cap."""
+    if width < 0:
+        raise MarkovError(f"width must be >= 0, got {width}")
     rng = np.random.default_rng(seed)
     pos = (0, 0)
     path = [pos]
@@ -663,7 +670,8 @@ def lerw(width, steps_cap, seed):
 # monotone-homogeneous kernels
 # ---------------------------------------------------------------------------
 
-def homogeneous_kernel(mu, x, grid, eps_ladder=None):
+def homogeneous_kernel(mu, x, grid,
+                       eps_ladder=transforms.DEFAULT_EPS_LADDER):
     """Transition kernel k(x, .) of the monotone-homogeneous Markov process:
     the measure with Cauchy transform 1/(F_mu(z) - x)."""
     if isinstance(mu, HerglotzMap):
@@ -671,7 +679,5 @@ def homogeneous_kernel(mu, x, grid, eps_ladder=None):
     else:
         fmu = HerglotzMap.from_measure(mu, "f")
     shifted = HerglotzMap(lambda z: fmu(z) - x, "f")
-    kwargs = {}
-    if eps_ladder is not None:
-        kwargs["eps_ladder"] = eps_ladder
-    return transforms.measure_from_ftransform(shifted, grid, **kwargs)
+    return transforms.measure_from_ftransform(shifted, grid,
+                                              eps_ladder=eps_ladder)

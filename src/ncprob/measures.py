@@ -164,22 +164,16 @@ class GridMeasure:
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         cum = _cumtrapz(self.density, self.grid)
-        dens_mass = cum[-1]
-        out = np.empty(n)
-        # stack atoms after the continuous part on the unit interval
-        breaks = [dens_mass]
-        for _, w in self.atoms:
-            breaks.append(breaks[-1] + w)
-        for i, ui in enumerate(u):
-            if ui <= dens_mass:
-                out[i] = np.interp(ui, cum, self.grid)
-            else:
-                for (a, _), b in zip(self.atoms, breaks[1:]):
-                    if ui <= b:
-                        out[i] = a
-                        break
-                else:
-                    out[i] = self.atoms[-1][0]
+        out = np.interp(u, cum, self.grid)
+        if self.atoms:
+            # stack atoms after the continuous part on the unit interval: a
+            # draw past it takes the first atom whose break is >= u, and the
+            # last atom past the end
+            breaks = np.cumsum([cum[-1]] + [w for _, w in self.atoms])[1:]
+            pos = np.array([a for a, _ in self.atoms], dtype=float)
+            k = np.minimum(np.searchsorted(breaks, u), len(pos) - 1)
+            past = u > cum[-1]
+            out[past] = pos[k[past]]
         return out
 
 

@@ -151,6 +151,47 @@ class TestExitCodes:
         assert "error: need |c| < 1 for stationarity" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (["clt", "--kind", "free"], "--n", "0", "must be > 0"),
+        (["spidernet-approx", "--driving", "u0.json", "--n", "4"], "--T",
+         "0", "must be finite and > 0"),
+        (["invert", "--law", "free-meixner"], "--fm-a", "0", "must be > 0"),
+        (["invert", "--law", "free-meixner"], "--fm-a", "-1", "must be > 0"),
+        (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "-1",
+         "must be finite and > 0"),
+        (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "0",
+         "must be finite and > 0"),
+        (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "nan",
+         "must be finite and > 0"),
+    ])
+    def test_nonpositive_flag(self, files, capsys, argv, flag, value,
+                              message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning exits 1
+            code = run(argv + [flag, value, "--out", "bad"], files)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}, got {value}" in err
+        assert "domain error" not in err
+        assert not any(name.startswith("bad") for name in os.listdir(files))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ising", "--width", "3", "--beta", "0.4", "--steps", "-5"],
+         "steps must be >= 0, got -5"),
+        (["ising", "--width", "0", "--beta", "0.4", "--steps", "10"],
+         "spins must be a non-empty 2-d grid, got shape (0, 0)"),
+        (["sle", "--kappa", "2", "--T", "-1", "--dt", "0.1"],
+         "horizon must be > 0, got -1.0"),
+        (["lerw", "--width", "-1"], "width must be >= 0, got -1"),
+    ])
+    def test_refused_input(self, files, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ["--seed", "1", "--out", "bad.csv"], files)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (files / "bad.csv").exists()
+
     def test_spidernet_too_large(self, files, capsys):
         code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",
                     "--n", "48", "--out", "sp.csv"], files)

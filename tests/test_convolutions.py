@@ -192,6 +192,11 @@ class TestCLT:
         # arcsine A(0,1) has m_6 = C(6,3)/2^3 = 2.5
         assert abs(float(out[6]) - 2.5) < 5e-2
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_n_rejected(self, n):
+        with pytest.raises(ms.MeasureError, match="need n >= 1"):
+            cv.clt_iterate("free", BERN.truncate(4), n)
+
     def test_non_square_n_uses_floats(self):
         out = cv.clt_iterate("monotone", BERN.truncate(4), 1000)
         assert abs(float(out[4]) - 1.5) < 5e-2

@@ -396,6 +396,11 @@ class TestApproxProcess:
         with pytest.raises(gr.GraphError, match="order must be >= 1"):
             gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2, order=0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        with pytest.raises(gr.GraphError, match="horizon must be > 0"):
+            gr.approx_process(DrivingFunction.constant(0.0), horizon, 2)
+
     def test_bound_error(self):
         with pytest.raises(gr.BoundError):
             gr.approx_process(DrivingFunction.constant(5.0), 2.0, 1, order=2)

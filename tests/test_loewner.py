@@ -325,6 +325,107 @@ class TestDrivingFunction:
             lw.HerglotzField.from_driving(zero_driving(), horizon=-1.0)
 
 
+# ---------------------------------------------------------------------------
+# reference: HerglotzField.from_driving with one branch per driving kind
+# ---------------------------------------------------------------------------
+
+def reference_from_driving(driving, horizon=None):
+    if horizon is None:
+        horizon = driving.horizon()
+    if driving.kind == "constant":
+        return lw.HerglotzField.constant(
+            ms.AtomicMeasure.dirac(driving.values[0]), horizon)
+    if driving.kind == "piecewise_constant":
+        times = np.asarray(driving.times)
+        vals = np.asarray(driving.values)
+        pos = vals[:, None]
+        return lw.HerglotzField(times, pos, np.zeros_like(pos),
+                                np.ones_like(pos), horizon, driving.bound())
+    times = np.asarray(driving.times)
+    vals = np.asarray(driving.values)
+    pos = vals[:-1, None]
+    slope = ((vals[1:] - vals[:-1]) / np.diff(times))[:, None]
+    return lw.HerglotzField(times, pos, slope, np.ones_like(pos), horizon,
+                            driving.bound())
+
+
+def assert_same_field(got, want):
+    for name in ("tbreaks", "pos", "slope", "wts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.horizon == want.horizon
+    assert got.support_bound == want.support_bound
+
+
+class TestFromDriving:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["constant", "piecewise_constant",
+                                 "sampled"]),
+           segments=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           horizon=st.one_of(st.none(), st.floats(0.0, 5.0)))
+    def test_matches_branch_reference(self, kind, segments, seed, horizon):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 2.0, segments + 1)
+        times = np.cumsum(np.concatenate([[rng.uniform(0, 1)],
+                                          rng.uniform(1e-3, 1, segments)]))
+        if kind == "constant":
+            driving = lw.DrivingFunction.constant(values[0])
+            horizon = 1.0 if horizon is None else horizon
+        elif kind == "piecewise_constant":
+            driving = lw.DrivingFunction.piecewise(times, values[:-1])
+        else:
+            driving = lw.DrivingFunction.sampled(times, values)
+        assert_same_field(lw.HerglotzField.from_driving(driving, horizon),
+                          reference_from_driving(driving, horizon))
+
+    @pytest.mark.parametrize("driving, horizon", [
+        (lw.DrivingFunction.constant(0.0), 1.0),
+        (lw.DrivingFunction.constant(0.023648), 1),
+        (lw.DrivingFunction.constant(-3.5), 0.0),
+        (lw.sle_driving(2.0, 1.0, 0.01, 7), None),
+        (lw.sle_driving(2.0, 1.0, 0.01, 7), 0.5),
+        (lw.DrivingFunction.piecewise([0, 0.3, 1], [1.0, -2.0]), None),
+    ])
+    def test_known_drivings(self, driving, horizon):
+        assert_same_field(lw.HerglotzField.from_driving(driving, horizon),
+                          reference_from_driving(driving, horizon))
+
+
+class TestChainArguments:
+    """evaluate_chain, evaluate_chain_point and inverse_flow share one check
+    of the times, the points and tol."""
+
+    CALLS = {
+        "evaluate_chain": lambda f, tol: lw.evaluate_chain(f, 0.0, 1.0, 3j,
+                                                           tol),
+        "evaluate_chain_point": lambda f, tol: lw.evaluate_chain_point(
+            f, 0.0, 1.0, 3j, tol),
+        "inverse_flow": lambda f, tol: lw.inverse_flow(f, 1.0, 3j, tol),
+    }
+
+    @pytest.mark.parametrize("s, t", [(0.0, 5.0), (0.8, 0.2), (-1.0, 0.5)])
+    @pytest.mark.parametrize("call", [lw.evaluate_chain,
+                                      lw.evaluate_chain_point])
+    def test_time_range(self, call, s, t):
+        with pytest.raises(lw.LoewnerError,
+                           match="need 0 <= s <= t <= horizon"):
+            call(zero_field(1.0), s, t, 1j)
+
+    def test_inverse_flow_time_range(self):
+        with pytest.raises(lw.LoewnerError,
+                           match="need 0 <= s <= t <= horizon"):
+            lw.inverse_flow(zero_field(1.0), 5.0, 1j)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_bad_tol(self, name, tol):
+        self.CALLS[name](zero_field(1.0), 1e-9)
+        with pytest.raises(lw.LoewnerError,
+                           match="tol must be finite and > 0"):
+            self.CALLS[name](zero_field(1.0), tol)
+
+
 class TestChainClosedForms:
     def test_identity_at_equal_times(self):
         f = zero_field()
@@ -556,6 +657,78 @@ class TestResolvent:
         with pytest.raises((lw.NoConvergence, lw.LoewnerError)):
             lw.nonlinear_resolvent(gen, 1.0, 1j)
 
+    def test_no_convergence_messages(self):
+        with pytest.raises(lw.NoConvergence, match="vanishing derivative"):
+            lw.nonlinear_resolvent(tr.HerglotzMap(lambda z: z), 1.0, 1j)
+        # phi(z) = z - 2 conj(z) - w is not holomorphic: from w = i every
+        # damped step along the difference slope raises |phi|
+        with pytest.raises(lw.NoConvergence, match="damping failed"):
+            lw.nonlinear_resolvent(tr.HerglotzMap(np.conj), 2.0, 1j)
+        with pytest.raises(lw.NoConvergence, match=r"after 1 steps"):
+            lw.nonlinear_resolvent(self.GEN, 4.0, 0.1 + 1e-3j, max_steps=1)
+
+    def test_fmap_entries_equal_one_point_calls(self):
+        rng = np.random.default_rng(11)
+        ws = rng.uniform(-5, 5, 300) + 1j * 10 ** rng.uniform(-8, 0.5, 300)
+        for t in (0.25, 1.0, 4.0):
+            batch = lw.resolvent_fmap(self.GEN, t)(ws)
+            single = [lw.nonlinear_resolvent(self.GEN, t, w) for w in ws]
+            assert batch.tobytes() == np.array(single).tobytes()
+
+    def test_step_halving_converges(self):
+        t = 4.0
+        rng = np.random.default_rng(12)
+        ws = rng.uniform(-5, 5, 500) + 1j * 10 ** rng.uniform(-8, 0, 500)
+
+        def phi(z):
+            return z + t / z - ws
+
+        # the undamped first step raises |phi| at 189 of the 500 points,
+        # and later undamped steps can leave H
+        h = 1e-7 * np.maximum(1.0, np.abs(ws))
+        z1 = ws - phi(ws) * 2 * h / (phi(ws + h) - phi(ws - h))
+        halved = (z1.imag <= 0) | ~(np.abs(phi(z1)) < np.abs(phi(ws)))
+        assert halved.sum() >= 100
+        seen = []
+
+        def gen(z):
+            seen.append(z.imag.min(initial=np.inf))
+            return -1.0 / z
+
+        got = lw.resolvent_fmap(tr.HerglotzMap(gen), t)(ws)
+        want = (ws + tr.sqrt_upper(ws * ws - 4 * t)) / 2
+        assert np.abs(got - want).max() <= 1e-10
+        assert min(seen) > 0  # G is only ever evaluated in H
+
+    def test_iterates_stay_in_upper_half_plane(self):
+        # G of the Bernoulli law, -(1/(z-1) + 1/(z+1))/2: phi is a cubic, and
+        # at t = 1 full steps from some of these points leave H
+        t = 1.0
+        rng = np.random.default_rng(13)
+        ws = rng.uniform(-3, 3, 300) + 1j * 10 ** rng.uniform(-2, 0, 300)
+
+        def bern(z):
+            return -0.5 * (1 / (z - 1) + 1 / (z + 1))
+
+        single = {}
+        for w in ws:
+            try:
+                single[w] = lw.nonlinear_resolvent(tr.HerglotzMap(bern), t, w)
+            except lw.NoConvergence:
+                pass  # the rule can stall far from the root in H
+        assert len(single) >= 250
+        good = np.array(list(single))
+        seen = []
+
+        def gen(z):
+            seen.append(z.imag.min(initial=np.inf))
+            return bern(z)
+
+        got = lw.resolvent_fmap(tr.HerglotzMap(gen), t)(good)
+        assert np.abs(got - t * bern(got) - good).max() <= 1e-12
+        assert min(seen) > 0
+        assert got.tobytes() == np.array(list(single.values())).tobytes()
+
 
 class TestSLE:
     def test_kappa_zero(self):
@@ -574,6 +747,11 @@ class TestSLE:
         c = 2.0
         mid = incr[:, : steps // 4].sum(axis=1) * c
         assert abs(mid.var() - kappa / 2 * horizon) < 0.05 * kappa
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        with pytest.raises(lw.LoewnerError, match="horizon must be > 0"):
+            lw.sle_driving(2.0, horizon, 0.1, seed=1)
 
     def test_deterministic_per_seed(self):
         a = lw.sle_driving(2.0, 0.5, 1e-3, seed=9)

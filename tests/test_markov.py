@@ -503,6 +503,18 @@ class TestIsing:
         with pytest.raises(mk.MarkovError, match="chunk must be positive"):
             sampler()
 
+    def test_negative_steps_rejected(self):
+        state = mk.IsingState.aligned((2, 2))
+        with pytest.raises(mk.MarkovError, match="steps must be >= 0"):
+            mk.metropolis_ising(state, -5, seed=1)
+        assert np.array_equal(mk.metropolis_ising(state, 0, seed=1).spins,
+                              state.spins)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4,)])
+    def test_empty_or_flat_lattice_rejected(self, shape):
+        with pytest.raises(mk.MarkovError, match="non-empty 2-d grid"):
+            mk.IsingState.random(shape, seed=1)
+
     def test_metropolis_tv_against_exact(self):
         probs, _ = mk.exact_boltzmann((3, 3), beta=0.3)
         hist = mk.metropolis_histogram((3, 3), beta=0.3, coupling=1.0,
@@ -579,6 +591,12 @@ class TestLERW:
     def test_cap_exceeded(self):
         with pytest.raises(mk.CapExceeded):
             mk.lerw(10**6, 100, seed=1)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(mk.MarkovError, match="width must be >= 0"):
+            mk.lerw(-1, 100, seed=1)
+        erased, walk = mk.lerw(0, 100, seed=1)  # the first step exits
+        assert len(walk) == 2 and erased == walk
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,96 @@ class TestSampling:
         mu = ms.AtomicMeasure(((0.0, 0.25), (1.0, 0.75)))
         s = mu.sample(10**5, seed=5)
         assert abs(s.mean() - 0.75) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# reference: GridMeasure.sample as a per-draw loop
+# ---------------------------------------------------------------------------
+
+def reference_grid_sample(measure, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    cum = ms._cumtrapz(measure.density, measure.grid)
+    dens_mass = cum[-1]
+    out = np.empty(n)
+    # stack atoms after the continuous part on the unit interval
+    breaks = [dens_mass]
+    for _, w in measure.atoms:
+        breaks.append(breaks[-1] + w)
+    for i, ui in enumerate(u):
+        if ui <= dens_mass:
+            out[i] = np.interp(ui, cum, measure.grid)
+        else:
+            for (a, _), b in zip(measure.atoms, breaks[1:]):
+                if ui <= b:
+                    out[i] = a
+                    break
+            else:
+                out[i] = measure.atoms[-1][0]
+    return out
+
+
+def random_grid_measure(rng, points, atoms):
+    """Density with flat stretches plus ``atoms`` atoms whose weights stop
+    4e-7 short of 1, so that some draws fall past the last atom."""
+    grid = np.cumsum(rng.uniform(0.01, 1.0, points)) - 2.0
+    dens = rng.random(points) * (rng.random(points) < 0.7)
+    dens[points // 2] += 0.5
+    dens *= (rng.uniform(0.2, 0.9) if atoms else 1.0) / np.trapezoid(dens,
+                                                                     grid)
+    ws = rng.random(atoms) + 0.05
+    ws *= (1.0 - 4e-7 - np.trapezoid(dens, grid)) / (ws.sum() or 1.0)
+    return ms.GridMeasure(grid, dens, tuple(zip(rng.uniform(-3, 3, atoms),
+                                                ws)))
+
+
+class _FixedDraws:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+class TestGridSample:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(2, 30),
+           atoms=st.integers(0, 4), n=st.integers(0, 400))
+    def test_matches_reference(self, seed, points, atoms, n):
+        mu = random_grid_measure(np.random.default_rng(seed), points, atoms)
+        got = mu.sample(n, seed)
+        assert got.tobytes() == reference_grid_sample(mu, n, seed).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(2, 30),
+           atoms=st.integers(0, 4), extra=st.integers(0, 50))
+    def test_draws_on_breaks(self, seed, points, atoms, extra):
+        rng = np.random.default_rng(seed)
+        mu = random_grid_measure(rng, points, atoms)
+        cum = ms._cumtrapz(mu.density, mu.grid)
+        breaks = [cum[-1]]
+        for _, w in mu.atoms:
+            breaks.append(breaks[-1] + w)
+        # every break, its neighbours on both sides, the grid's own knots
+        u = np.concatenate([breaks, np.nextafter(breaks, 0),
+                            np.nextafter(breaks, 1), cum, rng.random(extra)])
+        u = u[(u >= 0) & (u < 1) & ((u <= cum[-1]) | (atoms > 0))]
+        rng.shuffle(u)
+        with mock.patch.object(np.random, "default_rng",
+                               lambda seed: _FixedDraws(u)):
+            got = mu.sample(len(u), 0)
+            want = reference_grid_sample(mu, len(u), 0)
+        assert got.tobytes() == want.tobytes()
+        if atoms:
+            assert np.isin(mu.atoms[-1][0], got)
+
+    @pytest.mark.parametrize("law", [ms.MarchenkoPastur(0.5),
+                                     ms.FreeMeixner(2, 1, 0)])
+    def test_laws_match_reference(self, law):
+        mu = law.to_measure()
+        assert (mu.sample(5000, 3).tobytes()
+                == reference_grid_sample(mu, 5000, 3).tobytes())
 
 
 class TestSerialization:
