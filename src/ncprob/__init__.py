@@ -6,10 +6,16 @@ classical Markov-chain, Metropolis, and random-matrix oracles.
 """
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # honor the thread cap before any BLAS pool spins up
 _threads = _os.environ.get("NCPROB_THREADS")
 if _threads:
+    if "numpy" in _sys.modules:
+        _warnings.warn("NCPROB_THREADS is set, but numpy was imported before "
+                       "ncprob, so its BLAS thread pools may ignore it",
+                       RuntimeWarning, stacklevel=2)
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 

@@ -74,6 +74,15 @@ def _positive_int(text):
     return value
 
 
+def _count(text):
+    """A whole number >= 0, also written as a float such as 1e8."""
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value) and value.is_integer()):
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 0, got {text}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -167,7 +176,11 @@ def _cmd_loewner(args):
 
 
 def _cmd_sle(args):
-    driving = loewner.sle_driving(args.kappa, args.T, args.dt, args.seed)
+    try:
+        driving = loewner.sle_driving(args.kappa, args.T, args.dt, args.seed)
+    except loewner.LoewnerError as exc:
+        raise loewner.LoewnerError(f"{exc} (--kappa {args.kappa}, "
+                                   f"--T {args.T}, --dt {args.dt})") from exc
     _write_csv(args.out, ("t", "u"), zip(driving.times, driving.values))
     return 0
 
@@ -227,7 +240,7 @@ def _cmd_ising(args):
         (height, args.width), seed=args.seed + 1,
         beta=args.beta, coupling=args.J, field=args.B,
     )
-    out = markov.metropolis_ising(state, int(args.steps), args.seed)
+    out = markov.metropolis_ising(state, args.steps, args.seed)
     np.savetxt(args.out, out.spins, fmt="%d", delimiter=",")
     print(f"magnetization {markov.magnetization(out)!r}")
     return 0
@@ -344,10 +357,10 @@ def build_parser():
     c.set_defaults(fn=_cmd_markov)
 
     c = sub.add_parser("ising", help="Metropolis simulation of the Ising model")
-    c.add_argument("--width", type=int, required=True)
-    c.add_argument("--height", type=int)
+    c.add_argument("--width", type=_positive_int, required=True)
+    c.add_argument("--height", type=_positive_int)
     c.add_argument("--beta", type=float, required=True)
-    c.add_argument("--steps", type=float, required=True)
+    c.add_argument("--steps", type=_count, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--J", type=float, default=1.0)
     c.add_argument("--B", type=float, default=0.0)

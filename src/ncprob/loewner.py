@@ -468,12 +468,17 @@ def resolvent_fmap(gen, t, tol=1e-12):
 
 def sle_driving(kappa, horizon, dt, seed):
     """Sampled driving function with independent N(0, (kappa/2) dt)
-    increments, U(0) = 0; deterministic per seed."""
-    if kappa < 0 or dt <= 0:
+    increments, U(0) = 0, on [0, horizon]; deterministic per seed.  The
+    horizon must be a whole number of steps dt (to 1e-9 relative)."""
+    if not (kappa >= 0 and dt > 0):
         raise LoewnerError("need kappa >= 0 and dt > 0")
     if not horizon > 0:
         raise LoewnerError(f"horizon must be > 0, got {horizon}")
-    steps = max(1, int(round(horizon / dt)))
+    ratio = horizon / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if not (steps >= 1 and abs(steps * dt - horizon) <= 1e-9 * horizon):
+        raise LoewnerError(f"horizon {horizon} is not a whole number of "
+                           f"steps dt = {dt}")
     times = np.linspace(0.0, steps * dt, steps + 1)
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(steps) * math.sqrt(kappa / 2 * dt)

@@ -176,7 +176,7 @@ def extrapolate_to_zero(xs, values):
 # ---------------------------------------------------------------------------
 
 _NORM_Y = 1e6  # height of the normalization probe iy*G(iy)
-_SCAN_EPS, _SCAN_REFINE = 1e-6, 40  # real-zero scan height and bisection steps
+_SCAN_EPS = 1e-6  # height of the real-zero scan
 
 
 def _require_normalized(value, y, tol):
@@ -226,7 +226,11 @@ def _ladder_density(xs, vals, atoms, eps_ladder):
 def atom_mass(g, position, ladder=DEFAULT_EPS_LADDER):
     """Extrapolated iy*G(a+iy) as y -> 0."""
     ys = np.array([position + 1j * y for y in ladder])
-    vals = np.asarray(g(ys))
+    return _extrapolated_mass(ladder, np.asarray(g(ys)))
+
+
+def _extrapolated_mass(ladder, vals):
+    """iy*G(a+iy) extrapolated to y = 0 from ``vals`` = G at a + i*ladder."""
     masses = [(1j * y * v).real for y, v in zip(ladder, vals)]
     return float(extrapolate_to_zero(ladder, masses))
 
@@ -251,72 +255,164 @@ def _spike_candidates(grid, density, eps_min, limit=8):
     return out
 
 
-# bisection levels whose midpoints one call of the map evaluates
-_TREE_LEVELS = 6
+# The real-zero search.  An equispaced call splits a bracket into _CELLS
+# equal cells (63 interior points, as many as six bisection levels), and
+# _GRID_CALLS of them leave 64**-6 = 2**-36 of it.  A window call puts
+# _WINDOW points on an interpolated root +- w, with w at least
+# _WINDOW_FLOOR * max(1, |x|): chain maps at tol 1e-9 are noisy at about
+# that level near the real axis.  Roots are found to _ROOT_TOL * max(1, |x|).
+_CELLS, _GRID_CALLS, _WINDOW = 64, 6, 17
+_ROOT_TOL, _WINDOW_FLOOR = 1e-11, 1e-9
 
 
-def _bisect(f, lo, hi, flo, eps, iters):
-    """Bisect sign changes of Re f(x + i*eps) on brackets [lo, hi].
+def _first_change(vs):
+    """Index j of the first cell with vs[j] * vs[j + 1] <= 0, or None."""
+    hits = np.flatnonzero(vs[:-1] * vs[1:] <= 0)
+    return int(hits[0]) if hits.size else None
 
-    ``flo`` is Re f at each ``lo``.  Gives the midpoints of ``iters`` steps
-    of the sequential rule (keep the left half where flo*fm <= 0, else the
-    right half) for every bracket at once.  Each call of ``f`` evaluates the
-    heap-ordered midpoints of the next _TREE_LEVELS bisection levels of all
-    brackets, built by the sequential loop's own 0.5*(lo + hi) recursion,
-    and the rule then walks each bracket down its tree; so the roots are
-    bit-identical to the sequential loop while ``f`` is called
-    ceil(iters / _TREE_LEVELS) times instead of ``iters`` times per root.
+
+def _bisected_cell(vs):
+    """The cell of ``vs`` (values at _CELLS + 1 equispaced nodes) that
+    bisection keeps: the left half wherever its ends' product is <= 0,
+    else the right half, as many levels as _CELLS has halvings."""
+    j, size = 0, _CELLS
+    while size > 1:
+        size //= 2
+        if not vs[j] * vs[j + size] <= 0:
+            j += size
+    return j
+
+
+def _secant(x0, x1, v0, v1):
+    """Zero of the line through (x0, v0) and (x1, v1); exact at a zero end."""
+    if v1 == 0:
+        return x1
+    return x0 - v0 * (x1 - x0) / (v1 - v0)
+
+
+def _inverse_estimate(xs, vs, j):
+    """A root in cell j by inverse cubic interpolation x(v) at v = 0 (Neville
+    on the four nodes around the cell), and its distance to the inverse
+    quintic on six nodes as an error estimate.
+
+    None when those six nodes are not strictly monotone in v (a pole of
+    the map, an extremum) or the cubic leaves the cell.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    nb = lo.size
-    left = iters
-    while left > 0 and nb:
-        depth = min(_TREE_LEVELS, left)
-        los, his, levels = lo[:, None], hi[:, None], []
-        for _ in range(depth):
-            mids = 0.5 * (los + his)
-            levels.append(mids)
-            los = np.stack([los, mids], axis=2).reshape(nb, -1)
-            his = np.stack([mids, his], axis=2).reshape(nb, -1)
-        heap = np.concatenate(levels, axis=1)
-        vals = np.asarray(f(heap.ravel() + 1j * eps)).real.reshape(heap.shape)
-        for b in range(nb):
-            node = 0
-            for _ in range(depth):
-                mid, fm = heap[b, node], vals[b, node]
-                if flo[b] * fm <= 0:
-                    hi[b] = mid
-                    node = 2 * node + 1
-                else:
-                    lo[b], flo[b] = mid, fm
-                    node = 2 * node + 2
-        left -= depth
-    return 0.5 * (lo + hi)
+    k = min(max(j - 2, 0), xs.size - 6)
+    steps = np.diff(vs[k:k + 6])
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        return None
+    c = min(max(j - 1, 0), xs.size - 4)
+    cubic = float(extrapolate_to_zero(vs[c:c + 4], xs[c:c + 4]))
+    if not xs[j] < cubic < xs[j + 1]:
+        return None
+    return cubic, abs(cubic - float(extrapolate_to_zero(vs[k:k + 6],
+                                                        xs[k:k + 6])))
 
 
-def _refine_pole(g, a, halfwidth, eps=1e-7, iters=50):
+class _Bracket:
+    """One search: its sign-change cell (lo, hi, flo, fhi), its pending
+    window (or None), its equispaced calls so far and whether it has had
+    its window."""
+
+    def __init__(self, lo, hi, flo, fhi):
+        self.cell = (float(lo), float(hi), float(flo), float(fhi))
+        self.window, self.grids, self.tried = None, 0, False
+
+    def _grid(self):
+        return np.linspace(self.cell[0], self.cell[1], _CELLS + 1)
+
+    def points(self):
+        """Where the next call evaluates Re f."""
+        return self._grid()[1:-1] if self.window is None else self.window
+
+    def update(self, vs):
+        """Take Re f at ``points()``; gives the root once it is found."""
+        if self.window is not None:
+            xs, self.window = self.window, None
+            j = _first_change(vs)
+            # none, or one against the cell's own (so the cell holds three
+            # or more): equispaced calls go on over the cell
+            if j is None or vs[j] * self.cell[2] < 0:
+                return None
+        else:
+            xs = self._grid()
+            vs = np.concatenate([[self.cell[2]], vs, [self.cell[3]]])
+            j = _bisected_cell(vs)
+            self.grids += 1
+        self.cell = lo, hi, flo, fhi = xs[j], xs[j + 1], vs[j], vs[j + 1]
+        hit = flo * fhi < 0 and _inverse_estimate(xs, vs, j)
+        # the first estimate is checked by a window; later ones end the
+        # search once accurate
+        if (hit and self.tried
+                and hit[1] <= _ROOT_TOL * max(1.0, abs(hit[0]))):
+            return hit[0]
+        if (flo * fhi == 0 or self.grids == _GRID_CALLS
+                or hi - lo <= _ROOT_TOL * max(1.0, abs(lo))):
+            return _secant(*self.cell)
+        if hit and not self.tried:
+            x, err = hit
+            w = max(4 * err, _WINDOW_FLOOR * max(1.0, abs(x)))
+            self.window = np.linspace(max(x - w, lo), min(x + w, hi), _WINDOW)
+            self.tried = True
+        return None
+
+
+def _bracketed_roots(f, lo, hi, flo, fhi, eps):
+    """Zeros of Re f(x + i*eps), one in each bracket [lo, hi] whose end
+    values ``flo``, ``fhi`` differ in sign.
+
+    Every bracket shares each call of ``f``.  An equispaced call keeps the
+    cell that bisection would keep; a window call keeps its first sign
+    change.  The search ends when inverse interpolation around the kept
+    cell is accurate (see ``_inverse_estimate``), and otherwise makes its
+    next call a window around the interpolated root, once per bracket,
+    or an equispaced call over the cell.  After _GRID_CALLS equispaced
+    calls the secant root of the cell is taken, so a search makes at most
+    _GRID_CALLS + 1 calls; at a simple zero it usually makes two.
+    """
+    brackets = [_Bracket(*b) for b in zip(lo, hi, flo, fhi)]
+    roots = [None] * len(brackets)
+    while None in roots:
+        open_ = [b for b, r in enumerate(roots) if r is None]
+        pts = [brackets[b].points() for b in open_]
+        vals = np.asarray(f(np.concatenate(pts) + 1j * eps)).real
+        splits = np.cumsum([p.size for p in pts])[:-1]
+        for b, vs in zip(open_, np.split(vals, splits)):
+            roots[b] = brackets[b].update(vs)
+    return [np.float64(r) for r in roots]
+
+
+def _refine_pole(g, a, halfwidth, eps=1e-7):
     """Sharpen an atom position: Re G(x + i*eps) changes sign at a pole.
 
-    Both bracket ends are evaluated in one call, and the ``iters`` bisection
-    steps take one call per _TREE_LEVELS tree levels (see ``_bisect``).
+    Both bracket ends are evaluated in one call, and the root search
+    (``_bracketed_roots``) makes one to seven more.
     """
     lo, hi = a - halfwidth, a + halfwidth
     flo, fhi = np.asarray(g(np.array([lo + 1j * eps, hi + 1j * eps]))).real
     if flo * fhi >= 0:
         return a
-    return float(_bisect(g, [lo], [hi], [flo], eps, iters)[0])
+    return float(_bracketed_roots(g, [lo], [hi], [flo], [fhi], eps)[0])
+
+
+_VETO_LADDER = (1e-6, 3e-7, 1e-7)
 
 
 def _vetted_atom(g, a, eps_ladder):
-    m = atom_mass(g, a, eps_ladder)
+    """(a, mass) when the mass ladder at ``a`` shows an atom, else None.
+
+    One call of ``g`` evaluates ``eps_ladder`` and the branch-point veto
+    ladder: a genuine atom keeps its mass at much smaller regularization,
+    while square-root edges decay.
+    """
+    n = len(eps_ladder)
+    vals = np.asarray(g(np.array(
+        [a + 1j * y for y in (*eps_ladder, *_VETO_LADDER)])))
+    m = _extrapolated_mass(eps_ladder, vals[:n])
     if m < ATOM_THRESHOLD:
         return None
-    # branch-point veto: a genuine atom keeps its mass at much smaller
-    # regularization, while square-root edges decay
-    probe = atom_mass(g, a, (1e-6, 3e-7, 1e-7))
-    if probe < 0.5 * m:
+    if _extrapolated_mass(_VETO_LADDER, vals[n:]) < 0.5 * m:
         return None
     return float(a), float(m)
 
@@ -411,24 +507,24 @@ def _invert(g, grid, first, atom_candidates, eps_ladder, refine_passes=2,
     return GridMeasure(grid, density, tuple(atoms))
 
 
-def scan_real_zeros(f, grid, eps=_SCAN_EPS, refine=_SCAN_REFINE):
+def scan_real_zeros(f, grid, eps=_SCAN_EPS):
     """Real-axis zero candidates of a holomorphic map from a sign scan.
 
-    Looks for sign changes of Re f(x + i*eps) along the grid and refines all
-    of them together by ``refine`` bisection steps; used to locate poles of
-    1/F, i.e. atom candidates.  Each call of ``f`` evaluates the midpoints
-    of the next _TREE_LEVELS tree levels of every bracket (see ``_bisect``).
+    Looks for sign changes of Re f(x + i*eps) along the grid and finds the
+    zero in each; used to locate poles of 1/F, i.e. atom candidates.  One
+    call evaluates the scan row, and the root search (``_bracketed_roots``)
+    makes one to seven more, each shared by every bracket.
     """
     row = np.asarray(f(grid + 1j * eps)).real
-    return _sign_change_roots(f, grid, row, eps, refine)
+    return _sign_change_roots(f, grid, row, eps)
 
 
-def _sign_change_roots(f, grid, row, eps, refine):
-    """Bisect every sign change of ``row`` = Re f(grid + i*eps)."""
+def _sign_change_roots(f, grid, row, eps):
+    """The zero in every sign change of ``row`` = Re f(grid + i*eps)."""
     sign = np.sign(row)
     cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return list(_bisect(f, grid[cross], grid[cross + 1], row[cross], eps,
-                        refine))
+    return _bracketed_roots(f, grid[cross], grid[cross + 1], row[cross],
+                            row[cross + 1], eps)
 
 
 def measure_from_ftransform(f, grid, atom_candidates=None,
@@ -447,8 +543,8 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     vals = np.asarray(f(np.concatenate(
         rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
     if scan:
-        atom_candidates = _sign_change_roots(
-            f, grid, vals[:grid.size].real, _SCAN_EPS, _SCAN_REFINE)
+        atom_candidates = _sign_change_roots(f, grid, vals[:grid.size].real,
+                                             _SCAN_EPS)
         vals = vals[grid.size:]
     return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
                    eps_ladder)

@@ -151,6 +151,9 @@ class TestExitCodes:
         assert "error: need |c| < 1 for stationarity" in captured.err
         assert captured.out == ""
 
+    ISING = ["ising", "--beta", "0.4", "--seed", "1"]
+    COUNT = "must be a whole number >= 0"
+
     @pytest.mark.parametrize("argv, flag, value, message", [
         (["clt", "--kind", "free"], "--n", "0", "must be > 0"),
         (["spidernet-approx", "--driving", "u0.json", "--n", "4"], "--T",
@@ -163,6 +166,14 @@ class TestExitCodes:
          "must be finite and > 0"),
         (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "nan",
          "must be finite and > 0"),
+        (ISING + ["--steps", "10"], "--width", "-1", "must be > 0"),
+        (ISING + ["--steps", "10"], "--width", "0", "must be > 0"),
+        (ISING + ["--steps", "10", "--width", "3"], "--height", "0",
+         "must be > 0"),
+        (ISING + ["--width", "3"], "--steps", "-5", COUNT),
+        (ISING + ["--width", "3"], "--steps", "nan", COUNT),
+        (ISING + ["--width", "3"], "--steps", "inf", COUNT),
+        (ISING + ["--width", "3"], "--steps", "2.5", COUNT),
     ])
     def test_nonpositive_flag(self, files, capsys, argv, flag, value,
                               message):
@@ -176,10 +187,12 @@ class TestExitCodes:
         assert not any(name.startswith("bad") for name in os.listdir(files))
 
     @pytest.mark.parametrize("argv, message", [
-        (["ising", "--width", "3", "--beta", "0.4", "--steps", "-5"],
-         "steps must be >= 0, got -5"),
-        (["ising", "--width", "0", "--beta", "0.4", "--steps", "10"],
-         "spins must be a non-empty 2-d grid, got shape (0, 0)"),
+        (["sle", "--kappa", "2", "--T", "0.04", "--dt", "0.1"],
+         "horizon 0.04 is not a whole number of steps dt = 0.1 "
+         "(--kappa 2.0, --T 0.04, --dt 0.1)"),
+        (["sle", "--kappa", "2", "--T", "0.14", "--dt", "0.1"],
+         "horizon 0.14 is not a whole number of steps dt = 0.1 "
+         "(--kappa 2.0, --T 0.14, --dt 0.1)"),
         (["sle", "--kappa", "2", "--T", "-1", "--dt", "0.1"],
          "horizon must be > 0, got -1.0"),
         (["lerw", "--width", "-1"], "width must be >= 0, got -1"),
@@ -191,6 +204,12 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (files / "bad.csv").exists()
+
+    def test_ising_steps_as_float_literal(self):
+        args = cli.build_parser().parse_args(
+            ["ising", "--width", "3", "--beta", "0.4", "--steps", "1e8",
+             "--seed", "1", "--out", "grid.csv"])
+        assert args.steps == 10**8 and type(args.steps) is int
 
     def test_spidernet_too_large(self, files, capsys):
         code = run(["spidernet-approx", "--driving", "u0.json", "--T", "2",

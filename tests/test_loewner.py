@@ -753,6 +753,35 @@ class TestSLE:
         with pytest.raises(lw.LoewnerError, match="horizon must be > 0"):
             lw.sle_driving(2.0, horizon, 0.1, seed=1)
 
+    @pytest.mark.parametrize("horizon, dt", [
+        (0.04, 0.1), (0.14, 0.1), (1.0, 0.3), (0.5, 1.0), (1.0, math.inf),
+        (math.inf, 0.1), (1e300, 1e-300)])
+    def test_horizon_off_the_step_grid_rejected(self, horizon, dt):
+        with pytest.raises(lw.LoewnerError,
+                           match="is not a whole number of steps"):
+            lw.sle_driving(2.0, horizon, dt, seed=1)
+
+    @pytest.mark.parametrize("kappa, dt", [
+        (math.nan, 0.1), (-1.0, 0.1), (2.0, math.nan), (2.0, 0.0)])
+    def test_bad_kappa_or_step_rejected(self, kappa, dt):
+        with pytest.raises(lw.LoewnerError,
+                           match="need kappa >= 0 and dt > 0"):
+            lw.sle_driving(kappa, 1.0, dt, seed=1)
+
+    @pytest.mark.parametrize("kappa, horizon, dt, seed", [
+        (2.0, 1.0, 1e-2, 7), (2.0, 1.0, 0.1, 2), (2.0, 0.5, 1e-3, 9),
+        (2.0, 0.1, 1e-3, 1), (3.0, 1.0, 1e-2, 0), (2.0, 1.0, 1e-4, 7)])
+    def test_whole_step_paths_unchanged(self, kappa, horizon, dt, seed):
+        # the sampler before horizons off the step grid were refused
+        steps = max(1, int(round(horizon / dt)))
+        times = np.linspace(0.0, steps * dt, steps + 1)
+        incr = (np.random.default_rng(seed).standard_normal(steps)
+                * math.sqrt(kappa / 2 * dt))
+        vals = np.concatenate([[0.0], np.cumsum(incr)])
+        got = lw.sle_driving(kappa, horizon, dt, seed)
+        assert np.array(got.times).tobytes() == times.tobytes()
+        assert np.array(got.values).tobytes() == vals.tobytes()
+
     def test_deterministic_per_seed(self):
         a = lw.sle_driving(2.0, 0.5, 1e-3, seed=9)
         b = lw.sle_driving(2.0, 0.5, 1e-3, seed=9)

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate as si
+from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,7 +194,8 @@ class TestStieltjesInversion:
 
 
 # reference: the sequential bisection loops, one evaluation per step.  The
-# tree-level bisection must return the same floats.
+# bracketed root search must find the same roots to 1e-10 * max(1, |x|)
+# wherever a bracket holds one zero, in at most 1 + 7 calls.
 
 def reference_scan_real_zeros(f, grid, eps=1e-6, refine=40):
     vals = np.asarray(f(grid + 1j * eps))
@@ -240,11 +243,43 @@ class Counted:
         return self.fn(np.asarray(z, dtype=complex))
 
 
-D = tr._TREE_LEVELS
-STEP_COUNTS = (0, 1, D - 1, D, D + 1, 2 * D + 3, 40, 50)
+def close(x, want):
+    return abs(x - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def is_root(f, x, eps):
+    """Re f(t + i*eps) changes sign within 1e-10 * max(1, |x|) of x."""
+    d = 1e-10 * max(1.0, abs(x))
+    lo, hi = np.asarray(f(np.array([x - d, x + d]) + 1j * eps)).real
+    return lo * hi <= 0
+
+
+def atomic_sign_changes(mu):
+    """Where Re F and Re G of an atomic law change sign on the real axis:
+    at its atoms and at the zero of G between each two of them."""
+    xs = [float(a) for a, _ in mu.atoms]
+
+    def g(x):
+        return sum(float(w) / (x - float(a)) for a, w in mu.atoms)
+
+    zeros = [brentq(g, a + 1e-12, b - 1e-12) for a, b in zip(xs, xs[1:])]
+    return np.array(sorted(xs + zeros))
+
+
+def holds_one(changes, lo, hi):
+    return np.count_nonzero((changes > lo) & (changes < hi)) == 1
+
+
+# reference bisection steps; for the dyadic roots the exact zero falls on a
+# midpoint at some step
+STEP_COUNTS = (0, 1, 5, 6, 7, 15, 40, 50)
 
 
 class TestTreeBisection:
+    """The bracketed root search against sequential bisection.  Its
+    equispaced calls evaluate the 63 points of six bisection levels and
+    keep the cell that bisection keeps."""
+
     @pytest.mark.parametrize("seed", [2, 3])
     def test_sle_chain_roots(self, seed):
         field = lw.HerglotzField.from_driving(
@@ -252,57 +287,159 @@ class TestTreeBisection:
         f = lw.chain_fmap(field, 1.0)
         b = field.support_bound
         grid = np.linspace(-b - 0.5, b + 0.5, 41)
-        got = tr.scan_real_zeros(f, grid)
-        assert got and got == reference_scan_real_zeros(f, grid)
+        counted = Counted(f)
+        got = tr.scan_real_zeros(counted, grid)
+        assert counted.calls == 1 + 2
+        want = reference_scan_real_zeros(f, grid)
+        assert got and len(got) == len(want)
+        assert all(close(x, w) for x, w in zip(got, want))
+        assert all(type(r) is np.float64 for r in got)
         g = f.reciprocal("cauchy")
         a = round(float(got[0]), 2)
-        pole = tr._refine_pole(g, a, halfwidth=0.02, iters=13)
-        assert pole != a
-        assert pole == reference_refine_pole(g, a, 0.02, iters=13)
+        counted = Counted(g)
+        pole = tr._refine_pole(counted, a, halfwidth=0.02)
+        assert pole != a and counted.calls <= 1 + 7
+        assert close(pole, reference_refine_pole(g, a, 0.02, iters=50))
 
-    @given(seed=st.integers(0, 10_000), points=st.integers(2, 60),
-           refine=st.sampled_from(STEP_COUNTS))
-    @settings(max_examples=40, deadline=None)
-    def test_scan_f_transform(self, seed, points, refine):
-        f = tr.HerglotzMap.from_measure(random_atomic(seed), "f")
+    @pytest.mark.parametrize("u", [0.023648, -0.3, 0.2])
+    def test_slit_chain_roots(self, u):
+        driving = lw.DrivingFunction.constant(u)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, 301)
+        counted = Counted(f)
+        got = tr.scan_real_zeros(counted, grid)
+        assert counted.calls == 1 + 2
+        want = reference_scan_real_zeros(f, grid)
+        assert len(got) == len(want) == 1 and close(got[0], want[0])
+
+    @given(seed=st.integers(0, 10_000), points=st.integers(2, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_scan_f_transform(self, seed, points):
+        # brackets at atoms (zeros of F) and between them (poles of F)
+        mu = random_atomic(seed)
+        f = tr.HerglotzMap.from_measure(mu, "f")
         grid = np.linspace(-2.5, 2.5, points)
-        got = tr.scan_real_zeros(f, grid, refine=refine)
-        assert got == reference_scan_real_zeros(f, grid, refine=refine)
+        counted = Counted(f)
+        got = tr.scan_real_zeros(counted, grid)
+        assert counted.calls <= 1 + 7
+        want = reference_scan_real_zeros(f, grid)
+        assert len(got) == len(want)
         assert all(type(r) is np.float64 for r in got)
+        changes = atomic_sign_changes(mu)
+        for x, w in zip(got, want):
+            i = np.searchsorted(grid, w)
+            assert grid[i - 1] <= x <= grid[i] and is_root(f, x, 1e-6)
+            if holds_one(changes, grid[i - 1], grid[i]):
+                assert close(x, w)
 
-    @given(seed=st.integers(0, 10_000), iters=st.sampled_from(STEP_COUNTS),
-           shift=st.floats(-0.01, 0.01))
-    @settings(max_examples=40, deadline=None)
-    def test_refine_pole_cauchy(self, seed, iters, shift):
+    @given(seed=st.integers(0, 10_000), shift=st.floats(-0.01, 0.01))
+    @settings(max_examples=60, deadline=None)
+    def test_refine_pole_cauchy(self, seed, shift):
         mu = random_atomic(seed)
         g = tr.HerglotzMap.from_measure(mu, "cauchy")
         a = float(mu.atoms[0][0]) + shift
-        got = tr._refine_pole(g, a, halfwidth=0.02, iters=iters)
-        assert got == reference_refine_pole(g, a, 0.02, iters=iters)
+        counted = Counted(g)
+        got = tr._refine_pole(counted, a, halfwidth=0.02)
+        assert counted.calls <= 1 + 7
+        want = reference_refine_pole(g, a, 0.02, iters=50)
+        if want == a:  # no sign change across the bracket
+            assert got == a
+            return
+        assert a - 0.02 <= got <= a + 0.02 and is_root(g, got, 1e-7)
+        if holds_one(atomic_sign_changes(mu), a - 0.02, a + 0.02):
+            assert close(got, want)
+
+    @given(inner=st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0,
+                                           math.nan]),
+                          min_size=63, max_size=63),
+           sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_bisected_cell(self, inner, sign):
+        # six sequential steps over the 65 nodes of an equispaced call
+        vs = np.array([sign, *inner, -sign])
+        lo, hi, flo = 0, 64, vs[0]
+        for _ in range(6):
+            mid = (lo + hi) // 2
+            if flo * vs[mid] <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, vs[mid]
+        assert tr._bisected_cell(vs) == lo
+
+    def test_window_against_its_cell_falls_back(self):
+        # two atoms and the pole of F between them share one cell of the
+        # first call; the window meets the pole, where Re F falls, and the
+        # equispaced calls that follow keep bisection's root
+        mu = random_atomic(297)
+        f = tr.HerglotzMap.from_measure(mu, "f")
+        grid = np.linspace(-2.5, 2.5, 4)
+        changes = atomic_sign_changes(mu)
+        assert np.count_nonzero((changes > -0.8) & (changes < -0.78)) == 3
+        got = tr.scan_real_zeros(f, grid)
+        want = reference_scan_real_zeros(f, grid)
+        assert len(got) == 1 and close(got[0], want[0])
+
+    @pytest.mark.parametrize("roots", [(0.1, 0.2, 0.7), (0.05, 0.45, 0.9),
+                                       (0.3, 0.6, 0.95)])
+    def test_keeps_the_root_bisection_keeps(self, roots):
+        # three zeros in one bracket, in different cells of the first call
+        def f(z):
+            return (z - roots[0]) * (z - roots[1]) * (z - roots[2])
+
+        grid = np.array([0.0, 1.0])
+        got = tr.scan_real_zeros(tr.HerglotzMap(f), grid)
+        want = reference_scan_real_zeros(tr.HerglotzMap(f), grid)
+        assert len(got) == 1 and close(got[0], want[0])
+
+    @pytest.mark.parametrize("root", [0.3, 0.5, 0.71])
+    def test_jump_ends_after_six_grid_calls(self, root):
+        # a sign change with no interpolable zero: no window, no warning
+        # from flat values, and 64**-6 of the bracket after six calls
+        f = Counted(tr.HerglotzMap(
+            lambda z: np.where(z.real < root, -1.0, 1.0).astype(complex)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tr.scan_real_zeros(f, np.array([0.0, 1.0]))
+        assert f.calls == 1 + 6
+        assert len(got) == 1 and abs(got[0] - root) <= 2.0 ** -36
 
     @pytest.mark.parametrize("refine", STEP_COUNTS)
     @pytest.mark.parametrize("root", [0.5, 0.375, 0.5625, 0.3])
     def test_exact_zero_at_midpoint(self, root, refine):
-        # dyadic roots make flo * fm == 0 at some midpoint of the tree
+        # the root lies in the bracket that ``refine`` bisection steps keep,
+        # whose midpoint the reference returns
         f = tr.HerglotzMap(lambda z: z - root)
-        grid = np.array([0.0, 1.0])
-        got = tr.scan_real_zeros(f, grid, refine=refine)
-        assert got == reference_scan_real_zeros(f, grid, refine=refine)
+        got = tr.scan_real_zeros(f, np.array([0.0, 1.0]))
+        want = reference_scan_real_zeros(f, np.array([0.0, 1.0]),
+                                         refine=refine)
+        assert len(got) == 1
+        assert abs(got[0] - want[0]) <= 0.5 ** (refine + 1)
         g = tr.HerglotzMap(lambda z: 1.0 / (z - root))
-        assert (tr._refine_pole(g, 0.5, 0.25, iters=refine)
-                == reference_refine_pole(g, 0.5, 0.25, iters=refine))
+        got = tr._refine_pole(g, 0.5, 0.25)
+        want = reference_refine_pole(g, 0.5, 0.25, iters=refine)
+        assert abs(got - want) <= 0.5 ** (refine + 2)
 
-    @pytest.mark.parametrize("refine", STEP_COUNTS)
-    def test_one_call_per_tree_level_block(self, refine):
-        f = Counted(tr.HerglotzMap.from_measure(random_atomic(1), "f"))
-        roots = tr.scan_real_zeros(f, np.linspace(-2.5, 2.5, 41),
-                                   refine=refine)
-        assert len(roots) > 1  # one call serves every bracket
-        assert f.calls == 1 + math.ceil(refine / D)
-        g = Counted(tr.HerglotzMap.from_measure(random_atomic(1), "cauchy"))
-        a = float(random_atomic(1).atoms[0][0])
-        tr._refine_pole(g, a, halfwidth=0.02, iters=refine)
-        assert g.calls == 1 + math.ceil(refine / D)
+    @pytest.mark.parametrize("seed", STEP_COUNTS)
+    def test_one_call_per_tree_level_block(self, seed):
+        # each call serves every bracket: the scan makes as many calls as
+        # its slowest bracket alone
+        f = tr.HerglotzMap.from_measure(random_atomic(seed), "f")
+        grid = np.linspace(-2.5, 2.5, 41)
+        counted = Counted(f)
+        roots = tr.scan_real_zeros(counted, grid)
+        assert len(roots) > 1
+        alone = []
+        for x in roots:
+            i = np.searchsorted(grid, x)
+            one = Counted(f)
+            assert tr.scan_real_zeros(one, grid[i - 1:i + 1]) == [x]
+            alone.append(one.calls)
+        assert counted.calls == max(alone) <= 1 + 7
+        g = Counted(tr.HerglotzMap.from_measure(random_atomic(seed),
+                                                "cauchy"))
+        a = float(random_atomic(seed).atoms[0][0])
+        tr._refine_pole(g, a, halfwidth=0.02)
+        assert g.calls <= 1 + 7
 
 
 # reference: the inversion with one call of the map per eps layer, a
@@ -529,11 +666,12 @@ class TestSharedCallInversion:
 
 class TestFlowCalls:
     """Flow calls of one ``ncprob loewner`` inversion at the benchmark's
-    inputs.  With one call per ladder layer, plus one for the scan row and
-    one for the normalization probe, they were 11 (slit) and 19 (SLE) for
-    the same points."""
+    inputs and at the README's slit.  With one call per ladder layer, plus
+    one for the scan row and one for the normalization probe, they were 11
+    (slit) and 19 (SLE) for the same points; with the real-zero search
+    bisecting six levels per call they were 11 (SLE) and 12 (README)."""
 
-    def run(self, tmp_path, monkeypatch, driving, points):
+    def run(self, tmp_path, monkeypatch, driving, points=None):
         path = tmp_path / "driving.json"
         path.write_text(json.dumps(driving.to_json()))
         sizes, flow = [], _kernels.flow_batch
@@ -543,9 +681,9 @@ class TestFlowCalls:
             return flow(z, *args)
 
         monkeypatch.setattr(_kernels, "flow_batch", counted)
+        points = [] if points is None else ["--grid-points", str(points)]
         assert cli.main(["loewner", "--driving", str(path), "--t", "1",
-                         "--grid-points", str(points),
-                         "--out", str(tmp_path / "chain")]) == 0
+                         *points, "--out", str(tmp_path / "chain")]) == 0
         return sizes
 
     def test_slit(self, tmp_path, monkeypatch):
@@ -557,8 +695,18 @@ class TestFlowCalls:
     def test_sle(self, tmp_path, monkeypatch):
         sizes = self.run(tmp_path, monkeypatch,
                          lw.sle_driving(2.0, 1.0, 1e-2, seed=7), 201)
-        assert len(sizes) == 11 and sum(sizes) == 1453
-        assert sizes[0] == 201 + 1 + 3 * 201
+        # the shared first call; a grid and a window call for the real
+        # zero; its two mass ladders; two refine passes
+        assert sizes == [201 + 1 + 3 * 201, 63, 17, 6, 3 * 42, 3 * 42]
+
+    def test_readme_slit(self, tmp_path, monkeypatch):
+        driving = lw.DrivingFunction.constant(0.023648)
+        sizes = self.run(tmp_path, monkeypatch, driving)
+        assert sizes == [1201 + 1 + 3 * 1201, 63, 17, 6, 3 * 84, 3 * 77]
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        want = reference_scan_real_zeros(f, loewner_grid(driving, 1201))
+        (atom, _), = ms.load_measure(tmp_path / "chain.json").atoms
+        assert len(want) == 1 and close(atom, want[0])
 
 
 CLOSED_FORM_MAPS = {law: law_map(law) for law in LAWS}
