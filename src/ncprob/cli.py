@@ -74,13 +74,21 @@ def _positive_int(text):
     return value
 
 
-def _count(text):
-    """A whole number >= 0, also written as a float such as 1e8."""
+def _whole(text, least):
+    """A whole number >= ``least``, also written as a float such as 1e8."""
     value = float(text)
-    if not (value >= 0 and math.isfinite(value) and value.is_integer()):
+    if not (value >= least and math.isfinite(value) and value.is_integer()):
         raise argparse.ArgumentTypeError(
-            f"must be a whole number >= 0, got {text}")
+            f"must be a whole number >= {least}, got {text}")
     return int(value)
+
+
+def _count(text):
+    return _whole(text, 0)
+
+
+def _positive_count(text):
+    return _whole(text, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +255,7 @@ def _cmd_ising(args):
 
 
 def _cmd_lerw(args):
-    path, walk = markov.lerw(args.width, int(args.cap), args.seed)
+    path, walk = markov.lerw(args.width, args.cap, args.seed)
     _write_csv(args.out, ("x", "y"), path)
     print(f"walk length {len(walk)} erased length {len(path)}")
     return 0
@@ -368,8 +376,8 @@ def build_parser():
     c.set_defaults(fn=_cmd_ising)
 
     c = sub.add_parser("lerw", help="loop-erased random walk")
-    c.add_argument("--width", type=int, default=100)
-    c.add_argument("--cap", type=float, default=1e7)
+    c.add_argument("--width", type=_count, default=100)
+    c.add_argument("--cap", type=_positive_count, default=10**7)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_lerw)

@@ -258,7 +258,9 @@ def _spike_candidates(grid, density, eps_min, limit=8):
 # The real-zero search.  An equispaced call splits a bracket into _CELLS
 # equal cells (63 interior points, as many as six bisection levels), and
 # _GRID_CALLS of them leave 64**-6 = 2**-36 of it.  A window call puts
-# _WINDOW points on an interpolated root +- w, with w at least
+# _WINDOW points on an interpolated root +- w, with w at least one cell of
+# the next equispaced call (the interpolation error estimate misses where
+# the map bends between nodes, as at the edge of a support) and at least
 # _WINDOW_FLOOR * max(1, |x|): chain maps at tol 1e-9 are noisy at about
 # that level near the real axis.  Roots are found to _ROOT_TOL * max(1, |x|).
 _CELLS, _GRID_CALLS, _WINDOW = 64, 6, 17
@@ -352,7 +354,8 @@ class _Bracket:
             return _secant(*self.cell)
         if hit and not self.tried:
             x, err = hit
-            w = max(4 * err, _WINDOW_FLOOR * max(1.0, abs(x)))
+            w = max(4 * err, (hi - lo) / _CELLS,
+                    _WINDOW_FLOOR * max(1.0, abs(x)))
             self.window = np.linspace(max(x - w, lo), min(x + w, hi), _WINDOW)
             self.tried = True
         return None
@@ -519,10 +522,11 @@ def scan_real_zeros(f, grid, eps=_SCAN_EPS):
     return _sign_change_roots(f, grid, row, eps)
 
 
-def _sign_change_roots(f, grid, row, eps):
-    """The zero in every sign change of ``row`` = Re f(grid + i*eps)."""
+def _sign_change_roots(f, grid, row, eps, searched=True):
+    """The zero in every sign change of ``row`` = Re f(grid + i*eps) from
+    grid[i] to grid[i + 1] where ``searched`` (an array over i) holds."""
     sign = np.sign(row)
-    cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    cross = np.nonzero((sign[:-1] * sign[1:] < 0) & searched)[0]
     return _bracketed_roots(f, grid[cross], grid[cross + 1], row[cross],
                             row[cross + 1], eps)
 
@@ -534,6 +538,14 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     Without ``atom_candidates`` the real zeros of F are scanned for at
     height _SCAN_EPS.  One call of ``f`` evaluates that scan row, the
     normalization probe and every ladder layer of the grid.
+
+    An atom of mass m at a is a zero of F, |F(a + i*eps)| ~ eps/m, while
+    inside the support F is far from real.  So a sign change of Re F is
+    skipped, without a call, when at both its ends
+    Im F > max(|Re F|, eps/ATOM_THRESHOLD): outside the support F is nearly
+    real, and near a pole of F Im F/|Re F| is about eps/distance.  An atom
+    embedded in a density inside such a bracket is still found as a density
+    spike (``_spike_candidates``).
     """
     if not isinstance(f, HerglotzMap):
         f = HerglotzMap(f, "f")
@@ -543,9 +555,11 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     vals = np.asarray(f(np.concatenate(
         rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
     if scan:
-        atom_candidates = _sign_change_roots(f, grid, vals[:grid.size].real,
-                                             _SCAN_EPS)
-        vals = vals[grid.size:]
+        row, vals = vals[:grid.size], vals[grid.size:]
+        inside = row.imag > np.maximum(np.abs(row.real),
+                                       _SCAN_EPS / ATOM_THRESHOLD)
+        atom_candidates = _sign_change_roots(
+            f, grid, row.real, _SCAN_EPS, ~(inside[:-1] & inside[1:]))
     return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
                    eps_ladder)
 

@@ -153,6 +153,8 @@ class TestExitCodes:
 
     ISING = ["ising", "--beta", "0.4", "--seed", "1"]
     COUNT = "must be a whole number >= 0"
+    LERW = ["lerw", "--seed", "1"]
+    POSITIVE_COUNT = "must be a whole number >= 1"
 
     @pytest.mark.parametrize("argv, flag, value, message", [
         (["clt", "--kind", "free"], "--n", "0", "must be > 0"),
@@ -174,6 +176,13 @@ class TestExitCodes:
         (ISING + ["--width", "3"], "--steps", "nan", COUNT),
         (ISING + ["--width", "3"], "--steps", "inf", COUNT),
         (ISING + ["--width", "3"], "--steps", "2.5", COUNT),
+        (LERW, "--width", "-1", COUNT),
+        (LERW, "--width", "2.5", COUNT),
+        (LERW, "--cap", "nan", POSITIVE_COUNT),
+        (LERW, "--cap", "inf", POSITIVE_COUNT),
+        (LERW, "--cap", "-5", POSITIVE_COUNT),
+        (LERW, "--cap", "2.5", POSITIVE_COUNT),
+        (LERW, "--cap", "0", POSITIVE_COUNT),
     ])
     def test_nonpositive_flag(self, files, capsys, argv, flag, value,
                               message):
@@ -195,7 +204,8 @@ class TestExitCodes:
          "(--kappa 2.0, --T 0.14, --dt 0.1)"),
         (["sle", "--kappa", "2", "--T", "-1", "--dt", "0.1"],
          "horizon must be > 0, got -1.0"),
-        (["lerw", "--width", "-1"], "width must be >= 0, got -1"),
+        (["lerw", "--width", "10", "--cap", "5"],
+         "walk did not exit within 5 steps"),
     ])
     def test_refused_input(self, files, capsys, argv, message):
         with warnings.catch_warnings():

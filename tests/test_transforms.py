@@ -312,6 +312,23 @@ class TestTreeBisection:
         want = reference_scan_real_zeros(f, grid)
         assert len(got) == len(want) == 1 and close(got[0], want[0])
 
+    @pytest.mark.parametrize("seed, calls", [(2, 2), (3, 2), (4, 2), (5, 3),
+                                             (6, 3), (7, 2), (8, 2)])
+    def test_sle_path_roots(self, seed, calls):
+        # ``ncprob loewner``'s grid; each path has one sign change, at seeds
+        # 5, 6 and 8 next to the edge of the support, where Re F bends too
+        # sharply for the first call's error estimate: the window is at
+        # least one cell of the next equispaced call wide, so at seed 8 it
+        # still holds the root (it took 1 + 4 calls with 4 * error alone)
+        driving = lw.sle_driving(2.0, 1.0, 0.1, seed=seed)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, 41)
+        counted = Counted(f)
+        got = tr.scan_real_zeros(counted, grid)
+        assert counted.calls == 1 + calls
+        want = reference_scan_real_zeros(f, grid)
+        assert len(got) == len(want) == 1 and close(got[0], want[0])
+
     @given(seed=st.integers(0, 10_000), points=st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_scan_f_transform(self, seed, points):
@@ -664,6 +681,44 @@ class TestSharedCallInversion:
                 == outcome(reference_measure_from_ftransform, f, grid))
 
 
+class TestRealZeroFilter:
+    """``measure_from_ftransform`` searches a sign change of Re F only when
+    F at one of its ends is near zero or nearly real, so it must return
+    what ``reference_measure_from_ftransform``, which searches every
+    bracket, returns."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+           points=st.integers(2, 60),
+           offsets=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_atomic(self, seed, n, points, offsets):
+        # no density, so every atom must come from the real-zero search.
+        # Grid points sit 1e-5 to 1e-2 to either side of each pole of F,
+        # where Im F(x + 1e-6 i) can exceed 1e-2 but stays below |Re F|; a
+        # bracket between two of them holds the atom between the poles.
+        # (Within 1e-6 of a pole Im F exceeds |Re F| too, and an atom
+        # between two such grid points is skipped.)
+        mu = random_atomic(seed, n=n)
+        poles = np.setdiff1d(atomic_sign_changes(mu), mu.positions)
+        near = [p + math.copysign(10 ** (-5 + 1.5 * abs(d)), d)
+                for p, d in zip(poles, offsets)]
+        grid = np.union1d(np.linspace(-2.5, 2.5, points), near)
+        f = tr.HerglotzMap.from_measure(mu, "f")
+        assert (outcome(tr.measure_from_ftransform, f, grid)
+                == outcome(reference_measure_from_ftransform, f, grid))
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    @pytest.mark.parametrize("dt, points", [(1e-1, 41), (1e-2, 201)])
+    def test_sle_chain_measure(self, seed, dt, points):
+        driving = lw.sle_driving(2.0, 1.0, dt, seed=seed)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, points)
+        assert (outcome(tr.measure_from_ftransform, f, grid,
+                        eps_ladder=LOEWNER_LADDER)
+                == outcome(reference_measure_from_ftransform, f, grid,
+                           eps_ladder=LOEWNER_LADDER))
+
+
 class TestFlowCalls:
     """Flow calls of one ``ncprob loewner`` inversion at the benchmark's
     inputs and at the README's slit.  With one call per ladder layer, plus
@@ -695,9 +750,10 @@ class TestFlowCalls:
     def test_sle(self, tmp_path, monkeypatch):
         sizes = self.run(tmp_path, monkeypatch,
                          lw.sle_driving(2.0, 1.0, 1e-2, seed=7), 201)
-        # the shared first call; a grid and a window call for the real
-        # zero; its two mass ladders; two refine passes
-        assert sizes == [201 + 1 + 3 * 201, 63, 17, 6, 3 * 42, 3 * 42]
+        # the shared first call and two refine passes: Re F changes sign
+        # only inside the support, where F is far from zero, so the
+        # real-zero search and the atom vetting make no call
+        assert sizes == [201 + 1 + 3 * 201, 3 * 42, 3 * 42]
 
     def test_readme_slit(self, tmp_path, monkeypatch):
         driving = lw.DrivingFunction.constant(0.023648)
