@@ -7,6 +7,7 @@ precondition), 1 unexpected runtime failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,21 +75,16 @@ def _positive_int(text):
     return value
 
 
-def _whole(text, least):
+def _whole(text, least=0):
     """A whole number >= ``least``, also written as a float such as 1e8."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (value >= least and math.isfinite(value) and value.is_integer()):
         raise argparse.ArgumentTypeError(
             f"must be a whole number >= {least}, got {text}")
     return int(value)
-
-
-def _count(text):
-    return _whole(text, 0)
-
-
-def _positive_count(text):
-    return _whole(text, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def build_parser():
     c.add_argument("--width", type=_positive_int, required=True)
     c.add_argument("--height", type=_positive_int)
     c.add_argument("--beta", type=float, required=True)
-    c.add_argument("--steps", type=_count, required=True)
+    c.add_argument("--steps", type=_whole, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--J", type=float, default=1.0)
     c.add_argument("--B", type=float, default=0.0)
@@ -376,8 +372,9 @@ def build_parser():
     c.set_defaults(fn=_cmd_ising)
 
     c = sub.add_parser("lerw", help="loop-erased random walk")
-    c.add_argument("--width", type=_count, default=100)
-    c.add_argument("--cap", type=_positive_count, default=10**7)
+    c.add_argument("--width", type=_whole, default=100)
+    c.add_argument("--cap", type=functools.partial(_whole, least=1),
+                   default=10**7)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_lerw)

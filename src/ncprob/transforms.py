@@ -540,12 +540,22 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     normalization probe and every ladder layer of the grid.
 
     An atom of mass m at a is a zero of F, |F(a + i*eps)| ~ eps/m, while
-    inside the support F is far from real.  So a sign change of Re F is
-    skipped, without a call, when at both its ends
-    Im F > max(|Re F|, eps/ATOM_THRESHOLD): outside the support F is nearly
-    real, and near a pole of F Im F/|Re F| is about eps/distance.  An atom
-    embedded in a density inside such a bracket is still found as a density
-    spike (``_spike_candidates``).
+    inside the support F is far from real.  So a sign change of Re F over a
+    cell of width h is skipped, without a call, when at both its ends
+    Im F > max(|Re F|, eps/ATOM_THRESHOLD) and F is flat: with y the
+    smallest ladder height, |F(x + i*y) - F(x + i*eps)| * max(h, 2(y - eps))
+    < (y - eps) |F(x + i*eps)|.  Flatness says that a line with the slope
+    |F'| of the two heights cannot reach zero within the cell.  Near a pole
+    of F, Im F can exceed |Re F| as inside a support, but F grows about
+    y/eps-fold from height y to eps, so |F(x + i*y) - F(x + i*eps)| is
+    about |F(x + i*eps)| and the span 2(y - eps) fails flatness even in a
+    cell narrower than y.  Atoms closer together than y act as one from
+    height y, so F can be flat between them, but there |F| is below
+    eps/ATOM_THRESHOLD.  Outside the support F is nearly real.  An atom of
+    mass m embedded in a density at distance d <= h/2 from an end adds
+    m/d**2 to |G'|, so its cell is skipped only when m is below about
+    h |G|/4; such an atom is found as a density spike (``_spike_candidates``)
+    if the grid resolves it, and is otherwise left in the density.
     """
     if not isinstance(f, HerglotzMap):
         f = HerglotzMap(f, "f")
@@ -556,10 +566,17 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
         rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
     if scan:
         row, vals = vals[:grid.size], vals[grid.size:]
-        inside = row.imag > np.maximum(np.abs(row.real),
-                                       _SCAN_EPS / ATOM_THRESHOLD)
-        atom_candidates = _sign_change_roots(
-            f, grid, row.real, _SCAN_EPS, ~(inside[:-1] & inside[1:]))
+        k = int(np.argmin(eps_ladder))
+        rise = abs(eps_ladder[k] - _SCAN_EPS)
+        change = np.abs(vals[1 + k * grid.size:1 + (k + 1) * grid.size] - row)
+        reach = np.maximum(np.diff(grid), 2 * rise)
+        size = rise * np.abs(row)
+        far = row.imag > np.maximum(np.abs(row.real),
+                                    _SCAN_EPS / ATOM_THRESHOLD)
+        skip = (far[:-1] & far[1:] & (change[:-1] * reach < size[:-1])
+                & (change[1:] * reach < size[1:]))
+        atom_candidates = _sign_change_roots(f, grid, row.real, _SCAN_EPS,
+                                             ~skip)
     return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
                    eps_ladder)
 

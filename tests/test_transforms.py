@@ -280,20 +280,25 @@ class TestTreeBisection:
     equispaced calls evaluate the 63 points of six bisection levels and
     keep the cell that bisection keeps."""
 
-    @pytest.mark.parametrize("seed", [2, 3])
-    def test_sle_chain_roots(self, seed):
-        field = lw.HerglotzField.from_driving(
-            lw.sle_driving(2.0, 1.0, 0.1, seed=seed), horizon=1.0)
-        f = lw.chain_fmap(field, 1.0)
-        b = field.support_bound
-        grid = np.linspace(-b - 0.5, b + 0.5, 41)
+    SLE_CALLS = [(2, 2), (3, 2), (4, 2), (5, 3), (6, 3), (7, 2), (8, 2)]
+
+    @pytest.mark.parametrize("seed, calls", SLE_CALLS,
+                             ids=[str(seed) for seed, _ in SLE_CALLS])
+    def test_sle_chain_roots(self, seed, calls):
+        # ``ncprob loewner``'s grid; each path has one sign change, at seeds
+        # 5, 6 and 8 next to the edge of the support, where Re F bends too
+        # sharply for the first call's error estimate: the window is at
+        # least one cell of the next equispaced call wide, so at seed 8 it
+        # still holds the root (it took 1 + 4 calls with 4 * error alone)
+        driving = lw.sle_driving(2.0, 1.0, 0.1, seed=seed)
+        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
+        grid = loewner_grid(driving, 41)
         counted = Counted(f)
         got = tr.scan_real_zeros(counted, grid)
-        assert counted.calls == 1 + 2
+        assert counted.calls == 1 + calls
         want = reference_scan_real_zeros(f, grid)
-        assert got and len(got) == len(want)
-        assert all(close(x, w) for x, w in zip(got, want))
-        assert all(type(r) is np.float64 for r in got)
+        assert len(got) == len(want) == 1 and close(got[0], want[0])
+        assert type(got[0]) is np.float64
         g = f.reciprocal("cauchy")
         a = round(float(got[0]), 2)
         counted = Counted(g)
@@ -309,23 +314,6 @@ class TestTreeBisection:
         counted = Counted(f)
         got = tr.scan_real_zeros(counted, grid)
         assert counted.calls == 1 + 2
-        want = reference_scan_real_zeros(f, grid)
-        assert len(got) == len(want) == 1 and close(got[0], want[0])
-
-    @pytest.mark.parametrize("seed, calls", [(2, 2), (3, 2), (4, 2), (5, 3),
-                                             (6, 3), (7, 2), (8, 2)])
-    def test_sle_path_roots(self, seed, calls):
-        # ``ncprob loewner``'s grid; each path has one sign change, at seeds
-        # 5, 6 and 8 next to the edge of the support, where Re F bends too
-        # sharply for the first call's error estimate: the window is at
-        # least one cell of the next equispaced call wide, so at seed 8 it
-        # still holds the root (it took 1 + 4 calls with 4 * error alone)
-        driving = lw.sle_driving(2.0, 1.0, 0.1, seed=seed)
-        f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
-        grid = loewner_grid(driving, 41)
-        counted = Counted(f)
-        got = tr.scan_real_zeros(counted, grid)
-        assert counted.calls == 1 + calls
         want = reference_scan_real_zeros(f, grid)
         assert len(got) == len(want) == 1 and close(got[0], want[0])
 
@@ -682,28 +670,96 @@ class TestSharedCallInversion:
 
 
 class TestRealZeroFilter:
-    """``measure_from_ftransform`` searches a sign change of Re F only when
-    F at one of its ends is near zero or nearly real, so it must return
-    what ``reference_measure_from_ftransform``, which searches every
-    bracket, returns."""
+    """``measure_from_ftransform`` skips a sign change of Re F only when F
+    at both its ends is far from zero and from the real axis and flat, so it
+    must return what ``reference_measure_from_ftransform``, which searches
+    every bracket, returns."""
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
-           points=st.integers(2, 60),
-           offsets=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+           span=st.sampled_from([2.0, 1e-2, 1e-4]), points=st.integers(2, 60),
+           offsets=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
     @settings(max_examples=200, deadline=None)
-    def test_random_atomic(self, seed, n, points, offsets):
+    def test_random_atomic(self, seed, n, span, points, offsets):
         # no density, so every atom must come from the real-zero search.
-        # Grid points sit 1e-5 to 1e-2 to either side of each pole of F,
-        # where Im F(x + 1e-6 i) can exceed 1e-2 but stays below |Re F|; a
-        # bracket between two of them holds the atom between the poles.
-        # (Within 1e-6 of a pole Im F exceeds |Re F| too, and an atom
-        # between two such grid points is skipped.)
-        mu = random_atomic(seed, n=n)
+        # Grid points sit 1e-12 to 1e-2 to either side of each pole of F;
+        # within 1e-6 of one Im F(x + 1e-6 i) exceeds |Re F| as inside a
+        # support, and a bracket between two such points holds the atom
+        # between the poles.  With spans 1e-2 and 1e-4 the atoms and poles
+        # cluster closer than the ladder's smallest height.
+        mu = random_atomic(seed, n=n, span=span)
         poles = np.setdiff1d(atomic_sign_changes(mu), mu.positions)
-        near = [p + math.copysign(10 ** (-5 + 1.5 * abs(d)), d)
+        near = [p + math.copysign(10 ** (-2 - abs(d)), d)
                 for p, d in zip(poles, offsets)]
         grid = np.union1d(np.linspace(-2.5, 2.5, points), near)
         f = tr.HerglotzMap.from_measure(mu, "f")
+        assert (outcome(tr.measure_from_ftransform, f, grid)
+                == outcome(reference_measure_from_ftransform, f, grid))
+
+    POLE_GRIDS = [
+        # the cell holding the atom at 0 has both ends d from the poles
+        # +-sqrt(0.4) of F
+        *[(((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)), [-2.0, -0.8, 0.8, 2.0],
+           [d, -d], 3) for d in (1e-5, 1e-6, 5e-7, 1e-7, 0.0)],
+        # four atoms within 4e-4: seen from the ladder's heights they act as
+        # one, so F is flat at the ends of the cell holding the heaviest,
+        # but there |F| < eps/ATOM_THRESHOLD
+        (((0.15143511, 0.227), (0.15146448, 0.176), (0.15154761, 0.545),
+          (0.15179139, 0.052)), np.linspace(-2.5, 2.5, 37),
+         [-8.8e-7, 3e-8, -4.4e-7], 1),
+        # cells next to the poles narrower than twice the smallest ladder
+        # height, so their flatness is measured over 2 * y
+        (((-0.23125133, 0.587), (-0.22669612, 0.2), (-0.2246558, 0.122),
+          (-0.2241646, 0.091)), np.linspace(-2.5, 2.5, 22),
+         [4e-12, 1e-8, 5e-12], 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "atoms, base, offsets, found", POLE_GRIDS,
+        ids=[f"three-{d}" for d in (1e-5, 1e-6, 5e-7, 1e-7, 0.0)]
+        + ["cluster", "narrow-cluster"])
+    def test_grid_at_poles(self, atoms, base, offsets, found):
+        # grid points ``offsets`` from the poles of F, which lie between
+        # the atoms
+        mu = ms.AtomicMeasure(atoms)
+        poles = np.setdiff1d(atomic_sign_changes(mu), mu.positions)
+        grid = np.union1d(base, poles + offsets)
+        f = tr.HerglotzMap.from_measure(mu, "f")
+        got = outcome(tr.measure_from_ftransform, f, grid)
+        assert len(got[2]) == found
+        assert got == outcome(reference_measure_from_ftransform, f, grid)
+
+    @staticmethod
+    def semicircle_with_atom(w, a):
+        return tr.HerglotzMap(lambda z: 1.0 / (
+            (1 - w) * (z - tr.sqrt_upper(z * z - 4)) / 2 + w / (z - a)), "f")
+
+    @pytest.mark.parametrize("w, a, points", [
+        (0.01, 0.3, 201), (0.01, 0.3125, 201), (0.01, 0.3125, 51),
+        (0.01, 0.31, 201), (0.005, 0.317, 201), (0.05, -0.7, 201),
+        (0.1, 0.8, 11), (0.3, 1.9, 201)])
+    def test_embedded_atom(self, w, a, points):
+        # an atom inside the support, where F is far from real; at 0.3125
+        # it lies mid-cell on both grids, too far from the grid for a
+        # density spike, and at 0.31 and 0.317 F is flat at one end of its
+        # cell only, so each end's flatness is tested.  On 11 points F is
+        # flat at both ends of the cell holding 0.8, and its right end is
+        # nearly real.
+        f, grid = self.semicircle_with_atom(w, a), np.linspace(-2.5, 2.5,
+                                                                points)
+        got = outcome(tr.measure_from_ftransform, f, grid)
+        assert len(got[2]) == 1
+        assert got == outcome(reference_measure_from_ftransform, f, grid)
+
+    @given(points=st.integers(21, 401), a=st.floats(-1.9, 1.9),
+           ratio=st.floats(0.5, 20.0))
+    @settings(max_examples=100, deadline=None)
+    def test_random_embedded_atom(self, points, a, ratio):
+        # |G| is about 1 inside the semicircle's support, so an atom of
+        # mass >= h/2 (h the cell width) is above the about h|G|/4 that
+        # flatness can miss (up to 0.36 h measured)
+        grid = np.linspace(-2.5, 2.5, points)
+        f = self.semicircle_with_atom(min(0.5, ratio * (grid[1] - grid[0])),
+                                      a)
         assert (outcome(tr.measure_from_ftransform, f, grid)
                 == outcome(reference_measure_from_ftransform, f, grid))
 
