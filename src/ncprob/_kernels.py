@@ -1,4 +1,11 @@
-"""The Loewner flow kernel.
+"""The Loewner flow kernels.
+
+``slit_batch`` is the closed form for fields with at most one live atom
+per time segment, at rest (constant and piecewise-constant drivings and
+their rescalings): there dy/dtau = w/(y - p) gives (y - p)**2 a change of
+2 w dtau over the segment, so the flow is one square root per segment
+crossed (the vertical-slit map of the zipper algorithm).  Its ``steps``
+counts the segments crossed, and no step size or tolerance enters.
 
 ``flow_batch`` integrates the characteristic ODE dy/dtau = G_{nu_tau}(y)
 for a field whose atoms move linearly within time segments:
@@ -178,3 +185,38 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
             low, nstep = low[run], nstep[run]
     return out, status, min_im, steps
 
+
+def slit_batch(zs, tau0, tau1, tbreaks, pos, wts, im_floor):
+    """Flow every point of ``zs`` from tau0 to tau1 in closed form, for a
+    field with at most one live slot (weight > 0) per segment and no slopes.
+
+    Returns what ``flow_batch`` returns.  Segments are walked in the
+    direction of travel; the first and last extend past ``tbreaks`` as
+    ``flow_batch``'s segment index is clamped.  Each one maps y to
+    p + sqrt((y - p)**2 +- 2 w dtau), the root in the closed upper
+    half-plane, and one without a live slot leaves y as it is.  Im y is
+    monotone along a trajectory, so its lowest value is at the start or at
+    a segment end; a point whose lowest Im y is below ``im_floor`` ends as
+    FLOW_ESCAPE (``flow_batch`` ends such a start so after its first step,
+    which barely moves Im y), else as FLOW_OK.  Every point crosses the
+    same segments, so ``steps`` is their number for all of them.
+    """
+    y = np.array(zs, dtype=np.complex128)
+    min_im = y.imag.copy()
+    sgn = 1.0 if tau1 >= tau0 else -1.0
+    lo, hi = min(tau0, tau1), max(tau0, tau1)
+    edges = np.concatenate([[-np.inf], tbreaks[1:-1], [np.inf]])
+    span = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+    crossed = np.flatnonzero(span > 0.0)[::int(sgn)]
+    for j in crossed:
+        live = np.flatnonzero(wts[j] > 0.0)
+        if live.size:
+            p = pos[j, live[0]]
+            d = y - p
+            # the root with Im >= 0: i * sqrt(-q) on the principal branch
+            y = p + 1j * np.sqrt(-(d * d + sgn * 2.0 * wts[j, live[0]]
+                                   * span[j]))
+        min_im = np.minimum(min_im, y.imag)
+    status = np.where(min_im < im_floor, FLOW_ESCAPE, FLOW_OK)
+    steps = np.full(y.shape[0], crossed.size, dtype=np.int64)
+    return y, status, min_im, steps

@@ -320,7 +320,10 @@ def build_parser():
     c = sub.add_parser("loewner", help="recover the chain measure at time t")
     c.add_argument("--driving", required=True)
     c.add_argument("--t", type=_nonnegative, required=True)
-    c.add_argument("--tol", type=_positive, default=1e-9)
+    c.add_argument("--tol", type=_positive, default=1e-9,
+                   help="Dormand-Prince tolerance; unused for constant and "
+                        "piecewise-constant drivings, which flow in "
+                        "closed form")
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
     c.add_argument("--grid-points", type=int, default=1201)

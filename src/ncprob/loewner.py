@@ -10,6 +10,16 @@ whose solutions move upward in H.  The inverse flow integrates the same
 equation forward in time and can collide with the growing hull.  Slit
 chains are the special case nu_t = delta_{U(t)} for a real driving
 function U.
+
+Fields with at most one atom per time segment, at rest
+(``HerglotzField.is_slit``: constant and piecewise-constant drivings,
+single-atom ``constant``/``piecewise`` fields and their rescalings) flow in
+closed form, one square root per segment (``_kernels.slit_batch``); every
+other field runs the Dormand-Prince kernel (``_kernels.flow_batch``).  The
+choice reads only the field.  ``tol`` is checked on both paths but governs
+only the Dormand-Prince one; on the closed-form path a ``ChainPoint``'s
+``steps`` counts the segments crossed and ``min_imag`` is the lowest Im y
+at the start and the segment ends.
 """
 
 import math
@@ -202,6 +212,14 @@ class HerglotzField:
         return (self.pos[j, live] + self.slope[j, live] * dt,
                 self.wts[j, live])
 
+    def is_slit(self):
+        """Whether every segment holds at most one live atom, at rest: the
+        chain is then a composition of vertical-slit maps, one per segment,
+        and flows in closed form."""
+        live = self.wts > 0
+        return bool(np.all(live.sum(axis=1) <= 1)
+                    and not np.any(self.slope[live]))
+
     def rate(self, t):
         return float(self.atoms(t)[1].sum())
 
@@ -232,11 +250,17 @@ class ChainPoint:
 
 
 def _flow(field, tau0, tau1, z, tol, im_floor, escape_error):
+    """Flow z from tau0 to tau1: in closed form (``_kernels.slit_batch``)
+    when ``field.is_slit()``, else by the Dormand-Prince kernel at ``tol``."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out, status, min_im, steps = _kernels.flow_batch(
-        z, float(tau0), float(tau1), field.tbreaks, field.pos, field.slope,
-        field.wts, float(tol), float(im_floor),
-    )
+    if field.is_slit():
+        out, status, min_im, steps = _kernels.slit_batch(
+            z, float(tau0), float(tau1), field.tbreaks, field.pos,
+            field.wts, float(im_floor))
+    else:
+        out, status, min_im, steps = _kernels.flow_batch(
+            z, float(tau0), float(tau1), field.tbreaks, field.pos,
+            field.slope, field.wts, float(tol), float(im_floor))
     if np.any(status == _kernels.FLOW_UNDERFLOW):
         raise StepUnderflow("required step below 1e-14 of the time span, "
                             "or a non-finite error estimate")

@@ -531,6 +531,22 @@ def _sign_change_roots(f, grid, row, eps, searched=True):
                             row[cross + 1], eps)
 
 
+def _grid_atom_candidates(grid, row, roots):
+    """The grid points x with |F(x + i*_SCAN_EPS)| <= _SCAN_EPS/ATOM_THRESHOLD
+    (``row`` holds F there) and no root of ``roots`` within one cell.
+
+    An atom on a grid point need not make a sign change of Re F: Re F can
+    be exactly 0 there, and a pole of F can share each neighbouring cell
+    with a zero, so that the signs at its ends agree.
+    """
+    near = np.flatnonzero(np.abs(row) <= _SCAN_EPS / ATOM_THRESHOLD)
+    lo = grid[np.maximum(near - 1, 0), None]
+    hi = grid[np.minimum(near + 1, grid.size - 1), None]
+    r = np.asarray(roots, dtype=float)
+    lone = ~np.any((lo <= r) & (r <= hi), axis=1)
+    return [float(x) for x in grid[near[lone]]]
+
+
 def measure_from_ftransform(f, grid, atom_candidates=None,
                             eps_ladder=DEFAULT_EPS_LADDER):
     """Stieltjes inversion of 1/F for an F-transform evaluator.
@@ -555,7 +571,9 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     mass m embedded in a density at distance d <= h/2 from an end adds
     m/d**2 to |G'|, so its cell is skipped only when m is below about
     h |G|/4; such an atom is found as a density spike (``_spike_candidates``)
-    if the grid resolves it, and is otherwise left in the density.
+    if the grid resolves it, and is otherwise left in the density.  Atoms
+    on grid points that make no sign change are candidates as well
+    (``_grid_atom_candidates``).
     """
     if not isinstance(f, HerglotzMap):
         f = HerglotzMap(f, "f")
@@ -575,8 +593,8 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
                                     _SCAN_EPS / ATOM_THRESHOLD)
         skip = (far[:-1] & far[1:] & (change[:-1] * reach < size[:-1])
                 & (change[1:] * reach < size[1:]))
-        atom_candidates = _sign_change_roots(f, grid, row.real, _SCAN_EPS,
-                                             ~skip)
+        roots = _sign_change_roots(f, grid, row.real, _SCAN_EPS, ~skip)
+        atom_candidates = roots + _grid_atom_candidates(grid, row, roots)
     return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
                    eps_ladder)
 

@@ -380,8 +380,8 @@ class TestPerSeedPin:
     )
 
     EXPECTED = (
-        "np.complex128(0.08896604103167721+2.4328890060149027j) "
-        "np.complex128(0.7967953651574163+1.6846624257071368j)\n"
+        "np.complex128(0.08896604097534705+2.4328890059909187j) "
+        "np.complex128(0.7967953652602296+1.6846624257814837j)\n"
         "[[1, 1, -1, -1, 1, 1, 1, 1], "
         "[-1, -1, -1, 1, 1, 1, 1, 1], "
         "[-1, -1, -1, 1, 1, 1, 1, -1], "

@@ -448,6 +448,17 @@ class TestChainClosedForms:
             want = tr.sqrt_upper((PROBES - u) ** 2 - 4 * n) + u
             assert np.abs(got - want).max() < 1e-6
 
+    def test_constant_slit_free_meixner_dopri(self):
+        # the same identities through the Dormand-Prince kernel, which the
+        # chain no longer runs for slit fields
+        for n, u in ((1, 1.0), (2, 1.0), (2, 0.5)):
+            field = lw.HerglotzField.from_driving(
+                lw.DrivingFunction.constant(u), 2.0 * n)
+            got, status, _, _ = dopri(field, 2.0 * n, 0.0, PROBES, 1e-10)
+            want = tr.sqrt_upper((PROBES - u) ** 2 - 4 * n) + u
+            assert np.all(status == _kernels.FLOW_OK)
+            assert np.abs(got - want).max() < 1e-6
+
     def test_imaginary_part_monotone(self):
         field = random_pc_field(7)
         out = lw.evaluate_chain(field, 0.0, 1.0, PROBES, tol=1e-10)
@@ -509,6 +520,187 @@ class TestInverseFlow:
             lw.inverse_flow(f, 1.0, w, tol=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# closed-form slit flows: ``_kernels.slit_batch`` against the Dormand-Prince
+# kernel, which stays the reference for every field
+# ---------------------------------------------------------------------------
+
+def dopri(field, tau0, tau1, zs, tol, im_floor=1e-12):
+    """``flow_batch`` on any field, as ``_flow`` would call it."""
+    return _kernels.flow_batch(np.asarray(zs, dtype=complex), float(tau0),
+                               float(tau1), field.tbreaks, field.pos,
+                               field.slope, field.wts, tol, im_floor)
+
+
+def closed_form(field, tau0, tau1, zs, im_floor=1e-12):
+    return _kernels.slit_batch(np.asarray(zs, dtype=complex), float(tau0),
+                               float(tau1), field.tbreaks, field.pos,
+                               field.wts, im_floor)
+
+
+@st.composite
+def slit_problems(draw):
+    """A single-atom piecewise-constant field of 1-5 segments (from a
+    driving, possibly rescaled, padded with a zero-weight slot or with an
+    empty segment), times 0 <= s <= t with t at the horizon half of the
+    time, and 40 points with Im from 1e-6 to 3.  The driving's times lie
+    anywhere in [0, horizon], so the first and last segments extend to
+    0 and to the horizon."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = draw(st.integers(1, 5))
+    horizon = rng.uniform(0.1, 2.0)
+    breaks = np.sort(rng.uniform(0, horizon, segments + 1))
+    field = lw.HerglotzField.from_driving(
+        lw.DrivingFunction.piecewise(breaks, rng.uniform(-1, 1, segments)),
+        horizon)
+    if draw(st.booleans()):
+        field = field.scaled(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+    pad = draw(st.sampled_from(["none", "slot", "segment"]))
+    if pad != "none":
+        pos = np.hstack([field.pos, rng.uniform(-1, 1, (segments, 1))])
+        wts = np.hstack([field.wts, np.zeros((segments, 1))])
+        if pad == "segment":
+            wts[rng.integers(segments)] = 0.0
+        field = lw.HerglotzField(field.tbreaks, pos, np.zeros_like(pos), wts,
+                                 field.horizon, field.support_bound)
+    s, t = np.sort(rng.uniform(0.0, field.horizon, 2))
+    if draw(st.booleans()):
+        t = field.horizon
+    zs = rng.uniform(-3, 3, 40) + 1j * 10.0 ** rng.uniform(-6, math.log10(3),
+                                                           40)
+    return field, float(s), float(t), zs
+
+
+def assert_near_dopri(field, tau0, tau1, zs, got, want):
+    """``got`` (closed form) within 1e-8 max(1, |y|) max(1, |f'(z)|) of
+    ``want`` (Dormand-Prince at tol 1e-12) wherever both end FLOW_OK.
+
+    The flow's local error of 1e-12 per step, over up to about 400 steps,
+    grows by the derivative of the map, which is large for points next to
+    the real axis near a support edge: there the Dormand-Prince value was
+    off by up to 3.5e-8 where the closed form agreed with a 40-digit
+    evaluation to 1e-14.  |f'(z)| is a central difference of the closed
+    form.
+    """
+    h = 1e-3 * zs.imag
+    ends = [closed_form(field, tau0, tau1, zs + d)[0] for d in (h, -h)]
+    slope = np.abs(ends[0] - ends[1]) / (2 * h)
+    ok = (got[1] == _kernels.FLOW_OK) & (want[1] == _kernels.FLOW_OK)
+    err = (np.abs(got[0] - want[0]) / np.maximum(1.0, np.abs(want[0]))
+           / np.maximum(1.0, slope))[ok]
+    assert err.max(initial=0.0) <= 1e-8, err.max()
+
+
+class TestSlitBatch:
+    @given(problem=slit_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_backward_matches_dopri(self, problem):
+        field, s, t, zs = problem
+        assert field.is_slit()
+        got = closed_form(field, t, s, zs)
+        want = dopri(field, t, s, zs, 1e-12)
+        assert np.all(got[1] == _kernels.FLOW_OK)
+        assert np.all(want[1] == _kernels.FLOW_OK)
+        assert_near_dopri(field, t, s, zs, got, want)
+        # Im y rises along a backward flow, so its lowest value is Im z
+        assert np.all(got[2] <= zs.imag)
+        np.testing.assert_allclose(got[2], zs.imag, rtol=1e-12)
+        inner = np.sum((field.tbreaks[1:-1] > s) & (field.tbreaks[1:-1] < t))
+        assert np.all(got[3] == (inner + 1 if s < t else 0))
+
+    @given(problem=slit_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_forward_matches_dopri(self, problem):
+        field, s, t, zs = problem
+        got = closed_form(field, s, t, zs, im_floor=1e-9)
+        want = dopri(field, s, t, zs, 1e-12, im_floor=1e-9)
+        hit = got[1] != _kernels.FLOW_OK
+        assert np.all(hit == (want[1] != _kernels.FLOW_OK))
+        assert_near_dopri(field, s, t, zs, got, want)
+        # Im y falls along a forward flow, so its lowest value is the last
+        np.testing.assert_allclose(got[2][~hit], got[0][~hit].imag,
+                                   rtol=1e-12)
+
+    def test_hull_collision_like_dopri(self, monkeypatch):
+        # TestInverseFlow's points: three on the hull of U = 0 at t = 1,
+        # the segment (0, i sqrt(2)), and three beside or above it
+        ws = (0.5j, 1.0j, 1.4j, 1.45j, 0.05 + 0.5j, -0.05 + 1j)
+
+        def outcomes():
+            got = []
+            for w in ws:
+                try:
+                    got.append(lw.inverse_flow(zero_field(), 1.0, w,
+                                               tol=1e-10))
+                except lw.HullCollision:
+                    got.append(None)
+            return got
+
+        closed = outcomes()
+        monkeypatch.setattr(lw.HerglotzField, "is_slit", lambda self: False)
+        flowed = outcomes()
+        assert [v is None for v in closed] == [True] * 3 + [False] * 3
+        assert [v is None for v in flowed] == [True] * 3 + [False] * 3
+        want = tr.sqrt_upper(np.array(ws[3:]) ** 2 + 2)
+        assert np.abs(np.array(closed[3:]) - want).max() < 1e-12
+        assert np.abs(np.array(flowed[3:]) - want).max() < 1e-6
+
+    def test_start_below_floor(self):
+        # a start below the floor escapes, as in flow_batch, whose first
+        # step along the real axis barely moves Im y; the closed form
+        # itself would lift 0.5 + 1e-13i to 1.32i
+        zs = np.array([0.5 + 1e-13j, 3 + 1e-14j])
+        for kernel in (closed_form(zero_field(), 1.0, 0.0, zs),
+                       dopri(zero_field(), 1.0, 0.0, zs, 1e-9)):
+            assert np.all(kernel[1] == _kernels.FLOW_ESCAPE)
+            assert np.all(kernel[2] == zs.imag)
+
+    def test_tol_unused(self):
+        field = lw.HerglotzField.from_driving(
+            lw.DrivingFunction.piecewise([0, 0.4, 1], [0.3, -0.2]))
+        rough = lw.evaluate_chain(field, 0.0, 1.0, PROBES, tol=1e-3)
+        fine = lw.evaluate_chain(field, 0.0, 1.0, PROBES, tol=1e-13)
+        assert rough.tobytes() == fine.tobytes()
+
+    SLITS = {
+        "constant": lambda: zero_field(),
+        "piecewise-driving": lambda: lw.HerglotzField.from_driving(
+            lw.DrivingFunction.piecewise([0, 0.3, 1], [1.0, -2.0])),
+        "constant-dirac": lambda: lw.HerglotzField.constant(
+            ms.AtomicMeasure.dirac(0.5), 1.0),
+        "piecewise-dirac": lambda: lw.HerglotzField.piecewise(
+            [0, 0.5, 1], [ms.AtomicMeasure.dirac(0.2),
+                          ms.AtomicMeasure.dirac(-0.4)]),
+        "padded": lambda: lw.HerglotzField(
+            [0, 0.5, 1], [[0.2, 3.0], [-0.4, 0.0]], np.zeros((2, 2)),
+            [[1.0, 0.0], [0.0, 1.0]], 1.0, 0.4),
+        "scaled": lambda: zero_field(2.0).scaled(2.0, 2.0),
+    }
+    FLOWED = {
+        "sampled": lambda: lw.HerglotzField.from_driving(
+            lw.sle_driving(2.0, 1.0, 0.1, seed=3)),
+        "two-atom": lambda: lw.HerglotzField.constant(
+            ms.AtomicMeasure(((0.0, 0.5), (1.0, 0.5))), 1.0),
+        "two-atom-piecewise": lambda: random_pc_field(5),
+        "scaled-two-atom": lambda: random_pc_field(5).scaled(2.0, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", [*SLITS, *FLOWED])
+    def test_dispatch(self, monkeypatch, name):
+        field = {**self.SLITS, **self.FLOWED}[name]()
+        calls = []
+        for kernel in ("flow_batch", "slit_batch"):
+            def counted(*args, kernel=kernel, run=getattr(_kernels, kernel)):
+                calls.append(kernel)
+                return run(*args)
+            monkeypatch.setattr(_kernels, kernel, counted)
+        lw.evaluate_chain(field, 0.0, field.horizon, PROBES)
+        lw.inverse_flow(field, field.horizon, 3j)
+        want = "slit_batch" if name in self.SLITS else "flow_batch"
+        assert field.is_slit() == (name in self.SLITS)
+        assert calls == [want, want]
+
+
 class TestChainMeasure:
     def test_arcsine_at_t1(self):
         grid = np.linspace(-1.75, 1.75, 1201)
@@ -534,6 +726,21 @@ class TestChainMeasure:
         want = np.interp(xs, fm.grid, fm.density)
         assert np.abs(got - want).max() < 2e-3
         assert abs(float(mu.moments(2)[2]) - 2.0) < 2e-3
+
+    @given(u=st.floats(0.05, 0.5), sign=st.sampled_from([-1.0, 1.0]),
+           t=st.floats(0.5, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_free_meixner_atom(self, u, sign, t):
+        # the constant slit at u != 0 has one atom, at the pole
+        # u - sgn(u) sqrt(u^2 + 2t) of 1/f_t; its mass is not pinned (the
+        # eps ladder straddles the pole's distance to the support edge)
+        u *= sign
+        field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(u),
+                                              horizon=t)
+        half = abs(u) + math.sqrt(2 * t) + 0.5
+        mu = lw.chain_measure(field, t, np.linspace(-half, half, 301))
+        (a, _), = mu.atoms
+        assert abs(a - (u - sign * math.sqrt(u * u + 2 * t))) <= 1e-7
 
     def test_small_time_degenerates(self):
         grid = np.linspace(-0.5, 0.5, 401)

@@ -530,7 +530,17 @@ def reference_measure_from_ftransform(f, grid, atom_candidates=None,
     if not isinstance(f, tr.HerglotzMap):
         f = tr.HerglotzMap(f, "f")
     if atom_candidates is None:
-        atom_candidates = tr.scan_real_zeros(f, np.asarray(grid, dtype=float))
+        grid = np.asarray(grid, dtype=float)
+        roots = tr.scan_real_zeros(f, grid)
+        # grid points where F nearly vanishes with no root in a cell next
+        # to them: atoms that make no sign change of Re F
+        row = np.asarray(f(grid + 1e-6j))
+        last = grid.size - 1
+        atom_candidates = roots + [
+            float(x) for i, x in enumerate(grid)
+            if abs(row[i]) <= 1e-6 / tr.ATOM_THRESHOLD
+            and not any(grid[max(i - 1, 0)] <= r <= grid[min(i + 1, last)]
+                        for r in roots)]
     return reference_stieltjes_invert(f.reciprocal("cauchy"), grid,
                                       atom_candidates, eps_ladder)
 
@@ -728,6 +738,30 @@ class TestRealZeroFilter:
         assert len(got[2]) == found
         assert got == outcome(reference_measure_from_ftransform, f, grid)
 
+    def test_atom_on_grid_point(self):
+        # Re F(x + 1e-6 i) is exactly -0.0 at the atom on the grid point 0,
+        # so neither cell next to it holds a sign change
+        mu = ms.AtomicMeasure(((-0.1, 0.3), (0.0, 0.4), (0.1, 0.3)))
+        f, grid = tr.HerglotzMap.from_measure(mu, "f"), np.linspace(-2.5, 2.5,
+                                                                    201)
+        got = outcome(tr.measure_from_ftransform, f, grid)
+        assert got == outcome(reference_measure_from_ftransform, f, grid)
+        atoms = [(float.fromhex(a), float.fromhex(w)) for a, w in got[2]]
+        assert np.allclose(atoms, mu.atoms, rtol=0, atol=1e-4)
+        assert atoms[1][0] == 0.0
+
+    def test_atoms_sharing_cells_with_poles(self):
+        # each cell next to the atoms at +-0.01 (grid points) holds a zero
+        # and a pole of F, so the signs at its ends agree.  The masses are
+        # off by the eps ladder (atoms 0.01 apart) and are not pinned.
+        mu = ms.AtomicMeasure(((-0.01, 0.3), (0.0, 0.4), (0.01, 0.3)))
+        f, grid = tr.HerglotzMap.from_measure(mu, "f"), np.linspace(-2.5, 2.5,
+                                                                    1001)
+        got = outcome(tr.measure_from_ftransform, f, grid)
+        assert got == outcome(reference_measure_from_ftransform, f, grid)
+        positions = [float.fromhex(a) for a, _ in got[2]]
+        assert np.allclose(positions, mu.positions, rtol=0, atol=1e-12)
+
     @staticmethod
     def semicircle_with_atom(w, a):
         return tr.HerglotzMap(lambda z: 1.0 / (
@@ -780,26 +814,30 @@ class TestFlowCalls:
     inputs and at the README's slit.  With one call per ladder layer, plus
     one for the scan row and one for the normalization probe, they were 11
     (slit) and 19 (SLE) for the same points; with the real-zero search
-    bisecting six levels per call they were 11 (SLE) and 12 (README)."""
+    bisecting six levels per call they were 11 (SLE) and 12 (README).
+    The slits count ``slit_batch`` calls, the SLE path ``flow_batch``
+    calls."""
 
-    def run(self, tmp_path, monkeypatch, driving, points=None):
+    def run(self, tmp_path, monkeypatch, driving, points=None,
+            kernel="flow_batch"):
         path = tmp_path / "driving.json"
         path.write_text(json.dumps(driving.to_json()))
-        sizes, flow = [], _kernels.flow_batch
+        sizes, flow = [], getattr(_kernels, kernel)
 
         def counted(z, *args):
             sizes.append(len(z))
             return flow(z, *args)
 
-        monkeypatch.setattr(_kernels, "flow_batch", counted)
+        monkeypatch.setattr(_kernels, kernel, counted)
         points = [] if points is None else ["--grid-points", str(points)]
         assert cli.main(["loewner", "--driving", str(path), "--t", "1",
                          *points, "--out", str(tmp_path / "chain")]) == 0
         return sizes
 
     def test_slit(self, tmp_path, monkeypatch):
+        # slit fields flow in closed form, one slit_batch call per phase
         sizes = self.run(tmp_path, monkeypatch,
-                         lw.DrivingFunction.constant(0.0), 151)
+                         lw.DrivingFunction.constant(0.0), 151, "slit_batch")
         # scan row, probe and three layers; two refine passes
         assert sizes == [151 + 1 + 3 * 151, 3 * 84, 3 * 84]
 
@@ -813,7 +851,7 @@ class TestFlowCalls:
 
     def test_readme_slit(self, tmp_path, monkeypatch):
         driving = lw.DrivingFunction.constant(0.023648)
-        sizes = self.run(tmp_path, monkeypatch, driving)
+        sizes = self.run(tmp_path, monkeypatch, driving, kernel="slit_batch")
         assert sizes == [1201 + 1 + 3 * 1201, 63, 17, 6, 3 * 84, 3 * 77]
         f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
         want = reference_scan_real_zeros(f, loewner_grid(driving, 1201))
