@@ -284,7 +284,10 @@ def _cmd_free_ar1(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The ``ncprob`` parser, built once per process: ``parse_args`` leaves
+    it unchanged, so every ``main`` call can share it."""
     p = argparse.ArgumentParser(
         prog="ncprob",
         description="Noncommutative probability experiments",
@@ -383,14 +386,14 @@ def build_parser():
     c.set_defaults(fn=_cmd_lerw)
 
     c = sub.add_parser("gue", help="sample a GUE matrix's eigenvalues")
-    c.add_argument("--N", type=int, required=True)
+    c.add_argument("--N", type=_positive_int, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_gue)
 
     c = sub.add_parser("free-ar1", help="free autoregressive toy model")
-    c.add_argument("--N", type=int, required=True)
-    c.add_argument("--steps", type=int, required=True)
+    c.add_argument("--N", type=_positive_int, required=True)
+    c.add_argument("--steps", type=_positive_int, required=True)
     c.add_argument("--c", type=float, required=True)
     c.add_argument("--noise", choices=("gue", "squared_gue"), default="gue")
     c.add_argument("--seed", type=int, required=True)

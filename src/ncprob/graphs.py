@@ -6,13 +6,15 @@ closed n-step walks at the root.  Comb, star, and direct products realize
 monotone, Boolean, and classical independence of the adjacency operators;
 spidernets realize free Meixner laws, and iterated comb products of
 spidernets approximate monotone additive processes.
+
+Adjacency matrices are ``scipy.sparse`` CSR matrices; the functions that
+build them import scipy, so importing this module does not.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .measures import AtomicMeasure, MomentSequence
 
@@ -34,7 +36,7 @@ class RootedGraph:
     ``adj`` is a sparse 0/1 symmetric matrix with zero diagonal.
     """
 
-    adj: sp.csr_matrix
+    adj: "scipy.sparse.csr_matrix"
     root: int
 
     def __post_init__(self):
@@ -48,6 +50,8 @@ class RootedGraph:
 
     @classmethod
     def from_edges(cls, n, edges, root=0):
+        import scipy.sparse as sp
+
         if n > VERTEX_GUARD:
             raise GraphError(f"vertex count {n} exceeds guard {VERTEX_GUARD}")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -63,6 +67,8 @@ class RootedGraph:
 
     @classmethod
     def single_vertex(cls):
+        import scipy.sparse as sp
+
         return cls(sp.csr_matrix((1, 1), dtype=np.int64), 0)
 
     def degree(self, v):
@@ -199,6 +205,8 @@ def _guard_product(g1, g2):
 def comb_product(g1, g2):
     """Comb product: move in the first factor only while the second sits at
     its root; realizes monotone independence."""
+    import scipy.sparse as sp
+
     _guard_product(g1, g2)
     n1, n2 = g1.n, g2.n
     o2 = g2.root
@@ -226,6 +234,8 @@ def comb_ball(g1, g2, radius):
     order v * n2 + w, so the adjacency and root equal the pruned product's
     exactly.
     """
+    import scipy.sparse as sp
+
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
     d1, d2 = g1.depths(), g2.depths()
@@ -268,6 +278,8 @@ def comb_ball(g1, g2, radius):
 def star_product(g1, g2):
     """Star product: glue the factors at their roots; realizes Boolean
     independence."""
+    import scipy.sparse as sp
+
     _guard_product(g1, g2)
     n1, n2 = g1.n, g2.n
     o1, o2 = g1.root, g2.root
@@ -285,6 +297,8 @@ def star_product(g1, g2):
 
 def direct_product(g1, g2):
     """Direct (Cartesian) product; realizes classical independence."""
+    import scipy.sparse as sp
+
     _guard_product(g1, g2)
     n1, n2 = g1.n, g2.n
     eye1 = sp.identity(n1, dtype=np.int64, format="csr")
@@ -314,6 +328,8 @@ def ball(g, radius):
 
 def write_edge_list(g, path):
     """Plain-text export: one 'u v' pair per line, root on a header line."""
+    import scipy.sparse as sp
+
     with open(path, "w") as fh:
         fh.write(f"# vertices {g.n} root {g.root}\n")
         coo = sp.triu(g.adj, k=1).tocoo()

@@ -18,26 +18,6 @@ class RandMatError(ValueError):
     pass
 
 
-class GaussianStream:
-    """Deterministic standard normals via Box-Muller over seeded uniforms."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def normals(self, shape):
-        n = int(np.prod(shape))
-        half = (n + 1) // 2
-        u1 = 1.0 - self._rng.random(half)  # avoid log(0)
-        u2 = self._rng.random(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2 * math.pi * u2
-        z = np.empty((2, half))
-        np.cos(theta, out=z[0])
-        np.sin(theta, out=z[1])
-        z *= r
-        return z.reshape(-1)[:n].reshape(shape)
-
-
 def trace_state(a):
     """Normalized trace expectation phi(A) = tr(A)/N."""
     a = np.asarray(a)
@@ -49,26 +29,31 @@ def trace_product(a, b):
     return float(np.sum(a * b.T).real) / a.shape[0]
 
 
-def sample_gue(n, seed, stream=None):
+def sample_gue(n, seed):
     """Hermitian matrix with independent N(0, 1/(2N)) real and imaginary
-    entry components; phi(A^2) -> 1 as N grows."""
+    entry components; phi(A^2) -> 1 as N grows.
+
+    ``seed`` is anything ``np.random.default_rng`` takes, a Generator
+    included.  One (N, N) block of standard normals fills the matrix: the
+    upper triangle and diagonal give the real parts, the strict lower
+    triangle the imaginary parts."""
     if n < 1:
         raise RandMatError("need N >= 1")
-    g = stream if stream is not None else GaussianStream(seed)
-    sd = math.sqrt(1.0 / (2 * n))
-    x = g.normals((n, n)) * sd
-    y = np.triu(g.normals((n, n)) * sd, 1)
+    z = np.random.default_rng(seed).standard_normal((n, n))
+    z *= math.sqrt(1.0 / (2 * n))
+    low = np.tril(z, -1)
     a = np.empty((n, n), dtype=complex)
-    a.real = np.triu(x) + np.triu(x, 1).T
-    a.imag = y - y.T
+    a.real = np.triu(z) + np.triu(z, 1).T
+    a.imag = low.T - low
     return a
 
 
-def haar_unitary(n, seed, stream=None):
+def haar_unitary(n, seed):
     """Haar-distributed unitary via QR of a complex Ginibre matrix with the
-    phase fix making the R diagonal positive."""
-    g = stream if stream is not None else GaussianStream(seed)
-    z = (g.normals((n, n)) + 1j * g.normals((n, n))) / math.sqrt(2)
+    phase fix making the R diagonal positive; ``seed`` as in
+    ``sample_gue``."""
+    g = np.random.default_rng(seed).standard_normal((2, n, n))
+    z = (g[0] + 1j * g[1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     q = q * (d / np.abs(d))
@@ -181,13 +166,13 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
         raise RandMatError("need at least one step")
     if noise not in ("gue", "squared_gue"):
         raise RandMatError("noise must be 'gue' or 'squared_gue'")
-    stream = GaussianStream(seed)
+    rng = np.random.default_rng(seed)
     x = np.eye(n, dtype=complex)
     traj = []
     prev = x
     eps = None
     for _ in range(steps):
-        g = sample_gue(n, None, stream=stream)
+        g = sample_gue(n, rng)
         if noise == "squared_gue":
             g = g @ g
             g.flat[::n + 1] -= trace_state(g)

@@ -155,6 +155,7 @@ class TestExitCodes:
     COUNT = "must be a whole number >= 0"
     LERW = ["lerw", "--seed", "1"]
     POSITIVE_COUNT = "must be a whole number >= 1"
+    AR1 = ["free-ar1", "--c", "0.5", "--seed", "1"]
 
     @pytest.mark.parametrize("argv, flag, value, message", [
         (["clt", "--kind", "free"], "--n", "0", "must be > 0"),
@@ -183,6 +184,11 @@ class TestExitCodes:
         (LERW, "--cap", "-5", POSITIVE_COUNT),
         (LERW, "--cap", "2.5", POSITIVE_COUNT),
         (LERW, "--cap", "0", POSITIVE_COUNT),
+        (["gue", "--seed", "1"], "--N", "0", "must be > 0"),
+        (["gue", "--seed", "1"], "--N", "-3", "must be > 0"),
+        (AR1 + ["--steps", "2"], "--N", "0", "must be > 0"),
+        (AR1 + ["--N", "4"], "--steps", "0", "must be > 0"),
+        (AR1 + ["--N", "4"], "--steps", "-1", "must be > 0"),
     ])
     def test_nonpositive_flag(self, files, capsys, argv, flag, value,
                               message):
@@ -344,6 +350,45 @@ class TestSubcommands:
         assert code == 0
         res = json.load(open(files / "ar.json"))
         assert "var_last" in res
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_calls_match_fresh_processes(self, files, capsys):
+        runs = [
+            ["sle", "--kappa", "2", "--T", "0.1", "--dt", "0.01",
+             "--seed", "3", "--out", "a.csv"],
+            ["lerw", "--width", "10", "--seed", "2", "--out", "b.csv"],
+            ["ising", "--width", "5", "--beta", "0.4", "--steps", "300",
+             "--seed", "1", "--out", "c.csv"],
+            ["loewner", "--driving", "u0.json", "--t", "1",
+             "--grid-points", "101", "--out", "d"],
+            ["sle", "--kappa", "4", "--T", "0.2", "--dt", "0.02",
+             "--seed", "5", "--out", "e.csv"],
+            ["gue", "--N", "6", "--seed", "4", "--out", "f.csv"],
+            ["lerw", "--width", "8", "--cap", "100000", "--seed", "9",
+             "--out", "g.csv"],
+        ]
+        outputs = ("a.csv", "b.csv", "c.csv", "d.csv", "d.json", "e.csv",
+                   "f.csv", "g.csv")
+        printed = []
+        for argv in runs:
+            assert run(argv, files) == 0
+            printed.append(capsys.readouterr().out)
+        in_process = {name: (files / name).read_bytes() for name in outputs}
+        for name in outputs:
+            (files / name).unlink()
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        for argv, out in zip(runs, printed):
+            r = subprocess.run([sys.executable, "-m", "ncprob.cli", *argv],
+                               cwd=files, env=env, capture_output=True,
+                               text=True, check=True)
+            assert r.stdout == out, argv[0]
+        for name in outputs:
+            assert (files / name).read_bytes() == in_process[name], name
 
 
 class TestIdempotence:

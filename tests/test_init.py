@@ -42,3 +42,56 @@ class TestThreadCap:
         err, out = fresh_import(first, None)
         assert WARNING not in err
         assert out.strip() == "[None, None, None]"
+
+
+def fresh_run(script, tmp_path):
+    """stdout of a new interpreter that runs ``script`` in ``tmp_path``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, check=True)
+    return r.stdout
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+class TestStartUp:
+    """Only the graph functions load scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        out = fresh_run(f"import sys\nimport ncprob.cli\n"
+                        f"print({SCIPY_LOADED})\n", tmp_path)
+        assert out.strip() == "[]"
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        (tmp_path / "u0.json").write_text(
+            '{"kind": "constant", "values": [0.0]}')
+        (tmp_path / "chain.json").write_text('{"P": [[0.5, 0.25], '
+                                             '[0.5, 0.75]]}')
+        runs = [
+            ["loewner", "--driving", "u0.json", "--t", "1", "--out", "lw"],
+            ["sle", "--kappa", "2", "--T", "0.1", "--dt", "0.01",
+             "--seed", "1", "--out", "sle.csv"],
+            ["markov", "stationary", "--spec", "chain.json",
+             "--out", "pi.json"],
+            ["ising", "--width", "4", "--beta", "0.4", "--steps", "100",
+             "--seed", "1", "--out", "grid.csv"],
+            ["lerw", "--width", "5", "--seed", "1", "--out", "path.csv"],
+            ["gue", "--N", "8", "--seed", "1", "--out", "eig.csv"],
+            ["free-ar1", "--N", "8", "--steps", "2", "--c", "0.5",
+             "--seed", "1"],
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "from ncprob import cli, graphs\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            f"    print(argv[0], {SCIPY_LOADED})\n"
+            "g = graphs.spidernet(2, 1, 2)\n"
+            "print(g.n, graphs.walk_moments(g, 4).values,"
+            " 'scipy.sparse' in sys.modules)\n"
+        )
+        lines = fresh_run(script, tmp_path).splitlines()
+        assert lines[:-1] == [f"{argv[0]} []" for argv in runs]
+        assert lines[-1] == "13 (0, 4, 4, 28) True"

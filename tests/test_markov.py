@@ -140,6 +140,24 @@ class TestIrreducibilityPeriod:
     def test_aperiodic(self):
         assert mk.period(random_ergodic(3), 0) == 1
 
+    @given(n=st.integers(1, 8),
+           density=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, density=0.0, seed=0)
+    @example(n=1, density=1.0, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_strong_components(self, n, density, seed):
+        import scipy.sparse as sp
+        import scipy.sparse.csgraph as csgraph
+
+        support = np.random.default_rng(seed).random((n, n)) < density
+        ncomp, _ = csgraph.connected_components(
+            sp.csr_matrix(support), directed=True, connection="strong")
+        assert mk.is_irreducible(support.astype(float)) == (ncomp == 1)
+
+    def test_empty_chain_not_irreducible(self):
+        assert mk.is_irreducible(np.zeros((0, 0))) is False
+
 
 class TestConvergence:
     def test_stationary_start_is_fixed(self):
