@@ -23,10 +23,10 @@ from .measures import (AtomicMeasure, GridMeasure, MomentSequence, Dirac,
                        Bernoulli, Normal, Arcsine, Semicircle, Poisson,
                        MarchenkoPastur, FreeMeixner, levy_distance, moments,
                        sample)
-from .transforms import (HerglotzMap, cauchy, f_transform, b_transform,
-                         stieltjes_invert, measure_from_ftransform,
-                         nevanlinna_extract, hilbert_transform, f_series,
-                         b_series, r_series, moment_quadrature)
+from .transforms import (cauchy, f_transform, b_transform, stieltjes_invert,
+                         measure_from_ftransform, nevanlinna_extract,
+                         hilbert_transform, f_series, b_series, r_series,
+                         moment_quadrature)
 from .convolutions import (convolve, convolve_power, clt_iterate,
                            boolean_divisibility_root)
 from .loewner import (DrivingFunction, HerglotzField, ChainPoint,

@@ -75,6 +75,14 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    """A nonnegative whole number, parsed exactly (no float rounding)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _whole(text, least=0):
     """A whole number >= ``least``, also written as a float such as 1e8."""
     try:
@@ -103,19 +111,22 @@ def _cmd_convolve(args):
     return 0
 
 
+def _free_meixner_cauchy(a):
+    fmap = transforms.free_meixner_fmap(a.fm_a, a.fm_c, a.fm_u)
+    return lambda z: 1.0 / fmap(z)
+
+
+# each law's Cauchy transform, a vectorized function of a complex array
 _LAW_MAPS = {
-    "semicircle": lambda a: transforms.HerglotzMap(
-        lambda z: (z - a.mean - transforms.sqrt_upper((z - a.mean) ** 2
-                                                      - 4 * a.var))
-        / (2 * a.var), "cauchy"),
-    "arcsine": lambda a: transforms.HerglotzMap(
-        lambda z: 1.0 / transforms.sqrt_upper((z - a.mean) ** 2
-                                              - 2 * a.var), "cauchy"),
-    "marchenko-pastur": lambda a: transforms.HerglotzMap(
-        lambda z: (z + 1 - a.c - transforms.sqrt_upper(
-            a.c**2 - 2 * a.c * (z + 1) + (z - 1) ** 2)) / (2 * z), "cauchy"),
-    "free-meixner": lambda a: transforms.free_meixner_fmap(
-        a.fm_a, a.fm_c, a.fm_u).reciprocal("cauchy"),
+    "semicircle": lambda a: lambda z: (
+        z - a.mean - transforms.sqrt_upper((z - a.mean) ** 2 - 4 * a.var)
+    ) / (2 * a.var),
+    "arcsine": lambda a: lambda z: 1.0 / transforms.sqrt_upper(
+        (z - a.mean) ** 2 - 2 * a.var),
+    "marchenko-pastur": lambda a: lambda z: (
+        z + 1 - a.c - transforms.sqrt_upper(
+            a.c**2 - 2 * a.c * (z + 1) + (z - 1) ** 2)) / (2 * z),
+    "free-meixner": _free_meixner_cauchy,
 }
 
 
@@ -152,7 +163,7 @@ def _cmd_invert(args):
         if isinstance(mu, measures.MomentSequence):
             raise ValueError("invert --measure expects atoms or a grid, "
                              "not a moment sequence")
-        gmap = transforms.HerglotzMap.from_measure(mu, "cauchy")
+        gmap = mu
         lo, hi = mu.support_bounds()
         candidates += [x for x, _ in mu.atoms]
         grid = _invert_grid(args, lo - 0.5, hi + 0.5)
@@ -218,7 +229,15 @@ def _cmd_clt(args):
 
 def _cmd_markov(args):
     spec = _load_json(args.spec)
-    p = markov.TransitionMatrix(np.array(spec["P"])) if "P" in spec else None
+
+    def entry(key):
+        if not (isinstance(spec, dict) and key in spec):
+            raise markov.MarkovError(
+                f"markov {args.mode} spec needs a {key!r} entry")
+        return spec[key]
+
+    if args.mode != "mdp":
+        p = markov.TransitionMatrix(np.array(entry("P")))
     if args.mode == "stationary":
         result = {"pi": list(markov.stationary_distribution(p))}
     elif args.mode == "converge":
@@ -226,11 +245,11 @@ def _cmd_markov(args):
         pi, theta, c = markov.convergence_report(p, v0)
         result = {"pi": list(pi), "theta": theta, "C": c}
     elif args.mode == "mrp":
-        v = markov.mrp_value(p, np.array(spec["R"]), spec["gamma"])
+        v = markov.mrp_value(p, np.array(entry("R")), entry("gamma"))
         result = {"v": list(v)}
     else:
-        mdp = markov.MDPSpec(np.array(spec["transitions"]),
-                             np.array(spec["R"]), spec["gamma"])
+        mdp = markov.MDPSpec(np.array(entry("transitions")),
+                             np.array(entry("R")), entry("gamma"))
         v, policy = markov.mdp_value_iteration(mdp, tol=args.tol)
         result = {"v": list(v), "policy": [int(a) for a in policy]}
     with open(args.out, "w") as fh:
@@ -337,7 +356,7 @@ def build_parser():
     c.add_argument("--kappa", type=float, required=True)
     c.add_argument("--T", type=float, required=True)
     c.add_argument("--dt", type=float, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_seed, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_sle)
 
@@ -371,7 +390,7 @@ def build_parser():
     c.add_argument("--height", type=_positive_int)
     c.add_argument("--beta", type=float, required=True)
     c.add_argument("--steps", type=_whole, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_seed, required=True)
     c.add_argument("--J", type=float, default=1.0)
     c.add_argument("--B", type=float, default=0.0)
     c.add_argument("--out", required=True)
@@ -381,13 +400,13 @@ def build_parser():
     c.add_argument("--width", type=_whole, default=100)
     c.add_argument("--cap", type=functools.partial(_whole, least=1),
                    default=10**7)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_seed, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_lerw)
 
     c = sub.add_parser("gue", help="sample a GUE matrix's eigenvalues")
     c.add_argument("--N", type=_positive_int, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_seed, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_gue)
 
@@ -396,7 +415,7 @@ def build_parser():
     c.add_argument("--steps", type=_positive_int, required=True)
     c.add_argument("--c", type=float, required=True)
     c.add_argument("--noise", choices=("gue", "squared_gue"), default="gue")
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_seed, required=True)
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_free_ar1)
 

@@ -90,7 +90,7 @@ def _convolve_measures(kind, mu, nu, order=8, grid=None):
         def fmap(z):
             return z - tr.b_transform(mu, z) - tr.b_transform(nu, z)
     # atomic transforms evaluate exactly, so a fine ladder is cheap
-    return tr.measure_from_ftransform(tr.HerglotzMap(fmap, "f"), grid,
+    return tr.measure_from_ftransform(fmap, grid,
                                       eps_ladder=(2e-3, 1e-3, 5e-4))
 
 

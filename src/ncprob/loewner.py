@@ -29,7 +29,6 @@ import numpy as np
 
 from . import _kernels, transforms
 from .measures import AtomicMeasure
-from .transforms import HerglotzMap
 
 
 class LoewnerError(ValueError):
@@ -127,6 +126,9 @@ class DrivingFunction:
 
     @classmethod
     def from_json(cls, obj):
+        for key in ("kind", "values"):
+            if not (isinstance(obj, dict) and key in obj):
+                raise LoewnerError(f"driving JSON needs a {key!r} entry")
         return cls(obj["kind"], tuple(obj.get("times", ())),
                    tuple(obj["values"]))
 
@@ -320,8 +322,8 @@ def inverse_flow(field, t, w, tol=1e-9):
 
 
 def chain_fmap(field, t, tol=1e-9):
-    """The chain map f_{0,t} packaged as a vectorized HerglotzMap."""
-    return HerglotzMap(lambda z: evaluate_chain(field, 0.0, t, z, tol), "f")
+    """The chain map f_{0,t}, a vectorized function of a complex array."""
+    return lambda z: evaluate_chain(field, 0.0, t, z, tol)
 
 
 def chain_measure(field, t, grid, tol=1e-9,
@@ -471,8 +473,8 @@ def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
 
 
 def resolvent_fmap(gen, t, tol=1e-12):
-    """J_t packaged as a vectorized HerglotzMap (F-transform of a freely
-    infinitely divisible law when gen is time-independent).
+    """J_t, a vectorized function of a complex array (F-transform of a
+    freely infinitely divisible law when gen is time-independent).
 
     Runs the damped Newton iteration of nonlinear_resolvent on the whole
     array, so each entry equals the one-point result.
@@ -483,7 +485,7 @@ def resolvent_fmap(gen, t, tol=1e-12):
             return w.copy()
         return _damped_newton(gen, t, w, tol, 200)
 
-    return HerglotzMap(ev, "f")
+    return ev
 
 
 # ---------------------------------------------------------------------------

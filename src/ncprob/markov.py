@@ -7,6 +7,7 @@ chain for the two-dimensional Ising model, loop-erased random walks, and
 the monotone-homogeneous transition kernels built from F-transforms.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import transforms
 from .measures import AtomicMeasure
-from .transforms import HerglotzMap
 
 
 class MarkovError(ValueError):
@@ -668,11 +668,8 @@ def lerw(width, steps_cap, seed):
 def homogeneous_kernel(mu, x, grid,
                        eps_ladder=transforms.DEFAULT_EPS_LADDER):
     """Transition kernel k(x, .) of the monotone-homogeneous Markov process:
-    the measure with Cauchy transform 1/(F_mu(z) - x)."""
-    if isinstance(mu, HerglotzMap):
-        fmu = mu
-    else:
-        fmu = HerglotzMap.from_measure(mu, "f")
-    shifted = HerglotzMap(lambda z: fmu(z) - x, "f")
-    return transforms.measure_from_ftransform(shifted, grid,
+    the measure with Cauchy transform 1/(F_mu(z) - x).  ``mu`` is a measure
+    or its F-transform, a vectorized function of a complex array."""
+    fmu = mu if callable(mu) else functools.partial(transforms.f_transform, mu)
+    return transforms.measure_from_ftransform(lambda z: fmu(z) - x, grid,
                                               eps_ladder=eps_ladder)

@@ -9,6 +9,7 @@ and seeded samplers.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -733,16 +734,41 @@ def measure_to_json(m):
     raise MeasureError(f"cannot serialize {type(m).__name__}")
 
 
+def _json_reals(values, where, size=None):
+    """``values`` as given when it is a list (of ``size`` entries, if set)
+    of real numbers, so ints stay ints; else MeasureError naming the bad
+    entry.  Bools are not numbers here."""
+    if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
+        want = "a list" if size is None else f"a list of {size} numbers"
+        raise MeasureError(f"measure JSON {where} must be {want}, "
+                           f"got {values!r}")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise MeasureError(f"measure JSON {where}[{i}] must be a real "
+                               f"number, got {v!r}")
+    return values
+
+
+def _json_atoms(obj):
+    atoms = obj.get("atoms", [])
+    if not isinstance(atoms, (list, tuple)):
+        raise MeasureError(f"measure JSON atoms must be a list, got {atoms!r}")
+    return tuple(tuple(_json_reals(a, f"atoms[{i}]", 2))
+                 for i, a in enumerate(atoms))
+
+
 def measure_from_json(obj):
+    if not isinstance(obj, dict):
+        raise MeasureError("measure JSON must be an object")
     if "grid" in obj:
-        return GridMeasure(
-            np.array(obj["grid"]), np.array(obj["density"]),
-            tuple((x, w) for x, w in obj.get("atoms", ())),
-        )
+        return GridMeasure(np.array(_json_reals(obj["grid"], "grid")),
+                           np.array(_json_reals(obj.get("density"),
+                                                "density")),
+                           _json_atoms(obj))
     if "atoms" in obj:
-        return AtomicMeasure(tuple((x, w) for x, w in obj["atoms"]))
+        return AtomicMeasure(_json_atoms(obj))
     if "moments" in obj:
-        return MomentSequence(tuple(obj["moments"]))
+        return MomentSequence(tuple(_json_reals(obj["moments"], "moments")))
     raise MeasureError("unrecognized measure JSON")
 
 

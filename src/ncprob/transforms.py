@@ -121,35 +121,6 @@ def b_transform(measure, z):
     return np.asarray(z, dtype=complex) - f_transform(measure, z)
 
 
-@dataclass(frozen=True)
-class HerglotzMap:
-    """A numerically evaluable holomorphic map on the upper half-plane.
-
-    ``kind`` is one of 'cauchy', 'f', 'b', 'generator', 'generic' and only
-    records what normalization the map is supposed to satisfy.  The
-    evaluator must accept complex numpy arrays.
-    """
-
-    evaluator: object
-    kind: str = "generic"
-
-    def __call__(self, z):
-        return self.evaluator(np.asarray(z, dtype=complex))
-
-    @classmethod
-    def from_measure(cls, measure, kind="cauchy"):
-        if kind == "cauchy":
-            return cls(lambda z: cauchy(measure, z), "cauchy")
-        if kind == "f":
-            return cls(lambda z: f_transform(measure, z), "f")
-        if kind == "b":
-            return cls(lambda z: b_transform(measure, z), "b")
-        raise TransformError(f"unknown transform kind {kind!r}")
-
-    def reciprocal(self, kind="generic"):
-        return HerglotzMap(lambda z: 1.0 / self.evaluator(z), kind)
-
-
 # ---------------------------------------------------------------------------
 # extrapolation helpers
 # ---------------------------------------------------------------------------
@@ -221,12 +192,6 @@ def _ladder_density(xs, vals, atoms, eps_ladder):
             v = v - w / (xs + 1j * eps - a)
         layers.append(-v.imag / math.pi)
     return extrapolate_to_zero(eps_ladder, layers)
-
-
-def atom_mass(g, position, ladder=DEFAULT_EPS_LADDER):
-    """Extrapolated iy*G(a+iy) as y -> 0."""
-    ys = np.array([position + 1j * y for y in ladder])
-    return _extrapolated_mass(ladder, np.asarray(g(ys)))
 
 
 def _extrapolated_mass(ladder, vals):
@@ -420,9 +385,10 @@ def _vetted_atom(g, a, eps_ladder):
     return float(a), float(m)
 
 
-def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
-                     refine_passes=2, auto_atoms=True):
-    """Recover a measure from its Cauchy transform.
+def stieltjes_invert(g, grid, atom_candidates=(),
+                     eps_ladder=DEFAULT_EPS_LADDER):
+    """Recover a measure from its Cauchy transform ``g``, a vectorized
+    function of a complex array, or from the measure itself.
 
     Density via -Im G(x + i*eps)/pi extrapolated over the eps ladder; atom
     masses via the iy*G(a+iy) limit at the supplied candidates plus any
@@ -430,20 +396,18 @@ def stieltjes_invert(g, grid, atom_candidates=(), eps_ladder=DEFAULT_EPS_LADDER,
     jumps (square-root support edges) are locally refined so the trapezoid
     mass stays accurate.  The result is renormalized to unit mass if the
     recovered mass lies within 2 percent of 1.  One call of ``g`` evaluates
-    the normalization probe and every ladder layer of the grid; each refine
-    pass makes one more.
+    the normalization probe and every ladder layer of the grid, and each
+    refine pass, two at most, one more.
     """
     if isinstance(g, (AtomicMeasure, GridMeasure)):
-        g = HerglotzMap.from_measure(g, "cauchy")
+        g = functools.partial(cauchy, g)
     grid = _inversion_grid(grid)
     first = np.asarray(g(np.concatenate(
         [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
-    return _invert(g, grid, first, atom_candidates, eps_ladder,
-                   refine_passes, auto_atoms)
+    return _invert(g, grid, first, atom_candidates, eps_ladder)
 
 
-def _invert(g, grid, first, atom_candidates, eps_ladder, refine_passes=2,
-            auto_atoms=True):
+def _invert(g, grid, first, atom_candidates, eps_ladder):
     """``stieltjes_invert`` given ``first``, the values of ``g`` at i*_NORM_Y
     followed by _ladder_points(grid, eps_ladder), which the normalization
     check and every density pass over the grid read."""
@@ -457,23 +421,22 @@ def _invert(g, grid, first, atom_candidates, eps_ladder, refine_passes=2,
     atoms.sort()
 
     density = _ladder_density(grid, ladder, atoms, eps_ladder)
-    if auto_atoms:
-        eps_min = min(eps_ladder)
-        h = float(np.median(np.diff(grid)))
-        found = False
-        for a in _spike_candidates(grid, density, eps_min):
-            if any(abs(a - x) <= 5 * max(eps_min, h) for x, _ in atoms):
-                continue
-            a = _refine_pole(g, a, halfwidth=3 * max(eps_min, h))
-            hit = _vetted_atom(g, a, eps_ladder)
-            if hit:
-                atoms.append(hit)
-                found = True
-        if found:
-            atoms.sort()
-            density = _ladder_density(grid, ladder, atoms, eps_ladder)
+    eps_min = min(eps_ladder)
+    h = float(np.median(np.diff(grid)))
+    found = False
+    for a in _spike_candidates(grid, density, eps_min):
+        if any(abs(a - x) <= 5 * max(eps_min, h) for x, _ in atoms):
+            continue
+        a = _refine_pole(g, a, halfwidth=3 * max(eps_min, h))
+        hit = _vetted_atom(g, a, eps_ladder)
+        if hit:
+            atoms.append(hit)
+            found = True
+    if found:
+        atoms.sort()
+        density = _ladder_density(grid, ladder, atoms, eps_ladder)
 
-    for _ in range(refine_passes):
+    for _ in range(2):  # refine passes
         scale = max(np.abs(density).max(), 1e-12)
         jump = np.abs(np.diff(density))
         flagged = np.nonzero(jump > 0.2 * scale)[0]
@@ -549,7 +512,8 @@ def _grid_atom_candidates(grid, row, roots):
 
 def measure_from_ftransform(f, grid, atom_candidates=None,
                             eps_ladder=DEFAULT_EPS_LADDER):
-    """Stieltjes inversion of 1/F for an F-transform evaluator.
+    """Stieltjes inversion of 1/F for an F-transform ``f``, a vectorized
+    function of a complex array.
 
     Without ``atom_candidates`` the real zeros of F are scanned for at
     height _SCAN_EPS.  One call of ``f`` evaluates that scan row, the
@@ -575,8 +539,6 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     on grid points that make no sign change are candidates as well
     (``_grid_atom_candidates``).
     """
-    if not isinstance(f, HerglotzMap):
-        f = HerglotzMap(f, "f")
     grid = _inversion_grid(grid)
     scan = atom_candidates is None
     rows = [grid + 1j * _SCAN_EPS] if scan else []
@@ -595,7 +557,7 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
                 & (change[1:] * reach < size[1:]))
         roots = _sign_change_roots(f, grid, row.real, _SCAN_EPS, ~skip)
         atom_candidates = roots + _grid_atom_candidates(grid, row, roots)
-    return _invert(f.reciprocal("cauchy"), grid, 1.0 / vals, atom_candidates,
+    return _invert(lambda z: 1.0 / f(z), grid, 1.0 / vals, atom_candidates,
                    eps_ladder)
 
 
@@ -630,7 +592,8 @@ def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
 # ---------------------------------------------------------------------------
 
 def hilbert_transform(measure, x, eps=1e-2):
-    """(1/pi) Re G(x + i*eps) extrapolated to eps -> 0.
+    """(1/pi) Re G(x + i*eps) extrapolated to eps -> 0, for a measure or its
+    Cauchy transform, a vectorized function of a complex array.
 
     Agrees with the principal-value integral for continuous densities.
     """
@@ -638,7 +601,7 @@ def hilbert_transform(measure, x, eps=1e-2):
         for a, _ in measure.atoms:
             if abs(x - a) < 1e-9:
                 raise AtomCollision(f"x = {x} collides with atom at {a}")
-        g = HerglotzMap.from_measure(measure, "cauchy")
+        g = functools.partial(cauchy, measure)
     else:
         g = measure
     ladder = (eps, eps / 2, eps / 4)
@@ -754,7 +717,8 @@ def free_meixner_f_series(n, u, order):
 # ---------------------------------------------------------------------------
 
 def free_meixner_fmap(a, c, u):
-    """F-transform of the free Meixner law m_{a,c,u}.
+    """F-transform of the free Meixner law m_{a,c,u}, a vectorized function
+    of a complex array.
 
     Continued-fraction tail w solves c*w^2 - (z-u)*w + 1 = 0 with w ~ 1/z;
     then F(z) = z - a*w(z).  For a = 2c this is sqrt((z-u)^2 - 4c) + u.
@@ -765,7 +729,7 @@ def free_meixner_fmap(a, c, u):
         w = ((z - u) - s) / (2 * c)
         return z - a * w
 
-    return HerglotzMap(ev, "f")
+    return ev
 
 
 def _free_meixner_atom_candidates(a, c, u):

@@ -234,6 +234,82 @@ class TestExitCodes:
         assert ("error: truncated spidernet has 10621441 > 10000000 vertices"
                 in capsys.readouterr().err)
 
+    def refused(self, files, capsys, argv):
+        """stderr of a run that must exit 2 and write no ``bad*`` file."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning exits 1
+            code = run(argv, files)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert not any(name.startswith("bad") for name in os.listdir(files))
+        return err
+
+    P = [[0.5, 0.3], [0.5, 0.7]]
+    DRIVE = ["--t", "1", "--out", "bad"]
+
+    @pytest.mark.parametrize("argv, spec, key", [
+        (["markov", "stationary"], {}, "P"),
+        (["markov", "converge"], {"v0": [1, 0]}, "P"),
+        (["markov", "mrp"], {"P": P, "gamma": 0.5}, "R"),
+        (["markov", "mrp"], {"P": P, "R": [0, 1]}, "gamma"),
+        (["markov", "mdp"], {"P": P}, "transitions"),
+        (["markov", "mdp"], {"transitions": [[[1.0]]], "gamma": 0.5}, "R"),
+        (["markov", "stationary"], [P], "P"),
+        (["loewner", *DRIVE], {"kind": "constant"}, "values"),
+        (["loewner", *DRIVE], {"values": [0.0]}, "kind"),
+        (["loewner", *DRIVE], [0.0], "kind"),
+        (["spidernet-approx", "--T", "1", "--n", "2", "--out", "bad.csv"],
+         {"kind": "constant"}, "values"),
+    ])
+    def test_spec_missing_key(self, files, capsys, argv, spec, key):
+        json.dump(spec, open(files / "spec.json", "w"))
+        flag = "--spec" if argv[0] == "markov" else "--driving"
+        if argv[0] == "markov":
+            argv = argv + ["--out", "bad.json"]
+        err = self.refused(files, capsys, argv + [flag, "spec.json"])
+        assert f"needs a {key!r} entry" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sle", "--kappa", "2", "--T", "1", "--dt", "0.1"],
+        ["gue", "--N", "3"],
+        ["lerw", "--width", "3"],
+        ["free-ar1", "--N", "3", "--steps", "2", "--c", "0.5"],
+        ["ising", "--width", "3", "--beta", "0.4", "--steps", "10"],
+    ])
+    def test_negative_seed(self, files, capsys, argv):
+        err = self.refused(files, capsys,
+                           argv + ["--seed", "-1", "--out", "bad"])
+        assert "argument --seed: must be >= 0, got -1" in err
+
+    def test_seed_parsed_exactly(self):
+        seed = 2**64 + 1  # a float would round it to 2**64
+        args = cli.build_parser().parse_args(
+            ["gue", "--N", "3", "--seed", str(seed), "--out", "eig.csv"])
+        assert args.seed == seed and type(args.seed) is int
+
+    @pytest.mark.parametrize("measure, entry", [
+        ({"atoms": [[0, "a"]]}, "atoms[0][1]"),
+        ({"atoms": [[True, 1]]}, "atoms[0][0]"),
+        ({"atoms": [[0, 0.5, 1]]}, "atoms[0]"),
+        ({"atoms": 1}, "atoms"),
+        ({"grid": [0, "1"], "density": [1, 1]}, "grid[1]"),
+        ({"grid": [0, 1], "density": [1, None]}, "density[1]"),
+        ({"grid": [0, 1]}, "density"),
+        ({"grid": [-1, 1], "density": [0.5, 0.5], "atoms": [["0", 1]]},
+         "atoms[0][0]"),
+    ])
+    @pytest.mark.parametrize("command", ["convolve", "invert"])
+    def test_non_numeric_measure(self, files, capsys, measure, entry,
+                                 command):
+        json.dump(measure, open(files / "m.json", "w"))
+        argv = (["convolve", "--kind", "monotone", "--lhs", "m.json",
+                 "--rhs", "bern.json", "--out", "bad.json"]
+                if command == "convolve"
+                else ["invert", "--measure", "m.json", "--out", "bad.csv"])
+        err = self.refused(files, capsys, argv)
+        assert f"measure JSON {entry} must be" in err
+
 
 class TestSubcommands:
     def test_convolve_boolean(self, files):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -292,6 +293,23 @@ class TestSerialization:
         m = ms.MomentSequence((0, 1, 0, 2))
         back = ms.measure_from_json(ms.measure_to_json(m))
         assert back.values == (0.0, 1.0, 0.0, 2.0)
+
+    def test_exact_entries_stay_exact(self):
+        mu = ms.measure_from_json({"atoms": [[0, 1]]})
+        assert mu.atoms == ((0, 1),)
+        assert all(type(v) is int for v in mu.atoms[0])
+        m = ms.measure_from_json({"moments": [0, 1, 0, 2]})
+        assert [type(v) for v in m.values] == [int] * 4
+
+    @pytest.mark.parametrize("obj, entry", [
+        ({"atoms": [[0, "a"]]}, "atoms[0][1]"),
+        ({"atoms": [[0, False]]}, "atoms[0][1]"),
+        ({"moments": [0, "1"]}, "moments[1]"),
+        ({"grid": [0, 1], "density": [1, True]}, "density[1]"),
+    ])
+    def test_non_numeric_entry(self, obj, entry):
+        with pytest.raises(ms.MeasureError, match=re.escape(entry)):
+            ms.measure_from_json(obj)
 
     def test_density_csv(self, tmp_path):
         g = ms.Semicircle(0, 1).to_measure(resolution=16)

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -98,14 +99,14 @@ class TestNormalization:
             assert abs(val - 1) <= 2 * radius / y
 
     def test_rejects_non_probability(self):
-        g = tr.HerglotzMap(lambda z: 0.5 / z, "cauchy")
+        g = lambda z: 0.5 / z
         with pytest.raises(tr.NormalizationError):
             tr.stieltjes_invert(g, np.linspace(-1, 1, 11))
 
 
 class TestStieltjesInversion:
     def test_dirac_atom(self):
-        g = tr.HerglotzMap(lambda z: 1.0 / (z - 0.7), "cauchy")
+        g = lambda z: 1.0 / (z - 0.7)
         rec = tr.stieltjes_invert(g, np.linspace(-2, 2, 401),
                                   atom_candidates=[0.7])
         assert len(rec.atoms) == 1
@@ -114,7 +115,7 @@ class TestStieltjesInversion:
         assert rec.density_mass() < 1e-8
 
     def test_arcsine_density(self):
-        f = tr.HerglotzMap(lambda z: tr.sqrt_upper(z * z - 2), "f")
+        f = lambda z: tr.sqrt_upper(z * z - 2)
         grid = np.linspace(-1.6, 1.6, 1601)
         rec = tr.measure_from_ftransform(f, grid)
         xs = grid[np.abs(grid) <= 1.2]
@@ -125,8 +126,7 @@ class TestStieltjesInversion:
         assert not rec.atoms
 
     def test_semicircle_density(self):
-        g = tr.HerglotzMap(lambda z: (z - tr.sqrt_upper(z * z - 4)) / 2,
-                           "cauchy")
+        g = lambda z: (z - tr.sqrt_upper(z * z - 4)) / 2
         grid = np.linspace(-2.4, 2.4, 1201)
         rec = tr.stieltjes_invert(g, grid)
         xs = grid[np.abs(grid) <= 1.8]
@@ -136,7 +136,7 @@ class TestStieltjesInversion:
     def test_roundtrip_atomic_weights(self):
         mu = random_atomic(21, n=3)
         rec = tr.stieltjes_invert(
-            tr.HerglotzMap.from_measure(mu, "cauchy"),
+            partial(tr.cauchy, mu),
             np.linspace(-3, 3, 601),
             atom_candidates=mu.positions,
         )
@@ -148,15 +148,14 @@ class TestStieltjesInversion:
     def test_roundtrip_grid_density(self):
         gm = ms.Semicircle(0.5, 1.3).to_measure()
         grid = np.linspace(-2.5, 3.5, 1201)
-        rec = tr.stieltjes_invert(tr.HerglotzMap.from_measure(gm, "cauchy"),
-                                  grid)
+        rec = tr.stieltjes_invert(partial(tr.cauchy, gm), grid)
         law = ms.Semicircle(0.5, 1.3)
         xs = np.linspace(-1.3, 2.3, 200)
         assert np.abs(np.interp(xs, rec.grid, rec.density)
                       - law.density_at(xs)).max() < 1e-3
 
     def test_mass_error(self):
-        g = tr.HerglotzMap(lambda z: 1.0 / (z - 5.0), "cauchy")
+        g = lambda z: 1.0 / (z - 5.0)
         # grid misses the atom at 5 and no candidate is supplied
         with pytest.raises(tr.MassError):
             tr.stieltjes_invert(g, np.linspace(-1, 1, 51))
@@ -166,8 +165,7 @@ class TestStieltjesInversion:
         def gm(z):
             return 0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2 + 0.3 / (z - 3.0)
 
-        rec = tr.stieltjes_invert(tr.HerglotzMap(gm, "cauchy"),
-                                  np.linspace(-2.4, 3.6, 1201))
+        rec = tr.stieltjes_invert(gm, np.linspace(-2.4, 3.6, 1201))
         assert len(rec.atoms) == 1
         a, w = rec.atoms[0]
         assert abs(a - 3.0) < 1e-7
@@ -177,7 +175,7 @@ class TestStieltjesInversion:
         assert np.abs(np.interp(xs, rec.grid, rec.density) - want).max() < 1e-4
 
     def test_autodetection_no_false_atoms_on_edges(self):
-        f = tr.HerglotzMap(lambda z: tr.sqrt_upper(z * z - 2), "f")
+        f = lambda z: tr.sqrt_upper(z * z - 2)
         rec = tr.measure_from_ftransform(f, np.linspace(-1.7, 1.7, 1201))
         assert rec.atoms == ()
 
@@ -230,6 +228,11 @@ def reference_refine_pole(g, a, halfwidth, eps=1e-7, iters=50):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def reciprocal(f):
+    """The map 1/f."""
+    return lambda z: 1.0 / f(z)
 
 
 class Counted:
@@ -299,7 +302,7 @@ class TestTreeBisection:
         want = reference_scan_real_zeros(f, grid)
         assert len(got) == len(want) == 1 and close(got[0], want[0])
         assert type(got[0]) is np.float64
-        g = f.reciprocal("cauchy")
+        g = reciprocal(f)
         a = round(float(got[0]), 2)
         counted = Counted(g)
         pole = tr._refine_pole(counted, a, halfwidth=0.02)
@@ -322,7 +325,7 @@ class TestTreeBisection:
     def test_scan_f_transform(self, seed, points):
         # brackets at atoms (zeros of F) and between them (poles of F)
         mu = random_atomic(seed)
-        f = tr.HerglotzMap.from_measure(mu, "f")
+        f = partial(tr.f_transform, mu)
         grid = np.linspace(-2.5, 2.5, points)
         counted = Counted(f)
         got = tr.scan_real_zeros(counted, grid)
@@ -341,7 +344,7 @@ class TestTreeBisection:
     @settings(max_examples=60, deadline=None)
     def test_refine_pole_cauchy(self, seed, shift):
         mu = random_atomic(seed)
-        g = tr.HerglotzMap.from_measure(mu, "cauchy")
+        g = partial(tr.cauchy, mu)
         a = float(mu.atoms[0][0]) + shift
         counted = Counted(g)
         got = tr._refine_pole(counted, a, halfwidth=0.02)
@@ -376,7 +379,7 @@ class TestTreeBisection:
         # first call; the window meets the pole, where Re F falls, and the
         # equispaced calls that follow keep bisection's root
         mu = random_atomic(297)
-        f = tr.HerglotzMap.from_measure(mu, "f")
+        f = partial(tr.f_transform, mu)
         grid = np.linspace(-2.5, 2.5, 4)
         changes = atomic_sign_changes(mu)
         assert np.count_nonzero((changes > -0.8) & (changes < -0.78)) == 3
@@ -392,16 +395,16 @@ class TestTreeBisection:
             return (z - roots[0]) * (z - roots[1]) * (z - roots[2])
 
         grid = np.array([0.0, 1.0])
-        got = tr.scan_real_zeros(tr.HerglotzMap(f), grid)
-        want = reference_scan_real_zeros(tr.HerglotzMap(f), grid)
+        got = tr.scan_real_zeros(f, grid)
+        want = reference_scan_real_zeros(f, grid)
         assert len(got) == 1 and close(got[0], want[0])
 
     @pytest.mark.parametrize("root", [0.3, 0.5, 0.71])
     def test_jump_ends_after_six_grid_calls(self, root):
         # a sign change with no interpolable zero: no window, no warning
         # from flat values, and 64**-6 of the bracket after six calls
-        f = Counted(tr.HerglotzMap(
-            lambda z: np.where(z.real < root, -1.0, 1.0).astype(complex)))
+        f = Counted(
+            lambda z: np.where(z.real < root, -1.0, 1.0).astype(complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = tr.scan_real_zeros(f, np.array([0.0, 1.0]))
@@ -413,13 +416,13 @@ class TestTreeBisection:
     def test_exact_zero_at_midpoint(self, root, refine):
         # the root lies in the bracket that ``refine`` bisection steps keep,
         # whose midpoint the reference returns
-        f = tr.HerglotzMap(lambda z: z - root)
+        f = lambda z: z - root
         got = tr.scan_real_zeros(f, np.array([0.0, 1.0]))
         want = reference_scan_real_zeros(f, np.array([0.0, 1.0]),
                                          refine=refine)
         assert len(got) == 1
         assert abs(got[0] - want[0]) <= 0.5 ** (refine + 1)
-        g = tr.HerglotzMap(lambda z: 1.0 / (z - root))
+        g = lambda z: 1.0 / (z - root)
         got = tr._refine_pole(g, 0.5, 0.25)
         want = reference_refine_pole(g, 0.5, 0.25, iters=refine)
         assert abs(got - want) <= 0.5 ** (refine + 2)
@@ -428,7 +431,7 @@ class TestTreeBisection:
     def test_one_call_per_tree_level_block(self, seed):
         # each call serves every bracket: the scan makes as many calls as
         # its slowest bracket alone
-        f = tr.HerglotzMap.from_measure(random_atomic(seed), "f")
+        f = partial(tr.f_transform, random_atomic(seed))
         grid = np.linspace(-2.5, 2.5, 41)
         counted = Counted(f)
         roots = tr.scan_real_zeros(counted, grid)
@@ -440,8 +443,7 @@ class TestTreeBisection:
             assert tr.scan_real_zeros(one, grid[i - 1:i + 1]) == [x]
             alone.append(one.calls)
         assert counted.calls == max(alone) <= 1 + 7
-        g = Counted(tr.HerglotzMap.from_measure(random_atomic(seed),
-                                                "cauchy"))
+        g = Counted(partial(tr.cauchy, random_atomic(seed)))
         a = float(random_atomic(seed).atoms[0][0])
         tr._refine_pole(g, a, halfwidth=0.02)
         assert g.calls <= 1 + 7
@@ -456,7 +458,7 @@ def reference_stieltjes_invert(g, grid, atom_candidates=(),
                                eps_ladder=tr.DEFAULT_EPS_LADDER,
                                refine_passes=2, auto_atoms=True):
     if isinstance(g, (ms.AtomicMeasure, ms.GridMeasure)):
-        g = tr.HerglotzMap.from_measure(g, "cauchy")
+        g = partial(tr.cauchy, g)
     grid = np.asarray(grid, dtype=float)
     tr.check_cauchy_normalization(g)
 
@@ -527,8 +529,6 @@ def reference_stieltjes_invert(g, grid, atom_candidates=(),
 
 def reference_measure_from_ftransform(f, grid, atom_candidates=None,
                                       eps_ladder=tr.DEFAULT_EPS_LADDER):
-    if not isinstance(f, tr.HerglotzMap):
-        f = tr.HerglotzMap(f, "f")
     if atom_candidates is None:
         grid = np.asarray(grid, dtype=float)
         roots = tr.scan_real_zeros(f, grid)
@@ -541,7 +541,7 @@ def reference_measure_from_ftransform(f, grid, atom_candidates=None,
             if abs(row[i]) <= 1e-6 / tr.ATOM_THRESHOLD
             and not any(grid[max(i - 1, 0)] <= r <= grid[min(i + 1, last)]
                         for r in roots)]
-    return reference_stieltjes_invert(f.reciprocal("cauchy"), grid,
+    return reference_stieltjes_invert(reciprocal(f), grid,
                                       atom_candidates, eps_ladder)
 
 
@@ -550,7 +550,7 @@ def reference_hilbert_transform(measure, x, eps=1e-2):
         for a, _ in measure.atoms:
             if abs(x - a) < 1e-9:
                 raise tr.AtomCollision(f"x = {x} collides with atom at {a}")
-        g = tr.HerglotzMap.from_measure(measure, "cauchy")
+        g = partial(tr.cauchy, measure)
     else:
         g = measure
     ladder = (eps, eps / 2, eps / 4)
@@ -639,8 +639,8 @@ class TestSharedCallInversion:
     def test_spike_autodetection(self):
         # an atom found from a density spike: the grid's density is redone
         # from the same ladder values with the atom's terms removed
-        g = tr.HerglotzMap(lambda z: 0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2
-                           + 0.3 / (z - 3.0), "cauchy")
+        g = lambda z: (0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2
+                       + 0.3 / (z - 3.0))
         grid = np.linspace(-2.4, 3.6, 601)
         got = outcome(tr.stieltjes_invert, g, grid)
         assert len(got[2]) == 1
@@ -661,7 +661,7 @@ class TestSharedCallInversion:
         got = outcome(tr.stieltjes_invert, gm, grid)
         assert isinstance(got[0], bytes)
         assert got == outcome(reference_stieltjes_invert, gm, grid)
-        f = tr.HerglotzMap.from_measure(gm, "f")
+        f = partial(tr.f_transform, gm)
         assert (outcome(tr.measure_from_ftransform, f, grid)
                 == outcome(reference_measure_from_ftransform, f, grid))
 
@@ -674,7 +674,7 @@ class TestSharedCallInversion:
         cands = [x for x, _ in mu.atoms] + [extra]
         assert (outcome(tr.stieltjes_invert, mu, grid, cands)
                 == outcome(reference_stieltjes_invert, mu, grid, cands))
-        f = tr.HerglotzMap.from_measure(mu, "f")
+        f = partial(tr.f_transform, mu)
         assert (outcome(tr.measure_from_ftransform, f, grid)
                 == outcome(reference_measure_from_ftransform, f, grid))
 
@@ -701,7 +701,7 @@ class TestRealZeroFilter:
         near = [p + math.copysign(10 ** (-2 - abs(d)), d)
                 for p, d in zip(poles, offsets)]
         grid = np.union1d(np.linspace(-2.5, 2.5, points), near)
-        f = tr.HerglotzMap.from_measure(mu, "f")
+        f = partial(tr.f_transform, mu)
         assert (outcome(tr.measure_from_ftransform, f, grid)
                 == outcome(reference_measure_from_ftransform, f, grid))
 
@@ -733,7 +733,7 @@ class TestRealZeroFilter:
         mu = ms.AtomicMeasure(atoms)
         poles = np.setdiff1d(atomic_sign_changes(mu), mu.positions)
         grid = np.union1d(base, poles + offsets)
-        f = tr.HerglotzMap.from_measure(mu, "f")
+        f = partial(tr.f_transform, mu)
         got = outcome(tr.measure_from_ftransform, f, grid)
         assert len(got[2]) == found
         assert got == outcome(reference_measure_from_ftransform, f, grid)
@@ -742,8 +742,7 @@ class TestRealZeroFilter:
         # Re F(x + 1e-6 i) is exactly -0.0 at the atom on the grid point 0,
         # so neither cell next to it holds a sign change
         mu = ms.AtomicMeasure(((-0.1, 0.3), (0.0, 0.4), (0.1, 0.3)))
-        f, grid = tr.HerglotzMap.from_measure(mu, "f"), np.linspace(-2.5, 2.5,
-                                                                    201)
+        f, grid = partial(tr.f_transform, mu), np.linspace(-2.5, 2.5, 201)
         got = outcome(tr.measure_from_ftransform, f, grid)
         assert got == outcome(reference_measure_from_ftransform, f, grid)
         atoms = [(float.fromhex(a), float.fromhex(w)) for a, w in got[2]]
@@ -755,8 +754,7 @@ class TestRealZeroFilter:
         # and a pole of F, so the signs at its ends agree.  The masses are
         # off by the eps ladder (atoms 0.01 apart) and are not pinned.
         mu = ms.AtomicMeasure(((-0.01, 0.3), (0.0, 0.4), (0.01, 0.3)))
-        f, grid = tr.HerglotzMap.from_measure(mu, "f"), np.linspace(-2.5, 2.5,
-                                                                    1001)
+        f, grid = partial(tr.f_transform, mu), np.linspace(-2.5, 2.5, 1001)
         got = outcome(tr.measure_from_ftransform, f, grid)
         assert got == outcome(reference_measure_from_ftransform, f, grid)
         positions = [float.fromhex(a) for a, _ in got[2]]
@@ -764,8 +762,8 @@ class TestRealZeroFilter:
 
     @staticmethod
     def semicircle_with_atom(w, a):
-        return tr.HerglotzMap(lambda z: 1.0 / (
-            (1 - w) * (z - tr.sqrt_upper(z * z - 4)) / 2 + w / (z - a)), "f")
+        return lambda z: 1.0 / (
+            (1 - w) * (z - tr.sqrt_upper(z * z - 4)) / 2 + w / (z - a))
 
     @pytest.mark.parametrize("w, a, points", [
         (0.01, 0.3, 201), (0.01, 0.3125, 201), (0.01, 0.3125, 51),
@@ -910,7 +908,7 @@ class TestOneCallHelpers:
                 lw.DrivingFunction.constant(0.3), 1.0)
             f = lw.chain_fmap(field, 1.0)
         elif name in LAWS:  # F = 1/G of the law
-            f = CLOSED_FORM_MAPS[name].reciprocal("f")
+            f = reciprocal(CLOSED_FORM_MAPS[name])
         else:
             f = CLOSED_FORM_MAPS[name]
         counted = Counted(f)
@@ -1176,22 +1174,21 @@ class TestSeriesTransforms:
 
 class TestNevanlinna:
     def test_translation(self):
-        nd = tr.nevanlinna_extract(tr.HerglotzMap(lambda z: z + 5))
+        nd = tr.nevanlinna_extract(lambda z: z + 5)
         assert nd.a == pytest.approx(5.0)
         assert nd.b == pytest.approx(1.0, abs=1e-6)
 
     def test_linear(self):
-        nd = tr.nevanlinna_extract(tr.HerglotzMap(lambda z: 2 * z + 1j))
+        nd = tr.nevanlinna_extract(lambda z: 2 * z + 1j)
         assert nd.b == pytest.approx(2.0, abs=1e-4)
 
     def test_arcsine_f(self):
-        nd = tr.nevanlinna_extract(
-            tr.HerglotzMap(lambda z: tr.sqrt_upper(z * z - 2), "f"))
+        nd = tr.nevanlinna_extract(lambda z: tr.sqrt_upper(z * z - 2))
         assert nd.b == pytest.approx(1.0, abs=1e-4)
 
     def test_not_herglotz(self):
         with pytest.raises(tr.NotHerglotz):
-            tr.nevanlinna_extract(tr.HerglotzMap(lambda z: -1j * np.ones_like(z)))
+            tr.nevanlinna_extract(lambda z: -1j * np.ones_like(z))
 
 
 class TestHilbert:
