@@ -43,7 +43,8 @@ from .markov import (TransitionMatrix, MDPSpec, KrausChannel, IsingState,
                      mdp_value_iteration, channel_apply, channel_fixed_point,
                      metropolis_ising, magnetization, exact_boltzmann,
                      curie_temperature, lerw, loop_erase, homogeneous_kernel)
-from .randmat import (sample_gue, esd, wigner_check, haar_unitary,
-                      freeness_statistic, free_ar1, trace_state)
+from .randmat import (sample_gue, gue_eigenvalues, esd, wigner_check,
+                      haar_unitary, freeness_statistic, free_ar1,
+                      trace_state)
 
 __version__ = "0.1.0"

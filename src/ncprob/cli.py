@@ -236,6 +236,11 @@ def _cmd_markov(args):
                 f"markov {args.mode} spec needs a {key!r} entry")
         return spec[key]
 
+    def gamma():
+        return measures.json_real(entry("gamma"),
+                                  f"markov {args.mode} spec 'gamma'",
+                                  markov.MarkovError)
+
     if args.mode != "mdp":
         p = markov.TransitionMatrix(np.array(entry("P")))
     if args.mode == "stationary":
@@ -245,11 +250,11 @@ def _cmd_markov(args):
         pi, theta, c = markov.convergence_report(p, v0)
         result = {"pi": list(pi), "theta": theta, "C": c}
     elif args.mode == "mrp":
-        v = markov.mrp_value(p, np.array(entry("R")), entry("gamma"))
+        v = markov.mrp_value(p, np.array(entry("R")), gamma())
         result = {"v": list(v)}
     else:
         mdp = markov.MDPSpec(np.array(entry("transitions")),
-                             np.array(entry("R")), entry("gamma"))
+                             np.array(entry("R")), gamma())
         v, policy = markov.mdp_value_iteration(mdp, tol=args.tol)
         result = {"v": list(v), "policy": [int(a) for a in policy]}
     with open(args.out, "w") as fh:
@@ -277,8 +282,7 @@ def _cmd_lerw(args):
 
 
 def _cmd_gue(args):
-    a = randmat.sample_gue(args.N, args.seed)
-    evals = np.linalg.eigvalsh(a)
+    evals = randmat.gue_eigenvalues(args.N, args.seed)
     _write_csv(args.out, ("eigenvalue",), [(x,) for x in evals])
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, transforms
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, json_reals
 
 
 class LoewnerError(ValueError):
@@ -129,8 +129,11 @@ class DrivingFunction:
         for key in ("kind", "values"):
             if not (isinstance(obj, dict) and key in obj):
                 raise LoewnerError(f"driving JSON needs a {key!r} entry")
-        return cls(obj["kind"], tuple(obj.get("times", ())),
-                   tuple(obj["values"]))
+        def reals(key):
+            return tuple(json_reals(obj.get(key, []), f"driving JSON {key}",
+                                    error=LoewnerError))
+
+        return cls(obj["kind"], reals("times"), reals("values"))
 
 
 # ---------------------------------------------------------------------------

@@ -734,18 +734,31 @@ def measure_to_json(m):
     raise MeasureError(f"cannot serialize {type(m).__name__}")
 
 
-def _json_reals(values, where, size=None):
+def _is_real(v):
+    # json.load gives int and float; the ABC check, five times slower,
+    # admits other reals and refuses bools
+    return type(v) in (float, int) or (isinstance(v, numbers.Real)
+                                       and not isinstance(v, bool))
+
+
+def json_real(value, where, error=MeasureError):
+    """``value`` when it is a real number (bools are not numbers here);
+    else ``error`` naming ``where``."""
+    if not _is_real(value):
+        raise error(f"{where} must be a real number, got {value!r}")
+    return value
+
+
+def json_reals(values, where, size=None, error=MeasureError):
     """``values`` as given when it is a list (of ``size`` entries, if set)
-    of real numbers, so ints stay ints; else MeasureError naming the bad
-    entry.  Bools are not numbers here."""
+    of real numbers, so ints stay ints; else ``error`` naming ``where`` or
+    its bad entry."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         want = "a list" if size is None else f"a list of {size} numbers"
-        raise MeasureError(f"measure JSON {where} must be {want}, "
-                           f"got {values!r}")
+        raise error(f"{where} must be {want}, got {values!r}")
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise MeasureError(f"measure JSON {where}[{i}] must be a real "
-                               f"number, got {v!r}")
+        if not _is_real(v):  # name the entry only once one is bad
+            json_real(v, f"{where}[{i}]", error)
     return values
 
 
@@ -753,7 +766,7 @@ def _json_atoms(obj):
     atoms = obj.get("atoms", [])
     if not isinstance(atoms, (list, tuple)):
         raise MeasureError(f"measure JSON atoms must be a list, got {atoms!r}")
-    return tuple(tuple(_json_reals(a, f"atoms[{i}]", 2))
+    return tuple(tuple(json_reals(a, f"measure JSON atoms[{i}]", 2))
                  for i, a in enumerate(atoms))
 
 
@@ -761,14 +774,16 @@ def measure_from_json(obj):
     if not isinstance(obj, dict):
         raise MeasureError("measure JSON must be an object")
     if "grid" in obj:
-        return GridMeasure(np.array(_json_reals(obj["grid"], "grid")),
-                           np.array(_json_reals(obj.get("density"),
-                                                "density")),
+        return GridMeasure(np.array(json_reals(obj["grid"],
+                                               "measure JSON grid")),
+                           np.array(json_reals(obj.get("density"),
+                                               "measure JSON density")),
                            _json_atoms(obj))
     if "atoms" in obj:
         return AtomicMeasure(_json_atoms(obj))
     if "moments" in obj:
-        return MomentSequence(tuple(_json_reals(obj["moments"], "moments")))
+        return MomentSequence(tuple(json_reals(obj["moments"],
+                                               "measure JSON moments")))
     raise MeasureError("unrecognized measure JSON")
 
 

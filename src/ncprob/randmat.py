@@ -4,6 +4,13 @@ GUE sampling in the normalization where the empirical spectral
 distribution tends to the standard semicircle law, Haar unitaries,
 an asymptotic-freeness statistic over short alternating words, and the
 free autoregressive toy model.
+
+Two GUE samplers share one eigenvalue law.  ``gue_eigenvalues`` draws the
+spectrum alone from the tridiagonal beta = 2 Hermite model (Dumitriu &
+Edelman, J. Math. Phys. 43 (2002) 5830): 2N - 1 draws and a real
+eigensolve, used by ``ncprob gue`` and ``wigner_check``.  ``sample_gue``
+draws the dense complex matrix, which ``freeness_statistic`` and
+``free_ar1`` need because they multiply matrices, not spectra.
 """
 
 import math
@@ -30,8 +37,9 @@ def trace_product(a, b):
 
 
 def sample_gue(n, seed):
-    """Hermitian matrix with independent N(0, 1/(2N)) real and imaginary
-    entry components; phi(A^2) -> 1 as N grows.
+    """GUE matrix: Hermitian, with N(0, 1/N) diagonal entries and
+    independent N(0, 1/(2N)) real and imaginary parts above it, so
+    E|a_ij|^2 = 1/N everywhere and E phi(A^2) = 1.
 
     ``seed`` is anything ``np.random.default_rng`` takes, a Generator
     included.  One (N, N) block of standard normals fills the matrix: the
@@ -40,12 +48,32 @@ def sample_gue(n, seed):
     if n < 1:
         raise RandMatError("need N >= 1")
     z = np.random.default_rng(seed).standard_normal((n, n))
+    diag = z.diagonal() * math.sqrt(1.0 / n)
     z *= math.sqrt(1.0 / (2 * n))
     low = np.tril(z, -1)
     a = np.empty((n, n), dtype=complex)
     a.real = np.triu(z) + np.triu(z, 1).T
     a.imag = low.T - low
+    a.flat[::n + 1] = diag
     return a
+
+
+def gue_eigenvalues(n, seed):
+    """Ascending eigenvalues of an N x N GUE matrix in ``sample_gue``'s
+    scaling, from the beta = 2 Hermite model: a real symmetric tridiagonal
+    matrix with N(0, 1) diagonal and sqrt(Gamma(k, 1)) = chi_2k / sqrt(2)
+    off-diagonal entries, k = N-1, ..., 1, divided by sqrt(N).
+
+    ``seed`` as in ``sample_gue``; the N normals are drawn first, then the
+    N - 1 gammas.  Only the diagonal and first superdiagonal are filled:
+    ``eigvalsh`` reads the upper triangle."""
+    if n < 1:
+        raise RandMatError("need N >= 1")
+    rng = np.random.default_rng(seed)
+    t = np.zeros((n, n))
+    t.flat[::n + 1] = rng.standard_normal(n)
+    t.flat[1::n + 1] = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1)))
+    return np.linalg.eigvalsh(t, UPLO="U") / math.sqrt(n)
 
 
 def haar_unitary(n, seed):
@@ -67,7 +95,10 @@ def esd(a):
         raise RandMatError("dense eigensolve limited to 4096")
     if np.abs(a - a.conj().T).max() > 1e-12:
         raise RandMatError("matrix must be Hermitian")
-    evals = np.linalg.eigvalsh(a)
+    return _uniform_atoms(np.linalg.eigvalsh(a))
+
+
+def _uniform_atoms(evals):
     n = evals.size
     return AtomicMeasure.from_pairs(
         [(float(x), 1.0 / n) for x in evals], merge_tol=0.0, renormalize=True
@@ -104,8 +135,10 @@ def kolmogorov_distance(measure, cdf):
 
 
 def wigner_check(n, seeds):
-    """Kolmogorov distances of single-sample ESDs to Semicircle(0,1)."""
-    return [kolmogorov_distance(esd(sample_gue(n, s)), semicircle_cdf)
+    """Kolmogorov distances of single-sample GUE spectra (drawn by
+    ``gue_eigenvalues``) to Semicircle(0,1)."""
+    return [kolmogorov_distance(_uniform_atoms(gue_eigenvalues(n, s)),
+                                semicircle_cdf)
             for s in seeds]
 
 

@@ -310,6 +310,36 @@ class TestExitCodes:
         err = self.refused(files, capsys, argv)
         assert f"measure JSON {entry} must be" in err
 
+    @pytest.mark.parametrize("driving, entry", [
+        ({"kind": "constant", "values": 5}, "values"),
+        ({"kind": "constant", "values": ["0"]}, "values[0]"),
+        ({"kind": "constant", "values": [True]}, "values[0]"),
+        ({"kind": "sampled", "times": 1, "values": [0, 1]}, "times"),
+        ({"kind": "sampled", "times": [0, None], "values": [0, 1]},
+         "times[1]"),
+    ])
+    @pytest.mark.parametrize("command", ["loewner", "spidernet-approx"])
+    def test_non_numeric_driving(self, files, capsys, driving, entry,
+                                 command):
+        json.dump(driving, open(files / "u.json", "w"))
+        argv = ([command, "--driving", "u.json", "--out", "bad"]
+                + (["--t", "1"] if command == "loewner"
+                   else ["--T", "1", "--n", "2"]))
+        err = self.refused(files, capsys, argv)
+        assert f"error: driving JSON {entry} must be" in err
+
+    @pytest.mark.parametrize("mode, spec", [
+        ("mrp", {"P": P, "R": [0, 1]}),
+        ("mdp", {"transitions": [[[1.0]]], "R": [0]}),
+    ])
+    @pytest.mark.parametrize("gamma", ["x", None, [0.5], True])
+    def test_non_numeric_gamma(self, files, capsys, mode, spec, gamma):
+        json.dump(dict(spec, gamma=gamma), open(files / "spec.json", "w"))
+        err = self.refused(files, capsys, ["markov", mode, "--spec",
+                                           "spec.json", "--out", "bad.json"])
+        assert (f"error: markov {mode} spec 'gamma' must be a real number, "
+                f"got {gamma!r}") in err
+
 
 class TestSubcommands:
     def test_convolve_boolean(self, files):

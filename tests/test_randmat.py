@@ -12,14 +12,23 @@ from ncprob import randmat as rm
 # randmat functions must reproduce (bytes for sampling, 1e-12 for traces).
 
 def reference_sample_gue(n, rng):
-    sd = math.sqrt(1.0 / (2 * n))
-    z = rng.standard_normal((n, n)) * sd
+    # GUE: N(0, 1/N) diagonal, N(0, 1/(2N)) real and imaginary parts above
+    z = rng.standard_normal((n, n))
+    zs = z * math.sqrt(1.0 / (2 * n))
     a = np.zeros((n, n), dtype=complex)
     iu = np.triu_indices(n, 1)
-    a[iu] = z[iu] + 1j * z.T[iu]
+    a[iu] = zs[iu] + 1j * zs.T[iu]
     a = a + a.conj().T
-    a[np.diag_indices(n)] = np.diag(z)
+    a[np.diag_indices(n)] = np.diag(z) * math.sqrt(1.0 / n)
     return a
+
+
+def reference_gue_eigenvalues(n, rng):
+    # the beta = 2 Hermite matrix, built whole and solved from its lower half
+    d = rng.standard_normal(n)
+    e = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1)))
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return np.linalg.eigvalsh(t) / math.sqrt(n)
 
 
 def reference_freeness_statistic(a, b):
@@ -87,10 +96,10 @@ class TestGUE:
                               rm.sample_gue(16, seed=3))
 
     def test_scalar_variance(self):
-        # N=1: a single real Gaussian with variance 1/2
+        # N=1: a single real Gaussian with variance 1 (standard error 0.014)
         vals = np.array([rm.sample_gue(1, seed=s)[0, 0].real
                          for s in range(10_000)])
-        assert abs(vals.var() - 0.5) < 0.025
+        assert abs(vals.var() - 1.0) < 0.05
 
     def test_second_moment(self):
         phis = [rm.trace_state(rm.sample_gue(200, seed=s) @
@@ -101,6 +110,78 @@ class TestGUE:
     def test_wigner_distance(self):
         dists = rm.wigner_check(1000, seeds=(7,))
         assert dists[0] <= 0.06
+
+
+def spectra(sampler, n, draws, seed):
+    """(draws, n) ascending spectra of one sampler from one Generator."""
+    rng = np.random.default_rng(seed)
+    if sampler == "matrix":
+        return np.array([np.linalg.eigvalsh(rm.sample_gue(n, rng))
+                         for _ in range(draws)])
+    return np.array([rm.gue_eigenvalues(n, rng) for _ in range(draws)])
+
+
+class TestGUELaw:
+    """Both samplers against the exact GUE law and each other."""
+
+    @pytest.mark.parametrize("sampler", ["matrix", "tridiagonal"])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_exact_moments(self, sampler, n):
+        # E phi(A^2) = 1 and E phi(A^4) = 2 + 1/N^2 (Harer-Zagier); the
+        # old half-variance diagonal gave 1 - 1/(2N), over 10 standard
+        # errors away at these sizes
+        lam = spectra(sampler, n, 4000, seed=n)
+        for k, exact in ((2, 1.0), (4, 2.0 + 1.0 / n**2)):
+            phi = (lam**k).mean(axis=1)
+            se = phi.std(ddof=1) / math.sqrt(phi.size)
+            assert abs(phi.mean() - exact) < 4 * se, (k, phi.mean(), se)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_samplers_share_a_law(self, n):
+        # each ordered eigenvalue is iid across draws: two-sample KS per
+        # index, Bonferroni over the n indices
+        from scipy.stats import ks_2samp
+        a = spectra("matrix", n, 3000, seed=100 + n)
+        b = spectra("tridiagonal", n, 3000, seed=200 + n)
+        for k in range(n):
+            assert ks_2samp(a[:, k], b[:, k]).pvalue > 1e-3 / n, k
+
+    def test_one_by_one(self):
+        # N = 1: the eigenvalue is the N(0, 1) entry itself
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal(1)
+            assert rm.gue_eigenvalues(1, seed).tobytes() == x.tobytes()
+            assert rm.sample_gue(1, seed).tobytes() == \
+                x.astype(complex).reshape(1, 1).tobytes()
+
+    def test_two_by_two_draws(self):
+        # [[a, b], [b, c]] / sqrt(2) with b^2 ~ Gamma(1, 1)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, c = rng.standard_normal(2)
+            g = rng.standard_gamma(np.arange(1, 0, -1))[0]
+            r = math.sqrt(((a - c) / 2) ** 2 + g)
+            want = np.array([(a + c) / 2 - r, (a + c) / 2 + r]) / math.sqrt(2)
+            assert rm.gue_eigenvalues(2, seed) == pytest.approx(
+                want, rel=1e-14, abs=1e-14 * (abs(a) + abs(c) + r))
+
+    @pytest.mark.parametrize("sampler", ["matrix", "tridiagonal"])
+    def test_two_by_two_law(self, sampler):
+        # N = 2 GUE: the trace is N(0, 1) and the squared gap chi^2_3
+        from scipy.stats import kstest
+        lam = spectra(sampler, 2, 4000, seed=7)
+        assert kstest(lam.sum(axis=1), "norm").pvalue > 1e-3
+        gap2 = (lam[:, 1] - lam[:, 0]) ** 2
+        assert kstest(gap2, "chi2", args=(3,)).pvalue > 1e-3
+
+    def test_ascending_and_scaled(self):
+        lam = rm.gue_eigenvalues(1000, seed=3)
+        assert np.all(np.diff(lam) >= 0)
+        assert -2.1 < lam[0] < -1.9 and 1.9 < lam[-1] < 2.1
+
+    def test_rejects_empty(self):
+        with pytest.raises(rm.RandMatError):
+            rm.gue_eigenvalues(0, seed=0)
 
 
 class TestESD:
@@ -187,6 +268,18 @@ class TestReferencePins:
         for seed in (0, 3):
             want = reference_sample_gue(n, np.random.default_rng(seed))
             assert rm.sample_gue(n, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 500])
+    def test_gue_eigenvalues_bytes(self, n):
+        for seed in (0, 3):
+            want = reference_gue_eigenvalues(n, np.random.default_rng(seed))
+            assert rm.gue_eigenvalues(n, seed).tobytes() == want.tobytes()
+
+    def test_gue_eigenvalues_takes_a_generator(self):
+        rng = np.random.default_rng(4)
+        first, second = rm.gue_eigenvalues(5, rng), rm.gue_eigenvalues(5, rng)
+        assert first.tobytes() == rm.gue_eigenvalues(5, 4).tobytes()
+        assert not np.array_equal(first, second)
 
     def test_sample_gue_takes_a_generator(self):
         rng = np.random.default_rng(4)
