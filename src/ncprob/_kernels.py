@@ -44,9 +44,25 @@ rules keep that parity and must survive any edit:
   distance nor G: the parts of G start at +0 and, in round-to-nearest, a
   sum is -0 only when both addends are, so they are never -0 and adding
   +-0 leaves them bitwise unchanged.
+
+The loop's cost is a fixed number of numpy calls per iteration, whatever
+the batch size, so it is written to make each call cheap without changing
+a bit.  Its constants (the tableau, the stage fractions, tol, the step
+floor) are 0-d float64 or complex128 arrays: numpy would convert a Python
+number operand to that very value, so the IEEE results are the same, and
+the conversion, which costs more than the arithmetic on a small batch, is
+done once.  The
+step is kept as its size a with h = sgn * a: the scalar rule only ever
+replaces h by a value of its own sign (the remaining span, the distance to
+the segment end, half the support distance over |G|), so each cap is an
+``np.minimum`` of magnitudes, inf where it does not apply, and picks the
+same h.  The segment index is ``searchsorted`` on the inner breaks, which
+for sorted breaks is the scalar index ``searchsorted(tbreaks) - 1``
+clamped to the first and last segment.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -56,19 +72,50 @@ FLOW_ESCAPE = 2
 FLOW_STRANGLED = 3  # singularity clamp forced the step below the floor
 
 
-def _field(t, z, t0, slots, with_dist=False):
+# The loop's constants, as 0-d arrays (see above).
+_ZERO, _FIFTH, _HALF, _NINE_TENTHS, _ONE, _FIVE = (
+    np.array(c) for c in (0.0, 0.2, 0.5, 0.9, 1.0, 5.0))
+_NEAR, _FAR, _INF = np.array(1e299), np.array(1e300), np.array(np.inf)
+_ZERO_C = np.array(0j)
+# Dormand-Prince 5(4): the stage fractions c2..c5, then the rows of the
+# tableau as complex 0-d arrays.  Entries are stored without their sign; the
+# stage sums in ``flow_batch`` subtract the negative ones, as the scalar
+# reference does.
+_C = tuple(np.array(c) for c in (0.2, 0.3, 0.8, 0.8888888888888888))
+_A = tuple(tuple(np.array(complex(a)) for a in row) for row in (
+    (0.075, 0.225),
+    (0.9777777777777777, 3.7333333333333334, 3.5555555555555554),
+    (2.9525986892242035, 11.595793324188385, 9.822892851699436,
+     0.2908093278463649),
+    (2.8462752525252526, 10.757575757575758, 8.906422717743473,
+     0.2784090909090909, 0.2735313036020583),
+    # the fifth-order weights b1, b3..b6, then the fourth-order ones d1,
+    # d3..d7 (b2 = d2 = 0)
+    (0.09114583333333333, 0.44923629829290207, 0.6510416666666666,
+     0.322376179245283, 0.13095238095238096),
+    (0.08991319444444444, 0.4534890685834082, 0.6140625, 0.2715123820754717,
+     0.08904761904761904, 0.025),
+))
+
+
+def _field(z, atoms, with_dist=False):
     """G at the points z (one per active point) and, on request, their
-    distance to the field support.  ``slots`` holds one (position, slope,
-    weight) column per atom slot; slots are summed in order."""
-    dt = t - t0
-    g, dist = 0.0, 1e300
-    for p, s, w in slots:
-        diff = z - (p + s * dt)
+    distance to the field support.  ``atoms`` holds one (position, weight)
+    pair of columns per atom slot, at the time of evaluation; slots are
+    summed in order."""
+    g, dist = _ZERO_C, _FAR
+    for p, w in atoms:
+        diff = z - p
         g = g + w / diff
         if with_dist:
-            ad = np.hypot(diff.real, diff.imag)
-            dist = np.where(ad < dist, ad, dist)
+            dist = np.fmin(np.hypot(diff.real, diff.imag), dist)
     return g, dist
+
+
+def _atoms(t, t0, slots):
+    """The (position, weight) columns of the atom slots at times t."""
+    dt = t - t0
+    return [(p + s * dt, w) for p, s, w in slots]
 
 
 def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
@@ -84,94 +131,94 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
     total = abs(tau1 - tau0)
     if total == 0.0:
         return out, status, min_im, steps
-    sgn = 1.0 if tau1 >= tau0 else -1.0
-    side = "right" if sgn > 0 else "left"
-    ns = tbreaks.shape[0] - 1
-    min_h = 1e-14 * total
+    forward = tau1 >= tau0
+    side = "right" if forward else "left"
+    inner = tbreaks[1:-1]  # searchsorted here gives the segment index
+    k = pos.shape[1]
     pad = wts <= 0.0  # padding: a zero-weight atom at infinity, see above
-    pos = np.where(pad, np.inf, pos)
-    slope = np.where(pad, 0.0, slope)
-    wts = np.where(pad, 0.0, wts)
+    # one column per segment: its start, its end in the direction of
+    # travel, then the positions, slopes and weights of its slots
+    table = np.vstack([tbreaks[:-1], tbreaks[1:] if forward else tbreaks[:-1],
+                       np.where(pad, np.inf, pos).T,
+                       np.where(pad, 0.0, slope).T,
+                       np.where(pad, 0.0, wts).T])
+    sgn, min_h, tol, im_floor, tau1 = (
+        np.array(float(v)) for v in
+        (1.0 if forward else -1.0, 1e-14 * total, tol, im_floor, tau1))
+    ((a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, b3, b4, b5, b6),
+     (d1, d3, d4, d5, d6, d7)) = _A
+    c2, c3, c4, c5 = _C
 
     act = np.arange(n)
     y = out.copy()
     tau = np.full(n, tau0, dtype=np.float64)
-    h = np.full(n, sgn * total / 16.0)
+    # the step is h = sgn * a: its size a, and the remaining span
+    # r = sgn * (tau1 - tau), are kept as magnitudes
+    a = np.full(n, total / 16.0)
+    r = np.full(n, total)
     low = min_im.copy()
     nstep = np.zeros(n, dtype=np.int64)
 
     while act.size:
-        rem = tau1 - tau
-        j = np.searchsorted(tbreaks, tau, side=side) - 1
-        j = np.minimum(np.maximum(j, 0), ns - 1)
-        hseg = tbreaks[j + 1] - tau if sgn > 0 else tbreaks[j] - tau
-        h = np.where(sgn * h <= 0.0, sgn * min_h, h)
-        h = np.where(np.abs(h) > np.abs(rem), rem, h)
-        h = np.where((sgn * hseg > 0.0) & (np.abs(h) > np.abs(hseg)), hseg, h)
+        t0, end, *cols = table.take(inner.searchsorted(tau, side), 1)
+        slots = list(zip(cols[:k], cols[k:2 * k], cols[2 * k:]))
+        hseg = sgn * (end - tau)  # <= 0 once past the breaks: no cap
+        a = np.minimum(np.minimum(np.where(a <= _ZERO, min_h, a), r),
+                       np.where(hseg > _ZERO, hseg, _INF))
 
-        t0 = tbreaks[j]
-        slots = list(zip(pos[j].T, slope[j].T, wts[j].T))
-
-        k1, dist = _field(tau, y, t0, slots, with_dist=True)
-        gm = np.hypot(k1.real, k1.imag)
-        clamp = (gm > 0.0) & (dist < 1e299)
-        hmax = 0.5 * dist / np.where(clamp, gm, 1.0)
+        k1, dist = _field(y, _atoms(tau, t0, slots), with_dist=True)
+        k1i = k1.imag
+        gm = np.hypot(k1.real, k1i)
+        clamp = (gm > _ZERO) & (dist < _NEAR)
+        hmax = np.where(clamp, _HALF * dist / np.where(clamp, gm, _ONE), _INF)
         # the clamp strangles a trajectory heading into the support
-        strangled = clamp & (hmax <= min_h) & (sgn * k1.imag <= 0.0)
-        # h points towards tau1 with |h| <= |rem|, so the clamped step
-        # sgn * hmax needs no further check
-        h = np.where(clamp & ~strangled & (np.abs(h) > hmax), sgn * hmax, h)
+        strangled = (hmax <= min_h) & (k1i <= _ZERO if forward
+                                        else k1i >= _ZERO)
+        a = np.minimum(a, hmax)
+        h = sgn * a
+        hc = h.astype(np.complex128)
 
         # Dormand-Prince 5(4) stages
-        k2, _ = _field(tau + h * 0.2, y + h * 0.2 * k1, t0, slots)
-        k3, _ = _field(tau + h * 0.3, y + h * (0.075 * k1 + 0.225 * k2),
-                       t0, slots)
-        k4, _ = _field(tau + h * 0.8,
-                       y + h * (0.9777777777777777 * k1
-                                - 3.7333333333333334 * k2
-                                + 3.5555555555555554 * k3), t0, slots)
-        k5, _ = _field(tau + h * 0.8888888888888888,
-                       y + h * (2.9525986892242035 * k1
-                                - 11.595793324188385 * k2
-                                + 9.822892851699436 * k3
-                                - 0.2908093278463649 * k4), t0, slots)
-        k6, _ = _field(tau + h,
-                       y + h * (2.8462752525252526 * k1
-                                - 10.757575757575758 * k2
-                                + 8.906422717743473 * k3
-                                + 0.2784090909090909 * k4
-                                - 0.2735313036020583 * k5), t0, slots)
-        ynew = y + h * (0.09114583333333333 * k1
-                        + 0.44923629829290207 * k3
-                        + 0.6510416666666666 * k4
-                        - 0.322376179245283 * k5
-                        + 0.13095238095238096 * k6)
-        k7, _ = _field(tau + h, ynew, t0, slots)
-        e = ynew - (y + h * (0.08991319444444444 * k1
-                             + 0.4534890685834082 * k3
-                             + 0.6140625 * k4
-                             - 0.2715123820754717 * k5
-                             + 0.08904761904761904 * k6
-                             + 0.025 * k7))
+        h2 = h * c2
+        k2, _ = _field(y + h2 * k1, _atoms(tau + h2, t0, slots))
+        k3, _ = _field(y + hc * (a31 * k1 + a32 * k2),
+                       _atoms(tau + h * c3, t0, slots))
+        k4, _ = _field(y + hc * (a41 * k1 - a42 * k2 + a43 * k3),
+                       _atoms(tau + h * c4, t0, slots))
+        k5, _ = _field(y + hc * (a51 * k1 - a52 * k2 + a53 * k3 - a54 * k4),
+                       _atoms(tau + h * c5, t0, slots))
+        tau_h = tau + h
+        atoms_h = _atoms(tau_h, t0, slots)
+        k6, _ = _field(y + hc * (a61 * k1 - a62 * k2 + a63 * k3 + a64 * k4
+                                 - a65 * k5), atoms_h)
+        ynew = y + hc * (b1 * k1 + b3 * k3 + b4 * k4 - b5 * k5 + b6 * k6)
+        k7, _ = _field(ynew, atoms_h)
+        e = ynew - (y + hc * (d1 * k1 + d3 * k3 + d4 * k4 - d5 * k5
+                              + d6 * k6 + d7 * k7))
         err = np.hypot(e.real, e.imag)
 
-        broken = ~np.isfinite(err) & ~strangled
-        accept = ((err <= tol) | (np.abs(h) <= min_h)) & ~strangled & ~broken
-        tau = np.where(accept, tau + h, tau)
+        finite = np.isfinite(err)
+        accept = ((err <= tol) | (a <= min_h)) & finite & ~strangled
+        tau = np.where(accept, tau_h, tau)
         y = np.where(accept, ynew, y)
         nstep += accept
-        low = np.where(accept & (y.imag < low), y.imag, low)
-        escape = accept & (y.imag < im_floor)
-        underflow = (accept & (err > tol) & ~escape) | broken
+        yi = y.imag
+        low = np.where(yi < low, yi, low)  # y moved only where accepted
+        escape = accept & (yi < im_floor)
+        # status ranks strangled before escape before underflow
+        underflow = (accept & (err > tol)) | ~finite
 
-        grow = err > 0.0
-        fac = np.where(grow, 0.0, 5.0)
-        fac[grow] = [0.9 * math.pow(r, 0.2)
-                     for r in (tol / err[grow]).tolist()]
-        h = h * np.where(fac < 0.2, 0.2, np.where(fac > 5.0, 5.0, fac))
+        grow = err > _ZERO
+        ratio = (tol / np.where(grow, err, _ONE)).tolist()
+        fac = np.where(grow, _NINE_TENTHS * np.fromiter(
+            map(math.pow, ratio, repeat(0.2)), np.float64, len(ratio)), _FIVE)
+        a = a * np.minimum(np.maximum(fac, _FIFTH), _FIVE)
 
-        done = strangled | escape | underflow | ~(sgn * (tau1 - tau) > 0.0)
-        if done.any():
+        r = sgn * (tau1 - tau)
+        run = (r > _ZERO) & ~(strangled | escape | underflow)
+        if np.count_nonzero(run) < act.size:
+            done = ~run
             sel = act[done]
             out[sel] = y[done]
             status[sel] = np.where(
@@ -180,8 +227,7 @@ def flow_batch(zs, tau0, tau1, tbreaks, pos, slope, wts, tol, im_floor):
                          np.where(underflow, FLOW_UNDERFLOW, FLOW_OK)))[done]
             min_im[sel] = low[done]
             steps[sel] = nstep[done]
-            run = ~done
-            act, y, tau, h = act[run], y[run], tau[run], h[run]
+            act, y, tau, a, r = act[run], y[run], tau[run], a[run], r[run]
             low, nstep = low[run], nstep[run]
     return out, status, min_im, steps
 

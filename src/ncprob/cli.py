@@ -182,6 +182,10 @@ def _cmd_loewner(args):
     half = bound + math.sqrt(2 * args.t) + 0.5
     lo = args.grid_min if args.grid_min is not None else -half
     hi = args.grid_max if args.grid_max is not None else half
+    if not math.isfinite(hi - lo):
+        raise loewner.LoewnerError(
+            f"inversion grid [{lo!r}, {hi!r}] is wider than the largest "
+            f"float (driving bound {bound!r})")
     grid = np.linspace(lo, hi, args.grid_points)
     mu = loewner.chain_measure(field, args.t, grid, tol=args.tol,
                                eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
@@ -227,6 +231,25 @@ def _cmd_clt(args):
     return 0
 
 
+def _json_array(value, where, ndim):
+    """``value`` as an array when it is ``ndim`` levels of nested lists of
+    real numbers with the entries of each list of one shape; else a
+    MarkovError naming ``where`` or its bad list or entry."""
+    if ndim == 1:
+        return np.array(measures.json_reals(value, where,
+                                            error=markov.MarkovError))
+    if not isinstance(value, (list, tuple)):
+        raise markov.MarkovError(f"{where} must be a list, got {value!r}")
+    rows = [_json_array(v, f"{where}[{i}]", ndim - 1)
+            for i, v in enumerate(value)]
+    for i, row in enumerate(rows):
+        if row.shape != rows[0].shape:
+            raise markov.MarkovError(
+                f"{where} entries must have one shape: [{i}] is "
+                f"{value[i]!r} but [0] is {value[0]!r}")
+    return np.array(rows)
+
+
 def _cmd_markov(args):
     spec = _load_json(args.spec)
 
@@ -236,25 +259,29 @@ def _cmd_markov(args):
                 f"markov {args.mode} spec needs a {key!r} entry")
         return spec[key]
 
+    def where(key):
+        return f"markov {args.mode} spec {key!r}"
+
+    def array(key, ndim):
+        return _json_array(entry(key), where(key), ndim)
+
     def gamma():
-        return measures.json_real(entry("gamma"),
-                                  f"markov {args.mode} spec 'gamma'",
+        return measures.json_real(entry("gamma"), where("gamma"),
                                   markov.MarkovError)
 
     if args.mode != "mdp":
-        p = markov.TransitionMatrix(np.array(entry("P")))
+        p = markov.TransitionMatrix(array("P", 2))
     if args.mode == "stationary":
         result = {"pi": list(markov.stationary_distribution(p))}
     elif args.mode == "converge":
-        v0 = np.array(spec.get("v0", np.eye(p.n)[0]))
+        v0 = array("v0", 1) if "v0" in spec else np.eye(p.n)[0]
         pi, theta, c = markov.convergence_report(p, v0)
         result = {"pi": list(pi), "theta": theta, "C": c}
     elif args.mode == "mrp":
-        v = markov.mrp_value(p, np.array(entry("R")), gamma())
+        v = markov.mrp_value(p, array("R", 1), gamma())
         result = {"v": list(v)}
     else:
-        mdp = markov.MDPSpec(np.array(entry("transitions")),
-                             np.array(entry("R")), gamma())
+        mdp = markov.MDPSpec(array("transitions", 3), array("R", 1), gamma())
         v, policy = markov.mdp_value_iteration(mdp, tol=args.tol)
         result = {"v": list(v), "policy": [int(a) for a in policy]}
     with open(args.out, "w") as fh:

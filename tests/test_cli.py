@@ -340,6 +340,67 @@ class TestExitCodes:
         assert (f"error: markov {mode} spec 'gamma' must be a real number, "
                 f"got {gamma!r}") in err
 
+    # transitions[s', s, a]: two states that stay put under one action
+    MDP = {"transitions": [[[1.0], [0.0]], [[0.0], [1.0]]], "R": [0, 1],
+           "gamma": 0.5}
+
+    @pytest.mark.parametrize("mode, spec, message", [
+        ("stationary", {"P": "x"}, "'P' must be a list, got 'x'"),
+        ("stationary", {"P": ["x", [0.5, 0.7]]},
+         "'P'[0] must be a list, got 'x'"),
+        ("stationary", {"P": [[0.5, "x"], [0.5, 0.7]]},
+         "'P'[0][1] must be a real number, got 'x'"),
+        ("converge", {"P": [[0.5, 0.3], [0.5, None]]},
+         "'P'[1][1] must be a real number, got None"),
+        ("stationary", {"P": [[0.5, 0.3], [0.5]]},
+         "'P' entries must have one shape: [1] is [0.5] but [0] is "
+         "[0.5, 0.3]"),
+        ("converge", {"P": P, "v0": "x"}, "'v0' must be a list, got 'x'"),
+        ("converge", {"P": P, "v0": [1, True]},
+         "'v0'[1] must be a real number, got True"),
+        ("mrp", {"P": P, "R": "x", "gamma": 0.5},
+         "'R' must be a list, got 'x'"),
+        ("mrp", {"P": P, "R": [0, "1"], "gamma": 0.5},
+         "'R'[1] must be a real number, got '1'"),
+        ("mdp", dict(MDP, transitions="x"),
+         "'transitions' must be a list, got 'x'"),
+        ("mdp", dict(MDP, transitions=[[[1.0], [0.0]], [[0.0], ["x"]]]),
+         "'transitions'[1][1][0] must be a real number, got 'x'"),
+        ("mdp", dict(MDP, transitions=[[[1.0], [0.0]], [[0.0]]]),
+         "'transitions' entries must have one shape: [1] is [[0.0]] but "
+         "[0] is [[1.0], [0.0]]"),
+        ("mdp", dict(MDP, transitions=[[[1.0], [0.0]], [[0.0], [1.0, 0.0]]]),
+         "'transitions'[1] entries must have one shape: [1] is [1.0, 0.0] "
+         "but [0] is [0.0]"),
+        ("mdp", dict(MDP, R="x"), "'R' must be a list, got 'x'"),
+        ("mdp", dict(MDP, R=[None, 1]),
+         "'R'[0] must be a real number, got None"),
+    ])
+    def test_non_numeric_markov_spec(self, files, capsys, mode, spec,
+                                     message):
+        json.dump(spec, open(files / "spec.json", "w"))
+        err = self.refused(files, capsys, ["markov", mode, "--spec",
+                                           "spec.json", "--out", "bad.json"])
+        assert f"error: markov {mode} spec {message}\n" in err
+
+    @pytest.mark.parametrize("driving, flags", [
+        ({"kind": "constant", "values": [1e308]}, []),
+        ({"kind": "constant", "values": [-9e307]}, []),
+        ({"kind": "constant", "values": [1.7e308]}, ["--grid-min=-1e308"]),
+        ({"kind": "constant", "values": [0.5]},
+         ["--grid-min=-1.7e308", "--grid-max=1.7e308"]),
+    ])
+    def test_loewner_grid_overflow(self, files, capsys, driving, flags):
+        json.dump(driving, open(files / "u.json", "w"))
+        bound = abs(driving["values"][0])
+        err = self.refused(files, capsys, ["loewner", "--driving", "u.json",
+                                           "--t", "1", "--out", "bad",
+                                           *flags])
+        assert "Warning" not in err
+        assert err.startswith("error: inversion grid [")
+        assert f"is wider than the largest float (driving bound {bound!r})" \
+            in err
+
 
 class TestSubcommands:
     def test_convolve_boolean(self, files):
@@ -416,6 +477,15 @@ class TestSubcommands:
         assert code == 0
         v = json.load(open(files / "v.json"))["v"]
         assert np.abs(np.array(v) - [0.43, 1.42, 2, -2]).max() <= 0.01
+
+    def test_markov_mdp(self, files):
+        json.dump(TestExitCodes.MDP, open(files / "mdp.json", "w"))
+        code = run(["markov", "mdp", "--spec", "mdp.json", "--out", "v.json"],
+                   files)
+        assert code == 0
+        out = json.load(open(files / "v.json"))
+        assert out["v"] == pytest.approx([0.0, 2.0], abs=1e-9)
+        assert out["policy"] == [0, 0]
 
     def test_markov_stationary(self, files):
         json.dump({"P": [[0.5, 0.25], [0.5, 0.75]]},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,7 +224,9 @@ class TestLockstepFlow:
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_reference(self, problem, perm_seed):
         zs, *rest = problem
-        got = _kernels.flow_batch(zs, *rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # finite input warns nothing
+            got = _kernels.flow_batch(zs, *rest)
         assert_flows_identical(got, reference_flow_batch(zs, *rest))
         # a point's result does not depend on the rest of its batch
         perm = np.random.default_rng(perm_seed).permutation(zs.size)
@@ -241,7 +244,9 @@ class TestLockstepFlow:
     def test_terminal_statuses(self, im_floor, code):
         zs = np.array([0.5j, 1.0j, 0.3 + 0.6j, 2 + 1j, -1.4 + 0.05j])
         args = (zs, 0.0, 1.0, *ZERO_SLIT, 1e-10, im_floor)
-        got = _kernels.flow_batch(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.flow_batch(*args)
         assert code in got[1] and _kernels.FLOW_OK in got[1]
         assert_flows_identical(got, reference_flow_batch(*args))
 
@@ -282,6 +287,57 @@ class TestLockstepFlow:
         args = (zs, 1.0, 0.0, *ZERO_SLIT, 1e-9, 1e-12)
         assert_flows_identical(_kernels.flow_batch(*args),
                                reference_flow_batch(*args))
+
+    @staticmethod
+    def moving_field(tbreaks, slots=2, seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (len(tbreaks) - 1, slots)
+        return (np.array(tbreaks, dtype=float), rng.uniform(-1.5, 1.5, shape),
+                rng.uniform(-3.0, 3.0, shape), rng.uniform(0.1, 1.0, shape))
+
+    ZS = np.array([2j, 1 + 1j, -0.5 + 0.7j, 0.1 + 0.05j, -2 + 0.4j,
+                   0.3 + 1e-4j])
+
+    @pytest.mark.parametrize("tbreaks", [
+        [0.0, 0.3, 0.3, 0.7, 1.0],
+        [0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0],
+    ])
+    @pytest.mark.parametrize("tau0, tau1", [
+        (0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.7, 0.3), (0.5, 1.0),
+        (0.5, 0.0),
+    ])
+    def test_zero_length_segments(self, tbreaks, tau0, tau1):
+        args = (self.ZS, tau0, tau1, *self.moving_field(tbreaks), 1e-9,
+                1e-12)
+        assert_flows_identical(_kernels.flow_batch(*args),
+                               reference_flow_batch(*args))
+
+    @pytest.mark.parametrize("tau0, tau1", [
+        (0.0, 1.0), (-0.5, 0.1), (0.05, 0.15), (0.9, 1.3), (0.85, 1.0),
+        (-0.2, 1.2),
+    ])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_span_beyond_breaks(self, tau0, tau1, backward):
+        # the breaks cover [0.2, 0.8]: the first and last segment extend
+        if backward:
+            tau0, tau1 = tau1, tau0
+        args = (self.ZS, tau0, tau1, *self.moving_field([0.2, 0.5, 0.8]),
+                1e-9, 1e-12)
+        assert_flows_identical(_kernels.flow_batch(*args),
+                               reference_flow_batch(*args))
+
+    @pytest.mark.parametrize("tau0, tau1", [(0.0, 1.0), (1.0, 0.0),
+                                            (0.45, 0.55), (0.55, 0.45)])
+    def test_all_padding_segment(self, tau0, tau1):
+        # no live atom on [0.4, 0.6]: G = 0, the error is 0 and the step
+        # grows by the factor 5
+        tbreaks, pos, slope, wts = self.moving_field([0.0, 0.4, 0.6, 1.0])
+        wts[1] = [0.0, -1.0]
+        args = (self.ZS, tau0, tau1, tbreaks, pos, slope, wts, 1e-9, 1e-12)
+        got = _kernels.flow_batch(*args)
+        assert_flows_identical(got, reference_flow_batch(*args))
+        if min(tau0, tau1) >= 0.4:
+            np.testing.assert_array_equal(got[0], self.ZS)
 
 
 class TestDrivingFunction:
