@@ -111,51 +111,22 @@ def _cmd_convolve(args):
     return 0
 
 
-def _free_meixner_cauchy(a):
-    fmap = transforms.free_meixner_fmap(a.fm_a, a.fm_c, a.fm_u)
-    return lambda z: 1.0 / fmap(z)
-
-
-# each law's Cauchy transform, a vectorized function of a complex array
-_LAW_MAPS = {
-    "semicircle": lambda a: lambda z: (
-        z - a.mean - transforms.sqrt_upper((z - a.mean) ** 2 - 4 * a.var)
-    ) / (2 * a.var),
-    "arcsine": lambda a: lambda z: 1.0 / transforms.sqrt_upper(
-        (z - a.mean) ** 2 - 2 * a.var),
-    "marchenko-pastur": lambda a: lambda z: (
-        z + 1 - a.c - transforms.sqrt_upper(
-            a.c**2 - 2 * a.c * (z + 1) + (z - 1) ** 2)) / (2 * z),
-    "free-meixner": _free_meixner_cauchy,
+# each --law choice as its law object, built from the invert flags
+_LAWS = {
+    "semicircle": lambda a: measures.Semicircle(a.mean, a.var),
+    "arcsine": lambda a: measures.Arcsine(a.mean, a.var),
+    "marchenko-pastur": lambda a: measures.MarchenkoPastur(a.c),
+    "free-meixner": lambda a: measures.FreeMeixner(a.fm_a, a.fm_c, a.fm_u),
 }
-
-
-def _invert_grid(args, default_lo, default_hi):
-    lo = args.grid_min if args.grid_min is not None else default_lo
-    hi = args.grid_max if args.grid_max is not None else default_hi
-    return np.linspace(lo, hi, args.grid_points)
 
 
 def _cmd_invert(args):
     candidates = list(args.atom or ())
     if args.law is not None:
-        gmap = _LAW_MAPS[args.law](args)
-        if args.law == "semicircle":
-            r = 2 * math.sqrt(args.var)
-            lo, hi = args.mean - r, args.mean + r
-        elif args.law == "arcsine":
-            r = math.sqrt(2 * args.var)
-            lo, hi = args.mean - r, args.mean + r
-        elif args.law == "marchenko-pastur":
-            lo, hi = (1 - math.sqrt(args.c)) ** 2, (1 + math.sqrt(args.c)) ** 2
-            if args.c < 1:
-                candidates.append(0.0)
-        else:
-            r = 2 * math.sqrt(args.fm_c)
-            lo, hi = args.fm_u - r - 2, args.fm_u + r
-            candidates += transforms._free_meixner_atom_candidates(
-                args.fm_a, args.fm_c, args.fm_u)
-        grid = _invert_grid(args, lo - 0.2, hi + 0.2)
+        law = _LAWS[args.law](args)
+        gmap, pad = law.cauchy, 0.2
+        lo, hi = law.edges()
+        candidates += law.atom_candidates()
     else:
         if args.measure is None:
             raise ValueError("invert needs either --law or --measure")
@@ -163,10 +134,12 @@ def _cmd_invert(args):
         if isinstance(mu, measures.MomentSequence):
             raise ValueError("invert --measure expects atoms or a grid, "
                              "not a moment sequence")
-        gmap = mu
+        gmap, pad = mu, 0.5
         lo, hi = mu.support_bounds()
         candidates += [x for x, _ in mu.atoms]
-        grid = _invert_grid(args, lo - 0.5, hi + 0.5)
+    lo = args.grid_min if args.grid_min is not None else lo - pad
+    hi = args.grid_max if args.grid_max is not None else hi + pad
+    grid = np.linspace(lo, hi, args.grid_points)
     rec = transforms.stieltjes_invert(gmap, grid, atom_candidates=candidates)
     measures.write_density_csv(rec, args.out)
     if args.json_out:
@@ -186,6 +159,11 @@ def _cmd_loewner(args):
         raise loewner.LoewnerError(
             f"inversion grid [{lo!r}, {hi!r}] is wider than the largest "
             f"float (driving bound {bound!r})")
+    reach = bound + max(abs(lo), abs(hi))
+    if not math.isfinite(reach * reach):  # the flow squares z - U(t)
+        raise loewner.LoewnerError(
+            f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
+            f"reach {reach!r}, whose square overflows a float")
     grid = np.linspace(lo, hi, args.grid_points)
     mu = loewner.chain_measure(field, args.t, grid, tol=args.tol,
                                eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
@@ -353,7 +331,7 @@ def build_parser():
     c.set_defaults(fn=_cmd_convolve)
 
     c = sub.add_parser("invert", help="Stieltjes inversion to a density CSV")
-    c.add_argument("--law", choices=sorted(_LAW_MAPS))
+    c.add_argument("--law", choices=sorted(_LAWS))
     c.add_argument("--measure", help="measure JSON to round-trip")
     c.add_argument("--mean", type=float, default=0.0)
     c.add_argument("--sigma", dest="var", type=_sigma_squared,

@@ -458,6 +458,17 @@ def _damped_newton(gen, t, w, tol, max_steps):
                         "steps")
 
 
+def _resolvent_points(t, w):
+    """``w`` as a 1-d complex array, or a LoewnerError unless t >= 0 and
+    every Im w > 0."""
+    if t < 0:
+        raise LoewnerError("resolvent time must be >= 0")
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    if np.any(w.imag <= 0):
+        raise LoewnerError("resolvent requires Im(w) > 0")
+    return w
+
+
 def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
     """Solve w = z - t*G(z) for z in H by damped Newton iteration.
 
@@ -465,14 +476,10 @@ def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
     starts at z = w, halves its step until the residual decreases, and
     polishes to |z - t G(z) - w| <= tol.
     """
-    if t < 0:
-        raise LoewnerError("resolvent time must be >= 0")
-    w = complex(w)
-    if w.imag <= 0:
-        raise LoewnerError("resolvent requires Im(w) > 0")
+    w = _resolvent_points(t, complex(w))
     if t == 0:
-        return w
-    return complex(_damped_newton(gen, t, np.array([w]), tol, max_steps)[0])
+        return complex(w[0])
+    return complex(_damped_newton(gen, t, w, tol, max_steps)[0])
 
 
 def resolvent_fmap(gen, t, tol=1e-12):
@@ -483,7 +490,7 @@ def resolvent_fmap(gen, t, tol=1e-12):
     array, so each entry equals the one-point result.
     """
     def ev(w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        w = _resolvent_points(t, w)
         if t == 0:
             return w.copy()
         return _damped_newton(gen, t, w, tol, 200)

@@ -570,8 +570,9 @@ def metropolis_exact_kernel(shape, beta, coupling=1.0, field=0.0):
 def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
     """Verify P_{s's} w_s = P_{ss'} w_{s'} for all single-flip pairs.
 
-    Both sides equal exp(-beta*max(H_s, H_{s'}))/(m Z); the audit compares
-    the max energies symbolically and the float products to 1e-14.
+    Both sides equal exp(-beta*max(H_s, H_{s'}))/(m Z); the audit passes
+    when the float products agree to 1e-14 relative.  Returns (ok, worst
+    relative gap).
     """
     p, energy = metropolis_exact_kernel(shape, beta, coupling, field)
     w = np.exp(-beta * (energy - energy.min()))
@@ -582,12 +583,10 @@ def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
             s2 = s ^ (1 << i)
             if s2 < s:
                 continue
-            if max(energy[s], energy[s2]) != max(energy[s2], energy[s]):
-                return False, math.inf
             lhs = p.p[s2, s] * w[s]
             rhs = p.p[s, s2] * w[s2]
             worst = max(worst, abs(lhs - rhs) / max(lhs, rhs, 1e-300))
-    return True, worst
+    return worst <= 1e-14, worst
 
 
 def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,

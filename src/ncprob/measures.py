@@ -4,7 +4,10 @@ Three canonical representations: purely atomic measures, gridded densities
 with optional atoms, and truncated moment sequences.  Named laws (point
 masses, two-point laws, normal, arcsine, semicircle, Poisson,
 Marchenko-Pastur, free Meixner) provide exact moments, grid realizations,
-and seeded samplers.
+and seeded samplers.  The four laws with an interval of support (arcsine,
+semicircle, Marchenko-Pastur, free Meixner) also own their closed forms:
+``edges()`` of that interval, the Cauchy transform ``cauchy(z)`` and the
+points that may carry an atom, ``atom_candidates()``.
 """
 
 import json
@@ -18,6 +21,11 @@ import numpy as np
 
 class MeasureError(ValueError):
     """Invalid measure data or unsupported request."""
+
+
+def sqrt_upper(zeta):
+    """Branch of the square root mapping C minus [0, inf) into H."""
+    return 1j * np.sqrt(-np.asarray(zeta, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +272,10 @@ class Law:
     def sample(self, n, seed):
         raise NotImplementedError
 
+    def atom_candidates(self):
+        """Points that may carry an atom, for Stieltjes inversion."""
+        return []
+
 
 @dataclass(frozen=True)
 class Dirac(Law):
@@ -342,8 +354,9 @@ class Normal(Law):
 
 
 @dataclass(frozen=True)
-class Arcsine(Law):
-    """Arcsine law with the given mean and variance, symmetric support."""
+class _SymmetricLaw(Law):
+    """A law with the given mean and variance on [mean - r, mean + r],
+    r = half_width()."""
 
     mean: float = 0.0
     var: float = 1.0
@@ -351,6 +364,15 @@ class Arcsine(Law):
     def __post_init__(self):
         if self.var <= 0:
             raise MeasureError("variance must be positive")
+
+    def edges(self):
+        r = self.half_width()
+        return self.mean - r, self.mean + r
+
+
+@dataclass(frozen=True)
+class Arcsine(_SymmetricLaw):
+    """Arcsine law with the given mean and variance, symmetric support."""
 
     def half_width(self):
         return math.sqrt(2 * self.var)
@@ -366,6 +388,9 @@ class Arcsine(Law):
         r = self.half_width()
         t = np.clip((np.asarray(x, dtype=float) - self.mean) / r, -1, 1)
         return 0.5 + np.arcsin(t) / math.pi
+
+    def cauchy(self, z):
+        return 1.0 / sqrt_upper((z - self.mean) ** 2 - 2 * self.var)
 
     def moments(self, order, allow_truncated=False):
         _check_order(order)
@@ -387,14 +412,7 @@ class Arcsine(Law):
 
 
 @dataclass(frozen=True)
-class Semicircle(Law):
-    mean: float = 0.0
-    var: float = 1.0
-
-    def __post_init__(self):
-        if self.var <= 0:
-            raise MeasureError("variance must be positive")
-
+class Semicircle(_SymmetricLaw):
     def half_width(self):
         return 2 * math.sqrt(self.var)
 
@@ -409,6 +427,10 @@ class Semicircle(Law):
         t = np.clip((np.asarray(x, dtype=float) - self.mean) / r, -1, 1)
         return 0.5 + (t * np.sqrt(1 - t**2) + np.arcsin(t)) / math.pi
 
+    def cauchy(self, z):
+        return (z - self.mean - sqrt_upper((z - self.mean) ** 2 - 4 * self.var)
+                ) / (2 * self.var)
+
     def moments(self, order, allow_truncated=False):
         _check_order(order)
         central = [0] * (order + 1)
@@ -419,8 +441,8 @@ class Semicircle(Law):
         return MomentSequence(tuple(_shift_moments(central, self.mean)[1:]))
 
     def to_measure(self, resolution=GRID_RESOLUTION):
-        r = self.half_width()
-        grid = np.linspace(self.mean - r - _PAD, self.mean + r + _PAD, resolution)
+        lo, hi = self.edges()
+        grid = np.linspace(lo - _PAD, hi + _PAD, resolution)
         dens = self.density_at(grid)
         dens = dens / np.trapezoid(dens, grid)
         return GridMeasure(grid, dens)
@@ -483,6 +505,14 @@ class MarchenkoPastur(Law):
         s = math.sqrt(self.c)
         return (1 - s) ** 2, (1 + s) ** 2
 
+    def cauchy(self, z):
+        c = self.c
+        return (z + 1 - c - sqrt_upper(c**2 - 2 * c * (z + 1) + (z - 1) ** 2)
+                ) / (2 * z)
+
+    def atom_candidates(self):
+        return [0.0] if self.c < 1 else []
+
     def density_at(self, x):
         lo, hi = self.edges()
         x = np.asarray(x, dtype=float)
@@ -522,6 +552,7 @@ class MarchenkoPastur(Law):
 class FreeMeixner(Law):
     """Free Meixner law m_{a,c,u}: mean 0, variance a, Jacobi data
     (alpha_0, beta_1) = (0, a) and (alpha_k, beta_k) = (u, c) afterwards.
+    Positive beta define a law for every real u.
     """
 
     a: int = 2
@@ -531,8 +562,36 @@ class FreeMeixner(Law):
     def __post_init__(self):
         if self.a <= 0 or self.c <= 0:
             raise MeasureError("free Meixner needs a > 0 and c > 0")
-        if not 0 <= self.u <= self.a - 1:
-            raise MeasureError("free Meixner parameter must satisfy 0 <= u <= a-1")
+
+    def edges(self):
+        r = 2 * math.sqrt(self.c)
+        return self.u - r, self.u + r
+
+    def fmap(self, z):
+        """F = 1/G, a vectorized function of a complex array.
+
+        Continued-fraction tail w solves c*w^2 - (z-u)*w + 1 = 0 with w ~ 1/z;
+        then F(z) = z - a*w(z).  For a = 2c this is sqrt((z-u)^2 - 4c) + u.
+        """
+        z = np.asarray(z, dtype=complex)
+        s = sqrt_upper((z - self.u) ** 2 - 4 * self.c)
+        w = ((z - self.u) - s) / (2 * self.c)
+        return z - self.a * w
+
+    def cauchy(self, z):
+        return 1.0 / self.fmap(z)
+
+    def atom_candidates(self):
+        # real solutions of z - a*w(z) = 0 via the quadratic for w = z/a
+        a, c, u = self.a, self.c, self.u
+        aa = Fraction(c - a, a * a) if all(isinstance(t, int) for t in (a, c)) \
+            else (c - a) / a**2
+        bb = Fraction(u, a) if isinstance(u, int) else u / a
+        disc = float(bb) ** 2 - 4 * float(aa)
+        if disc < 0 or aa == 0:
+            return []
+        r = math.sqrt(disc)
+        return [(-float(bb) + s * r) / (2 * float(aa)) for s in (1, -1)]
 
     def jacobi(self, depth):
         alpha = [0] + [self.u] * depth
@@ -545,10 +604,16 @@ class FreeMeixner(Law):
         return MomentSequence(tuple(_motzkin_moments(alpha, beta, order)[1:]))
 
     def to_measure(self, resolution=GRID_RESOLUTION):
-        from . import transforms  # realization goes through Stieltjes inversion
+        # realization goes through Stieltjes inversion; transforms imports
+        # this module, so it is imported here
+        from .transforms import measure_from_ftransform
 
-        return transforms.free_meixner_measure(self.a, self.c, self.u,
-                                               resolution=resolution)
+        lo, hi = self.edges()
+        margin = 0.05 * (hi - lo)
+        grid = np.linspace(lo - margin, hi + margin, resolution)
+        return measure_from_ftransform(self.fmap, grid,
+                                       atom_candidates=self.atom_candidates(),
+                                       eps_ladder=(1e-4, 5e-5, 2.5e-5))
 
     def sample(self, n, seed):
         return self.to_measure().sample(n, seed)
@@ -635,9 +700,8 @@ def _grid_from_edge_singular_law(law, resolution):
     adjusted so the boundary cells' trapezoid mass matches the exact CDF,
     then the whole density is renormalized.
     """
-    r = law.half_width()
-    lo, hi = law.mean - r - _PAD, law.mean + r + _PAD
-    grid = np.linspace(lo, hi, resolution)
+    lo, hi = law.edges()
+    grid = np.linspace(lo - _PAD, hi + _PAD, resolution)
     dens = law.density_at(grid)
     h = grid[1] - grid[0]
     ncorr = 8  # edge cells made mass-exact by a boundary-inward sweep

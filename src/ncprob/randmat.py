@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, Semicircle
 
 
 class RandMatError(ValueError):
@@ -105,23 +105,13 @@ def _uniform_atoms(evals):
     )
 
 
-def semicircle_cdf(x):
-    t = np.clip(np.asarray(x, dtype=float) / 2.0, -1, 1)
-    return 0.5 + (t * np.sqrt(1 - t**2) + np.arcsin(t)) / math.pi
+semicircle_cdf = Semicircle(0.0, 1.0).cdf_exact
 
 
-def marchenko_pastur_cdf(x, grid_points=200_001):
-    """CDF of MP(1) by quadrature of its closed-form density."""
-    x = np.asarray(x, dtype=float)
-    grid = np.linspace(0.0, 4.0, grid_points)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(grid > 0,
-                        np.sqrt(np.clip(grid * (4 - grid), 0, None))
-                        / (2 * math.pi * np.maximum(grid, 1e-300)), 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    cum /= cum[-1]
-    return np.interp(x, grid, cum, left=0.0, right=1.0)
+def marchenko_pastur_cdf(x):
+    """CDF of MP(1): (2 theta + sin 2 theta) / pi, x = 4 sin^2 theta."""
+    theta = np.arcsin(np.sqrt(np.clip(np.asarray(x, dtype=float), 0, 4) / 4))
+    return (2 * theta + np.sin(2 * theta)) / math.pi
 
 
 def kolmogorov_distance(measure, cdf):

@@ -119,16 +119,12 @@ class LaurentSeries:
     def scale(self, c):
         return LaurentSeries(self.top, [c * x for x in self.coeffs], self.valid)
 
-    def dilate(self, lam, weight=1):
-        """Series of lam**weight * f(z / lam).
-
-        With weight 1 this is the F- and B-transform scaling law for the
-        pushforward of a measure under x -> lam*x; weight -1 gives the
-        Cauchy-transform law.
-        """
+    def dilate(self, lam):
+        """Series of lam * f(z / lam): the F- and B-transform scaling law for
+        the pushforward of a measure under x -> lam*x."""
         return LaurentSeries(
             self.top,
-            [lam ** (weight - (self.top - i)) * c
+            [lam ** (1 - (self.top - i)) * c
              for i, c in enumerate(self.coeffs)],
             self.valid,
         )
@@ -176,16 +172,6 @@ class LaurentSeries:
                 acc = acc + a[i] * b[k - i]
             b[k] = -inv_c0 * acc
         return LaurentSeries(-lead, b, self.valid - 2 * lead)
-
-    def pow(self, n):
-        """Integer power; n may be negative (via reciprocal)."""
-        if n == 0:
-            return LaurentSeries.constant(1, -min(self.valid, 0))
-        base = self if n > 0 else self.reciprocal()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
 
     def sqrt(self):
         """Square root branch with leading term +sqrt(c)*z^(p/2).

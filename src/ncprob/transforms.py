@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import AtomicMeasure, GridMeasure, MomentSequence
+# sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
+from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
+                       sqrt_upper)
 from .series import LaurentSeries
 
 
@@ -40,11 +42,6 @@ class AtomCollision(TransformError):
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 ATOM_THRESHOLD = 1e-4
-
-
-def sqrt_upper(zeta):
-    """Branch of the square root mapping C minus [0, inf) into H."""
-    return 1j * np.sqrt(-np.asarray(zeta, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -710,49 +707,6 @@ def free_meixner_f_series(n, u, order):
     pol = LaurentSeries(2, [1, -2 * Fraction(u), Fraction(u) ** 2 - 4 * n]
                         + [0] * order, -order)
     return pol.sqrt() + LaurentSeries.constant(Fraction(u), order)
-
-
-# ---------------------------------------------------------------------------
-# free Meixner transforms and realization
-# ---------------------------------------------------------------------------
-
-def free_meixner_fmap(a, c, u):
-    """F-transform of the free Meixner law m_{a,c,u}, a vectorized function
-    of a complex array.
-
-    Continued-fraction tail w solves c*w^2 - (z-u)*w + 1 = 0 with w ~ 1/z;
-    then F(z) = z - a*w(z).  For a = 2c this is sqrt((z-u)^2 - 4c) + u.
-    """
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        s = sqrt_upper((z - u) ** 2 - 4 * c)
-        w = ((z - u) - s) / (2 * c)
-        return z - a * w
-
-    return ev
-
-
-def _free_meixner_atom_candidates(a, c, u):
-    # real solutions of z - a*w(z) = 0 via the quadratic for w = z/a
-    aa = Fraction(c - a, a * a) if all(isinstance(t, int) for t in (a, c)) \
-        else (c - a) / a**2
-    bb = Fraction(u, a) if isinstance(u, int) else u / a
-    disc = float(bb) ** 2 - 4 * float(aa)
-    if disc < 0 or aa == 0:
-        return []
-    r = math.sqrt(disc)
-    return [(-float(bb) + s * r) / (2 * float(aa)) for s in (1, -1)]
-
-
-def free_meixner_measure(a, c, u, resolution=4096):
-    edge = 2 * math.sqrt(c)
-    lo, hi = u - edge, u + edge
-    margin = 0.05 * (hi - lo)
-    grid = np.linspace(lo - margin, hi + margin, resolution)
-    fmap = free_meixner_fmap(a, c, u)
-    cands = _free_meixner_atom_candidates(a, c, u)
-    return measure_from_ftransform(fmap, grid, atom_candidates=cands,
-                                   eps_ladder=(1e-4, 5e-5, 2.5e-5))
 
 
 # ---------------------------------------------------------------------------

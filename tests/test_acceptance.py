@@ -277,7 +277,7 @@ def test_13_hemigroup_and_normalization():
             reciprocal(lw.chain_fmap(lw.HerglotzField.from_driving(
                 lw.DrivingFunction.constant(0.0), 1.0), 1.0, tol=1e-10)),
             reciprocal(lw.resolvent_fmap(lambda z: -1.0 / z, 1.0)),
-            reciprocal(tr.free_meixner_fmap(4, 2, 1)),
+            reciprocal(ms.FreeMeixner(4, 2, 1).fmap),
         ]
         for g in transforms:
             tr.check_cauchy_normalization(g)  # raises on failure

@@ -402,6 +402,34 @@ class TestExitCodes:
             in err
 
 
+    @pytest.mark.parametrize("value, flags", [
+        (1e155, ["--grid-min=-1", "--grid-max=1"]),
+        (-1e155, ["--grid-min=-1", "--grid-max=1"]),
+        (1e155, []),
+        (1e154, ["--grid-min=-1e154", "--grid-max=1"]),
+    ])
+    def test_loewner_driving_overflow(self, files, capsys, value, flags):
+        json.dump({"kind": "constant", "values": [value]},
+                  open(files / "u.json", "w"))
+        err = self.refused(files, capsys, ["loewner", "--driving", "u.json",
+                                           "--t", "1", "--out", "bad",
+                                           *flags])
+        assert "Warning" not in err
+        assert err.startswith(f"error: driving bound {abs(value)!r} and "
+                              "inversion grid [")
+        assert "whose square overflows a float" in err
+
+    def test_loewner_large_driving_reaches_the_flow(self, files, capsys):
+        # (1e150 + 1)^2 is finite: the flow runs without a warning, and the
+        # inversion's mass check refuses the result
+        json.dump({"kind": "constant", "values": [1e150]},
+                  open(files / "u.json", "w"))
+        err = self.refused(files, capsys, ["loewner", "--driving", "u.json",
+                                           "--t", "1", "--out", "bad",
+                                           "--grid-min=-1", "--grid-max=1"])
+        assert err.startswith("error: recovered mass")
+
+
 class TestSubcommands:
     def test_convolve_boolean(self, files):
         code = run(["convolve", "--kind", "boolean", "--lhs", "bern.json",
@@ -421,6 +449,27 @@ class TestSubcommands:
         assert len(rec.atoms) == 1
         a, w = rec.atoms[0]
         assert abs(a + 2) < 1e-5 and abs(w - 1 / 3) < 1e-4
+
+    @pytest.mark.parametrize("u", ["5", "-1"])
+    def test_invert_free_meixner_any_u(self, files, u):
+        code = run(["invert", "--law", "free-meixner", "--fm-a", "4",
+                    "--fm-c", "2", "--fm-u", u, "--out", "fm.csv",
+                    "--json-out", "fm.json"], files)
+        assert code == 0
+        rec = ms.load_measure(files / "fm.json")
+        lo, hi = ms.FreeMeixner(4, 2, int(u)).edges()
+        assert (rec.grid[0], rec.grid[-1]) == (lo - 0.2, hi + 0.2)
+
+    @pytest.mark.parametrize("law", sorted(cli._LAWS))
+    def test_law_table(self, law):
+        args = cli.build_parser().parse_args(
+            ["invert", "--law", law, "--out", "unused.csv"])
+        obj = cli._LAWS[law](args)
+        lo, hi = obj.edges()
+        assert lo < hi
+        assert all(isinstance(x, float) for x in obj.atom_candidates())
+        y = 1e6
+        assert abs(1j * y * obj.cauchy(np.array([1j * y]))[0] - 1) <= 1e-3
 
     def test_invert_semicircle(self, files):
         code = run(["invert", "--law", "semicircle", "--sigma", "1",

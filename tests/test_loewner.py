@@ -776,7 +776,7 @@ class TestChainMeasure:
         grid = np.linspace(u - 2.4, u + 2.4, 1201)
         mu = lw.chain_measure(field, 2.0, grid, tol=1e-9,
                               eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
-        fm = tr.free_meixner_measure(2, 1, 1)  # a=2n=2? no: t=2 so n=1
+        fm = ms.FreeMeixner(2, 1, 1).to_measure()  # t = 2: a = t, c = t/2
         xs = np.linspace(u - 1.6, u + 1.6, 200)
         got = np.interp(xs, mu.grid, mu.density)
         want = np.interp(xs, fm.grid, fm.density)
@@ -919,6 +919,20 @@ class TestResolvent:
         gen = lambda z: z  # w = (1-t) z
         with pytest.raises((lw.NoConvergence, lw.LoewnerError)):
             lw.nonlinear_resolvent(gen, 1.0, 1j)
+
+    BERN = staticmethod(lambda z: -0.5 * (1 / (z - 1) + 1 / (z + 1)))
+
+    @pytest.mark.parametrize("t, w, message", [
+        (-1.0, 0.3 + 1j, "time must be >= 0"),
+        (1.0, 0.3 - 1j, "requires Im"),
+        (1.0, 0.3, "requires Im"),
+        (0.0, -2j, "requires Im"),
+    ])
+    def test_both_entry_points_refuse(self, t, w, message):
+        with pytest.raises(lw.LoewnerError, match=message):
+            lw.nonlinear_resolvent(self.BERN, t, w)
+        with pytest.raises(lw.LoewnerError, match=message):
+            lw.resolvent_fmap(self.BERN, t)(np.array([2j, w]))
 
     def test_no_convergence_messages(self):
         with pytest.raises(lw.NoConvergence, match="vanishing derivative"):

@@ -490,6 +490,21 @@ class TestIsing:
         assert ok
         assert worst < 1e-13
 
+    def test_detailed_balance_audit_catches_asymmetry(self, monkeypatch):
+        exact = mk.metropolis_exact_kernel
+
+        def skewed(*args):
+            p, energy = exact(*args)
+            q = p.p.copy()
+            q[1, 0] *= 1 + 1e-9  # one flip's rate off, columns re-summed
+            q[0, 0] = 1.0 - q[1:, 0].sum()
+            return mk.TransitionMatrix(q), energy
+
+        monkeypatch.setattr(mk, "metropolis_exact_kernel", skewed)
+        ok, worst = mk.detailed_balance_audit((2, 2), beta=0.3)
+        assert not ok
+        assert 1e-10 < worst < 1e-8
+
     def test_exact_boltzmann_limits(self):
         probs, measure = mk.exact_boltzmann((2, 2), beta=100.0, field=0.5)
         assert probs.argmax() == 15  # all-up configuration dominates

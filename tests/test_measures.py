@@ -98,6 +98,18 @@ class TestMoments:
         m = ms.FreeMeixner(4, 2, 1).moments(3)
         assert m[1] == 0 and m[2] == 4
 
+    @pytest.mark.parametrize("u", [5, -1])
+    def test_free_meixner_any_u(self, u):
+        law = ms.FreeMeixner(4, 2, u)
+        want = law.moments(4).floats()
+        got = law.to_measure().moments(4).floats()
+        assert np.all(np.abs(got - want) <= 1e-4 * np.maximum(1, np.abs(want)))
+
+    @pytest.mark.parametrize("a, c", [(0, 1), (2, 0), (-1, 1)])
+    def test_free_meixner_rejects(self, a, c):
+        with pytest.raises(ms.MeasureError, match="a > 0 and c > 0"):
+            ms.FreeMeixner(a, c, 0)
+
     def test_rejects_order_zero(self):
         with pytest.raises(ms.MeasureError):
             ms.Dirac(1).moments(0)

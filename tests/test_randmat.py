@@ -256,6 +256,14 @@ class TestSquaredGUE:
         assert dist <= 0.08
 
 
+    def test_marchenko_pastur_cdf_closed_form(self):
+        assert abs(rm.marchenko_pastur_cdf(1.0)
+                   - (1 / 3 + math.sqrt(3) / (2 * math.pi))) <= 1e-12
+        xs = np.array([-1.0, -0.0, 0.0, 4.0, 4.5, np.inf])
+        assert rm.marchenko_pastur_cdf(xs).tolist() == [0, 0, 0, 1, 1, 1]
+        assert abs(rm.marchenko_pastur_cdf(1e-4) - 0.006366) <= 1e-6
+
+
 class TestTraceState:
     def test_unit_on_identity(self):
         for n in (1, 7, 64):

@@ -181,7 +181,7 @@ class TestStieltjesInversion:
 
     def test_free_meixner_realization(self):
         # m_{4,2,1}: density on [1-2sqrt(2), 1+2sqrt(2)], atom at -2
-        rec = tr.free_meixner_measure(4, 2, 1)
+        rec = ms.FreeMeixner(4, 2, 1).to_measure()
         assert len(rec.atoms) == 1
         a, w = rec.atoms[0]
         assert abs(a + 2) < 1e-6
@@ -583,14 +583,16 @@ def outcome(fn, *args, **kwargs):
             [(float(a).hex(), float(w).hex()) for a, w in rec.atoms])
 
 
+LAWS = {
+    "semicircle": ms.Semicircle(0.0, 1.0),
+    "arcsine": ms.Arcsine(0.0, 1.0),
+    "marchenko-pastur": ms.MarchenkoPastur(0.5),
+    "free-meixner": ms.FreeMeixner(4, 2, 1),
+}
+
+
 def law_map(law):
-    args = cli.build_parser().parse_args(
-        ["invert", "--law", law, "--c", "0.5", "--fm-a", "4", "--fm-c", "2",
-         "--fm-u", "1", "--out", "unused.csv"])
-    return cli._LAW_MAPS[law](args)
-
-
-LAWS = ("semicircle", "arcsine", "marchenko-pastur", "free-meixner")
+    return LAWS[law].cauchy
 LOEWNER_LADDER = (5e-3, 2.5e-3, 1.25e-3)  # the one ``ncprob loewner`` uses
 
 
@@ -628,7 +630,7 @@ class TestSharedCallInversion:
         ("arcsine", -1.62, 1.62, []),
         ("marchenko-pastur", -0.2, 3.12, [0.0]),
         ("free-meixner", -4.03, 4.03,
-         tr._free_meixner_atom_candidates(4, 2, 1)),
+         ms.FreeMeixner(4, 2, 1).atom_candidates()),
     ])
     def test_closed_form_laws(self, law, lo, hi, candidates):
         g, grid = law_map(law), np.linspace(lo, hi, 301)
@@ -648,8 +650,8 @@ class TestSharedCallInversion:
 
     def test_free_meixner_realization(self):
         # explicit candidates: no scan row in the shared call
-        fmap, grid = tr.free_meixner_fmap(4, 2, 1), np.linspace(-4, 4, 301)
-        cands = tr._free_meixner_atom_candidates(4, 2, 1)
+        fmap, grid = ms.FreeMeixner(4, 2, 1).fmap, np.linspace(-4, 4, 301)
+        cands = ms.FreeMeixner(4, 2, 1).atom_candidates()
         ladder = (1e-4, 5e-5, 2.5e-5)
         assert outcome(tr.measure_from_ftransform, fmap, grid, cands,
                        ladder) == outcome(reference_measure_from_ftransform,
@@ -858,7 +860,7 @@ class TestFlowCalls:
 
 
 CLOSED_FORM_MAPS = {law: law_map(law) for law in LAWS}
-CLOSED_FORM_MAPS["free_meixner_fmap"] = tr.free_meixner_fmap(4, 2, 1)
+CLOSED_FORM_MAPS["free_meixner_fmap"] = ms.FreeMeixner(4, 2, 1).fmap
 
 upper_points = st.lists(
     st.builds(complex, st.floats(-5, 5),
@@ -940,7 +942,7 @@ class TestInversionGrid:
         g = Counted(law_map("semicircle"))
         with pytest.raises(tr.TransformError, match=message):
             tr.stieltjes_invert(g, grid)
-        f = Counted(tr.free_meixner_fmap(2, 1, 0))
+        f = Counted(ms.FreeMeixner(2, 1, 0).fmap)
         for cands in (None, [0.0]):
             with pytest.raises(tr.TransformError, match=message):
                 tr.measure_from_ftransform(f, grid, cands)
@@ -1215,7 +1217,7 @@ class TestHilbert:
         # transform symmetric under the reflection x -> 2u - x on its
         # continuous support
         u = 1.0
-        rec = tr.free_meixner_measure(4, 2, 1)
+        rec = ms.FreeMeixner(4, 2, 1).to_measure()
         for x in (u + 0.4, u + 1.1, u + 2.0):
             mirrored = 2 * u - x
             d1 = np.interp(x, rec.grid, rec.density)
