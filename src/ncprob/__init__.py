@@ -19,19 +19,19 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .measures import (AtomicMeasure, GridMeasure, MomentSequence, Dirac,
-                       Bernoulli, Normal, Arcsine, Semicircle, Poisson,
-                       MarchenkoPastur, FreeMeixner, levy_distance, moments,
-                       sample)
+from .measures import (NcprobError, NoConvergence, AtomicMeasure, GridMeasure,
+                       MomentSequence, Dirac, Bernoulli, Normal, Arcsine,
+                       Semicircle, Poisson, MarchenkoPastur, FreeMeixner,
+                       levy_distance, moments, sample)
 from .transforms import (cauchy, f_transform, b_transform, stieltjes_invert,
                          measure_from_ftransform, nevanlinna_extract,
                          hilbert_transform, f_series, b_series, r_series,
                          moment_quadrature)
 from .convolutions import (convolve, convolve_power, clt_iterate,
                            boolean_divisibility_root)
-from .loewner import (DrivingFunction, HerglotzField, ChainPoint,
-                      evaluate_chain, evaluate_chain_point, slit_chain,
-                      inverse_flow, chain_measure, scale_chain,
+from .loewner import (HullCollision, DrivingFunction, HerglotzField,
+                      ChainPoint, evaluate_chain, evaluate_chain_point,
+                      slit_chain, inverse_flow, chain_measure, scale_chain,
                       approximate_field_by_slits, nonlinear_resolvent,
                       sle_driving)
 from .graphs import (RootedGraph, SpidernetSpec, spidernet, comb_product,

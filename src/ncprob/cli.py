@@ -2,8 +2,9 @@
 
 One subcommand per experiment family; numeric output is locale-independent
 CSV or JSON, deterministic for a fixed configuration and seed.  Exit codes:
-0 success, 2 validation/usage error (message names the violated
-precondition), 1 unexpected runtime failure.
+0 success; 2 a usage error, a refusal (``NcprobError``, whose message names
+the violated precondition) or an unreadable input file; 1 anything else,
+which is a bug.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import convolutions, graphs, loewner, markov, measures, randmat
 from . import transforms
+from .measures import NcprobError
 
 
 def _format_cell(x):
@@ -34,7 +36,9 @@ def _write_csv(path, header, rows):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    # bytes that are not UTF-8 read as U+FFFD, so such a file fails to
+    # parse or to validate (exit 2) rather than to decode
+    with open(path, errors="replace") as fh:
         return json.load(fh)
 
 
@@ -128,12 +132,10 @@ def _cmd_invert(args):
         lo, hi = law.edges()
         candidates += law.atom_candidates()
     else:
-        if args.measure is None:
-            raise ValueError("invert needs either --law or --measure")
         mu = measures.measure_from_json(_load_json(args.measure))
         if isinstance(mu, measures.MomentSequence):
-            raise ValueError("invert --measure expects atoms or a grid, "
-                             "not a moment sequence")
+            raise NcprobError("invert --measure expects atoms or a grid, "
+                              "not a moment sequence")
         gmap, pad = mu, 0.5
         lo, hi = mu.support_bounds()
         candidates += [x for x, _ in mu.atoms]
@@ -156,12 +158,12 @@ def _cmd_loewner(args):
     lo = args.grid_min if args.grid_min is not None else -half
     hi = args.grid_max if args.grid_max is not None else half
     if not math.isfinite(hi - lo):
-        raise loewner.LoewnerError(
+        raise NcprobError(
             f"inversion grid [{lo!r}, {hi!r}] is wider than the largest "
             f"float (driving bound {bound!r})")
     reach = bound + max(abs(lo), abs(hi))
     if not math.isfinite(reach * reach):  # the flow squares z - U(t)
-        raise loewner.LoewnerError(
+        raise NcprobError(
             f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
             f"reach {reach!r}, whose square overflows a float")
     grid = np.linspace(lo, hi, args.grid_points)
@@ -175,9 +177,9 @@ def _cmd_loewner(args):
 def _cmd_sle(args):
     try:
         driving = loewner.sle_driving(args.kappa, args.T, args.dt, args.seed)
-    except loewner.LoewnerError as exc:
-        raise loewner.LoewnerError(f"{exc} (--kappa {args.kappa}, "
-                                   f"--T {args.T}, --dt {args.dt})") from exc
+    except NcprobError as exc:
+        raise NcprobError(f"{exc} (--kappa {args.kappa}, "
+                          f"--T {args.T}, --dt {args.dt})") from exc
     _write_csv(args.out, ("t", "u"), zip(driving.times, driving.values))
     return 0
 
@@ -196,13 +198,8 @@ def _cmd_spidernet_approx(args):
     return 0
 
 
-_CLT_BASES = {
-    "bernoulli": lambda order: measures.Bernoulli().moments(order),
-}
-
-
 def _cmd_clt(args):
-    base = _CLT_BASES[args.base](args.order)
+    base = measures.Bernoulli().moments(args.order)
     out = convolutions.clt_iterate(args.kind, base, args.n)
     _write_csv(args.out, ("order", "moment"),
                [(j, float(v)) for j, v in enumerate(out.values, start=1)])
@@ -212,17 +209,16 @@ def _cmd_clt(args):
 def _json_array(value, where, ndim):
     """``value`` as an array when it is ``ndim`` levels of nested lists of
     real numbers with the entries of each list of one shape; else a
-    MarkovError naming ``where`` or its bad list or entry."""
+    NcprobError naming ``where`` or its bad list or entry."""
     if ndim == 1:
-        return np.array(measures.json_reals(value, where,
-                                            error=markov.MarkovError))
+        return np.array(measures.json_reals(value, where))
     if not isinstance(value, (list, tuple)):
-        raise markov.MarkovError(f"{where} must be a list, got {value!r}")
+        raise NcprobError(f"{where} must be a list, got {value!r}")
     rows = [_json_array(v, f"{where}[{i}]", ndim - 1)
             for i, v in enumerate(value)]
     for i, row in enumerate(rows):
         if row.shape != rows[0].shape:
-            raise markov.MarkovError(
+            raise NcprobError(
                 f"{where} entries must have one shape: [{i}] is "
                 f"{value[i]!r} but [0] is {value[0]!r}")
     return np.array(rows)
@@ -233,7 +229,7 @@ def _cmd_markov(args):
 
     def entry(key):
         if not (isinstance(spec, dict) and key in spec):
-            raise markov.MarkovError(
+            raise NcprobError(
                 f"markov {args.mode} spec needs a {key!r} entry")
         return spec[key]
 
@@ -244,8 +240,7 @@ def _cmd_markov(args):
         return _json_array(entry(key), where(key), ndim)
 
     def gamma():
-        return measures.json_real(entry("gamma"), where("gamma"),
-                                  markov.MarkovError)
+        return measures.json_real(entry("gamma"), where("gamma"))
 
     if args.mode != "mdp":
         p = markov.TransitionMatrix(array("P", 2))
@@ -331,8 +326,9 @@ def build_parser():
     c.set_defaults(fn=_cmd_convolve)
 
     c = sub.add_parser("invert", help="Stieltjes inversion to a density CSV")
-    c.add_argument("--law", choices=sorted(_LAWS))
-    c.add_argument("--measure", help="measure JSON to round-trip")
+    law = c.add_mutually_exclusive_group(required=True)
+    law.add_argument("--law", choices=sorted(_LAWS))
+    law.add_argument("--measure", help="measure JSON to round-trip")
     c.add_argument("--mean", type=float, default=0.0)
     c.add_argument("--sigma", dest="var", type=_sigma_squared,
                    default=1.0, help="standard deviation")
@@ -342,7 +338,8 @@ def build_parser():
     c.add_argument("--fm-u", type=int, default=0)
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
-    c.add_argument("--grid-points", type=int, default=1201)
+    c.add_argument("--grid-points", type=functools.partial(_whole, least=2),
+                   default=1201)
     c.add_argument("--atom", type=float, action="append")
     c.add_argument("--out", required=True)
     c.add_argument("--json-out")
@@ -357,7 +354,8 @@ def build_parser():
                         "closed form")
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
-    c.add_argument("--grid-points", type=int, default=1201)
+    c.add_argument("--grid-points", type=functools.partial(_whole, least=2),
+                   default=1201)
     c.add_argument("--out", required=True, help="prefix for .csv and .json")
     c.set_defaults(fn=_cmd_loewner)
 
@@ -383,14 +381,13 @@ def build_parser():
     c.add_argument("--kind", required=True, choices=convolutions.KINDS)
     c.add_argument("--n", type=_positive_int, required=True)
     c.add_argument("--order", type=int, default=6)
-    c.add_argument("--base", default="bernoulli", choices=sorted(_CLT_BASES))
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_clt)
 
     c = sub.add_parser("markov", help="finite-chain solvers")
     c.add_argument("mode", choices=("stationary", "converge", "mrp", "mdp"))
     c.add_argument("--spec", required=True)
-    c.add_argument("--tol", type=float, default=1e-10)
+    c.add_argument("--tol", type=_positive, default=1e-10)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_markov)
 
@@ -439,10 +436,10 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (NcprobError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug, not a refusal
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

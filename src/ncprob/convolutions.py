@@ -14,19 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import transforms as tr
-from .measures import AtomicMeasure, MeasureError, MomentSequence
+from .measures import AtomicMeasure, MomentSequence, NcprobError
 from .series import compose_power
 
 KINDS = ("classical", "boolean", "free", "monotone", "antimonotone")
 
 
-class TruncationError(ValueError):
-    pass
-
-
 def _check_kind(kind):
     if kind not in KINDS:
-        raise ValueError(f"unknown convolution kind {kind!r}; one of {KINDS}")
+        raise NcprobError(f"unknown convolution kind {kind!r}; one of {KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +31,7 @@ def _check_kind(kind):
 
 def _convolve_moments(kind, a, b):
     if a.order != b.order:
-        raise TruncationError(
+        raise NcprobError(
             f"moment orders differ: {a.order} vs {b.order}"
         )
     k = a.order
@@ -68,7 +64,7 @@ def _default_grid(mu, nu, points=2001):
 
 def _convolve_measures(kind, mu, nu, order=8, grid=None):
     if not (isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure)):
-        raise MeasureError("measure-level convolution expects atomic inputs")
+        raise NcprobError("measure-level convolution expects atomic inputs")
     if kind == "classical":
         pairs = {}
         for x, w in mu.atoms:
@@ -98,14 +94,14 @@ def convolve(kind, a, b, order=8, grid=None):
     """Convolution of two measures or two moment sequences.
 
     Both inputs are moment sequences of the same order, or both are
-    measures; mixing the two raises ``MeasureError``.  Measures must be
+    measures; mixing the two raises ``NcprobError``.  Measures must be
     atomic; the result is atomic for the classical kind, a quadrature
     measure matching 2*order moments for the free kind, and a recovered
     GridMeasure for the monotone/Boolean kinds.
     """
     _check_kind(kind)
     if isinstance(a, MomentSequence) != isinstance(b, MomentSequence):
-        raise MeasureError(
+        raise NcprobError(
             "convolve needs two moment sequences or two atomic measures")
     if isinstance(a, MomentSequence):
         return _convolve_moments(kind, a, b)
@@ -118,7 +114,7 @@ def convolve_power(kind, m, n, order=None):
     if not isinstance(m, MomentSequence):
         m = m.moments(order or 8)
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise NcprobError("need n >= 1")
     if kind in tr.CUMULANT_KINDS:
         cum = tr.moments_to_cumulants(kind, m)
         return tr.cumulants_to_moments(kind, [n * c for c in cum])
@@ -129,7 +125,7 @@ def convolve_power(kind, m, n, order=None):
 def boolean_divisibility_root(m, n):
     """The n-th Boolean convolution root: B-transform divided by n."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise NcprobError("need n >= 1")
     cum = tr.moments_to_cumulants("boolean", m)
     return tr.cumulants_to_moments("boolean", [_divide(c, n) for c in cum])
 
@@ -167,11 +163,11 @@ def clt_iterate(kind, base, n):
     """
     _check_kind(kind)
     if not isinstance(base, MomentSequence):
-        raise MeasureError("clt_iterate expects a MomentSequence")
+        raise NcprobError("clt_iterate expects a MomentSequence")
     if abs(float(base[1])) > 1e-12 or abs(float(base[2]) - 1) > 1e-12:
-        raise MeasureError("base must have mean 0 and variance 1")
+        raise NcprobError("base must have mean 0 and variance 1")
     if n < 1:
-        raise MeasureError(f"need n >= 1 convolution factors, got {n}")
+        raise NcprobError(f"need n >= 1 convolution factors, got {n}")
     lam = _sqrt_scale(n)
     if kind in ("monotone", "antimonotone"):
         f = tr.f_series(base)

@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, MomentSequence
+from .measures import AtomicMeasure, MomentSequence, NcprobError
 
 VERTEX_GUARD = 10**7
-
-
-class GraphError(ValueError):
-    pass
-
-
-class BoundError(GraphError):
-    """Driving function violates the spidernet existence bound."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +34,7 @@ class RootedGraph:
     def __post_init__(self):
         n = self.adj.shape[0]
         if not 0 <= self.root < n:
-            raise GraphError("root index out of range")
+            raise NcprobError("root index out of range")
 
     @property
     def n(self):
@@ -53,10 +45,10 @@ class RootedGraph:
         import scipy.sparse as sp
 
         if n > VERTEX_GUARD:
-            raise GraphError(f"vertex count {n} exceeds guard {VERTEX_GUARD}")
+            raise NcprobError(f"vertex count {n} exceeds guard {VERTEX_GUARD}")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if np.any(e[:, 0] == e[:, 1]):
-            raise GraphError("loops are not allowed")
+            raise NcprobError("loops are not allowed")
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         adj = sp.csr_matrix(
@@ -99,11 +91,11 @@ class RootedGraph:
 
     def check_valid(self):
         if (self.adj != self.adj.T).nnz:
-            raise GraphError("adjacency must be symmetric")
+            raise NcprobError("adjacency must be symmetric")
         if self.adj.diagonal().any():
-            raise GraphError("adjacency must be loop-free")
+            raise NcprobError("adjacency must be loop-free")
         if self.adj.data.size and not np.all(self.adj.data == 1):
-            raise GraphError("entries must be 0/1")
+            raise NcprobError("entries must be 0/1")
         return self
 
 
@@ -136,9 +128,9 @@ class SpidernetSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.depth < 1:
-            raise GraphError("need n >= 1 and depth >= 1")
+            raise NcprobError("need n >= 1 and depth >= 1")
         if not 0 <= self.u <= 2 * self.n - 1:
-            raise GraphError(f"spidernet needs 0 <= u <= {2 * self.n - 1}")
+            raise NcprobError(f"spidernet needs 0 <= u <= {2 * self.n - 1}")
 
     def data(self):
         return 2 * self.n, self.n + 1 + self.u, self.n
@@ -149,7 +141,7 @@ def _spidernet_shells(n, depth):
     (they do not depend on u), checked against the vertex guard."""
     shells = [1] + [2 * n**k for k in range(1, depth + 1)]
     if sum(shells) > VERTEX_GUARD:
-        raise GraphError(
+        raise NcprobError(
             f"truncated spidernet has {sum(shells)} > {VERTEX_GUARD} vertices")
     return shells
 
@@ -197,7 +189,7 @@ def spidernet(spec_or_n, u=None, depth=None):
 
 def _guard_product(g1, g2):
     if g1.n * g2.n > VERTEX_GUARD:
-        raise GraphError(
+        raise NcprobError(
             f"product would have {g1.n * g2.n} > {VERTEX_GUARD} vertices"
         )
 
@@ -237,7 +229,7 @@ def comb_ball(g1, g2, radius):
     import scipy.sparse as sp
 
     if radius < 0:
-        raise GraphError(f"radius must be >= 0, got {radius}")
+        raise NcprobError(f"radius must be >= 0, got {radius}")
     d1, d2 = g1.depths(), g2.depths()
     # shells1[k] = #{v : d1(v) = k}; within2[j] = |W_j| for the ascending
     # W_j = {w : 0 <= d2(w) <= j}, the second coordinates kept beside v when
@@ -247,7 +239,7 @@ def comb_ball(g1, g2, radius):
                         [:radius + 1])
     total = int(shells1 @ within2[::-1])
     if total > VERTEX_GUARD:
-        raise GraphError(f"ball would have {total} > {VERTEX_GUARD} vertices")
+        raise NcprobError(f"ball would have {total} > {VERTEX_GUARD} vertices")
     # copy v occupies ball indices offset[v] .. offset[v] + |W_{r - d1(v)}|
     size = np.zeros(g1.n, dtype=np.int64)
     kept1 = (d1 >= 0) & (d1 <= radius)
@@ -348,7 +340,7 @@ def read_edge_list(path):
 def walk_moments(g, order):
     """Exact closed-walk counts at the root: m_k = <e_o, A^k e_o>."""
     if order < 1:
-        raise GraphError("order must be >= 1")
+        raise NcprobError("order must be >= 1")
     maxdeg = max(g.max_degree(), 1)
     if order * math.log2(maxdeg) < 62:
         v = np.zeros(g.n, dtype=np.int64)
@@ -373,7 +365,7 @@ def walk_moments(g, order):
 def spectral_distribution(g, merge_tol=1e-9):
     """Atoms at adjacency eigenvalues weighted by squared root components."""
     if g.n > 4096:
-        raise GraphError("dense eigensolve limited to 4096 vertices")
+        raise NcprobError("dense eigensolve limited to 4096 vertices")
     evals, evecs = np.linalg.eigh(g.adj.toarray().astype(float))
     weights = evecs[g.root, :] ** 2
     pairs = [(float(x), float(w)) for x, w in zip(evals, weights) if w > 1e-15]
@@ -423,19 +415,19 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     shell.
     """
     if order < 1:
-        raise GraphError("order must be >= 1")
+        raise NcprobError("order must be >= 1")
     if not horizon > 0:
-        raise GraphError(f"horizon must be > 0, got {horizon}")
+        raise NcprobError(f"horizon must be > 0, got {horizon}")
     if k_max is None:
         k_max = n
     if not 1 <= k_max <= n:
-        raise GraphError("need 1 <= k_max <= n")
+        raise NcprobError("need 1 <= k_max <= n")
     TT = float(horizon)
     bound = spidernet_bound(n, TT)
     ts = np.linspace(0.0, TT, 257)
     uvals = np.asarray(driving(ts), dtype=float)
     if np.any(uvals < 0) or np.any(uvals > bound):
-        raise BoundError(
+        raise NcprobError(
             f"driving must satisfy 0 <= U <= {bound:.6g} on [0, {TT}] for n={n}"
         )
     scale_sq = 2.0 * n**3 / TT
@@ -448,7 +440,7 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     for _ in range(k_max):
         sizes = np.convolve(sizes, shells)[:radius + 1]
         if sizes.sum() > VERTEX_GUARD:
-            raise GraphError(
+            raise NcprobError(
                 f"ball would have {sizes.sum()} > {VERTEX_GUARD} vertices")
 
     us = []

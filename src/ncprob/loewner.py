@@ -28,31 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, transforms
-from .measures import AtomicMeasure, json_reals
+from .measures import AtomicMeasure, NcprobError, NoConvergence, json_reals
 
 
-class LoewnerError(ValueError):
-    pass
-
-
-class StepUnderflow(LoewnerError):
-    pass
-
-
-class DomainEscape(LoewnerError):
-    """Trajectory left H during a chain evaluation; indicates misuse."""
-
-
-class HullCollision(LoewnerError):
+class HullCollision(NcprobError):
     """Inverse flow hit the hull before the requested time."""
-
-
-class NoConvergence(LoewnerError):
-    pass
-
-
-class BoundError(LoewnerError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +53,23 @@ class DrivingFunction:
 
     def __post_init__(self):
         if self.kind not in ("constant", "piecewise_constant", "sampled"):
-            raise ValueError(f"unknown driving kind {self.kind!r}")
+            raise NcprobError(f"unknown driving kind {self.kind!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.kind == "constant":
             if len(self.values) != 1:
-                raise ValueError("constant driving needs exactly one value")
+                raise NcprobError("constant driving needs exactly one value")
         elif self.kind == "piecewise_constant":
             if len(self.times) != len(self.values) + 1:
-                raise ValueError("need len(times) == len(values) + 1")
+                raise NcprobError("need len(times) == len(values) + 1")
         else:
             if len(self.times) != len(self.values) or len(self.times) < 2:
-                raise ValueError("sampled driving needs matching times/values")
+                raise NcprobError(
+                    "sampled driving needs matching times/values")
         if not all(map(math.isfinite, self.times + self.values)):
-            raise ValueError("driving times and values must be finite")
+            raise NcprobError("driving times and values must be finite")
         if self.times and any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise NcprobError("times must be strictly increasing")
 
     @classmethod
     def constant(cls, u):
@@ -128,10 +109,9 @@ class DrivingFunction:
     def from_json(cls, obj):
         for key in ("kind", "values"):
             if not (isinstance(obj, dict) and key in obj):
-                raise LoewnerError(f"driving JSON needs a {key!r} entry")
+                raise NcprobError(f"driving JSON needs a {key!r} entry")
         def reals(key):
-            return tuple(json_reals(obj.get(key, []), f"driving JSON {key}",
-                                    error=LoewnerError))
+            return tuple(json_reals(obj.get(key, []), f"driving JSON {key}"))
 
         return cls(obj["kind"], reals("times"), reals("values"))
 
@@ -157,7 +137,7 @@ class HerglotzField:
                           ("positions", self.pos), ("slopes", self.slope),
                           ("weights", self.wts)):
             if not np.all(np.isfinite(arr)):
-                raise LoewnerError(f"field {name} must be finite")
+                raise NcprobError(f"field {name} must be finite")
         self.horizon = float(horizon)
         self.support_bound = float(support_bound)
 
@@ -166,7 +146,7 @@ class HerglotzField:
     @classmethod
     def constant(cls, measure, horizon):
         if not isinstance(measure, AtomicMeasure):
-            raise LoewnerError("constant fields take an AtomicMeasure")
+            raise NcprobError("constant fields take an AtomicMeasure")
         p = measure.positions[None, :]
         w = measure.weights[None, :]
         bound = max(abs(x) for x, _ in measure.atoms)
@@ -176,7 +156,7 @@ class HerglotzField:
     def piecewise(cls, tbreaks, measures):
         tbreaks = [float(t) for t in tbreaks]
         if len(measures) != len(tbreaks) - 1:
-            raise LoewnerError("need one measure per time segment")
+            raise NcprobError("need one measure per time segment")
         na = max(len(m.atoms) for m in measures)
         ns = len(measures)
         pos = np.zeros((ns, na))
@@ -194,9 +174,9 @@ class HerglotzField:
         if horizon is None:
             horizon = driving.horizon()
         if not math.isfinite(horizon):
-            raise LoewnerError("constant drivings need an explicit horizon")
+            raise NcprobError("constant drivings need an explicit horizon")
         if horizon < 0:
-            raise LoewnerError(f"horizon must be >= 0, got {horizon}")
+            raise NcprobError(f"horizon must be >= 0, got {horizon}")
         times = np.asarray(driving.times or (0.0, horizon), dtype=float)
         vals = np.asarray(driving.values)
         pos = vals[:len(times) - 1, None]
@@ -231,7 +211,7 @@ class HerglotzField:
     def scaled(self, c, d):
         """Field of the rescaled chain h_t(z) = f_{d t}(c z) / c."""
         if c <= 0 or d <= 0:
-            raise LoewnerError("scaling parameters must be positive")
+            raise NcprobError("scaling parameters must be positive")
         return HerglotzField(
             self.tbreaks / d, self.pos / c, self.slope * (d / c),
             self.wts * (d / c**2), self.horizon / d, self.support_bound / c,
@@ -254,9 +234,11 @@ class ChainPoint:
     steps: int
 
 
-def _flow(field, tau0, tau1, z, tol, im_floor, escape_error):
+def _flow(field, tau0, tau1, z, tol, im_floor, hull=False):
     """Flow z from tau0 to tau1: in closed form (``_kernels.slit_batch``)
-    when ``field.is_slit()``, else by the Dormand-Prince kernel at ``tol``."""
+    when ``field.is_slit()``, else by the Dormand-Prince kernel at ``tol``.
+    With ``hull`` (the inverse flow) a trajectory that falls below the floor
+    or strangles the step raises HullCollision."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if field.is_slit():
         out, status, min_im, steps = _kernels.slit_batch(
@@ -267,38 +249,41 @@ def _flow(field, tau0, tau1, z, tol, im_floor, escape_error):
             z, float(tau0), float(tau1), field.tbreaks, field.pos,
             field.slope, field.wts, float(tol), float(im_floor))
     if np.any(status == _kernels.FLOW_UNDERFLOW):
-        raise StepUnderflow("required step below 1e-14 of the time span, "
-                            "or a non-finite error estimate")
+        raise NcprobError("required step below 1e-14 of the time span, "
+                          "or a non-finite error estimate")
     if np.any(status == _kernels.FLOW_ESCAPE):
-        raise escape_error("trajectory imaginary part fell below the floor")
+        if hull:
+            raise HullCollision("trajectory imaginary part fell below the "
+                                "floor")
+        raise NcprobError("trajectory imaginary part fell below the floor")
     if np.any(status == _kernels.FLOW_STRANGLED):
         # the singularity clamp strangled the step: the trajectory ran into
         # the field support
-        if escape_error is HullCollision:
+        if hull:
             raise HullCollision("trajectory ran into the hull")
-        raise StepUnderflow("step strangled near the field support")
+        raise NcprobError("step strangled near the field support")
     return out, min_im, steps
 
 
 def _checked(field, s, t, z, tol, what, var):
     """The arguments every chain entry point shares, as a complex array."""
     if not 0 <= s <= t <= field.horizon + 1e-12:
-        raise LoewnerError(f"need 0 <= s <= t <= horizon, got s={s}, t={t}, "
-                           f"horizon={field.horizon}")
+        raise NcprobError(f"need 0 <= s <= t <= horizon, got s={s}, t={t}, "
+                          f"horizon={field.horizon}")
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
-        raise LoewnerError(f"{what} requires finite {var}")
+        raise NcprobError(f"{what} requires finite {var}")
     if np.any(z.imag <= 0):
-        raise LoewnerError(f"{what} requires Im({var}) > 0")
+        raise NcprobError(f"{what} requires Im({var}) > 0")
     if not (tol > 0 and math.isfinite(tol)):
-        raise LoewnerError(f"tol must be finite and > 0, got {tol}")
+        raise NcprobError(f"tol must be finite and > 0, got {tol}")
     return z
 
 
 def evaluate_chain(field, s, t, z, tol=1e-9):
     """Transition mapping f_{s,t}(z) of the chain driven by the field."""
     z = _checked(field, s, t, z, tol, "chain evaluation", "z")
-    out, _, _ = _flow(field, t, s, z, tol, 1e-12, DomainEscape)
+    out, _, _ = _flow(field, t, s, z, tol, 1e-12)
     return out[0] if z.ndim == 0 else out
 
 
@@ -306,7 +291,7 @@ def evaluate_chain_point(field, s, t, z, tol=1e-9):
     """Like evaluate_chain for a single point, with step diagnostics."""
     z = complex(z)
     zs = _checked(field, s, t, [z], tol, "chain evaluation", "z")
-    out, min_im, steps = _flow(field, t, s, zs, tol, 1e-12, DomainEscape)
+    out, min_im, steps = _flow(field, t, s, zs, tol, 1e-12)
     return ChainPoint(s=float(s), t=float(t), z=z, value=complex(out[0]),
                       min_imag=float(min_im[0]), steps=int(steps[0]))
 
@@ -320,7 +305,7 @@ def slit_chain(driving, t, z, tol=1e-9):
 def inverse_flow(field, t, w, tol=1e-9):
     """g_t(w) with f_{0,t}(g_t(w)) = w; raises HullCollision inside the hull."""
     w = _checked(field, 0.0, t, w, tol, "inverse flow", "w")
-    out, _, _ = _flow(field, 0.0, t, w, tol, 1e-9, HullCollision)
+    out, _, _ = _flow(field, 0.0, t, w, tol, 1e-9, hull=True)
     return out[0] if w.ndim == 0 else out
 
 
@@ -385,7 +370,7 @@ def approximate_field_by_slits(field, horizon, m, probe_points=None,
         tj = j * TT / m
         p, w = field.atoms(min(tj, field.horizon))
         if np.any(p < -1e-9) or np.any(p > M + 1e-9):
-            raise BoundError("field support leaves [0, M]")
+            raise NcprobError("field support leaves [0, M]")
         total = w.sum()
         idx = np.clip(np.searchsorted(edges, p, side="right") - 1, 0, m - 1)
         lam = np.bincount(idx, w / total, m)
@@ -459,13 +444,13 @@ def _damped_newton(gen, t, w, tol, max_steps):
 
 
 def _resolvent_points(t, w):
-    """``w`` as a 1-d complex array, or a LoewnerError unless t >= 0 and
+    """``w`` as a 1-d complex array, or an NcprobError unless t >= 0 and
     every Im w > 0."""
     if t < 0:
-        raise LoewnerError("resolvent time must be >= 0")
+        raise NcprobError("resolvent time must be >= 0")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if np.any(w.imag <= 0):
-        raise LoewnerError("resolvent requires Im(w) > 0")
+        raise NcprobError("resolvent requires Im(w) > 0")
     return w
 
 
@@ -507,14 +492,14 @@ def sle_driving(kappa, horizon, dt, seed):
     increments, U(0) = 0, on [0, horizon]; deterministic per seed.  The
     horizon must be a whole number of steps dt (to 1e-9 relative)."""
     if not (kappa >= 0 and dt > 0):
-        raise LoewnerError("need kappa >= 0 and dt > 0")
+        raise NcprobError("need kappa >= 0 and dt > 0")
     if not horizon > 0:
-        raise LoewnerError(f"horizon must be > 0, got {horizon}")
+        raise NcprobError(f"horizon must be > 0, got {horizon}")
     ratio = horizon / dt
     steps = round(ratio) if math.isfinite(ratio) else 0
     if not (steps >= 1 and abs(steps * dt - horizon) <= 1e-9 * horizon):
-        raise LoewnerError(f"horizon {horizon} is not a whole number of "
-                           f"steps dt = {dt}")
+        raise NcprobError(f"horizon {horizon} is not a whole number of "
+                          f"steps dt = {dt}")
     times = np.linspace(0.0, steps * dt, steps + 1)
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(steps) * math.sqrt(kappa / 2 * dt)

@@ -15,27 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .measures import AtomicMeasure
-
-
-class MarkovError(ValueError):
-    pass
-
-
-class NotIrreducible(MarkovError):
-    pass
-
-
-class NotConverged(MarkovError):
-    pass
-
-
-class EnumerationTooLarge(MarkovError):
-    pass
-
-
-class CapExceeded(MarkovError):
-    pass
+from .measures import AtomicMeasure, NcprobError, NoConvergence
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +33,13 @@ class TransitionMatrix:
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "p", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise MarkovError("transition matrix must be square")
+            raise NcprobError("transition matrix must be square")
         if np.any(p < -1e-15) or np.any(p > 1 + 1e-15):
-            raise MarkovError("entries must lie in [0, 1]")
+            raise NcprobError("entries must lie in [0, 1]")
         if np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-12):
-            raise MarkovError("columns must sum to 1 within 1e-12")
+            raise NcprobError("columns must sum to 1 within 1e-12")
         if self.labels and len(self.labels) != p.shape[0]:
-            raise MarkovError("label count must match matrix size")
+            raise NcprobError("label count must match matrix size")
 
     @property
     def n(self):
@@ -109,7 +89,7 @@ def stationary_distribution(p):
     """The unique pi with P pi = pi for an irreducible chain."""
     m = _as_matrix(p)
     if not is_irreducible(m):
-        raise NotIrreducible("chain is not irreducible")
+        raise NcprobError("chain is not irreducible")
     n = m.shape[0]
     a = m - np.eye(n)
     a[-1, :] = 1.0
@@ -157,7 +137,7 @@ def _draw_blocks(rng, chunk, n_sites=0, count=None):
     every chunk draws its sites before its uniforms and the blocks are
     (sites, uniforms) pairs; without, they are uniforms."""
     if chunk <= 0:
-        raise MarkovError("chunk must be positive")
+        raise NcprobError("chunk must be positive")
     left = math.inf if count is None else int(count)
     while left > 0:
         k = min(chunk, left)
@@ -175,19 +155,19 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     One uniform u per transition, drawn ``chunk`` at a time, moves the
     chain from k to the first j with u <= sum_{i <= j} p_{ik} (the last
     state if there is none).  The walk stops at the ``episodes``-th
-    return, so n == episodes.  Raises NotIrreducible when ``state`` is
+    return, so n == episodes.  Raises NcprobError when ``state`` is
     transient: the chain might never return.
     """
     if episodes <= 0:
-        raise MarkovError("episodes must be positive")
+        raise NcprobError("episodes must be positive")
     m = _as_matrix(p)
     if not 0 <= state < m.shape[0]:
-        raise MarkovError(f"state {state} is not one of the chain's "
+        raise NcprobError(f"state {state} is not one of the chain's "
                           f"{m.shape[0]} states")
     # a state is recurrent iff every state it reaches can reach it back
     if not np.all(_reachable(m.T, state)[_reachable(m, state)]):
-        raise NotIrreducible(f"state {state} is transient: its "
-                             "communicating class is not closed")
+        raise NcprobError(f"state {state} is transient: its "
+                          "communicating class is not closed")
     # bisect_left on a cumulative law finds the first j with u <= cum[j];
     # without the last entry, a u beyond all the others lands on the last
     # state
@@ -221,13 +201,13 @@ def expected_reward(p, rewards):
 def mrp_value(p, rewards, gamma):
     """Solve the row-vector Bellman equation v = R + gamma * v P."""
     if not 0 <= gamma < 1:
-        raise MarkovError("discount must lie in [0, 1)")
+        raise NcprobError("discount must lie in [0, 1)")
     m = _as_matrix(p)
     r = expected_reward(m, rewards)
     v = np.linalg.solve(np.eye(m.shape[0]) - gamma * m.T, r)
     residual = np.abs(v - (r + gamma * v @ m)).max()
     if not residual <= 1e-10:
-        raise NotConverged(f"Bellman residual {residual:.3g} exceeds 1e-10")
+        raise NoConvergence(f"Bellman residual {residual:.3g} exceeds 1e-10")
     return v
 
 
@@ -247,11 +227,11 @@ class MDPSpec:
         object.__setattr__(self, "rewards", np.asarray(self.rewards,
                                                        dtype=float))
         if t.ndim != 3 or t.shape[0] != t.shape[1]:
-            raise MarkovError("transition tensor must be (s', s, a)")
+            raise NcprobError("transition tensor must be (s', s, a)")
         if np.any(np.abs(t.sum(axis=0) - 1.0) > 1e-12):
-            raise MarkovError("every (s, a) column must be stochastic")
+            raise NcprobError("every (s, a) column must be stochastic")
         if not 0 <= self.gamma < 1:
-            raise MarkovError("discount must lie in [0, 1)")
+            raise NcprobError("discount must lie in [0, 1)")
 
     @property
     def n_states(self):
@@ -299,11 +279,11 @@ def mdp_policy_chain(spec, policy):
 def check_density_matrix(rho, tol=1e-10):
     rho = np.asarray(rho, dtype=complex)
     if np.abs(np.trace(rho) - 1.0) > 1e-12:
-        raise MarkovError("density matrix must have unit trace")
+        raise NcprobError("density matrix must have unit trace")
     if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise MarkovError("density matrix must be Hermitian")
+        raise NcprobError("density matrix must be Hermitian")
     if np.linalg.eigvalsh(rho).min() < -tol:
-        raise MarkovError("density matrix must be positive semidefinite")
+        raise NcprobError("density matrix must be positive semidefinite")
     return rho
 
 
@@ -321,7 +301,7 @@ class KrausChannel:
         for e in ops:
             acc += e.conj().T @ e
         if np.abs(acc - np.eye(n)).max() > 1e-10:
-            raise MarkovError("Kraus operators must satisfy sum E*E = I")
+            raise NcprobError("Kraus operators must satisfy sum E*E = I")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=complex)
@@ -366,7 +346,7 @@ def channel_fixed_point(channel, rho0, tol=1e-12, max_iter=100_000):
         rho = nxt
         if step <= tol:
             return rho
-    raise NotConverged(f"channel iteration did not reach {tol} in {max_iter}")
+    raise NoConvergence(f"channel iteration did not reach {tol} in {max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +385,18 @@ class IsingState:
         for name in ("coupling", "field", "beta"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if s.ndim != 2 or s.size == 0:
-            raise MarkovError(f"spins must be a non-empty 2-d grid, got "
+            raise NcprobError(f"spins must be a non-empty 2-d grid, got "
                               f"shape {s.shape}")
         if not np.all(np.isin(s, (-1, 1))):
-            raise MarkovError("spins must be +-1")
-        if self.coupling <= 0 or self.field < 0 or self.beta <= 0:
-            raise MarkovError("need J > 0, B >= 0, beta > 0")
+            raise NcprobError("spins must be +-1")
+        # NaN fails every comparison; beta = inf is the zero-temperature chain
+        if not (0 < self.coupling < math.inf and 0 <= self.field < math.inf
+                and self.beta > 0):
+            raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta > 0")
         fr = (np.zeros_like(s, dtype=np.uint8) if self.frozen is None
               else np.asarray(self.frozen, dtype=np.uint8))
         if fr.shape != s.shape:
-            raise MarkovError("frozen mask shape mismatch")
+            raise NcprobError("frozen mask shape mismatch")
         object.__setattr__(self, "frozen", fr)
 
     @classmethod
@@ -494,9 +476,9 @@ def metropolis_ising(state, steps, seed, chunk=1 << 20):
     a time, sites first.
     """
     if state.spins.size > 1 << 30:
-        raise MarkovError("lattice too large")
+        raise NcprobError("lattice too large")
     if steps < 0:
-        raise MarkovError(f"steps must be >= 0, got {steps}")
+        raise NcprobError(f"steps must be >= 0, got {steps}")
     h, w = state.spins.shape
     grid, walk = _walker(state.spins, state.frozen, state.beta,
                          state.coupling, state.field)
@@ -526,7 +508,7 @@ def _config_energies(shape, coupling, field):
     h, w = shape
     m = h * w
     if m > 20:
-        raise EnumerationTooLarge("exact enumeration limited to 20 spins")
+        raise NcprobError("exact enumeration limited to 20 spins")
     ids = np.arange(1 << m, dtype=np.int64)
     spins = ((ids[:, None] >> np.arange(m)) & 1) * 2 - 1  # (2^m, m)
     edges = _lattice_edges(shape)
@@ -555,7 +537,7 @@ def metropolis_exact_kernel(shape, beta, coupling=1.0, field=0.0):
     m = shape[0] * shape[1]
     size = 1 << m
     if size > 1 << 12:
-        raise EnumerationTooLarge("kernel audit limited to 12 spins")
+        raise NcprobError("kernel audit limited to 12 spins")
     p = np.zeros((size, size))
     for s in range(size):
         for i in range(m):
@@ -604,7 +586,7 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     h, w = shape
     m = h * w
     if m > 20:
-        raise EnumerationTooLarge("histogram limited to 20 spins")
+        raise NcprobError("histogram limited to 20 spins")
     _, walk = _walker(np.ones(shape, dtype=np.int64), np.zeros(shape), beta,
                       coupling, field)
     rng = np.random.default_rng(seed)
@@ -645,9 +627,9 @@ def loop_erase(path):
 
 def lerw(width, steps_cap, seed):
     """Loop-erased random walk from the origin until it exits the centered
-    square of half-width ``width``; raises CapExceeded at the step cap."""
+    square of half-width ``width``; raises NcprobError at the step cap."""
     if width < 0:
-        raise MarkovError(f"width must be >= 0, got {width}")
+        raise NcprobError(f"width must be >= 0, got {width}")
     rng = np.random.default_rng(seed)
     pos = (0, 0)
     path = [pos]
@@ -657,7 +639,7 @@ def lerw(width, steps_cap, seed):
         path.append(pos)
         if abs(pos[0]) > width or abs(pos[1]) > width:
             return loop_erase(path), path
-    raise CapExceeded(f"walk did not exit within {steps_cap} steps")
+    raise NcprobError(f"walk did not exit within {steps_cap} steps")
 
 
 # ---------------------------------------------------------------------------

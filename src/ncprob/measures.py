@@ -19,8 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 
-class MeasureError(ValueError):
-    """Invalid measure data or unsupported request."""
+class NcprobError(ValueError):
+    """Refused input or request; the message names the violated condition."""
+
+
+class NoConvergence(NcprobError):
+    """An iterative solve stalled before its tolerance."""
 
 
 def sqrt_upper(zeta):
@@ -44,13 +48,13 @@ class AtomicMeasure:
         xs = [x for x, _ in atoms]
         ws = [w for _, w in atoms]
         if not atoms:
-            raise MeasureError("atomic measure needs at least one atom")
+            raise NcprobError("atomic measure needs at least one atom")
         if any(w <= 0 for w in ws):
-            raise MeasureError("atom weights must be strictly positive")
+            raise NcprobError("atom weights must be strictly positive")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise MeasureError("atom positions must be strictly increasing")
+            raise NcprobError("atom positions must be strictly increasing")
         if abs(float(sum(ws)) - 1.0) > 1e-12:
-            raise MeasureError(f"atom weights sum to {float(sum(ws))}, not 1")
+            raise NcprobError(f"atom weights sum to {float(sum(ws))}, not 1")
 
     @classmethod
     def from_pairs(cls, pairs, merge_tol=0.0, renormalize=False):
@@ -126,15 +130,15 @@ class GridMeasure:
         object.__setattr__(self, "density", dens)
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise MeasureError("grid must be 1-d and strictly increasing")
+            raise NcprobError("grid must be 1-d and strictly increasing")
         if dens.shape != grid.shape:
-            raise MeasureError("density shape must match grid")
+            raise NcprobError("density shape must match grid")
         if np.any(dens < -1e-12):
-            raise MeasureError("density must be nonnegative")
+            raise NcprobError("density must be nonnegative")
         if any(w <= 0 for _, w in self.atoms):
-            raise MeasureError("atom weights must be positive")
+            raise NcprobError("atom weights must be positive")
         if abs(self.mass() - 1.0) > 1e-6:
-            raise MeasureError(f"total mass {self.mass()} is not 1 within 1e-6")
+            raise NcprobError(f"total mass {self.mass()} is not 1 within 1e-6")
 
     def density_mass(self):
         return float(np.trapezoid(self.density, self.grid))
@@ -205,11 +209,11 @@ class MomentSequence:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
-            raise MeasureError("moment sequence needs order >= 1")
+            raise NcprobError("moment sequence needs order >= 1")
         h = self.hankel()
         scale = max(1.0, float(np.abs(h).max()))
         if np.linalg.eigvalsh(h).min() < -1e-9 * scale:
-            raise MeasureError("Hankel matrix is not PSD: invalid moments")
+            raise NcprobError("Hankel matrix is not PSD: invalid moments")
 
     @property
     def order(self):
@@ -235,7 +239,7 @@ class MomentSequence:
 
     def variance(self):
         if self.order < 2:
-            raise MeasureError("need order >= 2 for variance")
+            raise NcprobError("need order >= 2 for variance")
         return self[2] - self[1] ** 2
 
     def floats(self):
@@ -243,13 +247,13 @@ class MomentSequence:
 
     def truncate(self, order):
         if order > self.order:
-            raise MeasureError("cannot extend a moment sequence")
+            raise NcprobError("cannot extend a moment sequence")
         return MomentSequence(self.values[:order])
 
 
 def _check_order(order):
     if order < 1:
-        raise MeasureError("moment order must be >= 1")
+        raise NcprobError("moment order must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ class Bernoulli(Law):
 
     def __post_init__(self):
         if not 0 < self.p < 1:
-            raise MeasureError("Bernoulli parameter must satisfy 0 < p < 1")
+            raise NcprobError("Bernoulli parameter must satisfy 0 < p < 1")
 
     def moments(self, order, allow_truncated=False):
         _check_order(order)
@@ -324,12 +328,12 @@ class Normal(Law):
 
     def __post_init__(self):
         if self.var < 0:
-            raise MeasureError("variance must be >= 0")
+            raise NcprobError("variance must be >= 0")
 
     def moments(self, order, allow_truncated=False):
         _check_order(order)
         if not allow_truncated:
-            raise MeasureError(
+            raise NcprobError(
                 "normal law has unbounded support; pass allow_truncated=True "
                 "to accept its (exact) moments anyway"
             )
@@ -363,7 +367,7 @@ class _SymmetricLaw(Law):
 
     def __post_init__(self):
         if self.var <= 0:
-            raise MeasureError("variance must be positive")
+            raise NcprobError("variance must be positive")
 
     def edges(self):
         r = self.half_width()
@@ -459,12 +463,12 @@ class Poisson(Law):
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise MeasureError("Poisson rate must be positive")
+            raise NcprobError("Poisson rate must be positive")
 
     def moments(self, order, allow_truncated=False):
         _check_order(order)
         if not allow_truncated:
-            raise MeasureError(
+            raise NcprobError(
                 "Poisson law has unbounded support; pass allow_truncated=True"
             )
         lam = _exactify(self.lam)
@@ -499,7 +503,7 @@ class MarchenkoPastur(Law):
 
     def __post_init__(self):
         if self.c <= 0:
-            raise MeasureError("Marchenko-Pastur parameter must be positive")
+            raise NcprobError("Marchenko-Pastur parameter must be positive")
 
     def edges(self):
         s = math.sqrt(self.c)
@@ -561,7 +565,7 @@ class FreeMeixner(Law):
 
     def __post_init__(self):
         if self.a <= 0 or self.c <= 0:
-            raise MeasureError("free Meixner needs a > 0 and c > 0")
+            raise NcprobError("free Meixner needs a > 0 and c > 0")
 
     def edges(self):
         r = 2 * math.sqrt(self.c)
@@ -776,7 +780,7 @@ def _breakpoints(m):
 def sample(law, n, seed):
     """Draw n samples; deterministic for a given seed."""
     if n < 1:
-        raise MeasureError("sample count must be >= 1")
+        raise NcprobError("sample count must be >= 1")
     return law.sample(n, seed)
 
 
@@ -795,7 +799,7 @@ def measure_to_json(m):
         }
     if isinstance(m, MomentSequence):
         return {"moments": [float(v) for v in m.values]}
-    raise MeasureError(f"cannot serialize {type(m).__name__}")
+    raise NcprobError(f"cannot serialize {type(m).__name__}")
 
 
 def _is_real(v):
@@ -805,38 +809,38 @@ def _is_real(v):
                                        and not isinstance(v, bool))
 
 
-def json_real(value, where, error=MeasureError):
+def json_real(value, where):
     """``value`` when it is a real number (bools are not numbers here);
-    else ``error`` naming ``where``."""
+    else an NcprobError naming ``where``."""
     if not _is_real(value):
-        raise error(f"{where} must be a real number, got {value!r}")
+        raise NcprobError(f"{where} must be a real number, got {value!r}")
     return value
 
 
-def json_reals(values, where, size=None, error=MeasureError):
+def json_reals(values, where, size=None):
     """``values`` as given when it is a list (of ``size`` entries, if set)
-    of real numbers, so ints stay ints; else ``error`` naming ``where`` or
-    its bad entry."""
+    of real numbers, so ints stay ints; else an NcprobError naming ``where``
+    or its bad entry."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         want = "a list" if size is None else f"a list of {size} numbers"
-        raise error(f"{where} must be {want}, got {values!r}")
+        raise NcprobError(f"{where} must be {want}, got {values!r}")
     for i, v in enumerate(values):
         if not _is_real(v):  # name the entry only once one is bad
-            json_real(v, f"{where}[{i}]", error)
+            json_real(v, f"{where}[{i}]")
     return values
 
 
 def _json_atoms(obj):
     atoms = obj.get("atoms", [])
     if not isinstance(atoms, (list, tuple)):
-        raise MeasureError(f"measure JSON atoms must be a list, got {atoms!r}")
+        raise NcprobError(f"measure JSON atoms must be a list, got {atoms!r}")
     return tuple(tuple(json_reals(a, f"measure JSON atoms[{i}]", 2))
                  for i, a in enumerate(atoms))
 
 
 def measure_from_json(obj):
     if not isinstance(obj, dict):
-        raise MeasureError("measure JSON must be an object")
+        raise NcprobError("measure JSON must be an object")
     if "grid" in obj:
         return GridMeasure(np.array(json_reals(obj["grid"],
                                                "measure JSON grid")),
@@ -848,7 +852,7 @@ def measure_from_json(obj):
     if "moments" in obj:
         return MomentSequence(tuple(json_reals(obj["moments"],
                                                "measure JSON moments")))
-    raise MeasureError("unrecognized measure JSON")
+    raise NcprobError("unrecognized measure JSON")
 
 
 def save_measure(m, path):
@@ -864,7 +868,7 @@ def load_measure(path):
 def write_density_csv(m, path):
     """Two-column x,density CSV for plotting."""
     if isinstance(m, AtomicMeasure):
-        raise MeasureError("atomic measures have no density to emit")
+        raise NcprobError("atomic measures have no density to emit")
     with open(path, "w") as fh:
         fh.write("x,density\n")
         for x, d in zip(m.grid, m.density):

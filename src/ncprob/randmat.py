@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, Semicircle
-
-
-class RandMatError(ValueError):
-    pass
+from .measures import AtomicMeasure, NcprobError, Semicircle
 
 
 def trace_state(a):
@@ -46,7 +42,7 @@ def sample_gue(n, seed):
     upper triangle and diagonal give the real parts, the strict lower
     triangle the imaginary parts."""
     if n < 1:
-        raise RandMatError("need N >= 1")
+        raise NcprobError("need N >= 1")
     z = np.random.default_rng(seed).standard_normal((n, n))
     diag = z.diagonal() * math.sqrt(1.0 / n)
     z *= math.sqrt(1.0 / (2 * n))
@@ -68,7 +64,7 @@ def gue_eigenvalues(n, seed):
     N - 1 gammas.  Only the diagonal and first superdiagonal are filled:
     ``eigvalsh`` reads the upper triangle."""
     if n < 1:
-        raise RandMatError("need N >= 1")
+        raise NcprobError("need N >= 1")
     rng = np.random.default_rng(seed)
     t = np.zeros((n, n))
     t.flat[::n + 1] = rng.standard_normal(n)
@@ -92,9 +88,9 @@ def esd(a):
     """Empirical spectral distribution: uniform atoms at the eigenvalues."""
     a = np.asarray(a)
     if a.shape[0] > 4096:
-        raise RandMatError("dense eigensolve limited to 4096")
+        raise NcprobError("dense eigensolve limited to 4096")
     if np.abs(a - a.conj().T).max() > 1e-12:
-        raise RandMatError("matrix must be Hermitian")
+        raise NcprobError("matrix must be Hermitian")
     return _uniform_atoms(np.linalg.eigvalsh(a))
 
 
@@ -142,7 +138,7 @@ def freeness_statistic(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
-        raise RandMatError("matrices must share a shape")
+        raise NcprobError("matrices must share a shape")
     eye = np.eye(a.shape[0])
 
     def centered(m):
@@ -184,11 +180,11 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
     P = X_{m-1} eps_m and reads phi(PP) with `trace_product`, so a call
     forms one N x N product (plus one per step for squared noise)."""
     if not abs(c) < 1:
-        raise RandMatError("need |c| < 1 for stationarity")
+        raise NcprobError("need |c| < 1 for stationarity")
     if steps < 1:
-        raise RandMatError("need at least one step")
+        raise NcprobError("need at least one step")
     if noise not in ("gue", "squared_gue"):
-        raise RandMatError("noise must be 'gue' or 'squared_gue'")
+        raise NcprobError("noise must be 'gue' or 'squared_gue'")
     rng = np.random.default_rng(seed)
     x = np.eye(n, dtype=complex)
     traj = []

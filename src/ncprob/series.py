@@ -12,6 +12,8 @@ arithmetic stays exact whenever all inputs are exact.
 
 from fractions import Fraction
 
+from .measures import NcprobError
+
 
 class LaurentSeries:
     """A truncated Laurent series with a validity floor.
@@ -28,7 +30,7 @@ class LaurentSeries:
         if valid is None:
             valid = top - len(coeffs) + 1
         if top - valid + 1 != len(coeffs):
-            raise ValueError("coefficient list does not match power range")
+            raise NcprobError("coefficient list does not match power range")
         self.top = top
         self.coeffs = coeffs
         self.valid = valid
@@ -51,7 +53,7 @@ class LaurentSeries:
         if order is None:
             order = len(moments)
         if order > len(moments):
-            raise ValueError("not enough moments for requested order")
+            raise NcprobError("not enough moments for requested order")
         return cls(-1, [1] + moments[:order], -order - 1)
 
     # -- accessors ---------------------------------------------------------
@@ -59,7 +61,7 @@ class LaurentSeries:
     def coeff(self, power):
         """Coefficient of z**power; raises if below the validity floor."""
         if power < self.valid:
-            raise ValueError(f"coefficient of z^{power} lost to truncation")
+            raise NcprobError(f"coefficient of z^{power} lost to truncation")
         if power > self.top:
             return 0
         return self.coeffs[self.top - power]
@@ -68,9 +70,9 @@ class LaurentSeries:
         """Extract (m_1, ..., m_order) from a Cauchy-transform series."""
         for p in range(min(self.top, 1), -1, -1):
             if p >= self.valid and self.coeff(p) != 0:
-                raise ValueError("series is not of Cauchy-transform type")
+                raise NcprobError("series is not of Cauchy-transform type")
         if self.coeff(-1) != 1:
-            raise ValueError("leading 1/z coefficient is not 1")
+            raise NcprobError("leading 1/z coefficient is not 1")
         return tuple(self.coeff(-1 - k) for k in range(1, order + 1))
 
     def __repr__(self):
@@ -98,7 +100,7 @@ class LaurentSeries:
         top = max(self.top, other.top)
         valid = max(self.valid, other.valid)
         if valid > top:
-            raise ValueError("empty power range after truncation alignment")
+            raise NcprobError("empty power range after truncation alignment")
         a = self._as_range(top, valid)
         b = other._as_range(top, valid)
         return LaurentSeries(top, [x + y for x, y in zip(a, b)], valid)
@@ -135,7 +137,7 @@ class LaurentSeries:
         top = self.top + other.top
         valid = max(self.valid + other.top, other.valid + self.top)
         if valid > top:
-            raise ValueError("product has no valid coefficients left")
+            raise NcprobError("product has no valid coefficients left")
         out = [0] * (top - valid + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -187,7 +189,7 @@ class LaurentSeries:
         if lead is None:
             raise ZeroDivisionError("sqrt of (truncated) zero series")
         if lead % 2:
-            raise ValueError("sqrt needs an even leading power")
+            raise NcprobError("sqrt needs an even leading power")
         m = lead // 2
         n = lead - self.valid
         s = [self.coeff(lead - i) for i in range(n + 1)]
@@ -208,9 +210,10 @@ class LaurentSeries:
         ...), so that negative powers of it stay within the truncation.
         """
         if inner.top != 1 or inner.coeff(1) != 1:
-            raise ValueError("composition requires a normalized z + ... inner series")
+            raise NcprobError(
+                "composition requires a normalized z + ... inner series")
         if self.top > 1:
-            raise ValueError("outer series may not have powers above z^1")
+            raise NcprobError("outer series may not have powers above z^1")
         out = None
         inv = None
         inv_pow = None
@@ -265,7 +268,7 @@ def _sqrt_number(c):
 def compose_power(series, n):
     """n-fold self-composition by binary exponentiation."""
     if n < 0:
-        raise ValueError("composition power must be >= 0")
+        raise NcprobError("composition power must be >= 0")
     order = -series.valid
     result = LaurentSeries.identity(order)
     base = series

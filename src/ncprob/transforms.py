@@ -16,28 +16,8 @@ import numpy as np
 
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
-                       sqrt_upper)
+                       NcprobError, sqrt_upper)
 from .series import LaurentSeries
-
-
-class TransformError(ValueError):
-    pass
-
-
-class NormalizationError(TransformError):
-    """iy*G(iy) does not tend to 1: not a Cauchy transform of a probability."""
-
-
-class MassError(TransformError):
-    """Recovered mass too far from 1 to renormalize honestly."""
-
-
-class NotHerglotz(TransformError):
-    """Map leaves the closed upper half-plane at a probe point."""
-
-
-class AtomCollision(TransformError):
-    """Evaluation point coincides with an atom."""
 
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -51,7 +31,7 @@ ATOM_THRESHOLD = 1e-4
 def _require_upper(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
-        raise TransformError("evaluation requires Im(z) > 0")
+        raise NcprobError("evaluation requires Im(z) > 0")
     return z
 
 
@@ -72,7 +52,7 @@ def cauchy(measure, z):
         atoms = measure.atoms
         grid, dens = measure.grid, measure.density
     else:
-        raise TransformError(f"cannot transform {type(measure).__name__}")
+        raise NcprobError(f"cannot transform {type(measure).__name__}")
     for a, w in atoms:
         out += float(w) / (z - float(a))
     if grid is not None:
@@ -109,7 +89,7 @@ def f_transform(measure, z):
     """F = 1/G; maps H into H with Im F(z) >= Im z."""
     g = cauchy(measure, z)
     if np.any(np.abs(g) < 1e-300):
-        raise TransformError("degenerate Cauchy transform value")
+        raise NcprobError("degenerate Cauchy transform value")
     return 1.0 / g
 
 
@@ -148,11 +128,11 @@ _SCAN_EPS = 1e-6  # height of the real-zero scan
 
 
 def _require_normalized(value, y, tol):
-    """Raise NormalizationError unless iy*G(iy) is 1 within tol, given
+    """Raise NcprobError unless iy*G(iy) is 1 within tol, given
     ``value`` = G(iy)."""
     val = 1j * y * value
     if abs(val - 1.0) > tol:
-        raise NormalizationError(
+        raise NcprobError(
             f"iy*G(iy) = {val:.6g} at y={y:.0e}; not a probability Cauchy transform"
         )
 
@@ -162,15 +142,15 @@ def check_cauchy_normalization(g, y=_NORM_Y, tol=1e-3):
 
 
 def _inversion_grid(grid):
-    """``grid`` as floats, or TransformError naming what makes it unusable."""
+    """``grid`` as floats, or NcprobError naming what makes it unusable."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
-        raise TransformError("inversion grid needs at least 2 points in a "
-                             f"1-d array, got shape {grid.shape}")
+        raise NcprobError("inversion grid needs at least 2 points in a "
+                          f"1-d array, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
-        raise TransformError("inversion grid must be finite")
+        raise NcprobError("inversion grid must be finite")
     if not np.all(np.diff(grid) > 0):
-        raise TransformError("inversion grid must be strictly increasing")
+        raise NcprobError("inversion grid must be strictly increasing")
     return grid
 
 
@@ -456,7 +436,7 @@ def _invert(g, grid, first, atom_candidates, eps_ladder):
     # legitimately cancel smeared edge surplus), then clip for output
     mass = float(np.trapezoid(density, grid)) + sum(w for _, w in atoms)
     if not 0.98 <= mass <= 1.02:
-        raise MassError(f"recovered mass {mass:.4f} outside [0.98, 1.02]")
+        raise NcprobError(f"recovered mass {mass:.4f} outside [0.98, 1.02]")
     density = np.clip(density / mass, 0.0, None)
     atoms = [(a, w / mass) for a, w in atoms]
     atom_total = sum(w for _, w in atoms)
@@ -569,7 +549,7 @@ class NevanlinnaData:
 
     def __post_init__(self):
         if self.b < -1e-12:
-            raise TransformError("Nevanlinna slope b must be nonnegative")
+            raise NcprobError("Nevanlinna slope b must be nonnegative")
 
 
 def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
@@ -577,7 +557,7 @@ def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
     check_zs = [1j, 1 + 1j, -2 + 0.5j, 3j]  # the first gives a = Re f(i)
     vals = np.asarray(f(np.array(check_zs + [1j * y for y in probe_ys])))
     if np.any(vals[:len(check_zs)].imag < -1e-9):
-        raise NotHerglotz("Im f < 0 at a probe point")
+        raise NcprobError("Im f < 0 at a probe point")
     ratios = [(v / (1j * y)).real
               for y, v in zip(probe_ys, vals[len(check_zs):])]
     b = float(extrapolate_to_zero([1.0 / y for y in probe_ys], ratios))
@@ -597,7 +577,7 @@ def hilbert_transform(measure, x, eps=1e-2):
     if isinstance(measure, (AtomicMeasure, GridMeasure)):
         for a, _ in measure.atoms:
             if abs(x - a) < 1e-9:
-                raise AtomCollision(f"x = {x} collides with atom at {a}")
+                raise NcprobError(f"x = {x} collides with atom at {a}")
         g = functools.partial(cauchy, measure)
     else:
         g = measure
@@ -629,7 +609,7 @@ def _moment_cumulant(kind, given, to_cumulants):
     gain one degree per known moment and are never rebuilt.
     """
     if kind not in CUMULANT_KINDS:
-        raise ValueError(
+        raise NcprobError(
             f"unknown cumulant kind {kind!r}; one of {CUMULANT_KINDS}")
     given = _values(given)
     op = operator.sub if to_cumulants else operator.add

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncprob import cli
+from ncprob import cli, randmat
 from ncprob import measures as ms
 
 
@@ -89,14 +89,6 @@ class TestExitCodes:
           "1"], "must be strictly increasing"),
         (["invert", "--law", "semicircle", "--grid-min", "3", "--grid-max",
           "-3"], "must be strictly increasing"),
-        (["invert", "--law", "arcsine", "--grid-points", "0"],
-         "needs at least 2 points"),
-        (["invert", "--law", "arcsine", "--grid-points", "1"],
-         "needs at least 2 points"),
-        (["loewner", "--driving", "u0.json", "--t", "1", "--grid-points",
-          "0"], "needs at least 2 points"),
-        (["loewner", "--driving", "u0.json", "--t", "1", "--grid-points",
-          "1"], "needs at least 2 points"),
     ])
     def test_bad_inversion_grid(self, files, capsys, argv, message):
         with warnings.catch_warnings():
@@ -104,6 +96,72 @@ class TestExitCodes:
             code = run(argv + ["--out", "bad.csv"], files)
         assert code == 2
         assert f"error: inversion grid {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--law", "arcsine"],
+        ["loewner", "--driving", "u0.json", "--t", "1"],
+    ])
+    @pytest.mark.parametrize("points", ["0", "1", "-5", "2.5"])
+    def test_bad_grid_points(self, files, capsys, argv, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning exits 1
+            code = run(argv + ["--grid-points", points, "--out", "bad.csv"],
+                       files)
+        assert code == 2
+        assert (f"argument --grid-points: must be a whole number >= 2, "
+                f"got {points}" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "one of the arguments --law --measure is required"),
+        (["--law", "semicircle", "--measure", "bern.json"],
+         "argument --measure: not allowed with argument --law"),
+    ])
+    def test_law_or_measure(self, files, capsys, flags, message):
+        code = run(["invert", *flags, "--out", "bad.csv"], files)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (files / "bad.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "0"), ("--J", "nan"), ("--J", "inf"),
+        ("--J", "0"), ("--B", "nan"), ("--B", "inf"), ("--B", "-1"),
+    ])
+    def test_bad_ising_parameter(self, files, capsys, flag, value):
+        argv = ["ising", "--width", "4", "--steps", "1000", "--seed", "1",
+                "--beta", "0.4", flag, value, "--out", "bad.csv"]
+        code = run(argv, files)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert ("error: need 0 < J < inf, 0 <= B < inf, beta > 0"
+                in captured.err)
+        assert captured.out == ""
+        assert not (files / "bad.csv").exists()
+
+    @pytest.mark.parametrize("driving, message", [
+        ({"kind": "linear", "values": [0.0]}, "unknown driving kind 'linear'"),
+        ({"kind": "sampled", "times": [0.0], "values": [0.0]},
+         "sampled driving needs matching times/values"),
+        ({"kind": "piecewise_constant", "times": [1.0, 0.0, 2.0],
+          "values": [0.0, 1.0]}, "times must be strictly increasing"),
+    ])
+    def test_bad_driving(self, files, capsys, driving, message):
+        json.dump(driving, open(files / "d.json", "w"))
+        err = self.refused(files, capsys, ["loewner", "--driving", "d.json",
+                                           "--t", "1", "--out", "bad"])
+        assert f"error: {message}" in err
+
+    def test_invert_moment_sequence(self, files, capsys):
+        json.dump({"moments": [0, 1, 0, 2]}, open(files / "mom.json", "w"))
+        err = self.refused(files, capsys, ["invert", "--measure", "mom.json",
+                                           "--out", "bad.csv"])
+        assert ("error: invert --measure expects atoms or a grid, not a "
+                "moment sequence" in err)
+
+    def test_zero_temperature_ising(self, files, capsys):
+        code = run(["ising", "--width", "4", "--steps", "1000", "--seed", "1",
+                    "--beta", "inf", "--out", "grid.csv"], files)
+        assert code == 0
+        assert capsys.readouterr().out.startswith("magnetization ")
 
     @pytest.mark.parametrize("command", ["invert", "loewner"])
     @pytest.mark.parametrize("bound", ["--grid-min", "--grid-max"])
@@ -189,6 +247,10 @@ class TestExitCodes:
         (AR1 + ["--steps", "2"], "--N", "0", "must be > 0"),
         (AR1 + ["--N", "4"], "--steps", "0", "must be > 0"),
         (AR1 + ["--N", "4"], "--steps", "-1", "must be > 0"),
+        (["markov", "mdp", "--spec", "mdp.json"], "--tol", "nan",
+         "must be finite and > 0"),
+        (["markov", "mdp", "--spec", "mdp.json"], "--tol", "-1",
+         "must be finite and > 0"),
     ])
     def test_nonpositive_flag(self, files, capsys, argv, flag, value,
                               message):
@@ -428,6 +490,48 @@ class TestExitCodes:
                                            "--t", "1", "--out", "bad",
                                            "--grid-min=-1", "--grid-max=1"])
         assert err.startswith("error: recovered mass")
+
+
+class TestErrorContract:
+    """Exit 2 for an NcprobError or an unreadable input file, 1 for
+    anything else."""
+
+    @pytest.mark.parametrize("exc, code, message", [
+        (ms.NcprobError("refused"), 2, "error: refused\n"),
+        (ms.NoConvergence("stalled"), 2, "error: stalled\n"),
+        (ValueError("a bug"), 1, "runtime error: a bug\n"),
+        (KeyError("key"), 1, "runtime error: 'key'\n"),
+    ])
+    def test_library_error(self, files, capsys, monkeypatch, exc, code,
+                           message):
+        def gue_eigenvalues(n, seed):
+            raise exc
+
+        # the parser is cached, so patch the module attribute the command
+        # reads, not the bound function
+        monkeypatch.setattr(randmat, "gue_eigenvalues", gue_eigenvalues)
+        argv = ["gue", "--N", "3", "--seed", "1", "--out", "e.csv"]
+        assert run(argv, files) == code
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("content", [None, "{", "[1, 2", b"\xff\xfe{"])
+    def test_unreadable_input(self, files, capsys, content):
+        if isinstance(content, str):
+            (files / "m.json").write_text(content)
+        elif content is not None:
+            (files / "m.json").write_bytes(content)
+        code = run(["invert", "--measure", "m.json", "--out", "bad.csv"],
+                   files)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (files / "bad.csv").exists()
+
+    def test_directory_input(self, files, capsys):
+        (files / "d.json").mkdir()
+        code = run(["loewner", "--driving", "d.json", "--t", "1",
+                    "--out", "bad"], files)
+        assert code == 2
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
 
 class TestSubcommands:

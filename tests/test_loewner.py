@@ -268,7 +268,7 @@ class TestLockstepFlow:
             for bad in (np.nan, np.inf, -np.inf):
                 arrays = [np.array(a, dtype=float) for a in good]
                 arrays[i].flat[-1] = bad
-                with pytest.raises(lw.LoewnerError, match=name):
+                with pytest.raises(ms.NcprobError, match=name):
                     lw.HerglotzField(*arrays, 1.0, 1.0)
 
     def test_nan_field_arrays_end_as_underflow(self):
@@ -346,7 +346,8 @@ class TestDrivingFunction:
         assert u(0.5) == 0.5 and u(1.5) == -0.5
         s = lw.DrivingFunction.sampled([0, 1], [0, 2])
         assert s(0.25) == 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ms.NcprobError,
+                           match=r"need len\(times\) == len\(values\) \+ 1"):
             lw.DrivingFunction.piecewise([0, 1], [1, 2])
 
     def test_json_roundtrip(self):
@@ -360,7 +361,7 @@ class TestDrivingFunction:
         lambda: lw.DrivingFunction.sampled([0, 1], [0.0, -math.inf]),
     ], ids=["nan-value", "inf-time", "inf-sample"])
     def test_nonfinite_rejected(self, driving):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ms.NcprobError, match="must be finite"):
             driving()
 
     @pytest.mark.parametrize("call", [
@@ -373,11 +374,11 @@ class TestDrivingFunction:
     @pytest.mark.parametrize("z", [complex(math.nan, 1.0),
                                    complex(0.0, math.inf)])
     def test_nonfinite_points_rejected(self, call, z):
-        with pytest.raises(lw.LoewnerError, match="finite"):
+        with pytest.raises(ms.NcprobError, match="finite"):
             call(z)
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(lw.LoewnerError, match="horizon must be >= 0"):
+        with pytest.raises(ms.NcprobError, match="horizon must be >= 0"):
             lw.HerglotzField.from_driving(zero_driving(), horizon=-1.0)
 
 
@@ -464,12 +465,12 @@ class TestChainArguments:
     @pytest.mark.parametrize("call", [lw.evaluate_chain,
                                       lw.evaluate_chain_point])
     def test_time_range(self, call, s, t):
-        with pytest.raises(lw.LoewnerError,
+        with pytest.raises(ms.NcprobError,
                            match="need 0 <= s <= t <= horizon"):
             call(zero_field(1.0), s, t, 1j)
 
     def test_inverse_flow_time_range(self):
-        with pytest.raises(lw.LoewnerError,
+        with pytest.raises(ms.NcprobError,
                            match="need 0 <= s <= t <= horizon"):
             lw.inverse_flow(zero_field(1.0), 5.0, 1j)
 
@@ -477,7 +478,7 @@ class TestChainArguments:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_bad_tol(self, name, tol):
         self.CALLS[name](zero_field(1.0), 1e-9)
-        with pytest.raises(lw.LoewnerError,
+        with pytest.raises(ms.NcprobError,
                            match="tol must be finite and > 0"):
             self.CALLS[name](zero_field(1.0), tol)
 
@@ -879,7 +880,8 @@ class TestSlitApproximation:
 
     def test_bound_error(self):
         field = lw.HerglotzField.constant(ms.AtomicMeasure.dirac(-0.5), 1.0)
-        with pytest.raises(lw.BoundError):
+        with pytest.raises(ms.NcprobError,
+                           match=r"field support leaves \[0, M\]"):
             lw.approximate_field_by_slits(field, 1.0, 8)
 
 
@@ -917,7 +919,7 @@ class TestResolvent:
 
     def test_no_convergence_outside_domain(self):
         gen = lambda z: z  # w = (1-t) z
-        with pytest.raises((lw.NoConvergence, lw.LoewnerError)):
+        with pytest.raises(lw.NoConvergence, match="vanishing derivative"):
             lw.nonlinear_resolvent(gen, 1.0, 1j)
 
     BERN = staticmethod(lambda z: -0.5 * (1 / (z - 1) + 1 / (z + 1)))
@@ -929,9 +931,9 @@ class TestResolvent:
         (0.0, -2j, "requires Im"),
     ])
     def test_both_entry_points_refuse(self, t, w, message):
-        with pytest.raises(lw.LoewnerError, match=message):
+        with pytest.raises(ms.NcprobError, match=message):
             lw.nonlinear_resolvent(self.BERN, t, w)
-        with pytest.raises(lw.LoewnerError, match=message):
+        with pytest.raises(ms.NcprobError, match=message):
             lw.resolvent_fmap(self.BERN, t)(np.array([2j, w]))
 
     def test_no_convergence_messages(self):
@@ -1027,21 +1029,21 @@ class TestSLE:
 
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan])
     def test_nonpositive_horizon_rejected(self, horizon):
-        with pytest.raises(lw.LoewnerError, match="horizon must be > 0"):
+        with pytest.raises(ms.NcprobError, match="horizon must be > 0"):
             lw.sle_driving(2.0, horizon, 0.1, seed=1)
 
     @pytest.mark.parametrize("horizon, dt", [
         (0.04, 0.1), (0.14, 0.1), (1.0, 0.3), (0.5, 1.0), (1.0, math.inf),
         (math.inf, 0.1), (1e300, 1e-300)])
     def test_horizon_off_the_step_grid_rejected(self, horizon, dt):
-        with pytest.raises(lw.LoewnerError,
+        with pytest.raises(ms.NcprobError,
                            match="is not a whole number of steps"):
             lw.sle_driving(2.0, horizon, dt, seed=1)
 
     @pytest.mark.parametrize("kappa, dt", [
         (math.nan, 0.1), (-1.0, 0.1), (2.0, math.nan), (2.0, 0.0)])
     def test_bad_kappa_or_step_rejected(self, kappa, dt):
-        with pytest.raises(lw.LoewnerError,
+        with pytest.raises(ms.NcprobError,
                            match="need kappa >= 0 and dt > 0"):
             lw.sle_driving(kappa, 1.0, dt, seed=1)
 

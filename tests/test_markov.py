@@ -31,7 +31,7 @@ def random_ergodic(seed, n=4):
 
 class TestTransitionMatrix:
     def test_column_sums_enforced(self):
-        with pytest.raises(mk.MarkovError):
+        with pytest.raises(ms.NcprobError, match="columns must sum to 1"):
             mk.TransitionMatrix([[0.5, 0.0], [0.4, 1.0]])
 
     def test_products_stay_stochastic(self):
@@ -67,7 +67,7 @@ class TestStationary:
 
     def test_not_irreducible_raises(self):
         p2 = mk.TransitionMatrix([[0.5, 0.0], [0.5, 1.0]])
-        with pytest.raises(mk.NotIrreducible):
+        with pytest.raises(ms.NcprobError, match="chain is not irreducible"):
             mk.stationary_distribution(p2)
 
     def test_hitting_time_identity(self):
@@ -78,7 +78,7 @@ class TestStationary:
 
     def test_transient_state_raises(self):
         p = np.array([[0.5, 0.0], [0.5, 1.0]])
-        with pytest.raises(mk.NotIrreducible, match="transient"):
+        with pytest.raises(ms.NcprobError, match="transient"):
             mk.hitting_time_mc(p, 0, 10, seed=1)
         # the absorbing state returns at every step
         assert mk.hitting_time_mc(p, 1, 10, seed=1) == (1.0, 0.0, 10)
@@ -86,7 +86,7 @@ class TestStationary:
     @pytest.mark.parametrize("state", [-1, 2])
     def test_state_out_of_range_raises(self, state):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(mk.MarkovError, match="not one of the chain's"):
+        with pytest.raises(ms.NcprobError, match="not one of the chain's"):
             mk.hitting_time_mc(p, state, 10, seed=1)
 
     @settings(max_examples=40, deadline=None)
@@ -103,7 +103,7 @@ class TestStationary:
         p /= p.sum(axis=0)
         state = int(rng.integers(0, n))
         if not returns_surely(p, state):
-            with pytest.raises(mk.NotIrreducible):
+            with pytest.raises(ms.NcprobError, match="transient"):
                 mk.hitting_time_mc(p, state, episodes, seed, chunk=chunk)
             return
         got = mk.hitting_time_mc(p, state, episodes, seed, chunk=chunk)
@@ -120,7 +120,7 @@ class TestStationary:
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_nonpositive_episodes_raises(self, episodes):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(mk.MarkovError, match="episodes must be positive"):
+        with pytest.raises(ms.NcprobError, match="episodes must be positive"):
             mk.hitting_time_mc(p, 0, episodes, seed=4)
 
 
@@ -208,7 +208,7 @@ class TestMRP:
         p, r = basketball()
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: np.zeros_like(b))
-        with pytest.raises(mk.NotConverged, match="Bellman residual"):
+        with pytest.raises(ms.NoConvergence, match="Bellman residual"):
             mk.mrp_value(p, r, 0.5)
 
 
@@ -314,7 +314,8 @@ class TestChannels:
             assert dist <= 10 * tol
 
     def test_kraus_condition_enforced(self):
-        with pytest.raises(mk.MarkovError):
+        with pytest.raises(ms.NcprobError,
+                           match=r"Kraus operators must satisfy sum E\*E = I"):
             mk.KrausChannel((0.5 * np.eye(2),))
 
 
@@ -512,7 +513,8 @@ class TestIsing:
         assert abs(measure.mass() - 1) < 1e-12
 
     def test_enumeration_guard(self):
-        with pytest.raises(mk.EnumerationTooLarge):
+        with pytest.raises(ms.NcprobError,
+                           match="exact enumeration limited to 20 spins"):
             mk.exact_boltzmann((5, 5), beta=1.0)
 
     def test_integer_coupling_matches_float(self):
@@ -533,20 +535,36 @@ class TestIsing:
                                    10, seed=1, chunk=0),
     ], ids=["ising", "histogram", "hitting"])
     def test_nonpositive_chunk_raises(self, sampler):
-        with pytest.raises(mk.MarkovError, match="chunk must be positive"):
+        with pytest.raises(ms.NcprobError, match="chunk must be positive"):
             sampler()
 
     def test_negative_steps_rejected(self):
         state = mk.IsingState.aligned((2, 2))
-        with pytest.raises(mk.MarkovError, match="steps must be >= 0"):
+        with pytest.raises(ms.NcprobError, match="steps must be >= 0"):
             mk.metropolis_ising(state, -5, seed=1)
         assert np.array_equal(mk.metropolis_ising(state, 0, seed=1).spins,
                               state.spins)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4,)])
     def test_empty_or_flat_lattice_rejected(self, shape):
-        with pytest.raises(mk.MarkovError, match="non-empty 2-d grid"):
+        with pytest.raises(ms.NcprobError, match="non-empty 2-d grid"):
             mk.IsingState.random(shape, seed=1)
+
+    @pytest.mark.parametrize("params", [
+        {"beta": math.nan}, {"beta": 0.0}, {"beta": -1.0},
+        {"coupling": math.nan}, {"coupling": math.inf}, {"coupling": 0.0},
+        {"field": math.nan}, {"field": math.inf}, {"field": -0.5},
+    ])
+    def test_bad_parameters_rejected(self, params):
+        with pytest.raises(ms.NcprobError,
+                           match="need 0 < J < inf, 0 <= B < inf, beta > 0"):
+            mk.IsingState.aligned((2, 2), **params)
+
+    def test_zero_temperature_runs(self):
+        # beta = inf accepts only moves that do not raise the energy
+        state = mk.IsingState.random((4, 4), seed=2, beta=math.inf)
+        out = mk.metropolis_ising(state, 1000, seed=1)
+        assert mk.ising_energy(out) < mk.ising_energy(state)
 
     def test_metropolis_tv_against_exact(self):
         probs, _ = mk.exact_boltzmann((3, 3), beta=0.3)
@@ -622,11 +640,12 @@ class TestLERW:
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
     def test_cap_exceeded(self):
-        with pytest.raises(mk.CapExceeded):
+        with pytest.raises(ms.NcprobError,
+                           match="walk did not exit within 100 steps"):
             mk.lerw(10**6, 100, seed=1)
 
     def test_negative_width_rejected(self):
-        with pytest.raises(mk.MarkovError, match="width must be >= 0"):
+        with pytest.raises(ms.NcprobError, match="width must be >= 0"):
             mk.lerw(-1, 100, seed=1)
         erased, walk = mk.lerw(0, 100, seed=1)  # the first step exits
         assert len(walk) == 2 and erased == walk

@@ -23,20 +23,21 @@ def random_atomic(rng, n=4, span=2.0):
 
 class TestValidation:
     def test_atomic_weight_sum(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError, match="atom weights sum to"):
             ms.AtomicMeasure(((0.0, 0.5), (1.0, 0.6)))
 
     def test_atomic_ordering(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError,
+                           match="atom positions must be strictly increasing"):
             ms.AtomicMeasure(((1.0, 0.5), (0.0, 0.5)))
 
     def test_grid_mass(self):
         grid = np.linspace(0, 1, 11)
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError, match="is not 1 within 1e-6"):
             ms.GridMeasure(grid, np.full(11, 2.0))
 
     def test_moment_sequence_psd(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError, match="Hankel matrix is not PSD"):
             ms.MomentSequence((0.0, -1.0))  # negative variance
 
     def test_moment_sequence_accepts_valid(self):
@@ -83,9 +84,11 @@ class TestMoments:
             assert abs(float(m.variance()) - law.var) < 1e-6
 
     def test_unbounded_laws_require_opt_in(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError,
+                           match="normal law has unbounded support"):
             ms.Normal(0, 1).moments(4)
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError,
+                           match="Poisson law has unbounded support"):
             ms.Poisson(1.0).moments(4)
         assert float(ms.Poisson(1.0).moments(3, allow_truncated=True)[3]) == 5.0
 
@@ -107,11 +110,11 @@ class TestMoments:
 
     @pytest.mark.parametrize("a, c", [(0, 1), (2, 0), (-1, 1)])
     def test_free_meixner_rejects(self, a, c):
-        with pytest.raises(ms.MeasureError, match="a > 0 and c > 0"):
+        with pytest.raises(ms.NcprobError, match="a > 0 and c > 0"):
             ms.FreeMeixner(a, c, 0)
 
     def test_rejects_order_zero(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError, match="moment order must be >= 1"):
             ms.Dirac(1).moments(0)
 
     def test_grid_realizations_carry_good_moments(self):
@@ -186,7 +189,7 @@ class TestSampling:
         assert abs((s**2).mean() - 1) < 0.02
 
     def test_rejects_nonpositive_counts(self):
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError, match="sample count must be >= 1"):
             ms.sample(ms.Dirac(0), 0, seed=1)
 
     def test_atomic_sampler(self):
@@ -320,7 +323,7 @@ class TestSerialization:
         ({"grid": [0, 1], "density": [1, True]}, "density[1]"),
     ])
     def test_non_numeric_entry(self, obj, entry):
-        with pytest.raises(ms.MeasureError, match=re.escape(entry)):
+        with pytest.raises(ms.NcprobError, match=re.escape(entry)):
             ms.measure_from_json(obj)
 
     def test_density_csv(self, tmp_path):
@@ -330,5 +333,6 @@ class TestSerialization:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,density"
         assert len(lines) == 17
-        with pytest.raises(ms.MeasureError):
+        with pytest.raises(ms.NcprobError,
+                           match="atomic measures have no density to emit"):
             ms.write_density_csv(ms.AtomicMeasure.dirac(0), path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import measures as ms
 from ncprob import randmat as rm
 
 
@@ -180,7 +181,7 @@ class TestGUELaw:
         assert -2.1 < lam[0] < -1.9 and 1.9 < lam[-1] < 2.1
 
     def test_rejects_empty(self):
-        with pytest.raises(rm.RandMatError):
+        with pytest.raises(ms.NcprobError, match="need N >= 1"):
             rm.gue_eigenvalues(0, seed=0)
 
 
@@ -198,7 +199,8 @@ class TestESD:
             assert abs(float(mu.moments(8)[k]) - tracek) < 1e-9
 
     def test_size_guard(self):
-        with pytest.raises(rm.RandMatError):
+        with pytest.raises(ms.NcprobError,
+                           match="dense eigensolve limited to 4096"):
             rm.esd(np.eye(5000))
 
 
@@ -245,7 +247,8 @@ class TestFreeAR1:
         assert abs(res.mixed_moment) < 0.05
 
     def test_rejects_nonstationary(self):
-        with pytest.raises(rm.RandMatError):
+        with pytest.raises(ms.NcprobError,
+                           match=r"need \|c\| < 1 for stationarity"):
             rm.free_ar1(10, 5, c=1.0)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob.measures import NcprobError
 from ncprob.series import LaurentSeries, compose_power
 
 
@@ -34,7 +35,8 @@ class TestArithmetic:
 
     def test_coeff_below_floor_raises(self):
         a = f_like([1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(NcprobError,
+                           match=r"coefficient of z\^-5 lost to truncation"):
             a.coeff(-5)
 
     def test_reciprocal_of_g_series(self):
@@ -76,7 +78,8 @@ class TestArithmetic:
 
 class TestComposition:
     def test_requires_normalized_inner(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NcprobError,
+                           match="composition requires a normalized z"):
             f_like([1]).compose(LaurentSeries(1, [2, 0, 0]))
 
     def test_translation_composition(self):
