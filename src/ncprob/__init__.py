@@ -31,12 +31,12 @@ from .convolutions import (convolve, convolve_power, clt_iterate,
                            boolean_divisibility_root)
 from .loewner import (HullCollision, DrivingFunction, HerglotzField,
                       ChainPoint, evaluate_chain, evaluate_chain_point,
-                      slit_chain, inverse_flow, chain_measure, scale_chain,
+                      slit_chain, inverse_flow, chain_measure,
                       approximate_field_by_slits, nonlinear_resolvent,
                       sle_driving)
-from .graphs import (RootedGraph, SpidernetSpec, spidernet, comb_product,
-                     star_product, direct_product, walk_moments,
-                     spectral_distribution, approx_process)
+from .graphs import (RootedGraph, spidernet, comb_product, star_product,
+                     direct_product, walk_moments, spectral_distribution,
+                     approx_process)
 from .markov import (TransitionMatrix, MDPSpec, KrausChannel, IsingState,
                      stationary_distribution, is_irreducible, period,
                      iterate_distribution, convergence_report, mrp_value,

@@ -42,24 +42,16 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _nonnegative(text):
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive(text):
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+def _finite(text, bound=""):
+    """A finite real, also satisfying ``bound`` ("> 0" or ">= 0") if any."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    ok = {"": True, "> 0": value > 0, ">= 0": value >= 0}[bound]
+    if not (ok and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be finite{bound and ' and ' + bound}, got {text}")
     return value
 
 
@@ -72,31 +64,22 @@ def _sigma_squared(text):
     return var
 
 
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _seed(text):
-    """A nonnegative whole number, parsed exactly (no float rounding)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def _whole(text, least=0):
-    """A whole number >= ``least``, also written as a float such as 1e8."""
+    """A whole number >= ``least``: an integer literal, parsed exactly, or
+    a float with no fractional part such as 1e8."""
     try:
-        value = float(text)
+        value = int(text)
     except ValueError:
-        value = math.nan
-    if not (value >= least and math.isfinite(value) and value.is_integer()):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and value.is_integer():
+            value = int(value)
+    if not (isinstance(value, int) and value >= least):
         raise argparse.ArgumentTypeError(
             f"must be a whole number >= {least}, got {text}")
-    return int(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +294,9 @@ def _cmd_free_ar1(args):
 def build_parser():
     """The ``ncprob`` parser, built once per process: ``parse_args`` leaves
     it unchanged, so every ``main`` call can share it."""
+    whole1 = functools.partial(_whole, least=1)
+    whole2 = functools.partial(_whole, least=2)
+    positive = functools.partial(_finite, bound="> 0")
     p = argparse.ArgumentParser(
         prog="ncprob",
         description="Noncommutative probability experiments",
@@ -321,7 +307,7 @@ def build_parser():
     c.add_argument("--kind", required=True, choices=convolutions.KINDS)
     c.add_argument("--lhs", required=True)
     c.add_argument("--rhs", required=True)
-    c.add_argument("--order", type=int, default=8)
+    c.add_argument("--order", type=whole1, default=8)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_convolve)
 
@@ -329,33 +315,32 @@ def build_parser():
     law = c.add_mutually_exclusive_group(required=True)
     law.add_argument("--law", choices=sorted(_LAWS))
     law.add_argument("--measure", help="measure JSON to round-trip")
-    c.add_argument("--mean", type=float, default=0.0)
+    c.add_argument("--mean", type=_finite, default=0.0)
     c.add_argument("--sigma", dest="var", type=_sigma_squared,
                    default=1.0, help="standard deviation")
-    c.add_argument("--c", type=_positive, default=1.0)
-    c.add_argument("--fm-a", type=_positive_int, default=2)
-    c.add_argument("--fm-c", type=_positive_int, default=1)
+    c.add_argument("--c", type=positive, default=1.0)
+    c.add_argument("--fm-a", type=whole1, default=2)
+    c.add_argument("--fm-c", type=whole1, default=1)
     c.add_argument("--fm-u", type=int, default=0)
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
-    c.add_argument("--grid-points", type=functools.partial(_whole, least=2),
-                   default=1201)
-    c.add_argument("--atom", type=float, action="append")
+    c.add_argument("--grid-points", type=whole2, default=1201)
+    c.add_argument("--atom", type=_finite, action="append")
     c.add_argument("--out", required=True)
     c.add_argument("--json-out")
     c.set_defaults(fn=_cmd_invert)
 
     c = sub.add_parser("loewner", help="recover the chain measure at time t")
     c.add_argument("--driving", required=True)
-    c.add_argument("--t", type=_nonnegative, required=True)
-    c.add_argument("--tol", type=_positive, default=1e-9,
+    c.add_argument("--t", type=functools.partial(_finite, bound=">= 0"),
+                   required=True)
+    c.add_argument("--tol", type=positive, default=1e-9,
                    help="Dormand-Prince tolerance; unused for constant and "
                         "piecewise-constant drivings, which flow in "
                         "closed form")
     c.add_argument("--grid-min", type=_finite)
     c.add_argument("--grid-max", type=_finite)
-    c.add_argument("--grid-points", type=functools.partial(_whole, least=2),
-                   default=1201)
+    c.add_argument("--grid-points", type=whole2, default=1201)
     c.add_argument("--out", required=True, help="prefix for .csv and .json")
     c.set_defaults(fn=_cmd_loewner)
 
@@ -363,7 +348,7 @@ def build_parser():
     c.add_argument("--kappa", type=float, required=True)
     c.add_argument("--T", type=float, required=True)
     c.add_argument("--dt", type=float, required=True)
-    c.add_argument("--seed", type=_seed, required=True)
+    c.add_argument("--seed", type=_whole, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_sle)
 
@@ -371,32 +356,32 @@ def build_parser():
                        help="growing graph approximation table "
                             "(levels n = 4 and 5 run in under a second)")
     c.add_argument("--driving", required=True)
-    c.add_argument("--T", type=_positive, required=True)
-    c.add_argument("--n", type=_positive_int, required=True)
-    c.add_argument("--order", type=int, default=4)
+    c.add_argument("--T", type=positive, required=True)
+    c.add_argument("--n", type=whole1, required=True)
+    c.add_argument("--order", type=whole1, default=4)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_spidernet_approx)
 
     c = sub.add_parser("clt", help="scaled moments of an iterated convolution")
     c.add_argument("--kind", required=True, choices=convolutions.KINDS)
-    c.add_argument("--n", type=_positive_int, required=True)
-    c.add_argument("--order", type=int, default=6)
+    c.add_argument("--n", type=whole1, required=True)
+    c.add_argument("--order", type=whole2, default=6)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_clt)
 
     c = sub.add_parser("markov", help="finite-chain solvers")
     c.add_argument("mode", choices=("stationary", "converge", "mrp", "mdp"))
     c.add_argument("--spec", required=True)
-    c.add_argument("--tol", type=_positive, default=1e-10)
+    c.add_argument("--tol", type=positive, default=1e-10)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_markov)
 
     c = sub.add_parser("ising", help="Metropolis simulation of the Ising model")
-    c.add_argument("--width", type=_positive_int, required=True)
-    c.add_argument("--height", type=_positive_int)
+    c.add_argument("--width", type=whole1, required=True)
+    c.add_argument("--height", type=whole1)
     c.add_argument("--beta", type=float, required=True)
     c.add_argument("--steps", type=_whole, required=True)
-    c.add_argument("--seed", type=_seed, required=True)
+    c.add_argument("--seed", type=_whole, required=True)
     c.add_argument("--J", type=float, default=1.0)
     c.add_argument("--B", type=float, default=0.0)
     c.add_argument("--out", required=True)
@@ -404,24 +389,23 @@ def build_parser():
 
     c = sub.add_parser("lerw", help="loop-erased random walk")
     c.add_argument("--width", type=_whole, default=100)
-    c.add_argument("--cap", type=functools.partial(_whole, least=1),
-                   default=10**7)
-    c.add_argument("--seed", type=_seed, required=True)
+    c.add_argument("--cap", type=whole1, default=10**7)
+    c.add_argument("--seed", type=_whole, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_lerw)
 
     c = sub.add_parser("gue", help="sample a GUE matrix's eigenvalues")
-    c.add_argument("--N", type=_positive_int, required=True)
-    c.add_argument("--seed", type=_seed, required=True)
+    c.add_argument("--N", type=whole1, required=True)
+    c.add_argument("--seed", type=_whole, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_gue)
 
     c = sub.add_parser("free-ar1", help="free autoregressive toy model")
-    c.add_argument("--N", type=_positive_int, required=True)
-    c.add_argument("--steps", type=_positive_int, required=True)
+    c.add_argument("--N", type=whole1, required=True)
+    c.add_argument("--steps", type=whole1, required=True)
     c.add_argument("--c", type=float, required=True)
     c.add_argument("--noise", choices=("gue", "squared_gue"), default="gue")
-    c.add_argument("--seed", type=_seed, required=True)
+    c.add_argument("--seed", type=_whole, required=True)
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_free_ar1)
 

@@ -54,15 +54,15 @@ def _convolve_moments(kind, a, b):
 # measure level (atomic inputs)
 # ---------------------------------------------------------------------------
 
-def _default_grid(mu, nu, points=2001):
+def _default_grid(mu, nu):
     lo1, hi1 = mu.support_bounds()
     lo2, hi2 = nu.support_bounds()
     r = max(abs(lo1), abs(hi1)) + max(abs(lo2), abs(hi2))
     pad = 0.1 * r + 0.1
-    return np.linspace(-(r + pad), r + pad, points)
+    return np.linspace(-(r + pad), r + pad, 2001)
 
 
-def _convolve_measures(kind, mu, nu, order=8, grid=None):
+def _convolve_measures(kind, mu, nu, order):
     if not (isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure)):
         raise NcprobError("measure-level convolution expects atomic inputs")
     if kind == "classical":
@@ -76,9 +76,8 @@ def _convolve_measures(kind, mu, nu, order=8, grid=None):
         m = _convolve_moments("free", mu.moments(order), nu.moments(order))
         return tr.moment_quadrature(m)
     if kind == "antimonotone":
-        return _convolve_measures("monotone", nu, mu, order, grid)
-    if grid is None:
-        grid = _default_grid(mu, nu)
+        return _convolve_measures("monotone", nu, mu, order)
+    grid = _default_grid(mu, nu)
     if kind == "monotone":
         def fmap(z):
             return tr.f_transform(mu, tr.f_transform(nu, z))
@@ -90,7 +89,7 @@ def _convolve_measures(kind, mu, nu, order=8, grid=None):
                                       eps_ladder=(2e-3, 1e-3, 5e-4))
 
 
-def convolve(kind, a, b, order=8, grid=None):
+def convolve(kind, a, b, order=8):
     """Convolution of two measures or two moment sequences.
 
     Both inputs are moment sequences of the same order, or both are
@@ -105,14 +104,14 @@ def convolve(kind, a, b, order=8, grid=None):
             "convolve needs two moment sequences or two atomic measures")
     if isinstance(a, MomentSequence):
         return _convolve_moments(kind, a, b)
-    return _convolve_measures(kind, a, b, order=order, grid=grid)
+    return _convolve_measures(kind, a, b, order)
 
 
-def convolve_power(kind, m, n, order=None):
+def convolve_power(kind, m, n):
     """Moments of the n-fold self-convolution of a moment sequence."""
     _check_kind(kind)
     if not isinstance(m, MomentSequence):
-        m = m.moments(order or 8)
+        raise NcprobError("convolve_power expects a MomentSequence")
     if n < 1:
         raise NcprobError("need n >= 1")
     if kind in tr.CUMULANT_KINDS:
@@ -164,6 +163,9 @@ def clt_iterate(kind, base, n):
     _check_kind(kind)
     if not isinstance(base, MomentSequence):
         raise NcprobError("clt_iterate expects a MomentSequence")
+    if base.order < 2:
+        raise NcprobError(
+            f"clt_iterate needs a base of order >= 2, got {base.order}")
     if abs(float(base[1])) > 1e-12 or abs(float(base[2]) - 1) > 1e-12:
         raise NcprobError("base must have mean 0 and variance 1")
     if n < 1:

@@ -120,22 +120,6 @@ def cycle_graph(vertices, root=0):
     return RootedGraph.from_edges(vertices, edges, root)
 
 
-@dataclass(frozen=True)
-class SpidernetSpec:
-    n: int
-    u: int
-    depth: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.depth < 1:
-            raise NcprobError("need n >= 1 and depth >= 1")
-        if not 0 <= self.u <= 2 * self.n - 1:
-            raise NcprobError(f"spidernet needs 0 <= u <= {2 * self.n - 1}")
-
-    def data(self):
-        return 2 * self.n, self.n + 1 + self.u, self.n
-
-
 def _spidernet_shells(n, depth):
     """Shell sizes 1, 2n, 2n^2, ... of a spidernet truncated at ``depth``
     (they do not depend on u), checked against the vertex guard."""
@@ -146,7 +130,7 @@ def _spidernet_shells(n, depth):
     return shells
 
 
-def spidernet(spec_or_n, u=None, depth=None):
+def spidernet(n, u, depth):
     """Spidernet S_{n,u} with degree data (2n, n+1+u, n), truncated.
 
     The root has 2n children; every deeper vertex has n forward edges, one
@@ -155,9 +139,10 @@ def spidernet(spec_or_n, u=None, depth=None):
     shell sizes are even so the antipode pairing is well defined).
     Vertices at the truncation depth keep their lateral wiring.
     """
-    spec = (spec_or_n if isinstance(spec_or_n, SpidernetSpec)
-            else SpidernetSpec(spec_or_n, u, depth))
-    n, u, depth = spec.n, spec.u, spec.depth
+    if n < 1 or depth < 1:
+        raise NcprobError("need n >= 1 and depth >= 1")
+    if not 0 <= u <= 2 * n - 1:
+        raise NcprobError(f"spidernet needs 0 <= u <= {2 * n - 1}")
     shell_sizes = _spidernet_shells(n, depth)
     total = sum(shell_sizes)
     parts = []
@@ -362,15 +347,14 @@ def walk_moments(g, order):
     return MomentSequence(tuple(out))
 
 
-def spectral_distribution(g, merge_tol=1e-9):
+def spectral_distribution(g):
     """Atoms at adjacency eigenvalues weighted by squared root components."""
     if g.n > 4096:
         raise NcprobError("dense eigensolve limited to 4096 vertices")
     evals, evecs = np.linalg.eigh(g.adj.toarray().astype(float))
     weights = evecs[g.root, :] ** 2
     pairs = [(float(x), float(w)) for x, w in zip(evals, weights) if w > 1e-15]
-    return AtomicMeasure.from_pairs(pairs, merge_tol=merge_tol,
-                                    renormalize=True)
+    return AtomicMeasure.from_pairs(pairs, merge_tol=1e-9, renormalize=True)
 
 
 # ---------------------------------------------------------------------------

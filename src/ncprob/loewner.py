@@ -205,9 +205,6 @@ class HerglotzField:
         return bool(np.all(live.sum(axis=1) <= 1)
                     and not np.any(self.slope[live]))
 
-    def rate(self, t):
-        return float(self.atoms(t)[1].sum())
-
     def scaled(self, c, d):
         """Field of the rescaled chain h_t(z) = f_{d t}(c z) / c."""
         if c <= 0 or d <= 0:
@@ -321,16 +318,11 @@ def chain_measure(field, t, grid, tol=1e-9,
                                               grid, eps_ladder=eps_ladder)
 
 
-def scale_chain(field, c, d):
-    """Field whose chain satisfies h_t(z) = f_{d t}(c z) / c (scaling lemma)."""
-    return field.scaled(c, d)
-
-
-def capacity_fit(fmap, ys=(1e3, 3e3, 1e4)):
+def capacity_fit(fmap):
     """Half-plane capacity from the 1/z coefficient at the hydrodynamic
-    normalization: least-squares fit of Im f(iy) - y against 1/y and 1/y^3.
-    """
-    ys = np.asarray(ys, dtype=float)
+    normalization: least-squares fit of Im f(iy) - y against 1/y and 1/y^3
+    at y = 1e3, 3e3 and 1e4."""
+    ys = np.array([1e3, 3e3, 1e4])
     vals = np.asarray(fmap(1j * ys))
     rhs = vals.imag - ys
     basis = np.stack([1.0 / ys, 1.0 / ys**3], axis=1)
@@ -493,6 +485,8 @@ def sle_driving(kappa, horizon, dt, seed):
     horizon must be a whole number of steps dt (to 1e-9 relative)."""
     if not (kappa >= 0 and dt > 0):
         raise NcprobError("need kappa >= 0 and dt > 0")
+    if not math.isfinite(kappa):
+        raise NcprobError(f"kappa must be finite, got {kappa}")
     if not horizon > 0:
         raise NcprobError(f"horizon must be > 0, got {horizon}")
     ratio = horizon / dt

@@ -24,10 +24,9 @@ from .measures import AtomicMeasure, NcprobError, NoConvergence
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Column-stochastic matrix with optional state labels."""
+    """Column-stochastic matrix."""
 
     p: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -38,8 +37,6 @@ class TransitionMatrix:
             raise NcprobError("entries must lie in [0, 1]")
         if np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-12):
             raise NcprobError("columns must sum to 1 within 1e-12")
-        if self.labels and len(self.labels) != p.shape[0]:
-            raise NcprobError("label count must match matrix size")
 
     @property
     def n(self):
@@ -108,8 +105,9 @@ def iterate_distribution(p, v, n):
     return v
 
 
-def convergence_report(p, v, nmax=200):
+def convergence_report(p, v):
     """Geometric-rate fit of ||P^n v - pi||_inf; returns (pi, theta, c)."""
+    nmax = 200
     m = _as_matrix(p)
     pi = stationary_distribution(m)
     v = np.asarray(v, dtype=float)
@@ -218,8 +216,6 @@ class MDPSpec:
     transitions: np.ndarray
     rewards: np.ndarray
     gamma: float
-    state_labels: tuple = ()
-    action_labels: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.transitions, dtype=float)
@@ -236,10 +232,6 @@ class MDPSpec:
     @property
     def n_states(self):
         return self.transitions.shape[1]
-
-    @property
-    def n_actions(self):
-        return self.transitions.shape[2]
 
 
 def mdp_value_iteration(spec, tol=1e-10):
@@ -276,13 +268,13 @@ def mdp_policy_chain(spec, policy):
 # quantum channels
 # ---------------------------------------------------------------------------
 
-def check_density_matrix(rho, tol=1e-10):
+def check_density_matrix(rho):
     rho = np.asarray(rho, dtype=complex)
     if np.abs(np.trace(rho) - 1.0) > 1e-12:
         raise NcprobError("density matrix must have unit trace")
     if np.abs(rho - rho.conj().T).max() > 1e-12:
         raise NcprobError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise NcprobError("density matrix must be positive semidefinite")
     return rho
 
@@ -337,9 +329,10 @@ def channel_apply(channel, rho):
     return channel(check_density_matrix(rho))
 
 
-def channel_fixed_point(channel, rho0, tol=1e-12, max_iter=100_000):
+def channel_fixed_point(channel, rho0, tol=1e-12):
     """Iterate the channel until the trace-norm step drops below tol."""
     rho = check_density_matrix(rho0)
+    max_iter = 100_000
     for _ in range(max_iter):
         nxt = channel(rho)
         step = np.abs(np.linalg.eigvalsh(nxt - rho)).sum()
@@ -400,8 +393,9 @@ class IsingState:
         object.__setattr__(self, "frozen", fr)
 
     @classmethod
-    def aligned(cls, shape, up=True, **kw):
-        s = np.full(shape, 1 if up else -1, dtype=np.int8)
+    def aligned(cls, shape, **kw):
+        """All spins up."""
+        s = np.ones(shape, dtype=np.int8)
         return cls(s, **kw)
 
     @classmethod

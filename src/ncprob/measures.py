@@ -246,6 +246,7 @@ class MomentSequence:
         return np.array([float(v) for v in self.values])
 
     def truncate(self, order):
+        _check_order(order)
         if order > self.order:
             raise NcprobError("cannot extend a moment sequence")
         return MomentSequence(self.values[:order])
@@ -267,7 +268,7 @@ _PAD = 1e-9
 class Law:
     """Base class for named laws; subclasses define exact moments etc."""
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         raise NotImplementedError
 
     def to_measure(self, resolution=GRID_RESOLUTION):
@@ -285,7 +286,7 @@ class Law:
 class Dirac(Law):
     c: float = 0.0
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         return MomentSequence(tuple(self.c**k for k in range(1, order + 1)))
 
@@ -306,7 +307,7 @@ class Bernoulli(Law):
         if not 0 < self.p < 1:
             raise NcprobError("Bernoulli parameter must satisfy 0 < p < 1")
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         q = 1 - self.p
         return MomentSequence(
@@ -330,22 +331,17 @@ class Normal(Law):
         if self.var < 0:
             raise NcprobError("variance must be >= 0")
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
-        if not allow_truncated:
-            raise NcprobError(
-                "normal law has unbounded support; pass allow_truncated=True "
-                "to accept its (exact) moments anyway"
-            )
         central = [0] * (order + 1)
         central[0] = 1
         for k in range(2, order + 1, 2):
             central[k] = _double_factorial(k - 1) * self.var ** (k // 2)
         return MomentSequence(tuple(_shift_moments(central, self.mean)[1:]))
 
-    def to_measure(self, resolution=GRID_RESOLUTION, radius=8.0):
+    def to_measure(self, resolution=GRID_RESOLUTION):
         sd = math.sqrt(self.var)
-        grid = np.linspace(self.mean - radius * sd, self.mean + radius * sd,
+        grid = np.linspace(self.mean - 8.0 * sd, self.mean + 8.0 * sd,
                            resolution)
         dens = np.exp(-((grid - self.mean) ** 2) / (2 * self.var))
         dens /= math.sqrt(2 * math.pi * self.var)
@@ -396,7 +392,7 @@ class Arcsine(_SymmetricLaw):
     def cauchy(self, z):
         return 1.0 / sqrt_upper((z - self.mean) ** 2 - 2 * self.var)
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         central = [0] * (order + 1)
         central[0] = 1
@@ -435,7 +431,7 @@ class Semicircle(_SymmetricLaw):
         return (z - self.mean - sqrt_upper((z - self.mean) ** 2 - 4 * self.var)
                 ) / (2 * self.var)
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         central = [0] * (order + 1)
         central[0] = 1
@@ -465,24 +461,20 @@ class Poisson(Law):
         if self.lam <= 0:
             raise NcprobError("Poisson rate must be positive")
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
-        if not allow_truncated:
-            raise NcprobError(
-                "Poisson law has unbounded support; pass allow_truncated=True"
-            )
         lam = _exactify(self.lam)
         out = []
         for k in range(1, order + 1):
             out.append(sum(_stirling2(k, j) * lam**j for j in range(1, k + 1)))
         return MomentSequence(tuple(out))
 
-    def to_measure(self, resolution=GRID_RESOLUTION, tail=1e-15):
+    def to_measure(self, resolution=GRID_RESOLUTION):
         lam = self.lam
         w, atoms, k = 1.0, [], 0
         pk = math.exp(-lam)
         acc = 0.0
-        while acc < 1 - tail and k < 10_000:
+        while acc < 1 - 1e-15 and k < 10_000:
             if pk > 0:
                 atoms.append((k, pk))
             acc += pk
@@ -526,7 +518,7 @@ class MarchenkoPastur(Law):
                          np.sqrt(np.clip(u, 0, None)) / (2 * math.pi * x), 0.0)
         return d
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         c = _exactify(self.c)
         out = []
@@ -602,7 +594,7 @@ class FreeMeixner(Law):
         beta = [self.a] + [self.c] * depth
         return alpha, beta
 
-    def moments(self, order, allow_truncated=False):
+    def moments(self, order):
         _check_order(order)
         alpha, beta = self.jacobi(order)
         return MomentSequence(tuple(_motzkin_moments(alpha, beta, order)[1:]))
@@ -723,20 +715,14 @@ def _grid_from_edge_singular_law(law, resolution):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def moments(measure, order, allow_truncated=False):
+def moments(measure, order):
     """Raw moments of a measure or law up to the given order."""
     if isinstance(measure, MomentSequence):
         return measure.truncate(order)
-    if isinstance(measure, Law):
-        return measure.moments(order, allow_truncated=allow_truncated)
     return measure.moments(order)
 
 
-def variance(measure):
-    return moments(measure, 2, allow_truncated=True).variance()
-
-
-def levy_distance(mu, nu, tol=1e-12):
+def levy_distance(mu, nu):
     """Levy metric: the least delta such that the CDFs of mu and nu sandwich
     each other within a (delta, delta) margin.  Computed by bisection over
     the merged breakpoint set.
@@ -759,7 +745,7 @@ def levy_distance(mu, nu, tol=1e-12):
         return 0.0
     while not feasible(hi):
         hi *= 2
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

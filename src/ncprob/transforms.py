@@ -127,18 +127,19 @@ _NORM_Y = 1e6  # height of the normalization probe iy*G(iy)
 _SCAN_EPS = 1e-6  # height of the real-zero scan
 
 
-def _require_normalized(value, y, tol):
-    """Raise NcprobError unless iy*G(iy) is 1 within tol, given
-    ``value`` = G(iy)."""
-    val = 1j * y * value
-    if abs(val - 1.0) > tol:
+def _require_normalized(value):
+    """Raise NcprobError unless iy*G(iy) is 1 within 1e-3 at y = _NORM_Y,
+    given ``value`` = G(iy)."""
+    val = 1j * _NORM_Y * value
+    if abs(val - 1.0) > 1e-3:
         raise NcprobError(
-            f"iy*G(iy) = {val:.6g} at y={y:.0e}; not a probability Cauchy transform"
+            f"iy*G(iy) = {val:.6g} at y={_NORM_Y:.0e}; not a probability "
+            "Cauchy transform"
         )
 
 
-def check_cauchy_normalization(g, y=_NORM_Y, tol=1e-3):
-    _require_normalized(np.asarray(g(np.array([1j * y])))[0], y, tol)
+def check_cauchy_normalization(g):
+    _require_normalized(np.asarray(g(np.array([1j * _NORM_Y])))[0])
 
 
 def _inversion_grid(grid):
@@ -388,7 +389,7 @@ def _invert(g, grid, first, atom_candidates, eps_ladder):
     """``stieltjes_invert`` given ``first``, the values of ``g`` at i*_NORM_Y
     followed by _ladder_points(grid, eps_ladder), which the normalization
     check and every density pass over the grid read."""
-    _require_normalized(first[0], _NORM_Y, 1e-3)
+    _require_normalized(first[0])
     ladder = first[1:]
     atoms = []
     for a in atom_candidates:
@@ -450,16 +451,16 @@ def _invert(g, grid, first, atom_candidates, eps_ladder):
     return GridMeasure(grid, density, tuple(atoms))
 
 
-def scan_real_zeros(f, grid, eps=_SCAN_EPS):
+def scan_real_zeros(f, grid):
     """Real-axis zero candidates of a holomorphic map from a sign scan.
 
-    Looks for sign changes of Re f(x + i*eps) along the grid and finds the
+    Looks for sign changes of Re f(x + i*1e-6) along the grid and finds the
     zero in each; used to locate poles of 1/F, i.e. atom candidates.  One
     call evaluates the scan row, and the root search (``_bracketed_roots``)
     makes one to seven more, each shared by every bracket.
     """
-    row = np.asarray(f(grid + 1j * eps)).real
-    return _sign_change_roots(f, grid, row, eps)
+    row = np.asarray(f(grid + 1j * _SCAN_EPS)).real
+    return _sign_change_roots(f, grid, row, _SCAN_EPS)
 
 
 def _sign_change_roots(f, grid, row, eps, searched=True):
@@ -552,8 +553,9 @@ class NevanlinnaData:
             raise NcprobError("Nevanlinna slope b must be nonnegative")
 
 
-def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
+def nevanlinna_extract(f):
     """Extract (a, b): a = Re f(i), b = lim f(iy)/(iy), Richardson in 1/y."""
+    probe_ys = (1e3, 1e4, 1e5, 1e6)
     check_zs = [1j, 1 + 1j, -2 + 0.5j, 3j]  # the first gives a = Re f(i)
     vals = np.asarray(f(np.array(check_zs + [1j * y for y in probe_ys])))
     if np.any(vals[:len(check_zs)].imag < -1e-9):
@@ -568,7 +570,7 @@ def nevanlinna_extract(f, probe_ys=(1e3, 1e4, 1e5, 1e6)):
 # Hilbert transform
 # ---------------------------------------------------------------------------
 
-def hilbert_transform(measure, x, eps=1e-2):
+def hilbert_transform(measure, x):
     """(1/pi) Re G(x + i*eps) extrapolated to eps -> 0, for a measure or its
     Cauchy transform, a vectorized function of a complex array.
 
@@ -581,7 +583,7 @@ def hilbert_transform(measure, x, eps=1e-2):
         g = functools.partial(cauchy, measure)
     else:
         g = measure
-    ladder = (eps, eps / 2, eps / 4)
+    ladder = (1e-2, 5e-3, 2.5e-3)
     vals = np.asarray(g(np.array([x + 1j * e for e in ladder]))).real
     return float(extrapolate_to_zero(ladder, list(vals / math.pi)))
 

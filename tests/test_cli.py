@@ -74,7 +74,8 @@ class TestExitCodes:
         code = run(["loewner", "--driving", "u0.json", "--t", "-1",
                     "--out", "c"], files)
         assert code == 2
-        assert "argument --t: must be >= 0" in capsys.readouterr().err
+        assert ("argument --t: must be finite and >= 0, got -1"
+                in capsys.readouterr().err)
 
     def test_nan_driving(self, files, capsys):
         json.dump({"kind": "constant", "values": [math.nan]},
@@ -186,8 +187,8 @@ class TestExitCodes:
         ("semicircle", "--sigma", "inf", SIGMA),
         ("semicircle", "--sigma", "1e200", SIGMA),
         ("arcsine", "--sigma", "1e-200", SIGMA),
-        ("free-meixner", "--fm-c", "0", "must be > 0"),
-        ("free-meixner", "--fm-c", "-1", "must be > 0"),
+        ("free-meixner", "--fm-c", "0", "must be a whole number >= 1"),
+        ("free-meixner", "--fm-c", "-1", "must be a whole number >= 1"),
     ])
     def test_bad_law_parameter(self, files, capsys, law, flag, value,
                                message):
@@ -216,21 +217,23 @@ class TestExitCodes:
     AR1 = ["free-ar1", "--c", "0.5", "--seed", "1"]
 
     @pytest.mark.parametrize("argv, flag, value, message", [
-        (["clt", "--kind", "free"], "--n", "0", "must be > 0"),
+        (["clt", "--kind", "free"], "--n", "0", POSITIVE_COUNT),
         (["spidernet-approx", "--driving", "u0.json", "--n", "4"], "--T",
          "0", "must be finite and > 0"),
-        (["invert", "--law", "free-meixner"], "--fm-a", "0", "must be > 0"),
-        (["invert", "--law", "free-meixner"], "--fm-a", "-1", "must be > 0"),
+        (["invert", "--law", "free-meixner"], "--fm-a", "0",
+         POSITIVE_COUNT),
+        (["invert", "--law", "free-meixner"], "--fm-a", "-1",
+         POSITIVE_COUNT),
         (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "-1",
          "must be finite and > 0"),
         (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "0",
          "must be finite and > 0"),
         (["loewner", "--driving", "u0.json", "--t", "1"], "--tol", "nan",
          "must be finite and > 0"),
-        (ISING + ["--steps", "10"], "--width", "-1", "must be > 0"),
-        (ISING + ["--steps", "10"], "--width", "0", "must be > 0"),
+        (ISING + ["--steps", "10"], "--width", "-1", POSITIVE_COUNT),
+        (ISING + ["--steps", "10"], "--width", "0", POSITIVE_COUNT),
         (ISING + ["--steps", "10", "--width", "3"], "--height", "0",
-         "must be > 0"),
+         POSITIVE_COUNT),
         (ISING + ["--width", "3"], "--steps", "-5", COUNT),
         (ISING + ["--width", "3"], "--steps", "nan", COUNT),
         (ISING + ["--width", "3"], "--steps", "inf", COUNT),
@@ -242,15 +245,35 @@ class TestExitCodes:
         (LERW, "--cap", "-5", POSITIVE_COUNT),
         (LERW, "--cap", "2.5", POSITIVE_COUNT),
         (LERW, "--cap", "0", POSITIVE_COUNT),
-        (["gue", "--seed", "1"], "--N", "0", "must be > 0"),
-        (["gue", "--seed", "1"], "--N", "-3", "must be > 0"),
-        (AR1 + ["--steps", "2"], "--N", "0", "must be > 0"),
-        (AR1 + ["--N", "4"], "--steps", "0", "must be > 0"),
-        (AR1 + ["--N", "4"], "--steps", "-1", "must be > 0"),
+        (["gue", "--seed", "1"], "--N", "0", POSITIVE_COUNT),
+        (["gue", "--seed", "1"], "--N", "-3", POSITIVE_COUNT),
+        (AR1 + ["--steps", "2"], "--N", "0", POSITIVE_COUNT),
+        (AR1 + ["--N", "4"], "--steps", "0", POSITIVE_COUNT),
+        (AR1 + ["--N", "4"], "--steps", "-1", POSITIVE_COUNT),
         (["markov", "mdp", "--spec", "mdp.json"], "--tol", "nan",
          "must be finite and > 0"),
         (["markov", "mdp", "--spec", "mdp.json"], "--tol", "-1",
          "must be finite and > 0"),
+        (["clt", "--kind", "free", "--n", "4"], "--order", "1",
+         "must be a whole number >= 2"),
+        (["clt", "--kind", "free", "--n", "4"], "--order", "2.5",
+         "must be a whole number >= 2"),
+        (["convolve", "--kind", "free", "--lhs", "bern.json", "--rhs",
+          "bern.json"], "--order", "-3", POSITIVE_COUNT),
+        (["convolve", "--kind", "free", "--lhs", "bern.json", "--rhs",
+          "bern.json"], "--order", "0", POSITIVE_COUNT),
+        (["spidernet-approx", "--driving", "u0.json", "--T", "1", "--n",
+          "2"], "--order", "0", POSITIVE_COUNT),
+        (["loewner", "--driving", "u0.json"], "--t", "inf",
+         "must be finite and >= 0"),
+        (["loewner", "--driving", "u0.json"], "--t", "nan",
+         "must be finite and >= 0"),
+        (["invert", "--law", "semicircle"], "--atom", "nan",
+         "must be finite"),
+        (["invert", "--law", "semicircle"], "--mean", "inf",
+         "must be finite"),
+        (["invert", "--law", "semicircle"], "--mean", "nan",
+         "must be finite"),
     ])
     def test_nonpositive_flag(self, files, capsys, argv, flag, value,
                               message):
@@ -274,6 +297,8 @@ class TestExitCodes:
          "horizon must be > 0, got -1.0"),
         (["lerw", "--width", "10", "--cap", "5"],
          "walk did not exit within 5 steps"),
+        (["sle", "--kappa", "inf", "--T", "1", "--dt", "0.1"],
+         "kappa must be finite, got inf (--kappa inf, --T 1.0, --dt 0.1)"),
     ])
     def test_refused_input(self, files, capsys, argv, message):
         with warnings.catch_warnings():
@@ -342,7 +367,7 @@ class TestExitCodes:
     def test_negative_seed(self, files, capsys, argv):
         err = self.refused(files, capsys,
                            argv + ["--seed", "-1", "--out", "bad"])
-        assert "argument --seed: must be >= 0, got -1" in err
+        assert "argument --seed: must be a whole number >= 0, got -1" in err
 
     def test_seed_parsed_exactly(self):
         seed = 2**64 + 1  # a float would round it to 2**64

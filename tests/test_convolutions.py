@@ -194,6 +194,12 @@ class TestCLT:
         # arcsine A(0,1) has m_6 = C(6,3)/2^3 = 2.5
         assert abs(float(out[6]) - 2.5) < 5e-2
 
+    def test_base_needs_a_variance(self):
+        with pytest.raises(ms.NcprobError,
+                           match="clt_iterate needs a base of order >= 2, "
+                                 "got 1"):
+            cv.clt_iterate("free", BERN.truncate(1), 4)
+
     @pytest.mark.parametrize("n", [0, -4])
     def test_nonpositive_n_rejected(self, n):
         with pytest.raises(ms.NcprobError, match="need n >= 1"):
@@ -213,6 +219,11 @@ class TestBooleanRoot:
     def test_identity_at_one(self):
         out = cv.boolean_divisibility_root(BERN, 1)
         assert out.values == BERN.values
+
+    def test_power_needs_moments(self):
+        with pytest.raises(ms.NcprobError,
+                           match="convolve_power expects a MomentSequence"):
+            cv.convolve_power("free", ms.AtomicMeasure.dirac(0), 2)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 7))

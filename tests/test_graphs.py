@@ -174,7 +174,7 @@ class TestSpidernet:
         for n, u in ((1, 1), (2, 1), (2, 3)):
             depth = 3
             g = gr.spidernet(n, u, depth).check_valid()
-            a, b, _ = gr.SpidernetSpec(n, u, depth).data()
+            a, b = 2 * n, n + 1 + u  # degree data (2n, n+1+u, n)
             assert g.degree(0) == a
             d = g.depths()
             interior = [v for v in range(1, g.n) if 0 < d[v] < depth]

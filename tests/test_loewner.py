@@ -815,13 +815,13 @@ class TestChainMeasure:
 class TestScaling:
     def test_identity_scaling(self):
         field = random_pc_field(2)
-        sc = lw.scale_chain(field, 1.0, 1.0)
+        sc = field.scaled(1.0, 1.0)
         a = lw.evaluate_chain(field, 0, 1.0, PROBES, tol=1e-10)
         b = lw.evaluate_chain(sc, 0, 1.0, PROBES, tol=1e-10)
         assert np.abs(a - b).max() < 1e-9
 
     def test_self_similar_slit(self):
-        sc = lw.scale_chain(zero_field(4.0), 2.0, 4.0)
+        sc = zero_field(4.0).scaled(2.0, 4.0)
         got = lw.evaluate_chain(sc, 0.0, 0.7, PROBES, tol=1e-10)
         want = tr.sqrt_upper(PROBES**2 - 2 * 0.7)
         assert np.abs(got - want).max() < 1e-6
@@ -829,7 +829,7 @@ class TestScaling:
     def test_general_identity(self):
         field = random_pc_field(9, horizon=2.0)
         c, d = 1.7, 0.8
-        sc = lw.scale_chain(field, c, d)
+        sc = field.scaled(c, d)
         t = 0.6
         got = lw.evaluate_chain(sc, 0.0, t, PROBES, tol=1e-11)
         want = lw.evaluate_chain(field, 0.0, d * t, c * PROBES,
@@ -840,7 +840,7 @@ class TestScaling:
         # c=2, d=1: driving U/c = 1/2 at rate d/c^2 = 1/4
         field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(1.0),
                                               horizon=4.0)
-        sc = lw.scale_chain(field, 2.0, 1.0)
+        sc = field.scaled(2.0, 1.0)
         pos, wts = sc.atoms(0.5)
         assert pos[0] == pytest.approx(0.5)
         assert wts.sum() == pytest.approx(0.25)
@@ -1046,6 +1046,13 @@ class TestSLE:
         with pytest.raises(ms.NcprobError,
                            match="need kappa >= 0 and dt > 0"):
             lw.sle_driving(kappa, 1.0, dt, seed=1)
+
+    def test_infinite_kappa_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the draw
+            with pytest.raises(ms.NcprobError,
+                               match="kappa must be finite, got inf"):
+                lw.sle_driving(math.inf, 1.0, 0.1, seed=1)
 
     @pytest.mark.parametrize("kappa, horizon, dt, seed", [
         (2.0, 1.0, 1e-2, 7), (2.0, 1.0, 0.1, 2), (2.0, 0.5, 1e-3, 9),

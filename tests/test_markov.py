@@ -18,7 +18,7 @@ def basketball():
         [0.6, 0.0, 0.0, 0.0],
         [0.2, 0.8, 1.0, 0.0],
         [0.2, 0.1, 0.0, 1.0],
-    ]), labels=("P1", "P2", "S", "L"))
+    ]))
     rewards = np.array([0.0, 0.0, 1.0, -1.0])
     return p, rewards
 
@@ -475,7 +475,7 @@ class TestIsing:
         assert np.array_equal(out.spins[0, :], st0.spins[0, :])
 
     def test_zero_temperature_alignment(self):
-        st0 = mk.IsingState.aligned((6, 6), up=True, beta=60.0, field=0.3)
+        st0 = mk.IsingState.aligned((6, 6), beta=60.0, field=0.3)
         out = mk.metropolis_ising(st0, 50_000, seed=3)
         assert np.all(out.spins == 1)
         assert mk.magnetization(out) == 1.0

@@ -43,6 +43,11 @@ class TestValidation:
     def test_moment_sequence_accepts_valid(self):
         ms.MomentSequence((0, 1, 0, 2, 0, 5))
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_truncate_below_order_one(self, order):
+        with pytest.raises(ms.NcprobError, match="moment order must be >= 1"):
+            ms.Bernoulli().moments(4).truncate(order)
+
 
 class TestMoments:
     def test_dirac(self):
@@ -80,17 +85,12 @@ class TestMoments:
     def test_variance_of_parametric_laws(self):
         for law in (ms.Arcsine(0.3, 2.0), ms.Semicircle(-1.0, 0.5),
                     ms.Normal(0.2, 1.7)):
-            m = ms.moments(law, 2, allow_truncated=True)
+            m = ms.moments(law, 2)
             assert abs(float(m.variance()) - law.var) < 1e-6
 
-    def test_unbounded_laws_require_opt_in(self):
-        with pytest.raises(ms.NcprobError,
-                           match="normal law has unbounded support"):
-            ms.Normal(0, 1).moments(4)
-        with pytest.raises(ms.NcprobError,
-                           match="Poisson law has unbounded support"):
-            ms.Poisson(1.0).moments(4)
-        assert float(ms.Poisson(1.0).moments(3, allow_truncated=True)[3]) == 5.0
+    def test_unbounded_law_moments(self):
+        assert ms.Normal(0, 1).moments(4).values == (0, 1, 0, 3)
+        assert ms.Poisson(1).moments(3).values == (1, 2, 5)
 
     def test_marchenko_pastur_catalan(self):
         # rate-1 free Poisson has Catalan moments

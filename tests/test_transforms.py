@@ -1161,6 +1161,16 @@ class TestSeriesTransforms:
         m = tr.series_moments(s, 6)
         assert [int(v) for v in m.values] == [0, 4, 4, 28, 60, 260]
 
+    @pytest.mark.parametrize("m, want", [
+        # semicircle: B = G, whose odd coefficients are Catalan numbers
+        (ms.Semicircle(0, 1).moments(8), {-1: 1, -3: 1, -5: 2, -7: 5}),
+        (ms.Bernoulli().moments(8), {-1: 1}),  # B = 1/z
+    ])
+    def test_b_series(self, m, want):
+        b = tr.b_series(m)
+        assert (b.top, b.valid) == (1, -7)
+        assert all(b.coeff(p) == want.get(p, 0) for p in range(-7, 2))
+
     def test_semicircle_r_series_is_z(self):
         r = tr.r_series(ms.Semicircle(0, 1).moments(6))
         assert r.coeff(1) == 1
