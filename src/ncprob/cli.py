@@ -169,7 +169,12 @@ def _cmd_sle(args):
 
 def _cmd_spidernet_approx(args):
     driving = loewner.DrivingFunction.from_json(_load_json(args.driving))
-    res = graphs.approx_process(driving, args.T, args.n, order=args.order)
+    try:
+        res = graphs.approx_process(driving, args.T, args.n,
+                                    order=args.order)
+    except NcprobError as exc:
+        raise NcprobError(f"{exc} (--T {args.T}, --n {args.n}, "
+                          f"--order {args.order})") from exc
     header = ("k", "u", "vertices") + tuple(f"m{j}" for j in
                                             range(1, args.order + 1))
     rows = []

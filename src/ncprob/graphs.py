@@ -415,6 +415,16 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
             f"driving must satisfy 0 <= U <= {bound:.6g} on [0, {TT}] for n={n}"
         )
     scale_sq = 2.0 * n**3 / TT
+    # scaled_moments divides order j by scale_sq ** (j/2), which is
+    # monotone in j, so the top order is the one to underflow or overflow
+    try:
+        top = scale_sq ** (order / 2)
+    except OverflowError:
+        top = math.inf
+    if not 0 < top < math.inf:
+        raise NcprobError(
+            f"horizon T = {TT:g} is out of range for n = {n}: the order-"
+            f"{order} scale (2 n^3 / T)^{order / 2:g} is {top:g}")
     c = math.sqrt(scale_sq)
     radius = (order + 1) // 2
     # refuse before building anything: shell sizes do not depend on u, and

@@ -46,10 +46,15 @@ def sample_gue(n, seed):
     z = np.random.default_rng(seed).standard_normal((n, n))
     diag = z.diagonal() * math.sqrt(1.0 / n)
     z *= math.sqrt(1.0 / (2 * n))
-    low = np.tril(z, -1)
+    # z and a are the only N x N buffers: a.real is z above the diagonal
+    # and z.T below it, a.imag is z.T above and 0 - z below (not -z: a zero
+    # entry must give +0.0 there, not -0.0)
+    lower = np.tri(n, k=-1, dtype=bool)
     a = np.empty((n, n), dtype=complex)
-    a.real = np.triu(z) + np.triu(z, 1).T
-    a.imag = low.T - low
+    a.real = z.T
+    np.copyto(a.real, z, where=~lower)
+    a.imag = z.T
+    np.subtract(0.0, z, out=a.imag, where=lower)
     a.flat[::n + 1] = diag
     return a
 
@@ -61,15 +66,16 @@ def gue_eigenvalues(n, seed):
     off-diagonal entries, k = N-1, ..., 1, divided by sqrt(N).
 
     ``seed`` as in ``sample_gue``; the N normals are drawn first, then the
-    N - 1 gammas.  Only the diagonal and first superdiagonal are filled:
-    ``eigvalsh`` reads the upper triangle."""
+    N - 1 gammas.  LAPACK ``dsterf`` solves the tridiagonal matrix from its
+    two bands in O(N^2), with no N x N buffer."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if n < 1:
         raise NcprobError("need N >= 1")
     rng = np.random.default_rng(seed)
-    t = np.zeros((n, n))
-    t.flat[::n + 1] = rng.standard_normal(n)
-    t.flat[1::n + 1] = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1)))
-    return np.linalg.eigvalsh(t, UPLO="U") / math.sqrt(n)
+    d = rng.standard_normal(n)
+    e = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1)))
+    return eigvalsh_tridiagonal(d, e, lapack_driver="sterf") / math.sqrt(n)
 
 
 def haar_unitary(n, seed):
@@ -178,7 +184,9 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
     Traces are taken without forming the last product: phi(X^2) of the
     Hermitian X is sum |X_ij|^2 / N, and the mixed moment forms only
     P = X_{m-1} eps_m and reads phi(PP) with `trace_product`, so a call
-    forms one N x N product (plus one per step for squared noise)."""
+    forms one N x N product (plus one per step for squared noise).  X is
+    updated in place and no earlier X or noise is kept, so about three
+    complex N x N arrays are alive at the peak."""
     if not abs(c) < 1:
         raise NcprobError("need |c| < 1 for stationarity")
     if steps < 1:
@@ -188,23 +196,23 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
     rng = np.random.default_rng(seed)
     x = np.eye(n, dtype=complex)
     traj = []
-    prev = x
-    eps = None
-    for _ in range(steps):
+    for step in range(steps):
         g = sample_gue(n, rng)
         if noise == "squared_gue":
             g = g @ g
             g.flat[::n + 1] -= trace_state(g)
-        prev = x
-        eps = g
-        x = c * x + g
+        if step == steps - 1:
+            pe = x @ g
+            noise_var = float(np.vdot(g, g).real) / n
+        x *= c
+        x += g
+        del g  # the next draw runs beside X alone
         traj.append(float(np.vdot(x, x).real) / n)
-    pe = prev @ eps
     mean = trace_state(x)
     return FreeAR1Result(
         mean_last=mean,
         var_last=traj[-1] - mean ** 2,
         mixed_moment=trace_product(pe, pe),
-        noise_var_last=float(np.vdot(eps, eps).real) / n,
+        noise_var_last=noise_var,
         var_trajectory=tuple(traj),
     )

@@ -321,6 +321,20 @@ class TestExitCodes:
         assert ("error: truncated spidernet has 10621441 > 10000000 vertices"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("horizon", ["1e308", "1e-300"])
+    def test_spidernet_horizon_out_of_range(self, files, capsys, horizon):
+        # the scale (2 n^3 / T)^(j/2) that order j is divided by would be
+        # 0 or inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["spidernet-approx", "--driving", "u0.json", "--T",
+                        horizon, "--n", "2", "--out", "sp.csv"], files)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is out of range for n = 2" in err
+        assert f"(--T {float(horizon)}, --n 2, --order 4)" in err
+        assert not (files / "sp.csv").exists()
+
     def refused(self, files, capsys, argv):
         """stderr of a run that must exit 2 and write no ``bad*`` file."""
         with warnings.catch_warnings():

@@ -399,6 +399,21 @@ class TestApproxProcess:
         with pytest.raises(ms.NcprobError, match="order must be >= 1"):
             gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2, order=0)
 
+    @pytest.mark.parametrize("horizon, order, scale", [
+        (1e308, 4, "0"), (1e200, 4, "0"), (1e-300, 4, "inf"),
+        (5e-324, 1, "inf")])
+    def test_scale_out_of_range(self, horizon, order, scale):
+        with pytest.raises(ms.NcprobError,
+                           match=rf"out of range for n = 2: .* is {scale}$"):
+            gr.approx_process(DrivingFunction.constant(0.0), horizon, 2,
+                              order=order)
+
+    def test_scale_in_range_at_order_one(self):
+        # the order-4 scale underflows at T = 1e200, the order-1 one not
+        res = gr.approx_process(DrivingFunction.constant(0.0), 1e200, 2,
+                                order=1)
+        assert res.scaled_moments(2).values == (0.0,)
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_nonpositive_horizon_rejected(self, horizon):
         with pytest.raises(ms.NcprobError, match="horizon must be > 0"):

@@ -56,7 +56,8 @@ SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
 
 
 class TestStartUp:
-    """Only the graph functions load scipy."""
+    """Only the graph functions and the GUE spectrum load scipy: graphs
+    load scipy.sparse, ``gue_eigenvalues`` loads scipy.linalg."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = fresh_run(f"import sys\nimport ncprob.cli\n"
@@ -77,7 +78,6 @@ class TestStartUp:
             ["ising", "--width", "4", "--beta", "0.4", "--steps", "100",
              "--seed", "1", "--out", "grid.csv"],
             ["lerw", "--width", "5", "--seed", "1", "--out", "path.csv"],
-            ["gue", "--N", "8", "--seed", "1", "--out", "eig.csv"],
             ["free-ar1", "--N", "8", "--steps", "2", "--c", "0.5",
              "--seed", "1"],
         ]
@@ -95,3 +95,15 @@ class TestStartUp:
         lines = fresh_run(script, tmp_path).splitlines()
         assert lines[:-1] == [f"{argv[0]} []" for argv in runs]
         assert lines[-1] == "13 (0, 4, 4, 28) True"
+
+    def test_gue_loads_only_scipy_linalg(self, tmp_path):
+        script = (
+            "import contextlib, io, sys\n"
+            "from ncprob import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['gue', '--N', '8', '--seed', '1',"
+            " '--out', 'eig.csv']) == 0\n"
+            "print('scipy.linalg' in sys.modules,"
+            " 'scipy.sparse' in sys.modules)\n"
+        )
+        assert fresh_run(script, tmp_path).strip() == "True False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,34 @@ def reference_free_ar1(n, steps, c, noise, seed):
         var_last=rm.trace_state(x @ x) - rm.trace_state(x) ** 2,
         mixed_moment=mixed,
         noise_var_last=rm.trace_state(eps @ eps),
+        var_trajectory=tuple(traj),
+    )
+
+
+def out_of_place_free_ar1(n, steps, c, noise, seed):
+    # free_ar1 as it was before X was updated in place: a new X per step,
+    # with the previous X and noise held to the end
+    rng = np.random.default_rng(seed)
+    x = np.eye(n, dtype=complex)
+    traj = []
+    prev = x
+    eps = None
+    for _ in range(steps):
+        g = rm.sample_gue(n, rng)
+        if noise == "squared_gue":
+            g = g @ g
+            g.flat[::n + 1] -= rm.trace_state(g)
+        prev = x
+        eps = g
+        x = c * x + g
+        traj.append(float(np.vdot(x, x).real) / n)
+    pe = prev @ eps
+    mean = rm.trace_state(x)
+    return rm.FreeAR1Result(
+        mean_last=mean,
+        var_last=traj[-1] - mean ** 2,
+        mixed_moment=rm.trace_product(pe, pe),
+        noise_var_last=float(np.vdot(eps, eps).real) / n,
         var_trajectory=tuple(traj),
     )
 
@@ -280,9 +309,9 @@ class TestReferencePins:
             want = reference_sample_gue(n, np.random.default_rng(seed))
             assert rm.sample_gue(n, seed).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 500, 1000, 2000])
     def test_gue_eigenvalues_bytes(self, n):
-        for seed in (0, 3):
+        for seed in (0, 3) if n < 2000 else (0,):
             want = reference_gue_eigenvalues(n, np.random.default_rng(seed))
             assert rm.gue_eigenvalues(n, seed).tobytes() == want.tobytes()
 
@@ -308,6 +337,15 @@ class TestReferencePins:
                       "noise_var_last", "var_trajectory"):
             assert getattr(got, field) == pytest.approx(
                 getattr(want, field), rel=1e-12, abs=0), field
+
+    @pytest.mark.parametrize("noise", ["gue", "squared_gue"])
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.3])
+    def test_free_ar1_bytes(self, noise, c):
+        for n in (1, 2, 17, 64):
+            for steps in (1, 2, 7):
+                got = rm.free_ar1(n, steps, c, noise, seed=n + steps)
+                want = out_of_place_free_ar1(n, steps, c, noise, n + steps)
+                assert repr(got) == repr(want), (n, steps)
 
     def test_freeness_gue_pair(self):
         a, b = rm.sample_gue(200, seed=1), rm.sample_gue(200, seed=2)
@@ -341,3 +379,35 @@ class TestReferencePins:
         scale = np.abs(a).sum() * np.abs(b).sum() / n
         assert abs(rm.trace_product(a, b)
                    - rm.trace_state(a @ b)) <= 1e-13 * scale
+
+
+def peak_arrays(call, n):
+    """Peak memory that ``call()`` allocates, traced by ``tracemalloc``
+    (numpy reports its buffers to it), in complex N x N arrays."""
+    call()  # the first call pays for lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+        return peak / (16 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    N = 256
+
+    def test_sample_gue(self):
+        assert peak_arrays(lambda: rm.sample_gue(self.N, 1), self.N) <= 1.75
+
+    @pytest.mark.parametrize("noise", ["gue", "squared_gue"])
+    def test_free_ar1(self, noise):
+        peak = peak_arrays(lambda: rm.free_ar1(self.N, 5, 0.5, noise, 1),
+                           self.N)
+        assert peak <= 3.25
+
+    def test_gue_eigenvalues(self):
+        peak = peak_arrays(lambda: rm.gue_eigenvalues(self.N, 1), self.N)
+        assert peak <= 0.05
