@@ -149,9 +149,17 @@ def _cmd_loewner(args):
         raise NcprobError(
             f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
             f"reach {reach!r}, whose square overflows a float")
+    ladder = (5e-3, 2.5e-3, 1.25e-3)
+    # z - U(t) rounds to the float spacing at reach; G is read at height
+    # min(ladder), so that spacing must be a thousandth of it or less
+    if math.ulp(reach) > 1e-3 * ladder[-1]:
+        raise NcprobError(
+            f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
+            f"reach {reach!r}, where floats are {math.ulp(reach):.3g} apart: "
+            f"more than 1e-3 of the smallest ladder height {ladder[-1]}")
     grid = np.linspace(lo, hi, args.grid_points)
     mu = loewner.chain_measure(field, args.t, grid, tol=args.tol,
-                               eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
+                               eps_ladder=ladder)
     measures.write_density_csv(mu, args.out + ".csv")
     measures.save_measure(mu, args.out + ".json")
     return 0

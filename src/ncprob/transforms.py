@@ -7,6 +7,7 @@ and the bijections between moments and free/Boolean/classical cumulants.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -601,6 +602,36 @@ def _values(m):
 CUMULANT_KINDS = ("classical", "boolean", "free")
 
 
+def _integer_root(e, k):
+    """floor(e ** (1/k)) for integers e >= 1, k >= 1 (Newton from above)."""
+    r = 1 << -(-e.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + e // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _grade(values):
+    """An integer D >= 1 with D**k * v_k integral for every k = 1, 2, ...
+
+    1 unless every entry is an int or a Fraction.  Where a denominator
+    does not divide D**k, D grows by the k-th root of the missing factor
+    when that is whole and by the factor itself otherwise, so moments
+    with denominators q**k keep D = q where an lcm would give q**K.
+    """
+    if any(type(v) not in (int, Fraction) for v in values):
+        return 1
+    grade = 1
+    for k, v in enumerate(values, 1):
+        scale = grade ** k
+        if scale % v.denominator:
+            e = v.denominator // math.gcd(v.denominator, scale)
+            root = _integer_root(e, k)
+            grade *= root if root ** k == e else e
+    return grade
+
+
 def _moment_cumulant(kind, given, to_cumulants):
     """Solve m_k = c_k + sum_{j<k} c_j w_{k,j} for the side not given.
 
@@ -609,11 +640,23 @@ def _moment_cumulant(kind, given, to_cumulants):
     M(z) = 1 + sum_k kappa_k z^k M(z)^k).  w_{k,j} needs moments below
     order k only, so one pass solves either direction; the free powers
     gain one degree per known moment and are never rebuilt.
+
+    The relations are isobaric: c_j, m_j and [z^j] M^i have weight j and
+    every term of the k-th relation has weight k.  Scaling each value by
+    D**weight, with D from ``_grade``, turns rational inputs into integers
+    that the same loop solves without a gcd; outputs are unscaled once.
     """
     if kind not in CUMULANT_KINDS:
         raise NcprobError(
             f"unknown cumulant kind {kind!r}; one of {CUMULANT_KINDS}")
     given = _values(given)
+    grade = _grade(given)
+    if grade > 1:
+        # an output stays an int until a Fraction has entered the recursion
+        rational = list(itertools.accumulate(
+            (type(v) is Fraction for v in given), operator.or_))
+        given = [v.numerator * grade ** k // v.denominator
+                 for k, v in enumerate(given, 1)]
     op = operator.sub if to_cumulants else operator.add
     mom, cum = [1], []  # mom[d] = m_d, so mom is the series M(z) too
     powers = [[1]]  # powers[j][d] = [z^d] M(z)^j, known for d <= k - j
@@ -633,7 +676,11 @@ def _moment_cumulant(kind, given, to_cumulants):
         solved = functools.reduce(op, terms, given[k - 1])
         mom.append(given[k - 1] if to_cumulants else solved)
         cum.append(solved if to_cumulants else given[k - 1])
-    return cum if to_cumulants else mom[1:]
+    out = cum if to_cumulants else mom[1:]
+    if grade == 1:
+        return out
+    return [Fraction(v, grade ** k) if frac else v // grade ** k
+            for k, (v, frac) in enumerate(zip(out, rational), 1)]
 
 
 def moments_to_cumulants(kind, m):

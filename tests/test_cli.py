@@ -520,15 +520,38 @@ class TestExitCodes:
                               "inversion grid [")
         assert "whose square overflows a float" in err
 
-    def test_loewner_large_driving_reaches_the_flow(self, files, capsys):
-        # (1e150 + 1)^2 is finite: the flow runs without a warning, and the
-        # inversion's mass check refuses the result
-        json.dump({"kind": "constant", "values": [1e150]},
+    @pytest.mark.parametrize("value, flags", [
+        (1e150, ["--grid-min=-1", "--grid-max=1"]),
+        (-9e9, ["--grid-min=-1", "--grid-max=1"]),
+        (1e14, []),
+        (0.5, ["--grid-min=-1e10", "--grid-max=1"]),
+    ])
+    def test_loewner_driving_past_float_spacing(self, files, capsys, value,
+                                                flags):
+        # (1e150 + 1)^2 is finite, but z - U(t) keeps no digit of the grid
+        json.dump({"kind": "constant", "values": [value]},
                   open(files / "u.json", "w"))
         err = self.refused(files, capsys, ["loewner", "--driving", "u.json",
                                            "--t", "1", "--out", "bad",
-                                           "--grid-min=-1", "--grid-max=1"])
-        assert err.startswith("error: recovered mass")
+                                           *flags])
+        assert "Warning" not in err
+        assert err.startswith(f"error: driving bound {abs(value)!r} and "
+                              "inversion grid [")
+        assert "more than 1e-3 of the smallest ladder height 0.00125" in err
+
+    def test_loewner_driving_inside_float_spacing(self, files):
+        # reach 8e9 + 1 < 2**33: floats there are 2**-20 apart, within bound;
+        # the atom at U - sqrt(U^2 + 2) ~ -1.25e-10 carries the whole mass
+        json.dump({"kind": "constant", "values": [8e9]},
+                  open(files / "u.json", "w"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["loewner", "--driving", "u.json", "--t", "1",
+                        "--grid-min=-1", "--grid-max=1", "--grid-points",
+                        "201", "--out", "chain"], files) == 0
+        mu = ms.load_measure(str(files / "chain.json"))
+        (atom, weight), = mu.atoms
+        assert abs(atom) < 1e-6 and weight == pytest.approx(1, abs=1e-6)
 
 
 class TestErrorContract:

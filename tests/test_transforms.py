@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1130,6 +1131,104 @@ class TestCumulantMaps:
         # the recursion adds kappa_k first where the reference adds it last
         for new, old in zip(back_new, back_old):
             assert abs(new - old) <= 1e-12 * max(1, abs(old))
+
+
+def _bernoulli_cumulants(kind, q, n, order):
+    """n times the cumulants of Bernoulli(1/q): denominators grow like q**k."""
+    to_ref, _ = REFERENCE_MAPS[kind]
+    return [n * c for c in to_ref([Fraction(1, q)] * order)]
+
+
+def _exact_pairs(kind, seq):
+    """Library and reference outputs agree in value and in type."""
+    for new, old in _both_directions(kind, seq):
+        assert new == old
+        assert [type(v) for v in new] == [type(v) for v in old]
+
+
+LARGE_PRIMES = (1000000007, 1000000009, 1000000021, 1000000033, 1000000087,
+                1000000093, 1000000097, 1000000103, 1000000123, 1000000181,
+                1000000207, 1000000223)
+INT_SEQ = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
+EXACT_MIX_SEQ = st.lists(
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12)),
+    min_size=1, max_size=12)
+FLOAT_MIX_SEQ = st.lists(
+    st.one_of(st.floats(-3, 3), st.fractions(-3, 3, max_denominator=12)),
+    min_size=1, max_size=12)
+
+
+class TestGradedMaps:
+    """The exact maps scale values of weight k by D**k and run on integers;
+    they must agree with the plain Fraction recursions of REFERENCE_MAPS."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(KIND, st.integers(2, 4096), st.integers(1, 4096),
+           st.integers(1, 16))
+    def test_growing_denominators(self, kind, q, n, order):
+        _exact_pairs(kind, _bernoulli_cumulants(kind, q, n, order))
+
+    @pytest.mark.parametrize("kind", tr.CUMULANT_KINDS)
+    @pytest.mark.parametrize("q", [2, 3, 2048, 4096])
+    def test_grade_is_the_base(self, kind, q):
+        # an lcm of the denominators would be q**order
+        assert tr._grade(_bernoulli_cumulants(kind, q, 1, 12)) == q
+
+    @settings(max_examples=40, deadline=None)
+    @given(KIND, st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+    def test_coprime_denominators(self, kind, nums):
+        seq = [Fraction(a, p) for a, p in zip(nums, LARGE_PRIMES)]
+        assert tr._grade(seq) == math.prod(LARGE_PRIMES[:len(seq)])
+        _exact_pairs(kind, seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(KIND, INT_SEQ)
+    def test_int_inputs_stay_int(self, kind, seq):
+        for new, old in _both_directions(kind, seq):
+            assert new == old
+            assert all(type(v) is int for v in new)
+
+    @settings(max_examples=60, deadline=None)
+    @given(KIND, EXACT_MIX_SEQ)
+    def test_int_fraction_mix(self, kind, seq):
+        _exact_pairs(kind, seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(KIND, st.one_of(FLOAT_SEQ, FLOAT_MIX_SEQ), st.booleans())
+    def test_float_inputs_bit_identical(self, kind, seq, to_cumulants):
+        new = tr._moment_cumulant(kind, seq, to_cumulants)
+        with mock.patch.object(tr, "_grade", return_value=1):
+            old = tr._moment_cumulant(kind, seq, to_cumulants)
+        assert [(type(v), repr(v)) for v in new] == \
+            [(type(v), repr(v)) for v in old]
+
+    @pytest.mark.parametrize("seq, grade", [
+        ([Fraction(1, 3), Fraction(1, 9)], 3),
+        ([0, Fraction(1, 4096), 0, Fraction(-1, 4096 ** 2)], 64),
+        ([0, Fraction(1, 2)], 2),  # 2 is no square: D**2 = 4 still clears it
+        ([Fraction(1, 2), Fraction(1, 3)], 6),
+        ([1, 2], 1),
+        ([Fraction(1, 2), 2.5], 1),
+        ([np.int64(1), Fraction(1, 3)], 1),
+        ([True, Fraction(1, 3)], 1),
+    ])
+    def test_grade(self, seq, grade):
+        assert tr._grade(seq) == grade
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(FRACTION_SEQ, EXACT_MIX_SEQ,
+                     st.lists(st.fractions(max_denominator=10**6),
+                              min_size=1, max_size=12)))
+    def test_grade_clears_every_denominator(self, seq):
+        grade = tr._grade(seq)
+        assert all((grade ** k * v).denominator == 1
+                   for k, v in enumerate(seq, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**80), st.integers(1, 40))
+    def test_integer_root(self, e, k):
+        r = tr._integer_root(e, k)
+        assert r ** k <= e < (r + 1) ** k
 
 
 class TestSeriesTransforms:
