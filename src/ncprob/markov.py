@@ -125,15 +125,20 @@ def convergence_report(p, v):
     return pi, float(np.exp(slope)), float(np.exp(intercept))
 
 
-# draws per Python list handed to a walker, which bounds the lists' memory
+# draws per block: a sampler turns each block into a Python list to walk,
+# which bounds the lists' memory
 _BLOCK = 4096
+
+# bound on the entries of hitting_time_mc's next-state table, n (n (n - 1)
+# + 1) for a chain of n states: chains of up to 40 states
+_TABLE_MAX = 1 << 16
 
 
 def _draw_blocks(rng, chunk, n_sites=0, count=None):
     """Draw ``chunk`` at a time (``count`` in all, or without end) and yield
-    the draws as Python lists of at most _BLOCK entries.  With ``n_sites``
-    every chunk draws its sites before its uniforms and the blocks are
-    (sites, uniforms) pairs; without, they are uniforms."""
+    the draws as arrays of at most _BLOCK entries.  With ``n_sites`` every
+    chunk draws its sites before its uniforms and the blocks are (sites,
+    uniforms) pairs; without, they are uniforms."""
     if chunk <= 0:
         raise NcprobError("chunk must be positive")
     left = math.inf if count is None else int(count)
@@ -142,9 +147,22 @@ def _draw_blocks(rng, chunk, n_sites=0, count=None):
         sites = rng.integers(0, n_sites, size=k) if n_sites else None
         u = rng.random(k)
         for lo in range(0, k, _BLOCK):
-            us = u[lo:lo + _BLOCK].tolist()
-            yield (sites[lo:lo + _BLOCK].tolist(), us) if n_sites else us
+            us = u[lo:lo + _BLOCK]
+            yield (sites[lo:lo + _BLOCK], us) if n_sites else us
         left -= k
+
+
+def _return_table(cols):
+    """Next-state table of the chain that moves from k to bisect_left(
+    cols[k], u): returns (rank, nxt) with that move nxt[k][rank(u)], where
+    rank counts the distinct entries of ``cols`` below each of an array
+    of uniforms.  bisect_left compares u with entries of cols[k] only, and
+    the rank settles every such comparison, so levels[r] (or inf past the
+    last) stands for each u of rank r."""
+    levels = sorted(set(x for col in cols for x in col))
+    nxt = [[bisect_left(col, x) for x in levels + [math.inf]]
+           for col in cols]
+    return functools.partial(np.searchsorted, np.array(levels)), nxt
 
 
 def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
@@ -152,9 +170,12 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
 
     One uniform u per transition, drawn ``chunk`` at a time, moves the
     chain from k to the first j with u <= sum_{i <= j} p_{ik} (the last
-    state if there is none).  The walk stops at the ``episodes``-th
-    return, so n == episodes.  Raises NcprobError when ``state`` is
-    transient: the chain might never return.
+    state if there is none).  Up to _TABLE_MAX entries, that move is one
+    lookup in ``_return_table`` keyed by the rank of u among the chain's
+    cumulative sums; a larger chain bisects its column per transition.
+    The walk stops at the ``episodes``-th return, so n == episodes.
+    Raises NcprobError when ``state`` is transient: the chain might never
+    return.
     """
     if episodes <= 0:
         raise NcprobError("episodes must be positive")
@@ -168,22 +189,41 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
                           "communicating class is not closed")
     # bisect_left on a cumulative law finds the first j with u <= cum[j];
     # without the last entry, a u beyond all the others lands on the last
-    # state
-    cols = np.cumsum(m, axis=0)[:-1].T.tolist()
+    # state.  No u is below NaN, nor below inf, so NaN sums act as inf
+    cum = np.cumsum(m, axis=0)[:-1].T
+    cols = np.where(np.isnan(cum), np.inf, cum).tolist()
+    rank, nxt = _return_table(cols) if (
+        m.shape[0] * (cum.size + 1) <= _TABLE_MAX) else (None, None)
+
+    def walk(cur, u):
+        """The states after each transition of ``u``, as an array."""
+        if nxt is None:
+            return np.fromiter([cur := bisect_left(cols[cur], x)
+                                for x in u.tolist()], np.intp)
+        # a table has at most 40 states, so each state fits a byte
+        return np.frombuffer(bytes([cur := nxt[cur][r]
+                                    for r in rank(u).tolist()]), np.uint8)
+
     cur, steps, done, total, totalsq = state, 0, 0, 0, 0
-    for block in _draw_blocks(np.random.default_rng(seed), chunk):
-        for u in block:
-            cur = bisect_left(cols[cur], u)
-            steps += 1
-            if cur == state:
-                done += 1
-                total += steps
-                totalsq += steps * steps
-                steps = 0
-                if done == episodes:
-                    mean = total / done
-                    var = totalsq / done - mean**2
-                    return mean, math.sqrt(max(var, 0.0) / done), done
+    for u in _draw_blocks(np.random.default_rng(seed), chunk):
+        path = walk(cur, u)
+        cur = int(path[-1])
+        hits = np.flatnonzero(path == state)[:episodes - done]
+        if not hits.size:
+            steps += path.size
+            continue
+        # return times; only the first, which carries ``steps`` over from
+        # earlier blocks, can exceed the block length
+        first = steps + int(hits[0]) + 1
+        rest = np.diff(hits)
+        done += hits.size
+        total += first + int(rest.sum())
+        totalsq += first * first + int(rest @ rest)
+        steps = path.size - 1 - int(hits[-1])
+        if done == episodes:
+            mean = total / done
+            var = totalsq / done - mean**2
+            return mean, math.sqrt(max(var, 0.0) / done), done
 
 
 # ---------------------------------------------------------------------------
@@ -431,54 +471,37 @@ def _acceptance_table(beta, coupling, field):
     return table
 
 
-def _walker(spins, frozen, beta, coupling, field):
-    """The single-flip chain on a free-boundary lattice: returns the
-    zero-padded flat spin list and ``walk(sites, u)``, which makes one
-    proposal per (site, uniform) pair on that list and returns the flip
-    flag of each.  A frozen site's thresholds are -1.0, so it never flips."""
-    h, w = spins.shape
-    stride = w + 2
-    padded = np.zeros((h + 2, stride), dtype=np.int64)
-    padded[1:-1, 1:-1] = spins
-    grid = padded.ravel().tolist()
-    where = (np.arange(1, h + 1)[:, None] * stride
-             + np.arange(1, w + 1)).ravel().tolist()
-    table = _acceptance_table(beta, coupling, field)
-    never = [-1.0] * len(table)
-    rows = [never if f else table for f in np.ravel(frozen).tolist()]
-
-    def walk(sites, u):
-        flipped = []
-        for i, x in zip(sites, u):
-            p = where[i]
-            s = grid[p]
-            flip = x < rows[i][5 * s + grid[p - 1] + grid[p + 1]
-                               + grid[p - stride] + grid[p + stride]]
-            if flip:
-                grid[p] = -s
-            flipped.append(flip)
-        return flipped
-
-    return grid, walk
-
-
 def metropolis_ising(state, steps, seed, chunk=1 << 20):
     """Run the single-flip Metropolis chain; returns the final state.
 
     Each of the ``steps`` proposals picks a uniform site and flips it with
     the Metropolis probability; sites and uniforms are drawn ``chunk`` at
-    a time, sites first.
+    a time, sites first.  Spins sit in a zero-padded flat list, so a
+    neighbour sum is four fixed offsets; a frozen site's thresholds are
+    -1.0, so it never flips.
     """
     if state.spins.size > 1 << 30:
         raise NcprobError("lattice too large")
     if steps < 0:
         raise NcprobError(f"steps must be >= 0, got {steps}")
     h, w = state.spins.shape
-    grid, walk = _walker(state.spins, state.frozen, state.beta,
-                         state.coupling, state.field)
+    stride = w + 2
+    padded = np.zeros((h + 2, stride), dtype=np.int64)
+    padded[1:-1, 1:-1] = state.spins
+    grid = padded.ravel().tolist()
+    where = (np.arange(1, h + 1)[:, None] * stride
+             + np.arange(1, w + 1)).ravel().tolist()
+    table = _acceptance_table(state.beta, state.coupling, state.field)
+    never = [-1.0] * len(table)
+    rows = [never if f else table for f in state.frozen.ravel().tolist()]
     rng = np.random.default_rng(seed)
     for sites, u in _draw_blocks(rng, chunk, h * w, steps):
-        walk(sites, u)
+        for i, x in zip(sites.tolist(), u.tolist()):
+            p = where[i]
+            s = grid[p]
+            if x < rows[i][5 * s + grid[p - 1] + grid[p + 1]
+                           + grid[p - stride] + grid[p + stride]]:
+                grid[p] = -s
     spins = np.array(grid, dtype=np.int8).reshape(h + 2, w + 2)[1:-1, 1:-1]
     return IsingState(spins, state.coupling, state.field, state.beta,
                       state.frozen)
@@ -565,6 +588,35 @@ def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
     return worst <= 1e-14, worst
 
 
+def _flip_table(shape, beta, coupling, field):
+    """Next-state table of the single-flip chain over all configurations
+    of a free-boundary lattice of m spins: returns (rank, nxt) with the
+    proposal of flat site i with uniform u moving configuration c to
+    nxt[c][rank(u) * m + i], where rank counts the distinct acceptance
+    thresholds <= each of an array of uniforms.  The flip is accepted iff
+    u < thr, that is iff rank(u) <= j for thr = levels[j]."""
+    h, w = shape
+    m = h * w
+    ids = np.arange(1 << m)
+    bit = 1 << np.arange(m)
+    padded = np.zeros((1 << m, h + 2, w + 2), dtype=np.int64)
+    padded[:, 1:-1, 1:-1] = (2 * (ids[:, None] & bit > 0) - 1).reshape(
+        -1, h, w)
+    nb = (padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1]
+          + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:])
+    # no u is below NaN, nor below 0.0
+    table = [0.0 if math.isnan(t) else t
+             for t in _acceptance_table(beta, coupling, field)]
+    thr = np.array(table)[5 * padded[:, 1:-1, 1:-1] + nb].reshape(-1, m)
+    levels = sorted(set(thr.ravel().tolist()))
+    accept = (np.arange(len(levels) + 1)[:, None]
+              <= np.searchsorted(levels, thr)[:, None, :])
+    nxt = np.where(accept, ids[:, None, None] ^ bit, ids[:, None, None])
+    return (functools.partial(np.searchsorted, np.array(levels),
+                              side="right"),
+            nxt.reshape(1 << m, -1).tolist())
+
+
 def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
                          seed, chunk=1 << 20):
     """Visit counts over configuration ids after burn-in (small lattices).
@@ -573,26 +625,28 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     ``burn_in`` proposals, then ``samples`` more; the histogram counts the
     configuration id (bit i set iff flat spin i is up) after each of the
     ``samples`` proposals, so it sums to ``samples``.  Sites and uniforms
-    are drawn ``chunk`` at a time.  The chain is ``metropolis_ising``'s
-    walker; each visited id is the previous one with the flipped site's
-    bit toggled.
+    are drawn ``chunk`` at a time, sites first, and accepted as in
+    ``metropolis_ising``; each proposal is one lookup in ``_flip_table``,
+    whose 2**m * m * (R + 1) entries (R <= 10 distinct thresholds) limit
+    the lattice to 12 spins.
     """
     h, w = shape
     m = h * w
-    if m > 20:
-        raise NcprobError("histogram limited to 20 spins")
-    _, walk = _walker(np.ones(shape, dtype=np.int64), np.zeros(shape), beta,
-                      coupling, field)
+    if h < 1 or w < 1:
+        raise NcprobError(f"lattice shape must be positive, got {shape}")
+    if m > 12:
+        raise NcprobError("histogram limited to 12 spins")
+    rank, nxt = _flip_table(shape, beta, coupling, field)
     rng = np.random.default_rng(seed)
-    config = (1 << m) - 1
+    c = (1 << m) - 1
     hist = np.zeros(1 << m, dtype=np.int64)
     for proposals, counted in ((burn_in, False), (samples, True)):
         for sites, u in _draw_blocks(rng, chunk, m, proposals):
-            bits = np.where(walk(sites, u), 1 << np.array(sites), 0)
-            visited = config ^ np.bitwise_xor.accumulate(bits)
-            config = int(visited[-1])
-            if counted:  # add.at, not bincount: no pass over all 2**m ids
-                np.add.at(hist, visited, 1)
+            keys = rank(u) * m + sites
+            path = [c := nxt[c][k] for k in keys.tolist()]
+            if counted:
+                hist += np.bincount(np.fromiter(path, np.intp),
+                                    minlength=1 << m)
     return hist
 
 
@@ -627,12 +681,15 @@ def lerw(width, steps_cap, seed):
     rng = np.random.default_rng(seed)
     pos = (0, 0)
     path = [pos]
-    for _ in range(int(steps_cap)):
-        dx, dy = _STEPS_2D[rng.integers(0, 4)]
-        pos = (pos[0] + dx, pos[1] + dy)
-        path.append(pos)
-        if abs(pos[0]) > width or abs(pos[1]) > width:
-            return loop_erase(path), path
+    cap = int(steps_cap)
+    while len(path) <= cap:
+        for k in rng.integers(0, 4, size=min(_BLOCK, cap + 1 - len(path))
+                              ).tolist():
+            dx, dy = _STEPS_2D[k]
+            pos = (pos[0] + dx, pos[1] + dy)
+            path.append(pos)
+            if abs(pos[0]) > width or abs(pos[1]) > width:
+                return loop_erase(path), path
     raise NcprobError(f"walk did not exit within {steps_cap} steps")
 
 

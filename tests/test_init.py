@@ -96,6 +96,21 @@ class TestStartUp:
         assert lines[:-1] == [f"{argv[0]} []" for argv in runs]
         assert lines[-1] == "13 (0, 4, 4, 28) True"
 
+    def test_samplers_load_no_numpy_ma(self, tmp_path):
+        # numpy.ma (pulled in by np.unique, for one) adds about 0.9 MB to
+        # the resident set of every process that calls a sampler
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ncprob import markov as mk\n"
+            "mk.metropolis_histogram((2, 2), 1.0, 1.0, 0.0, 4, 16, seed=0)\n"
+            "mk.hitting_time_mc(np.full((2, 2), 0.5), 0, 4, seed=0)\n"
+            "mk.metropolis_ising(mk.IsingState.random((3, 3), seed=0), 16,"
+            " seed=0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert fresh_run(script, tmp_path).strip() == "False"
+
     def test_gue_loads_only_scipy_linalg(self, tmp_path):
         script = (
             "import contextlib, io, sys\n"

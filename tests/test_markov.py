@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -116,6 +118,27 @@ class TestStationary:
         p = np.array([[0.01, 0.01], [0.99, 0.99]])
         got = mk.hitting_time_mc(p, 0, 300, seed=7, chunk=5000)
         assert got == reference_hitting(p, 0, 300, 7, 5000)
+
+    def test_large_chain_bisects_like_reference(self):
+        # 41 states give a table of more than 2**16 entries, so the walk
+        # bisects each column instead
+        p = random_ergodic(3, n=41).p
+        got = mk.hitting_time_mc(p, 2, 200, seed=8, chunk=3000)
+        assert got == reference_hitting(p, 2, 200, 8, 3000)
+
+    def test_return_table_ranks_at_ties(self):
+        # zeros repeat cumulative sums within a column and 0.5 recurs
+        # across columns
+        p = np.array([[0.5, 0.0, 0.25, 0.5],
+                      [0.0, 0.5, 0.25, 0.0],
+                      [0.0, 0.25, 0.0, 0.5],
+                      [0.5, 0.25, 0.5, 0.0]])
+        cols = np.cumsum(p, axis=0)[:-1].T.tolist()
+        rank, nxt = mk._return_table(cols)
+        for u in tie_points([0.0, 0.25, 0.5, 0.75, 1.0]):
+            r = int(rank(np.array([u]))[0])
+            assert [row[r] for row in nxt] == [
+                bisect.bisect_left(col, u) for col in cols]
 
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_nonpositive_episodes_raises(self, episodes):
@@ -317,6 +340,13 @@ class TestChannels:
         with pytest.raises(ms.NcprobError,
                            match=r"Kraus operators must satisfy sum E\*E = I"):
             mk.KrausChannel((0.5 * np.eye(2),))
+
+
+def tie_points(levels):
+    """Each level and its float neighbours on either side."""
+    levels = np.asarray(levels)
+    return np.concatenate([np.nextafter(levels, -np.inf), levels,
+                           np.nextafter(levels, np.inf)]).tolist()
 
 
 def reference_return_times(cum, start, urand, state, steps, done, total,
@@ -599,26 +629,86 @@ class TestIsing:
         assert np.array_equal(got.spins, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(h=st.integers(1, 3), w=st.integers(1, 3),
+    @given(shape=st.sampled_from([(h, w) for h in range(1, 13)
+                                  for w in range(1, 13) if h * w <= 12]),
            beta=st.floats(0.0, 60.0), coupling=st.floats(0.01, 3.0),
            field=st.floats(0.0, 2.0), burn_in=st.integers(0, 300),
            samples=st.integers(1, 9000), chunk=st.integers(1, 10_000),
            seed=st.integers(0, 2**32 - 1))
-    @example(h=1, w=1, beta=0.5, coupling=1.0, field=0.3, burn_in=0,
+    @example(shape=(1, 1), beta=0.5, coupling=1.0, field=0.3, burn_in=0,
              samples=100, chunk=7, seed=0)
-    @example(h=1, w=3, beta=60.0, coupling=2.0, field=0.0, burn_in=40,
+    @example(shape=(1, 3), beta=60.0, coupling=2.0, field=0.0, burn_in=40,
              samples=120, chunk=40, seed=1)
-    @example(h=3, w=3, beta=0.3, coupling=1.0, field=0.0, burn_in=0,
+    @example(shape=(3, 3), beta=0.3, coupling=1.0, field=0.0, burn_in=0,
              samples=9000, chunk=9000, seed=2)
-    @example(h=3, w=3, beta=1.0, coupling=0.5, field=1.0, burn_in=250,
+    @example(shape=(3, 3), beta=1.0, coupling=0.5, field=1.0, burn_in=250,
              samples=8193, chunk=1000, seed=3)
-    def test_histogram_matches_reference(self, h, w, beta, coupling, field,
+    @example(shape=(3, 4), beta=0.4, coupling=1.0, field=0.7, burn_in=300,
+             samples=9000, chunk=4097, seed=4)
+    @example(shape=(2, 6), beta=2.0, coupling=0.3, field=0.2, burn_in=0,
+             samples=5000, chunk=5000, seed=5)
+    @example(shape=(1, 12), beta=0.1, coupling=1.5, field=1.0, burn_in=100,
+             samples=9000, chunk=333, seed=6)
+    def test_histogram_matches_reference(self, shape, beta, coupling, field,
                                          burn_in, samples, chunk, seed):
-        args = ((h, w), beta, coupling, field, burn_in, samples, seed)
+        args = (shape, beta, coupling, field, burn_in, samples, seed)
         got = mk.metropolis_histogram(*args, chunk=chunk)
         want = reference_histogram(*args, chunk=chunk)
         assert got.sum() == samples
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 13), "histogram limited to 12 spins"),
+        ((0, 3), "lattice shape must be positive"),
+    ])
+    def test_histogram_lattice_refused(self, shape, message):
+        with pytest.raises(ms.NcprobError, match=message):
+            mk.metropolis_histogram(shape, 0.4, 1.0, 0.0, 0, 10, seed=1)
+
+    def test_histogram_table_memory(self):
+        tracemalloc.start()
+        try:
+            mk.metropolis_histogram((3, 4), 0.4, 1.0, 0.7, 0, 10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("shape, beta, coupling, field", [
+        ((2, 2), 0.4, 1.0, 0.7), ((1, 3), 1.0, 0.5, 0.0),
+        ((2, 3), 0.0, 1.0, 0.3), ((2, 2), math.inf, 1.0, 0.5),
+    ])
+    def test_flip_table_ranks_at_ties(self, shape, beta, coupling, field):
+        h, w = shape
+        m = h * w
+        rank, nxt = mk._flip_table(shape, beta, coupling, field)
+        table = mk._acceptance_table(beta, coupling, field)
+        thr = {}
+        for c in range(1 << m):
+            spins = np.pad((c >> np.arange(m) & 1).reshape(h, w) * 2 - 1, 1)
+            for i in range(m):
+                y, x = divmod(i, w)
+                nb = (spins[y, x + 1] + spins[y + 2, x + 1]
+                      + spins[y + 1, x] + spins[y + 1, x + 2])
+                thr[c, i] = table[5 * spins[y + 1, x + 1] + nb]
+        us = tie_points(sorted(set(thr.values())))
+        for (c, i), t in thr.items():
+            for u, r in zip(us, rank(np.array(us)).tolist()):
+                assert nxt[c][r * m + i] == (c ^ 1 << i if u < t else c)
+
+
+def reference_lerw(width, steps_cap, seed):
+    """``lerw`` with one scalar draw per step."""
+    rng = np.random.default_rng(seed)
+    pos = (0, 0)
+    path = [pos]
+    for _ in range(int(steps_cap)):
+        dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(0, 4)]
+        pos = (pos[0] + dx, pos[1] + dy)
+        path.append(pos)
+        if abs(pos[0]) > width or abs(pos[1]) > width:
+            return mk.loop_erase(path), path
+    raise ms.NcprobError(f"walk did not exit within {steps_cap} steps")
 
 
 class TestLERW:
@@ -643,6 +733,33 @@ class TestLERW:
         with pytest.raises(ms.NcprobError,
                            match="walk did not exit within 100 steps"):
             mk.lerw(10**6, 100, seed=1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    @example(width=100, seed=0)  # exits after several 4096-step blocks
+    def test_lerw_matches_scalar_draws(self, width, seed):
+        assert mk.lerw(width, 10**6, seed) == reference_lerw(width, 10**6,
+                                                             seed)
+
+    @pytest.mark.parametrize("cap", [0, 1, 4096, 5000])
+    def test_cap_matches_scalar_draws(self, cap):
+        # width 100 takes more than 5000 steps on seed 2
+        assert reference_lerw(100, 10**6, 2)[1][5001:]
+        for walk in (mk.lerw, reference_lerw):
+            with pytest.raises(ms.NcprobError,
+                               match=f"did not exit within {cap} steps"):
+                walk(100, cap, 2)
+
+    def test_exit_on_the_last_allowed_step(self):
+        want = reference_lerw(100, 10**6, 0)
+        steps = len(want[1]) - 1  # more than two 4096-step blocks
+        assert steps > 2 * 4096
+        assert mk.lerw(100, steps, 0) == want
+        with pytest.raises(ms.NcprobError,
+                           match=f"did not exit within {steps - 1} steps"):
+            mk.lerw(100, steps - 1, 0)
+        # width 0: the first step exits, and a cap of 1 allows it
+        assert mk.lerw(0, 1, 1) == reference_lerw(0, 1, 1)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ms.NcprobError, match="width must be >= 0"):
