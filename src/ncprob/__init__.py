@@ -32,17 +32,15 @@ from .convolutions import (convolve, convolve_power, clt_iterate,
 from .loewner import (HullCollision, DrivingFunction, HerglotzField,
                       ChainPoint, evaluate_chain, evaluate_chain_point,
                       slit_chain, inverse_flow, chain_measure,
-                      approximate_field_by_slits, nonlinear_resolvent,
-                      sle_driving)
+                      nonlinear_resolvent, sle_driving)
 from .graphs import (RootedGraph, spidernet, comb_product, star_product,
                      direct_product, walk_moments, spectral_distribution,
                      approx_process)
-from .markov import (TransitionMatrix, MDPSpec, KrausChannel, IsingState,
+from .markov import (TransitionMatrix, MDPSpec, IsingState,
                      stationary_distribution, is_irreducible, period,
                      iterate_distribution, convergence_report, mrp_value,
-                     mdp_value_iteration, channel_apply, channel_fixed_point,
-                     metropolis_ising, magnetization, exact_boltzmann,
-                     curie_temperature, lerw, loop_erase, homogeneous_kernel)
+                     mdp_value_iteration, metropolis_ising, magnetization,
+                     exact_boltzmann, lerw, loop_erase, homogeneous_kernel)
 from .randmat import (sample_gue, gue_eigenvalues, esd, wigner_check,
                       haar_unitary, freeness_statistic, free_ar1,
                       trace_state)

@@ -36,8 +36,7 @@ def _write_csv(path, header, rows):
 
 
 def _load_json(path):
-    # bytes that are not UTF-8 read as U+FFFD, so such a file fails to
-    # parse or to validate (exit 2) rather than to decode
+    # as measures.load_measure: non-UTF-8 bytes read as U+FFFD
     with open(path, errors="replace") as fh:
         return json.load(fh)
 
@@ -87,8 +86,8 @@ def _whole(text, least=0):
 # ---------------------------------------------------------------------------
 
 def _cmd_convolve(args):
-    lhs = measures.measure_from_json(_load_json(args.lhs))
-    rhs = measures.measure_from_json(_load_json(args.rhs))
+    lhs = measures.load_measure(args.lhs)
+    rhs = measures.load_measure(args.rhs)
     if isinstance(lhs, measures.MomentSequence) and isinstance(
             rhs, measures.MomentSequence):
         lhs = lhs.truncate(min(lhs.order, args.order))
@@ -115,7 +114,7 @@ def _cmd_invert(args):
         lo, hi = law.edges()
         candidates += law.atom_candidates()
     else:
-        mu = measures.measure_from_json(_load_json(args.measure))
+        mu = measures.load_measure(args.measure)
         if isinstance(mu, measures.MomentSequence):
             raise NcprobError("invert --measure expects atoms or a grid, "
                               "not a moment sequence")

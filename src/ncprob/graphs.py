@@ -303,25 +303,6 @@ def ball(g, radius):
 # moments and spectra
 # ---------------------------------------------------------------------------
 
-def write_edge_list(g, path):
-    """Plain-text export: one 'u v' pair per line, root on a header line."""
-    import scipy.sparse as sp
-
-    with open(path, "w") as fh:
-        fh.write(f"# vertices {g.n} root {g.root}\n")
-        coo = sp.triu(g.adj, k=1).tocoo()
-        for a, b in zip(coo.row, coo.col):
-            fh.write(f"{a} {b}\n")
-
-
-def read_edge_list(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        n, root = int(header[2]), int(header[4])
-        edges = [tuple(map(int, line.split())) for line in fh if line.strip()]
-    return RootedGraph.from_edges(n, edges, root)
-
-
 def walk_moments(g, order):
     """Exact closed-walk counts at the root: m_k = <e_o, A^k e_o>."""
     if order < 1:

@@ -318,73 +318,6 @@ def chain_measure(field, t, grid, tol=1e-9,
                                               grid, eps_ladder=eps_ladder)
 
 
-def capacity_fit(fmap):
-    """Half-plane capacity from the 1/z coefficient at the hydrodynamic
-    normalization: least-squares fit of Im f(iy) - y against 1/y and 1/y^3
-    at y = 1e3, 3e3 and 1e4."""
-    ys = np.array([1e3, 3e3, 1e4])
-    vals = np.asarray(fmap(1j * ys))
-    rhs = vals.imag - ys
-    basis = np.stack([1.0 / ys, 1.0 / ys**3], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    return float(coef[0])
-
-
-# ---------------------------------------------------------------------------
-# slit approximation of a general field (time-weaving construction)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlitApproximation:
-    driving: DrivingFunction
-    max_deviation: float
-    probes: tuple
-
-
-def approximate_field_by_slits(field, horizon, m, probe_points=None,
-                               tol=1e-8):
-    """Piecewise-constant driving function approximating a field with
-    support in [0, M].
-
-    The support is split into m bins, each represented by the mass centroid
-    of the field atoms it contains (so a field that already is a slit comes
-    back unchanged); time is split into m slabs, and within each slab the
-    driving function dwells on each bin representative for a duration
-    proportional to the bin's field mass at the slab's right endpoint.
-    """
-    M = field.support_bound
-    TT = float(horizon)
-    edges = np.linspace(0.0, M, m + 1)
-    breaks = [0.0]
-    values = []
-    slab = TT / m
-    for j in range(1, m + 1):
-        tj = j * TT / m
-        p, w = field.atoms(min(tj, field.horizon))
-        if np.any(p < -1e-9) or np.any(p > M + 1e-9):
-            raise NcprobError("field support leaves [0, M]")
-        total = w.sum()
-        idx = np.clip(np.searchsorted(edges, p, side="right") - 1, 0, m - 1)
-        lam = np.bincount(idx, w / total, m)
-        centroid = np.bincount(idx, w / total * p, m)
-        for k in range(m):
-            if lam[k] <= 1e-12:
-                continue
-            breaks.append(breaks[-1] + slab * lam[k])
-            values.append(centroid[k] / lam[k])
-    breaks[-1] = TT  # guard float drift
-    driving = DrivingFunction.piecewise(breaks, values)
-
-    if probe_points is None:
-        probe_points = (2j, 1 + 2j, -1 + 3j, 0.5 + 1.5j, M / 2 + 2.5j)
-    probe_points = tuple(complex(p) for p in probe_points)
-    zs = np.array(probe_points)
-    target = evaluate_chain(field, 0.0, TT, zs, tol)
-    got = slit_chain(driving, TT, zs, tol)
-    dev = float(np.abs(target - got).max())
-    return SlitApproximation(driving, dev, probe_points)
-
-
 # ---------------------------------------------------------------------------
 # nonlinear resolvents
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Finite Markov chains and their quantum and statistical-physics kin.
+"""Finite Markov chains and their statistical-physics kin.
 
 Column-stochastic transition matrices (entry (j, k) is the probability of
 moving to state j from state k), Markov reward processes and MDP value
-iteration, quantum channels in Kraus form, the single-flip Metropolis
-chain for the two-dimensional Ising model, loop-erased random walks, and
-the monotone-homogeneous transition kernels built from F-transforms.
+iteration, the single-flip Metropolis chain for the two-dimensional Ising
+model, loop-erased random walks, and the monotone-homogeneous transition
+kernels built from F-transforms.
 """
 
 import functools
@@ -33,14 +33,21 @@ class TransitionMatrix:
         object.__setattr__(self, "p", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise NcprobError("transition matrix must be square")
-        if np.any(p < -1e-15) or np.any(p > 1 + 1e-15):
-            raise NcprobError("entries must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-12):
-            raise NcprobError("columns must sum to 1 within 1e-12")
+        _check_stochastic(p, "columns must sum to 1 within 1e-12")
 
     @property
     def n(self):
         return self.p.shape[0]
+
+
+def _check_stochastic(p, column_message):
+    """Refuse entries outside [0, 1] and axis-0 sums other than 1; written
+    as ``not np.all(ok)`` so that a NaN, which fails every comparison, is
+    refused too."""
+    if not np.all((p >= -1e-15) & (p <= 1 + 1e-15)):
+        raise NcprobError("entries must lie in [0, 1]")
+    if not np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-12):
+        raise NcprobError(column_message)
 
 
 def _as_matrix(p):
@@ -174,12 +181,12 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     lookup in ``_return_table`` keyed by the rank of u among the chain's
     cumulative sums; a larger chain bisects its column per transition.
     The walk stops at the ``episodes``-th return, so n == episodes.
-    Raises NcprobError when ``state`` is transient: the chain might never
-    return.
+    An array ``p`` is checked as a ``TransitionMatrix``.  Raises
+    NcprobError when ``state`` is transient: the chain might never return.
     """
     if episodes <= 0:
         raise NcprobError("episodes must be positive")
-    m = _as_matrix(p)
+    m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
     if not 0 <= state < m.shape[0]:
         raise NcprobError(f"state {state} is not one of the chain's "
                           f"{m.shape[0]} states")
@@ -189,9 +196,9 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
                           "communicating class is not closed")
     # bisect_left on a cumulative law finds the first j with u <= cum[j];
     # without the last entry, a u beyond all the others lands on the last
-    # state.  No u is below NaN, nor below inf, so NaN sums act as inf
+    # state
     cum = np.cumsum(m, axis=0)[:-1].T
-    cols = np.where(np.isnan(cum), np.inf, cum).tolist()
+    cols = cum.tolist()
     rank, nxt = _return_table(cols) if (
         m.shape[0] * (cum.size + 1) <= _TABLE_MAX) else (None, None)
 
@@ -264,8 +271,7 @@ class MDPSpec:
                                                        dtype=float))
         if t.ndim != 3 or t.shape[0] != t.shape[1]:
             raise NcprobError("transition tensor must be (s', s, a)")
-        if np.any(np.abs(t.sum(axis=0) - 1.0) > 1e-12):
-            raise NcprobError("every (s, a) column must be stochastic")
+        _check_stochastic(t, "every (s, a) column must be stochastic")
         if not 0 <= self.gamma < 1:
             raise NcprobError("discount must lie in [0, 1)")
 
@@ -297,109 +303,9 @@ def mdp_value_iteration(spec, tol=1e-10):
     return v, policy
 
 
-def mdp_policy_chain(spec, policy):
-    """Transition matrix of the chain induced by a deterministic policy."""
-    idx = np.asarray(policy, dtype=int)
-    cols = [spec.transitions[:, s, idx[s]] for s in range(spec.n_states)]
-    return TransitionMatrix(np.stack(cols, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# quantum channels
-# ---------------------------------------------------------------------------
-
-def check_density_matrix(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if np.abs(np.trace(rho) - 1.0) > 1e-12:
-        raise NcprobError("density matrix must have unit trace")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise NcprobError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise NcprobError("density matrix must be positive semidefinite")
-    return rho
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Quantum channel T(X) = sum_j E_j X E_j^*."""
-
-    ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.ops)
-        object.__setattr__(self, "ops", ops)
-        n = ops[0].shape[0]
-        acc = np.zeros((n, n), dtype=complex)
-        for e in ops:
-            acc += e.conj().T @ e
-        if np.abs(acc - np.eye(n)).max() > 1e-10:
-            raise NcprobError("Kraus operators must satisfy sum E*E = I")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros_like(x)
-        for e in self.ops:
-            out += e @ x @ e.conj().T
-        return out
-
-
-def kraus_from_transition(p):
-    """Channel embedding a classical chain: E_{jk} = sqrt(p_jk) e_j e_k^T.
-
-    Only time-homogeneous quantum Markov chains rho -> T(rho) are modeled
-    here.  Their decision-process extension (a self-adjoint observable, a
-    density-matrix state, channels as actions, self-adjoint reward
-    operators with expected reward tr(R_j T_j(rho)), and a discount) is
-    documented for orientation but not implemented.
-    """
-    m = _as_matrix(p)
-    n = m.shape[0]
-    ops = []
-    for j in range(n):
-        for k in range(n):
-            if m[j, k] == 0:
-                continue
-            e = np.zeros((n, n))
-            e[j, k] = math.sqrt(m[j, k])
-            ops.append(e)
-    return KrausChannel(tuple(ops))
-
-
-def channel_apply(channel, rho):
-    return channel(check_density_matrix(rho))
-
-
-def channel_fixed_point(channel, rho0, tol=1e-12):
-    """Iterate the channel until the trace-norm step drops below tol."""
-    rho = check_density_matrix(rho0)
-    max_iter = 100_000
-    for _ in range(max_iter):
-        nxt = channel(rho)
-        step = np.abs(np.linalg.eigvalsh(nxt - rho)).sum()
-        rho = nxt
-        if step <= tol:
-            return rho
-    raise NoConvergence(f"channel iteration did not reach {tol} in {max_iter}")
-
-
 # ---------------------------------------------------------------------------
 # the two-dimensional Ising model
 # ---------------------------------------------------------------------------
-
-def curie_temperature(coupling=1.0, boltzmann=1.0):
-    """Critical temperature 2J/(k_B log(1 + sqrt 2)) of the square-lattice
-    model (about 2.269 for J = k_B = 1); exposed for reference.
-
-    In the thermodynamic limit the residual magnetization below this
-    temperature is (1 - sinh(2J/(k_B T))**-4)**(1/8) and vanishes above
-    it; that limit is out of reach at desk scale and is not validated
-    here, only the finite-lattice chain statistics are.
-    """
-    return 2 * coupling / (boltzmann * math.log(1 + math.sqrt(2)))
-
-
-CRITICAL_BETA = 0.5 * math.log(1 + math.sqrt(2))
-
 
 @dataclass(frozen=True)
 class IsingState:
@@ -604,10 +510,8 @@ def _flip_table(shape, beta, coupling, field):
         -1, h, w)
     nb = (padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1]
           + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:])
-    # no u is below NaN, nor below 0.0
-    table = [0.0 if math.isnan(t) else t
-             for t in _acceptance_table(beta, coupling, field)]
-    thr = np.array(table)[5 * padded[:, 1:-1, 1:-1] + nb].reshape(-1, m)
+    table = np.array(_acceptance_table(beta, coupling, field))
+    thr = table[5 * padded[:, 1:-1, 1:-1] + nb].reshape(-1, m)
     levels = sorted(set(thr.ravel().tolist()))
     accept = (np.arange(len(levels) + 1)[:, None]
               <= np.searchsorted(levels, thr)[:, None, :])
@@ -636,6 +540,11 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
         raise NcprobError(f"lattice shape must be positive, got {shape}")
     if m > 12:
         raise NcprobError("histogram limited to 12 spins")
+    # NaN fails every comparison; beta = 0 and beta = inf are the infinite-
+    # and zero-temperature chains
+    if not (0 < coupling < math.inf and 0 <= field < math.inf
+            and beta >= 0):
+        raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta >= 0")
     rank, nxt = _flip_table(shape, beta, coupling, field)
     rng = np.random.default_rng(seed)
     c = (1 << m) - 1

@@ -847,7 +847,9 @@ def save_measure(m, path):
 
 
 def load_measure(path):
-    with open(path) as fh:
+    # bytes that are not UTF-8 read as U+FFFD, so such a file fails to
+    # parse or to validate (a refusal) rather than to decode
+    with open(path, errors="replace") as fh:
         return measure_from_json(json.load(fh))
 
 

@@ -1,6 +1,7 @@
-"""The public option surface: every parameter with a default and every
-defaulted dataclass field of the library, pinned by name, so that adding
-or removing a setting shows up as an edit here."""
+"""The public surface: every public top-level name of the library and
+every parameter with a default and defaulted dataclass field, pinned by
+name, so that adding or removing a name or a setting shows up as an edit
+here."""
 
 import ast
 import pathlib
@@ -10,6 +11,142 @@ import pytest
 import ncprob
 
 SRC = pathlib.Path(ncprob.__file__).parent
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# "module.name" of each public top-level function, class and single-name
+# constant, in source order
+NAMES = """
+_kernels.FLOW_OK
+_kernels.FLOW_UNDERFLOW
+_kernels.FLOW_ESCAPE
+_kernels.FLOW_STRANGLED
+_kernels.flow_batch
+_kernels.slit_batch
+cli.build_parser
+cli.main
+convolutions.KINDS
+convolutions.convolve
+convolutions.convolve_power
+convolutions.boolean_divisibility_root
+convolutions.clt_iterate
+graphs.VERTEX_GUARD
+graphs.RootedGraph
+graphs.path_graph
+graphs.star_graph
+graphs.cycle_graph
+graphs.spidernet
+graphs.comb_product
+graphs.comb_ball
+graphs.star_product
+graphs.direct_product
+graphs.ball
+graphs.walk_moments
+graphs.spectral_distribution
+graphs.ApproxProcess
+graphs.spidernet_bound
+graphs.approx_process
+loewner.HullCollision
+loewner.DrivingFunction
+loewner.HerglotzField
+loewner.ChainPoint
+loewner.evaluate_chain
+loewner.evaluate_chain_point
+loewner.slit_chain
+loewner.inverse_flow
+loewner.chain_fmap
+loewner.chain_measure
+loewner.nonlinear_resolvent
+loewner.resolvent_fmap
+loewner.sle_driving
+markov.TransitionMatrix
+markov.is_irreducible
+markov.period
+markov.stationary_distribution
+markov.iterate_distribution
+markov.convergence_report
+markov.hitting_time_mc
+markov.expected_reward
+markov.mrp_value
+markov.MDPSpec
+markov.mdp_value_iteration
+markov.IsingState
+markov.ising_energy
+markov.magnetization
+markov.metropolis_ising
+markov.exact_boltzmann
+markov.metropolis_exact_kernel
+markov.detailed_balance_audit
+markov.metropolis_histogram
+markov.loop_erase
+markov.lerw
+markov.homogeneous_kernel
+measures.NcprobError
+measures.NoConvergence
+measures.sqrt_upper
+measures.AtomicMeasure
+measures.GridMeasure
+measures.MomentSequence
+measures.GRID_RESOLUTION
+measures.Law
+measures.Dirac
+measures.Bernoulli
+measures.Normal
+measures.Arcsine
+measures.Semicircle
+measures.Poisson
+measures.MarchenkoPastur
+measures.FreeMeixner
+measures.moments
+measures.levy_distance
+measures.sample
+measures.measure_to_json
+measures.json_real
+measures.json_reals
+measures.measure_from_json
+measures.save_measure
+measures.load_measure
+measures.write_density_csv
+randmat.trace_state
+randmat.trace_product
+randmat.sample_gue
+randmat.gue_eigenvalues
+randmat.haar_unitary
+randmat.esd
+randmat.semicircle_cdf
+randmat.marchenko_pastur_cdf
+randmat.kolmogorov_distance
+randmat.wigner_check
+randmat.freeness_statistic
+randmat.FreeAR1Result
+randmat.free_ar1
+series.LaurentSeries
+series.compose_power
+transforms.DEFAULT_EPS_LADDER
+transforms.ATOM_THRESHOLD
+transforms.cauchy
+transforms.f_transform
+transforms.b_transform
+transforms.extrapolate_to_zero
+transforms.check_cauchy_normalization
+transforms.stieltjes_invert
+transforms.scan_real_zeros
+transforms.measure_from_ftransform
+transforms.NevanlinnaData
+transforms.nevanlinna_extract
+transforms.hilbert_transform
+transforms.CUMULANT_KINDS
+transforms.moments_to_cumulants
+transforms.cumulants_to_moments
+transforms.cauchy_series
+transforms.f_series
+transforms.b_series
+transforms.r_series
+transforms.series_moments
+transforms.free_meixner_f_series
+transforms.jacobi_recurrence
+transforms.moment_quadrature
+""".split()
 
 # "module.function(param)", "module.Class.method(param)" or
 # "module.Class.field", in source order
@@ -31,16 +168,11 @@ loewner.inverse_flow(tol)
 loewner.chain_fmap(tol)
 loewner.chain_measure(tol)
 loewner.chain_measure(eps_ladder)
-loewner.approximate_field_by_slits(probe_points)
-loewner.approximate_field_by_slits(tol)
 loewner.nonlinear_resolvent(tol)
 loewner.nonlinear_resolvent(max_steps)
 loewner.resolvent_fmap(tol)
 markov.hitting_time_mc(chunk)
 markov.mdp_value_iteration(tol)
-markov.channel_fixed_point(tol)
-markov.curie_temperature(coupling)
-markov.curie_temperature(boltzmann)
 markov.IsingState.coupling
 markov.IsingState.field
 markov.IsingState.beta
@@ -109,31 +241,59 @@ def _defaulted(prefix, fn):
     return [f"{prefix}{fn.name}({n})" for n in names]
 
 
+def _top_level():
+    """(module name, node) for each top-level statement of
+    src/ncprob/*.py, in source order."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            yield path.stem, node
+
+
+def names():
+    """Every public top-level function, class and single-name constant
+    across src/ncprob/*.py."""
+    out = []
+    for module, node in _top_level():
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            name = node.name
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            name = node.targets[0].id
+        else:
+            continue
+        if not name.startswith("_"):
+            out.append(f"{module}.{name}")
+    return out
+
+
 def options():
     """Every public function's or method's defaulted parameter (methods of
     any module-level class count) and every defaulted field of a public
     dataclass, across src/ncprob/*.py."""
     out = []
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, functions):
-                out += _defaulted(f"{path.stem}.", node)
-            elif isinstance(node, ast.ClassDef):
-                prefix = f"{path.stem}.{node.name}."
-                for item in node.body:
-                    if isinstance(item, functions):
-                        out += _defaulted(prefix, item)
-                if _dataclass(node) and not node.name.startswith("_"):
-                    out += [prefix + item.target.id for item in node.body
-                            if isinstance(item, ast.AnnAssign)
-                            and item.value is not None]
+    for module, node in _top_level():
+        if isinstance(node, FUNCTIONS):
+            out += _defaulted(f"{module}.", node)
+        elif isinstance(node, ast.ClassDef):
+            prefix = f"{module}.{node.name}."
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    out += _defaulted(prefix, item)
+            if _dataclass(node) and not node.name.startswith("_"):
+                out += [prefix + item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and item.value is not None]
     return out
+
+
+def test_name_surface():
+    assert names() == NAMES
+    assert len(NAMES) == 129
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 71
+    assert len(OPTIONS) == 66
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -144,6 +304,24 @@ def test_option_surface():
     ("ncprob.measures", "variance"),
     ("ncprob.loewner.HerglotzField", "rate"),
     ("ncprob.markov.MDPSpec", "n_actions"),
+    ("ncprob", "KrausChannel"),
+    ("ncprob", "channel_apply"),
+    ("ncprob", "channel_fixed_point"),
+    ("ncprob", "curie_temperature"),
+    ("ncprob", "approximate_field_by_slits"),
+    ("ncprob.markov", "KrausChannel"),
+    ("ncprob.markov", "kraus_from_transition"),
+    ("ncprob.markov", "channel_apply"),
+    ("ncprob.markov", "channel_fixed_point"),
+    ("ncprob.markov", "check_density_matrix"),
+    ("ncprob.markov", "mdp_policy_chain"),
+    ("ncprob.markov", "curie_temperature"),
+    ("ncprob.markov", "CRITICAL_BETA"),
+    ("ncprob.loewner", "approximate_field_by_slits"),
+    ("ncprob.loewner", "SlitApproximation"),
+    ("ncprob.loewner", "capacity_fit"),
+    ("ncprob.graphs", "write_edge_list"),
+    ("ncprob.graphs", "read_edge_list"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -286,6 +286,8 @@ class TestExitCodes:
         assert "domain error" not in err
         assert not any(name.startswith("bad") for name in os.listdir(files))
 
+    # a markov row reads one of the NaN specs its test writes; every other
+    # row runs with --seed 1
     @pytest.mark.parametrize("argv, message", [
         (["sle", "--kappa", "2", "--T", "0.04", "--dt", "0.1"],
          "horizon 0.04 is not a whole number of steps dt = 0.1 "
@@ -299,11 +301,26 @@ class TestExitCodes:
          "walk did not exit within 5 steps"),
         (["sle", "--kappa", "inf", "--T", "1", "--dt", "0.1"],
          "kappa must be finite, got inf (--kappa inf, --T 1.0, --dt 0.1)"),
+        (["markov", "stationary", "--spec", "nan_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "converge", "--spec", "nan_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "mrp", "--spec", "nan_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "mdp", "--spec", "nan_mdp.json"],
+         "entries must lie in [0, 1]"),
     ])
     def test_refused_input(self, files, capsys, argv, message):
+        json.dump({"P": [[math.nan, 0.5], [0.5, 0.5]], "R": [0, 1],
+                   "gamma": 0.5}, open(files / "nan_chain.json", "w"))
+        json.dump({"transitions": [[[math.nan], [0.5]], [[0.5], [0.5]]],
+                   "R": [0, 1], "gamma": 0.5},
+                  open(files / "nan_mdp.json", "w"))
+        if argv[0] != "markov":
+            argv = argv + ["--seed", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(argv + ["--seed", "1", "--out", "bad.csv"], files)
+            code = run(argv + ["--out", "bad.csv"], files)
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (files / "bad.csv").exists()
@@ -582,11 +599,15 @@ class TestErrorContract:
             (files / "m.json").write_text(content)
         elif content is not None:
             (files / "m.json").write_bytes(content)
-        code = run(["invert", "--measure", "m.json", "--out", "bad.csv"],
-                   files)
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (files / "bad.csv").exists()
+        for argv in (["invert", "--measure", "m.json"],
+                     ["convolve", "--kind", "free", "--lhs", "m.json",
+                      "--rhs", "bern.json"],
+                     ["convolve", "--kind", "free", "--lhs", "bern.json",
+                      "--rhs", "m.json"]):
+            code = run(argv + ["--out", "bad.csv"], files)
+            assert code == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+            assert not (files / "bad.csv").exists()
 
     def test_directory_input(self, files, capsys):
         (files / "d.json").mkdir()

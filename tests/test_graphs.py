@@ -149,14 +149,6 @@ class TestRootedGraph:
                            match="vertex count 100000000 exceeds guard"):
             gr.RootedGraph.from_edges(10**8, [])
 
-    def test_edge_list_roundtrip(self, tmp_path):
-        g = gr.spidernet(2, 1, 3)
-        path = tmp_path / "g.edges"
-        gr.write_edge_list(g, path)
-        back = gr.read_edge_list(path)
-        assert back.n == g.n and back.root == g.root
-        assert (back.adj != g.adj).nnz == 0
-
 
 class TestSpidernet:
     def test_z_lattice_case(self):

@@ -36,6 +36,17 @@ class TestTransitionMatrix:
         with pytest.raises(ms.NcprobError, match="columns must sum to 1"):
             mk.TransitionMatrix([[0.5, 0.0], [0.4, 1.0]])
 
+    @pytest.mark.parametrize("p, message", [
+        ([[math.nan, 0.5], [0.5, 0.5]], "entries must lie in"),
+        ([[1.0, 0.5], [math.nan, 0.5]], "entries must lie in"),
+        ([[1.5, 0.5], [-0.5, 0.5]], "entries must lie in"),
+        ([[0.5, 0.5], [0.2, 0.2]], "columns must sum to 1"),
+    ])
+    def test_bad_entries_refused(self, p, message):
+        # NaN fails every comparison, so it must fail the checks too
+        with pytest.raises(ms.NcprobError, match=message):
+            mk.TransitionMatrix(p)
+
     def test_products_stay_stochastic(self):
         p = random_ergodic(1).p
         q = random_ergodic(2).p
@@ -139,6 +150,19 @@ class TestStationary:
             r = int(rank(np.array([u]))[0])
             assert [row[r] for row in nxt] == [
                 bisect.bisect_left(col, u) for col in cols]
+
+    @pytest.mark.parametrize("p, message", [
+        ([[0.5, 0.5], [0.2, 0.2]], "columns must sum to 1"),
+        ([[math.nan, 0.5], [0.5, 0.5]], "entries must lie in"),
+    ])
+    def test_non_stochastic_array_refused(self, p, message):
+        with pytest.raises(ms.NcprobError, match=message):
+            mk.hitting_time_mc(np.array(p), 0, 100, seed=1)
+
+    def test_array_and_matrix_agree(self):
+        p = random_ergodic(5)
+        assert (mk.hitting_time_mc(p.p, 1, 500, seed=3)
+                == mk.hitting_time_mc(p, 1, 500, seed=3))
 
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_nonpositive_episodes_raises(self, episodes):
@@ -254,6 +278,17 @@ class TestMDP:
         assert np.abs(v - mk.mrp_value(p, r, 0.5)).max() < 1e-9
         assert np.all(policy == 0)
 
+    @pytest.mark.parametrize("column, message", [
+        ([math.nan, 1.0], "entries must lie in"),
+        ([1.5, -0.5], "entries must lie in"),
+        ([0.5, 0.2], "must be stochastic"),
+    ])
+    def test_bad_entries_refused(self, column, message):
+        t = self._toy().transitions.copy()
+        t[:, 1, 0] = column
+        with pytest.raises(ms.NcprobError, match=message):
+            mk.MDPSpec(t, [0.0, 1.0], 0.5)
+
     def test_dominated_action_never_chosen(self):
         spec = self._toy()
         _, policy = mk.mdp_value_iteration(spec, tol=1e-12)
@@ -263,7 +298,8 @@ class TestMDP:
         spec = self._toy(0.9)
         tol = 1e-11
         v, policy = mk.mdp_value_iteration(spec, tol=tol)
-        chain = mk.mdp_policy_chain(spec, policy)
+        chain = mk.TransitionMatrix(
+            spec.transitions[:, np.arange(spec.n_states), policy])
         v_eval = mk.mrp_value(chain, spec.rewards, spec.gamma)
         assert np.abs(v - v_eval).max() < 10 * tol
 
@@ -280,66 +316,6 @@ class TestMDP:
                 assert step <= spec.gamma * prev_step + 1e-9
             prev_step = step
             v = vnew
-
-
-class TestChannels:
-    def test_classical_embedding(self):
-        p = random_ergodic(6)
-        chan = mk.kraus_from_transition(p)
-        v = np.array([0.4, 0.3, 0.2, 0.1])
-        rho = np.diag(v).astype(complex)
-        for n in range(1, 4):
-            rho = mk.channel_apply(chan, rho)
-            v = p.p @ v
-            assert np.abs(np.diag(rho).real - v).max() < 1e-12
-
-    def test_identity_channel(self):
-        chan = mk.KrausChannel((np.eye(3),))
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert np.abs(chan(rho) - rho).max() == 0
-
-    def test_trace_and_positivity_preserved(self):
-        p = random_ergodic(8)
-        chan = mk.kraus_from_transition(p)
-        rng = np.random.default_rng(0)
-        a = rng.random((4, 4)) + 1j * rng.random((4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        out = mk.channel_apply(chan, rho)
-        assert abs(np.trace(out).real - 1) < 1e-12
-        assert np.linalg.eigvalsh(out).min() > -1e-9
-
-    def test_depolarizing_fixed_point_multistart(self):
-        n = 3
-        lam = 0.6
-        ops = [math.sqrt(1 - lam) * np.eye(n)]
-        # Heisenberg-Weyl displacements give a depolarizing-style channel
-        shift = np.roll(np.eye(n), 1, axis=0)
-        clock = np.diag(np.exp(2j * math.pi * np.arange(n) / n))
-        for a in range(n):
-            for b in range(n):
-                if a == b == 0:
-                    continue
-                u = np.linalg.matrix_power(shift, a) @ \
-                    np.linalg.matrix_power(clock, b)
-                ops.append(math.sqrt(lam / (n * n - 1)) * u)
-        chan = mk.KrausChannel(tuple(ops))
-        tol = 1e-12
-        fixed = []
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a = rng.random((n, n)) + 1j * rng.random((n, n))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            fixed.append(mk.channel_fixed_point(chan, rho, tol=tol))
-        for r in fixed[1:]:
-            dist = np.abs(np.linalg.eigvalsh(r - fixed[0])).sum()
-            assert dist <= 10 * tol
-
-    def test_kraus_condition_enforced(self):
-        with pytest.raises(ms.NcprobError,
-                           match=r"Kraus operators must satisfy sum E\*E = I"):
-            mk.KrausChannel((0.5 * np.eye(2),))
 
 
 def tie_points(levels):
@@ -664,6 +640,27 @@ class TestIsing:
     def test_histogram_lattice_refused(self, shape, message):
         with pytest.raises(ms.NcprobError, match=message):
             mk.metropolis_histogram(shape, 0.4, 1.0, 0.0, 0, 10, seed=1)
+
+    @pytest.mark.parametrize("beta, coupling, field", [
+        (math.nan, 1.0, 0.0), (-3.0, 1.0, -1.0), (-1.0, 1.0, 0.0),
+        (0.4, 1.0, -1.0), (0.4, 1.0, math.nan), (0.4, 1.0, math.inf),
+        (0.4, math.nan, 0.0), (0.4, 0.0, 0.0), (0.4, math.inf, 0.0),
+    ])
+    def test_histogram_bad_parameters_rejected(self, beta, coupling, field):
+        with pytest.raises(ms.NcprobError,
+                           match="need 0 < J < inf, 0 <= B < inf, beta >= 0"):
+            mk.metropolis_histogram((2, 2), beta, coupling, field, 0, 10,
+                                    seed=1)
+
+    def test_histogram_temperature_limits_run(self):
+        # beta = 0 accepts every flip; beta = inf none that raises the
+        # energy, so at B > 0 the all-up start never moves
+        args = ((2, 2), 0.0, 1.0, 0.5, 10, 1000, 1)
+        assert np.array_equal(mk.metropolis_histogram(*args),
+                              reference_histogram(*args, chunk=1 << 20))
+        cold = mk.metropolis_histogram((2, 2), math.inf, 1.0, 0.5, 10, 1000,
+                                       seed=1)
+        assert cold[-1] == 1000
 
     def test_histogram_table_memory(self):
         tracemalloc.start()
