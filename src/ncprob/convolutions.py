@@ -15,7 +15,7 @@ import numpy as np
 
 from . import transforms as tr
 from .measures import AtomicMeasure, MomentSequence, NcprobError
-from .series import compose_power
+from .series import _compose, _dilate, compose_power
 
 KINDS = ("classical", "boolean", "free", "monotone", "antimonotone")
 
@@ -46,7 +46,7 @@ def _convolve_moments(kind, a, b):
         return tr.cumulants_to_moments(kind, [x + y for x, y in zip(ca, cb)])
     if kind == "antimonotone":
         return _convolve_moments("monotone", b, a)
-    comp = tr.f_series(a).compose(tr.f_series(b))
+    comp = _compose(tr.f_series(a), tr.f_series(b))
     return tr.series_moments(comp, k)
 
 
@@ -173,7 +173,7 @@ def clt_iterate(kind, base, n):
     lam = _sqrt_scale(n)
     if kind in ("monotone", "antimonotone"):
         f = tr.f_series(base)
-        scaled = f.dilate(lam)
+        scaled = _dilate(f, lam)
         return tr.series_moments(compose_power(scaled, n), base.order)
     cum = tr.moments_to_cumulants(kind, base)
     scaled = [_scale_cumulant(c, n, k) for k, c in enumerate(cum, start=1)]

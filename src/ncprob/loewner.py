@@ -128,7 +128,7 @@ class HerglotzField:
     by the scaling lemma); probability fields have rate 1.
     """
 
-    def __init__(self, tbreaks, pos, slope, wts, horizon, support_bound):
+    def __init__(self, tbreaks, pos, slope, wts, horizon):
         self.tbreaks = np.asarray(tbreaks, dtype=float)
         self.pos = np.asarray(pos, dtype=float)
         self.slope = np.asarray(slope, dtype=float)
@@ -139,7 +139,6 @@ class HerglotzField:
             if not np.all(np.isfinite(arr)):
                 raise NcprobError(f"field {name} must be finite")
         self.horizon = float(horizon)
-        self.support_bound = float(support_bound)
 
     # -- constructors -------------------------------------------------------
 
@@ -149,8 +148,7 @@ class HerglotzField:
             raise NcprobError("constant fields take an AtomicMeasure")
         p = measure.positions[None, :]
         w = measure.weights[None, :]
-        bound = max(abs(x) for x, _ in measure.atoms)
-        return cls([0.0, horizon], p, np.zeros_like(p), w, horizon, bound)
+        return cls([0.0, horizon], p, np.zeros_like(p), w, horizon)
 
     @classmethod
     def piecewise(cls, tbreaks, measures):
@@ -164,8 +162,7 @@ class HerglotzField:
         for j, m in enumerate(measures):
             pos[j, :len(m.atoms)] = m.positions
             wts[j, :len(m.atoms)] = m.weights
-        bound = max(max(abs(x) for x, _ in m.atoms) for m in measures)
-        return cls(tbreaks, pos, np.zeros_like(pos), wts, tbreaks[-1], bound)
+        return cls(tbreaks, pos, np.zeros_like(pos), wts, tbreaks[-1])
 
     @classmethod
     def from_driving(cls, driving, horizon=None):
@@ -183,8 +180,7 @@ class HerglotzField:
         slope = np.zeros_like(pos)
         if driving.kind == "sampled":
             slope = (np.diff(vals) / np.diff(times))[:, None]
-        return cls(times, pos, slope, np.ones_like(pos), horizon,
-                   driving.bound())
+        return cls(times, pos, slope, np.ones_like(pos), horizon)
 
     # -- queries -------------------------------------------------------------
 
@@ -211,7 +207,7 @@ class HerglotzField:
             raise NcprobError("scaling parameters must be positive")
         return HerglotzField(
             self.tbreaks / d, self.pos / c, self.slope * (d / c),
-            self.wts * (d / c**2), self.horizon / d, self.support_bound / c,
+            self.wts * (d / c**2), self.horizon / d,
         )
 
 

@@ -265,25 +265,8 @@ GRID_RESOLUTION = 4096
 _PAD = 1e-9
 
 
-class Law:
-    """Base class for named laws; subclasses define exact moments etc."""
-
-    def moments(self, order):
-        raise NotImplementedError
-
-    def to_measure(self, resolution=GRID_RESOLUTION):
-        raise NotImplementedError
-
-    def sample(self, n, seed):
-        raise NotImplementedError
-
-    def atom_candidates(self):
-        """Points that may carry an atom, for Stieltjes inversion."""
-        return []
-
-
 @dataclass(frozen=True)
-class Dirac(Law):
+class Dirac:
     c: float = 0.0
 
     def moments(self, order):
@@ -298,7 +281,7 @@ class Dirac(Law):
 
 
 @dataclass(frozen=True)
-class Bernoulli(Law):
+class Bernoulli:
     """Two-point law p*delta_1 + (1-p)*delta_{-1}."""
 
     p: Fraction = Fraction(1, 2)
@@ -323,7 +306,7 @@ class Bernoulli(Law):
 
 
 @dataclass(frozen=True)
-class Normal(Law):
+class Normal:
     mean: float = 0.0
     var: float = 1.0
 
@@ -354,7 +337,7 @@ class Normal(Law):
 
 
 @dataclass(frozen=True)
-class _SymmetricLaw(Law):
+class _SymmetricLaw:
     """A law with the given mean and variance on [mean - r, mean + r],
     r = half_width()."""
 
@@ -368,6 +351,10 @@ class _SymmetricLaw(Law):
     def edges(self):
         r = self.half_width()
         return self.mean - r, self.mean + r
+
+    def atom_candidates(self):
+        """Points that may carry an atom, for Stieltjes inversion: none."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -454,7 +441,7 @@ class Semicircle(_SymmetricLaw):
 
 
 @dataclass(frozen=True)
-class Poisson(Law):
+class Poisson:
     lam: float = 1.0
 
     def __post_init__(self):
@@ -488,7 +475,7 @@ class Poisson(Law):
 
 
 @dataclass(frozen=True)
-class MarchenkoPastur(Law):
+class MarchenkoPastur:
     """Free Poisson law with rate c (all free cumulants equal to c)."""
 
     c: float = 1.0
@@ -545,7 +532,7 @@ class MarchenkoPastur(Law):
 
 
 @dataclass(frozen=True)
-class FreeMeixner(Law):
+class FreeMeixner:
     """Free Meixner law m_{a,c,u}: mean 0, variance a, Jacobi data
     (alpha_0, beta_1) = (0, a) and (alpha_k, beta_k) = (u, c) afterwards.
     Positive beta define a law for every real u.
@@ -795,23 +782,33 @@ def _is_real(v):
                                        and not isinstance(v, bool))
 
 
+def _is_finite(v):
+    if type(v) is float:
+        return math.isfinite(v)
+    # a rational is finite at any size, where math.isfinite would overflow
+    # converting a large one to float
+    return isinstance(v, numbers.Rational) or math.isfinite(v)
+
+
 def json_real(value, where):
-    """``value`` when it is a real number (bools are not numbers here);
-    else an NcprobError naming ``where``."""
+    """``value`` when it is a finite real number (bools are not numbers
+    here); else an NcprobError naming ``where``."""
     if not _is_real(value):
         raise NcprobError(f"{where} must be a real number, got {value!r}")
+    if not _is_finite(value):
+        raise NcprobError(f"{where} must be finite, got {value!r}")
     return value
 
 
 def json_reals(values, where, size=None):
     """``values`` as given when it is a list (of ``size`` entries, if set)
-    of real numbers, so ints stay ints; else an NcprobError naming ``where``
-    or its bad entry."""
+    of finite real numbers, so ints stay ints; else an NcprobError naming
+    ``where`` or its bad entry."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         want = "a list" if size is None else f"a list of {size} numbers"
         raise NcprobError(f"{where} must be {want}, got {values!r}")
     for i, v in enumerate(values):
-        if not _is_real(v):  # name the entry only once one is bad
+        if not (_is_real(v) and _is_finite(v)):  # json_real names it
             json_real(v, f"{where}[{i}]")
     return values
 

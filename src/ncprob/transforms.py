@@ -18,7 +18,7 @@ import numpy as np
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
                        NcprobError, sqrt_upper)
-from .series import LaurentSeries
+from .series import _reciprocal, _sqrt
 
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -686,7 +686,10 @@ def _moment_cumulant(kind, given, to_cumulants):
 def moments_to_cumulants(kind, m):
     """Cumulants c_1..c_K of a kind in ``CUMULANT_KINDS`` from K moments.
 
-    Exact inputs (int, Fraction) give exact cumulants.
+    Exact inputs (int, Fraction) give exact cumulants.  The Boolean
+    cumulants are the coefficients of the B-transform,
+    B(z) = z - F(z) = sum_k c_k z^(1-k), and the free ones those of the
+    R-transform, R(z) = sum_k c_k z^(k-1), which free convolution adds.
     """
     return _moment_cumulant(kind, m, True)
 
@@ -700,42 +703,31 @@ def cumulants_to_moments(kind, c):
 # series-level transforms
 # ---------------------------------------------------------------------------
 
-def cauchy_series(m):
-    """Truncated Laurent series of G from moments."""
-    mom = _values(m)
-    return LaurentSeries.from_moments(mom)
-
-
 def f_series(m):
-    """Truncated Laurent series of F = 1/G from moments.
+    """F = 1/G of K moments as the list [1, p_1, ..., p_K] of the power
+    series F(z)/z in w = 1/z (see ``ncprob.series``), exact to w^K.
 
-    With K input moments the coefficients of z, z^0, ..., z^(-(K-1)) are
-    exact; rational inputs stay rational.
+    p_1..p_K are minus the Boolean cumulants; rational inputs stay
+    rational.
     """
-    return cauchy_series(m).reciprocal()
-
-
-def b_series(m):
-    return LaurentSeries.identity(-f_series(m).valid) - f_series(m)
-
-
-def r_series(m):
-    """Truncated R-transform polynomial kappa_1 + kappa_2 z + ... ; its
-    coefficients are the free cumulants, and free convolution adds it."""
-    kappa = moments_to_cumulants("free", m)
-    return LaurentSeries(len(kappa) - 1, list(reversed(kappa)), 0)
+    return _reciprocal([1, *_values(m)])
 
 
 def series_moments(f, order):
-    """Moments encoded by an F-type series (via 1/F)."""
-    return MomentSequence(f.reciprocal().moments(order))
+    """Moments m_1..m_order of an F-series, read off 1/P = 1 + m_1 w + ...;
+    the series must reach w^order."""
+    if order > len(f) - 1:
+        raise NcprobError(f"an F-series to w^{len(f) - 1} holds "
+                          f"{len(f) - 1} moments, not {order}")
+    return MomentSequence(tuple(_reciprocal(f[:order + 1])[1:]))
 
 
 def free_meixner_f_series(n, u, order):
     """Exact series of sqrt((z-u)^2 - 4n) + u down to z^(-order)."""
-    pol = LaurentSeries(2, [1, -2 * Fraction(u), Fraction(u) ** 2 - 4 * n]
-                        + [0] * order, -order)
-    return pol.sqrt() + LaurentSeries.constant(Fraction(u), order)
+    u = Fraction(u)
+    root = _sqrt([1, -2 * u, u * u - 4 * n] + [0] * (order - 1))
+    root[1] += u
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ measures.AtomicMeasure
 measures.GridMeasure
 measures.MomentSequence
 measures.GRID_RESOLUTION
-measures.Law
 measures.Dirac
 measures.Bernoulli
 measures.Normal
@@ -120,7 +119,6 @@ randmat.wigner_check
 randmat.freeness_statistic
 randmat.FreeAR1Result
 randmat.free_ar1
-series.LaurentSeries
 series.compose_power
 transforms.DEFAULT_EPS_LADDER
 transforms.ATOM_THRESHOLD
@@ -138,10 +136,7 @@ transforms.hilbert_transform
 transforms.CUMULANT_KINDS
 transforms.moments_to_cumulants
 transforms.cumulants_to_moments
-transforms.cauchy_series
 transforms.f_series
-transforms.b_series
-transforms.r_series
 transforms.series_moments
 transforms.free_meixner_f_series
 transforms.jacobi_recurrence
@@ -191,7 +186,6 @@ measures.AtomicMeasure.from_pairs(renormalize)
 measures.AtomicMeasure.cdf(left)
 measures.GridMeasure.cdf(left)
 measures.GridMeasure.atoms
-measures.Law.to_measure(resolution)
 measures.Dirac.to_measure(resolution)
 measures.Dirac.c
 measures.Bernoulli.to_measure(resolution)
@@ -212,7 +206,6 @@ measures.FreeMeixner.u
 measures.json_reals(size)
 randmat.free_ar1(noise)
 randmat.free_ar1(seed)
-series.LaurentSeries.from_moments(order)
 transforms.stieltjes_invert(atom_candidates)
 transforms.stieltjes_invert(eps_ladder)
 transforms.measure_from_ftransform(atom_candidates)
@@ -288,12 +281,12 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 129
+    assert len(NAMES) == 124
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 66
+    assert len(OPTIONS) == 64
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -322,6 +315,13 @@ def test_option_surface():
     ("ncprob.loewner", "capacity_fit"),
     ("ncprob.graphs", "write_edge_list"),
     ("ncprob.graphs", "read_edge_list"),
+    ("ncprob", "b_series"),
+    ("ncprob", "r_series"),
+    ("ncprob.series", "LaurentSeries"),
+    ("ncprob.transforms", "cauchy_series"),
+    ("ncprob.transforms", "b_series"),
+    ("ncprob.transforms", "r_series"),
+    ("ncprob.measures", "Law"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -286,8 +286,8 @@ class TestExitCodes:
         assert "domain error" not in err
         assert not any(name.startswith("bad") for name in os.listdir(files))
 
-    # a markov row reads one of the NaN specs its test writes; every other
-    # row runs with --seed 1
+    # a markov row reads one of the out-of-range or NaN specs its test
+    # writes (each column sums to one); every other row runs with --seed 1
     @pytest.mark.parametrize("argv, message", [
         (["sle", "--kappa", "2", "--T", "0.04", "--dt", "0.1"],
          "horizon 0.04 is not a whole number of steps dt = 0.1 "
@@ -301,21 +301,30 @@ class TestExitCodes:
          "walk did not exit within 5 steps"),
         (["sle", "--kappa", "inf", "--T", "1", "--dt", "0.1"],
          "kappa must be finite, got inf (--kappa inf, --T 1.0, --dt 0.1)"),
+        (["markov", "stationary", "--spec", "range_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "converge", "--spec", "range_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "mrp", "--spec", "range_chain.json"],
+         "entries must lie in [0, 1]"),
+        (["markov", "mdp", "--spec", "range_mdp.json"],
+         "entries must lie in [0, 1]"),
         (["markov", "stationary", "--spec", "nan_chain.json"],
-         "entries must lie in [0, 1]"),
+         "markov stationary spec 'P'[0][0] must be finite, got nan"),
         (["markov", "converge", "--spec", "nan_chain.json"],
-         "entries must lie in [0, 1]"),
+         "markov converge spec 'P'[0][0] must be finite, got nan"),
         (["markov", "mrp", "--spec", "nan_chain.json"],
-         "entries must lie in [0, 1]"),
+         "markov mrp spec 'P'[0][0] must be finite, got nan"),
         (["markov", "mdp", "--spec", "nan_mdp.json"],
-         "entries must lie in [0, 1]"),
+         "markov mdp spec 'transitions'[0][0][0] must be finite, got nan"),
     ])
     def test_refused_input(self, files, capsys, argv, message):
-        json.dump({"P": [[math.nan, 0.5], [0.5, 0.5]], "R": [0, 1],
-                   "gamma": 0.5}, open(files / "nan_chain.json", "w"))
-        json.dump({"transitions": [[[math.nan], [0.5]], [[0.5], [0.5]]],
-                   "R": [0, 1], "gamma": 0.5},
-                  open(files / "nan_mdp.json", "w"))
+        for name, low in (("range", -0.5), ("nan", math.nan)):
+            json.dump({"P": [[1 - low, 0.5], [low, 0.5]], "R": [0, 1],
+                       "gamma": 0.5}, open(files / f"{name}_chain.json", "w"))
+            json.dump({"transitions": [[[1 - low], [0.5]], [[low], [0.5]]],
+                       "R": [0, 1], "gamma": 0.5},
+                      open(files / f"{name}_mdp.json", "w"))
         if argv[0] != "markov":
             argv = argv + ["--seed", "1"]
         with warnings.catch_warnings():
@@ -428,6 +437,21 @@ class TestExitCodes:
         err = self.refused(files, capsys, argv)
         assert f"measure JSON {entry} must be" in err
 
+    @pytest.mark.parametrize("measure, entry, value", [
+        ({"atoms": [[math.nan, 1.0]]}, "atoms[0][0]", "nan"),
+        ({"moments": [math.nan, 1.0]}, "moments[0]", "nan"),
+        ({"moments": [0, math.inf]}, "moments[1]", "inf"),
+        ({"grid": [-1, 1], "density": [0.5, -math.inf]}, "density[1]",
+         "-inf"),
+    ])
+    def test_nonfinite_measure(self, files, capsys, measure, entry, value):
+        json.dump(measure, open(files / "m.json", "w"))
+        err = self.refused(files, capsys, [
+            "convolve", "--kind", "free", "--lhs", "m.json", "--rhs",
+            "m.json", "--out", "bad.json"])
+        assert f"error: measure JSON {entry} must be finite, got {value}\n" \
+            in err
+
     @pytest.mark.parametrize("driving, entry", [
         ({"kind": "constant", "values": 5}, "values"),
         ({"kind": "constant", "values": ["0"]}, "values[0]"),
@@ -493,6 +517,13 @@ class TestExitCodes:
         ("mdp", dict(MDP, R="x"), "'R' must be a list, got 'x'"),
         ("mdp", dict(MDP, R=[None, 1]),
          "'R'[0] must be a real number, got None"),
+        ("mdp", dict(MDP, R=[math.nan, 1]), "'R'[0] must be finite, got nan"),
+        ("converge", {"P": P, "v0": [math.nan, 1]},
+         "'v0'[0] must be finite, got nan"),
+        ("mrp", {"P": P, "R": [0, -math.inf], "gamma": 0.5},
+         "'R'[1] must be finite, got -inf"),
+        ("mrp", {"P": P, "R": [0, 1], "gamma": math.inf},
+         "'gamma' must be finite, got inf"),
     ])
     def test_non_numeric_markov_spec(self, files, capsys, mode, spec,
                                      message):

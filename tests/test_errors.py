@@ -13,10 +13,8 @@ import ncprob
 SRC = pathlib.Path(ncprob.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 RAISABLE = {"NcprobError", "NoConvergence", "HullCollision"}
-# besides RAISABLE: argparse's refusal of a flag value, and the series
-# arithmetic's division by a truncated zero
-ALSO_RAISABLE = {"cli": {"argparse.ArgumentTypeError"},
-                 "series": {"ZeroDivisionError"}}
+# besides RAISABLE: argparse's refusal of a flag value
+ALSO_RAISABLE = {"cli": {"argparse.ArgumentTypeError"}}
 
 
 def raises(module):
@@ -41,8 +39,6 @@ def load(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_every_raise_names_a_library_class(module):
     allowed = RAISABLE | ALSO_RAISABLE.get(module, set()) | {None}
-    if module == "measures":
-        allowed |= {"NotImplementedError"}  # the abstract Law methods
     bad = [(line, what) for line, what in raises(module)
            if what not in allowed]
     assert bad == []

@@ -269,7 +269,7 @@ class TestLockstepFlow:
                 arrays = [np.array(a, dtype=float) for a in good]
                 arrays[i].flat[-1] = bad
                 with pytest.raises(ms.NcprobError, match=name):
-                    lw.HerglotzField(*arrays, 1.0, 1.0)
+                    lw.HerglotzField(*arrays, 1.0)
 
     def test_nan_field_arrays_end_as_underflow(self):
         # the kernel itself still ends a point whose field value is NaN
@@ -397,13 +397,12 @@ def reference_from_driving(driving, horizon=None):
         vals = np.asarray(driving.values)
         pos = vals[:, None]
         return lw.HerglotzField(times, pos, np.zeros_like(pos),
-                                np.ones_like(pos), horizon, driving.bound())
+                                np.ones_like(pos), horizon)
     times = np.asarray(driving.times)
     vals = np.asarray(driving.values)
     pos = vals[:-1, None]
     slope = ((vals[1:] - vals[:-1]) / np.diff(times))[:, None]
-    return lw.HerglotzField(times, pos, slope, np.ones_like(pos), horizon,
-                            driving.bound())
+    return lw.HerglotzField(times, pos, slope, np.ones_like(pos), horizon)
 
 
 def assert_same_field(got, want):
@@ -412,7 +411,6 @@ def assert_same_field(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert got.horizon == want.horizon
-    assert got.support_bound == want.support_bound
 
 
 class TestFromDriving:
@@ -619,7 +617,7 @@ def slit_problems(draw):
         if pad == "segment":
             wts[rng.integers(segments)] = 0.0
         field = lw.HerglotzField(field.tbreaks, pos, np.zeros_like(pos), wts,
-                                 field.horizon, field.support_bound)
+                                 field.horizon)
     s, t = np.sort(rng.uniform(0.0, field.horizon, 2))
     if draw(st.booleans()):
         t = field.horizon
@@ -730,7 +728,7 @@ class TestSlitBatch:
                           ms.AtomicMeasure.dirac(-0.4)]),
         "padded": lambda: lw.HerglotzField(
             [0, 0.5, 1], [[0.2, 3.0], [-0.4, 0.0]], np.zeros((2, 2)),
-            [[1.0, 0.0], [0.0, 1.0]], 1.0, 0.4),
+            [[1.0, 0.0], [0.0, 1.0]], 1.0),
         "scaled": lambda: zero_field(2.0).scaled(2.0, 2.0),
     }
     FLOWED = {

@@ -1234,57 +1234,54 @@ class TestGradedMaps:
 class TestSeriesTransforms:
     def test_variance_coefficient(self):
         f = tr.f_series(ms.MomentSequence((0, Fraction(7, 3))))
-        assert f.coeff(1) == 1
-        assert f.coeff(0) == 0
-        assert f.coeff(-1) == Fraction(-7, 3)
+        assert f == [1, 0, Fraction(-7, 3)]
 
     def test_dirac_series(self):
-        f = tr.f_series(ms.Dirac(2).moments(5))
-        assert f.coeff(0) == -2
-        assert all(f.coeff(p) == 0 for p in range(f.valid, 0))
+        assert tr.f_series(ms.Dirac(2).moments(5)) == [1, -2, 0, 0, 0, 0]
 
     def test_bernoulli_series_vs_long_division(self):
         # long division of z(z^2-1)^(-1)... F = z - 1/z exactly
         f = tr.f_series(ms.MomentSequence((0, 1, 0, 1, 0, 1, 0, 1)))
-        assert f.coeff(-1) == -1
-        assert all(f.coeff(p) == 0 for p in range(f.valid, -1))
+        assert f == [1, 0, -1] + [0] * 6
 
     def test_mean_zero_variance_coefficient_exact(self):
         mu = ms.AtomicMeasure(((-2, Fraction(1, 3)), (1, Fraction(2, 3))))
         m = mu.moments(6)
         f = tr.f_series(m)
-        assert f.coeff(-1) == -m.variance()
+        assert f[2] == -m.variance()
+
+    @settings(max_examples=60, deadline=None)
+    @given(EXACT_MIX_SEQ)
+    def test_coefficients_are_minus_boolean_cumulants(self, seq):
+        # F = z - B, and B's coefficients are the Boolean cumulants
+        boolean = tr.moments_to_cumulants("boolean", seq)
+        assert tr.f_series(seq) == [1] + [-c for c in boolean]
 
     def test_free_meixner_series_moments(self):
         s = tr.free_meixner_f_series(2, 1, 10)
         m = tr.series_moments(s, 6)
         assert [int(v) for v in m.values] == [0, 4, 4, 28, 60, 260]
 
+    # the B- and R-transform coefficients are the Boolean and free cumulants
     @pytest.mark.parametrize("m, want", [
         # semicircle: B = G, whose odd coefficients are Catalan numbers
-        (ms.Semicircle(0, 1).moments(8), {-1: 1, -3: 1, -5: 2, -7: 5}),
-        (ms.Bernoulli().moments(8), {-1: 1}),  # B = 1/z
+        (ms.Semicircle(0, 1).moments(8), [0, 1, 0, 1, 0, 2, 0, 5]),
+        (ms.Bernoulli().moments(8), [0, 1, 0, 0, 0, 0, 0, 0]),  # B = 1/z
     ])
     def test_b_series(self, m, want):
-        b = tr.b_series(m)
-        assert (b.top, b.valid) == (1, -7)
-        assert all(b.coeff(p) == want.get(p, 0) for p in range(-7, 2))
+        assert tr.moments_to_cumulants("boolean", m) == want
 
     def test_semicircle_r_series_is_z(self):
-        r = tr.r_series(ms.Semicircle(0, 1).moments(6))
-        assert r.coeff(1) == 1
-        assert all(r.coeff(p) == 0 for p in range(0, 6) if p != 1)
+        assert tr.moments_to_cumulants(
+            "free", ms.Semicircle(0, 1).moments(6)) == [0, 1, 0, 0, 0, 0]
 
     def test_r_series_addition_is_free_convolution(self):
-        a = random_moments(31, order=6)
-        b = random_moments(32, order=6)
-        summed = tr.r_series(a) + tr.r_series(b)
-        kappa = [summed.coeff(k - 1) for k in range(1, 7)]
-        direct = tr.cumulants_to_moments("free", kappa)
-        from ncprob import convolutions as cv
-
-        want = cv.convolve("free", a, b)
-        assert np.abs(direct.floats() - want.floats()).max() < 1e-12
+        # semicircles of variances 1 and 2 convolve to the one of variance 3
+        a = tr.moments_to_cumulants("free", ms.Semicircle(0, 1).moments(6))
+        b = tr.moments_to_cumulants("free", ms.Semicircle(0, 2).moments(6))
+        summed = tr.cumulants_to_moments("free",
+                                         [x + y for x, y in zip(a, b)])
+        assert summed == ms.Semicircle(0, 3).moments(6)
 
 
 class TestNevanlinna:
