@@ -63,9 +63,6 @@ class RootedGraph:
 
         return cls(sp.csr_matrix((1, 1), dtype=np.int64), 0)
 
-    def degree(self, v):
-        return int(self.adj.indptr[v + 1] - self.adj.indptr[v])
-
     def max_degree(self):
         return int(np.diff(self.adj.indptr).max(initial=0))
 
@@ -88,15 +85,6 @@ class RootedGraph:
             frontier = reached[out[reached] < 0]
             out[frontier] = d
         return out
-
-    def check_valid(self):
-        if (self.adj != self.adj.T).nnz:
-            raise NcprobError("adjacency must be symmetric")
-        if self.adj.diagonal().any():
-            raise NcprobError("adjacency must be loop-free")
-        if self.adj.data.size and not np.all(self.adj.data == 1):
-            raise NcprobError("entries must be 0/1")
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,9 @@ class HerglotzField:
         tbreaks = [float(t) for t in tbreaks]
         if len(measures) != len(tbreaks) - 1:
             raise NcprobError("need one measure per time segment")
+        if not measures:
+            raise NcprobError("the measure list is empty: a field needs at "
+                              "least one time segment")
         na = max(len(m.atoms) for m in measures)
         ns = len(measures)
         pos = np.zeros((ns, na))
@@ -200,15 +203,6 @@ class HerglotzField:
         live = self.wts > 0
         return bool(np.all(live.sum(axis=1) <= 1)
                     and not np.any(self.slope[live]))
-
-    def scaled(self, c, d):
-        """Field of the rescaled chain h_t(z) = f_{d t}(c z) / c."""
-        if c <= 0 or d <= 0:
-            raise NcprobError("scaling parameters must be positive")
-        return HerglotzField(
-            self.tbreaks / d, self.pos / c, self.slope * (d / c),
-            self.wts * (d / c**2), self.horizon / d,
-        )
 
 
 # ---------------------------------------------------------------------------

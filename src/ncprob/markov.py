@@ -33,6 +33,8 @@ class TransitionMatrix:
         object.__setattr__(self, "p", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise NcprobError("transition matrix must be square")
+        if p.size == 0:
+            raise NcprobError("transition matrix needs at least one state")
         _check_stochastic(p, "columns must sum to 1 within 1e-12")
 
     @property
@@ -184,8 +186,9 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     An array ``p`` is checked as a ``TransitionMatrix``.  Raises
     NcprobError when ``state`` is transient: the chain might never return.
     """
-    if episodes <= 0:
-        raise NcprobError("episodes must be positive")
+    if not (isinstance(episodes, (int, np.integer)) and episodes > 0):
+        raise NcprobError(
+            f"episodes must be positive and an int, got {episodes!r}")
     m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
     if not 0 <= state < m.shape[0]:
         raise NcprobError(f"state {state} is not one of the chain's "
@@ -337,12 +340,6 @@ class IsingState:
         if fr.shape != s.shape:
             raise NcprobError("frozen mask shape mismatch")
         object.__setattr__(self, "frozen", fr)
-
-    @classmethod
-    def aligned(cls, shape, **kw):
-        """All spins up."""
-        s = np.ones(shape, dtype=np.int8)
-        return cls(s, **kw)
 
     @classmethod
     def random(cls, shape, seed, **kw):

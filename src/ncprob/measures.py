@@ -237,11 +237,6 @@ class MomentSequence:
     def mean(self):
         return self.values[0]
 
-    def variance(self):
-        if self.order < 2:
-            raise NcprobError("need order >= 2 for variance")
-        return self[2] - self[1] ** 2
-
     def floats(self):
         return np.array([float(v) for v in self.values])
 
@@ -771,7 +766,7 @@ def measure_to_json(m):
             "atoms": [[float(x), float(w)] for x, w in m.atoms],
         }
     if isinstance(m, MomentSequence):
-        return {"moments": [float(v) for v in m.values]}
+        return {"moments": m.floats().tolist()}
     raise NcprobError(f"cannot serialize {type(m).__name__}")
 
 

@@ -130,9 +130,10 @@ _SCAN_EPS = 1e-6  # height of the real-zero scan
 
 def _require_normalized(value):
     """Raise NcprobError unless iy*G(iy) is 1 within 1e-3 at y = _NORM_Y,
-    given ``value`` = G(iy)."""
+    given ``value`` = G(iy); a NaN fails every comparison, so it is refused
+    too."""
     val = 1j * _NORM_Y * value
-    if abs(val - 1.0) > 1e-3:
+    if not abs(val - 1.0) <= 1e-3:
         raise NcprobError(
             f"iy*G(iy) = {val:.6g} at y={_NORM_Y:.0e}; not a probability "
             "Cauchy transform"
@@ -177,26 +178,6 @@ def _extrapolated_mass(ladder, vals):
     """iy*G(a+iy) extrapolated to y = 0 from ``vals`` = G at a + i*ladder."""
     masses = [(1j * y * v).real for y, v in zip(ladder, vals)]
     return float(extrapolate_to_zero(ladder, masses))
-
-
-def _spike_candidates(grid, density, eps_min, limit=8):
-    """Positions of narrow density spikes that look like smeared atoms."""
-    h = float(np.median(np.diff(grid)))
-    w = max(2, int(math.ceil(3 * eps_min / h)))
-    n = density.size
-    out = []
-    order = np.argsort(density)[::-1]
-    for i in order[: 4 * limit]:
-        if density[i] < 1e-3:
-            break
-        left = density[max(i - w, 0)]
-        right = density[min(i + w, n - 1)]
-        if density[i] > 4 * max(left, right, 1e-12):
-            if all(abs(grid[i] - x) > w * h for x in out):
-                out.append(float(grid[i]))
-        if len(out) >= limit:
-            break
-    return out
 
 
 # The real-zero search.  An equispaced call splits a bracket into _CELLS
@@ -330,19 +311,6 @@ def _bracketed_roots(f, lo, hi, flo, fhi, eps):
     return [np.float64(r) for r in roots]
 
 
-def _refine_pole(g, a, halfwidth, eps=1e-7):
-    """Sharpen an atom position: Re G(x + i*eps) changes sign at a pole.
-
-    Both bracket ends are evaluated in one call, and the root search
-    (``_bracketed_roots``) makes one to seven more.
-    """
-    lo, hi = a - halfwidth, a + halfwidth
-    flo, fhi = np.asarray(g(np.array([lo + 1j * eps, hi + 1j * eps]))).real
-    if flo * fhi >= 0:
-        return a
-    return float(_bracketed_roots(g, [lo], [hi], [flo], [fhi], eps)[0])
-
-
 _VETO_LADDER = (1e-6, 3e-7, 1e-7)
 
 
@@ -364,57 +332,46 @@ def _vetted_atom(g, a, eps_ladder):
     return float(a), float(m)
 
 
-def stieltjes_invert(g, grid, atom_candidates=(),
+def stieltjes_invert(g, grid, atom_candidates=None,
                      eps_ladder=DEFAULT_EPS_LADDER):
     """Recover a measure from its Cauchy transform ``g``, a vectorized
     function of a complex array, or from the measure itself.
 
     Density via -Im G(x + i*eps)/pi extrapolated over the eps ladder; atom
-    masses via the iy*G(a+iy) limit at the supplied candidates plus any
-    narrow spikes the first density pass exposes.  Cells with steep density
-    jumps (square-root support edges) are locally refined so the trapezoid
-    mass stays accurate.  The result is renormalized to unit mass if the
-    recovered mass lies within 2 percent of 1.  One call of ``g`` evaluates
-    the normalization probe and every ladder layer of the grid, and each
-    refine pass, two at most, one more.
+    masses via the iy*G(a+iy) limit at ``atom_candidates``, and at no other
+    point.  Without candidates the atoms are the real zeros of F = 1/G: this
+    is ``measure_from_ftransform`` of 1/g, whose docstring says which light
+    atoms stay in the density.  Cells with steep density jumps (square-root
+    support edges) are locally refined so the trapezoid mass stays
+    accurate.  The result is renormalized to unit mass if the recovered
+    mass lies within 2 percent of 1.  One call of ``g`` evaluates the
+    normalization probe and every ladder layer of the grid, and each refine
+    pass, two at most, one more.
     """
     if isinstance(g, (AtomicMeasure, GridMeasure)):
         g = functools.partial(cauchy, g)
+    if atom_candidates is None:
+        def f(z):
+            # a NaN or zero G at the probe is refused there, with no warning
+            # first
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / np.asarray(g(z))
+
+        return measure_from_ftransform(f, grid, None, eps_ladder)
     grid = _inversion_grid(grid)
     first = np.asarray(g(np.concatenate(
         [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
-    return _invert(g, grid, first, atom_candidates, eps_ladder)
-
-
-def _invert(g, grid, first, atom_candidates, eps_ladder):
-    """``stieltjes_invert`` given ``first``, the values of ``g`` at i*_NORM_Y
-    followed by _ladder_points(grid, eps_ladder), which the normalization
-    check and every density pass over the grid read."""
     _require_normalized(first[0])
-    ladder = first[1:]
-    atoms = []
-    for a in atom_candidates:
-        hit = _vetted_atom(g, a, eps_ladder)
-        if hit:
-            atoms.append(hit)
-    atoms.sort()
+    return _invert(g, grid, first[1:], atom_candidates, eps_ladder)
 
+
+def _invert(g, grid, ladder, atom_candidates, eps_ladder):
+    """``stieltjes_invert`` with atoms at ``atom_candidates`` only, given
+    ``ladder``, the values of ``g`` at _ladder_points(grid, eps_ladder),
+    which the density over the grid reads."""
+    atoms = sorted(filter(None, (_vetted_atom(g, a, eps_ladder)
+                                 for a in atom_candidates)))
     density = _ladder_density(grid, ladder, atoms, eps_ladder)
-    eps_min = min(eps_ladder)
-    h = float(np.median(np.diff(grid)))
-    found = False
-    for a in _spike_candidates(grid, density, eps_min):
-        if any(abs(a - x) <= 5 * max(eps_min, h) for x, _ in atoms):
-            continue
-        a = _refine_pole(g, a, halfwidth=3 * max(eps_min, h))
-        hit = _vetted_atom(g, a, eps_ladder)
-        if hit:
-            atoms.append(hit)
-            found = True
-    if found:
-        atoms.sort()
-        density = _ladder_density(grid, ladder, atoms, eps_ladder)
-
     for _ in range(2):  # refine passes
         scale = max(np.abs(density).max(), 1e-12)
         jump = np.abs(np.diff(density))
@@ -494,9 +451,10 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     """Stieltjes inversion of 1/F for an F-transform ``f``, a vectorized
     function of a complex array.
 
-    Without ``atom_candidates`` the real zeros of F are scanned for at
-    height _SCAN_EPS.  One call of ``f`` evaluates that scan row, the
-    normalization probe and every ladder layer of the grid.
+    Without ``atom_candidates`` the atoms are the real zeros of F, scanned
+    for at height _SCAN_EPS; with them, only those points are vetted.  One
+    call of ``f`` evaluates that scan row, the normalization probe and
+    every ladder layer of the grid.  The probe is checked before the scan.
 
     An atom of mass m at a is a zero of F, |F(a + i*eps)| ~ eps/m, while
     inside the support F is far from real.  So a sign change of Re F over a
@@ -513,9 +471,8 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     eps/ATOM_THRESHOLD.  Outside the support F is nearly real.  An atom of
     mass m embedded in a density at distance d <= h/2 from an end adds
     m/d**2 to |G'|, so its cell is skipped only when m is below about
-    h |G|/4; such an atom is found as a density spike (``_spike_candidates``)
-    if the grid resolves it, and is otherwise left in the density.  Atoms
-    on grid points that make no sign change are candidates as well
+    h |G|/4, and such an atom stays in the density.  Atoms on grid points
+    that make no sign change are candidates as well
     (``_grid_atom_candidates``).
     """
     grid = _inversion_grid(grid)
@@ -523,11 +480,14 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     rows = [grid + 1j * _SCAN_EPS] if scan else []
     vals = np.asarray(f(np.concatenate(
         rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
+    n = grid.size if scan else 0
+    row, probe, ladder = vals[:n], vals[n], vals[n + 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _require_normalized(1.0 / probe)  # refuses a NaN or zero F
     if scan:
-        row, vals = vals[:grid.size], vals[grid.size:]
         k = int(np.argmin(eps_ladder))
         rise = abs(eps_ladder[k] - _SCAN_EPS)
-        change = np.abs(vals[1 + k * grid.size:1 + (k + 1) * grid.size] - row)
+        change = np.abs(ladder[k * grid.size:(k + 1) * grid.size] - row)
         reach = np.maximum(np.diff(grid), 2 * rise)
         size = rise * np.abs(row)
         far = row.imag > np.maximum(np.abs(row.real),
@@ -536,7 +496,7 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
                 & (change[1:] * reach < size[1:]))
         roots = _sign_change_roots(f, grid, row.real, _SCAN_EPS, ~skip)
         atom_candidates = roots + _grid_atom_candidates(grid, row, roots)
-    return _invert(lambda z: 1.0 / f(z), grid, 1.0 / vals, atom_candidates,
+    return _invert(lambda z: 1.0 / f(z), grid, 1.0 / ladder, atom_candidates,
                    eps_ladder)
 
 
@@ -743,6 +703,8 @@ def jacobi_recurrence(m):
     (finitely supported measure).
     """
     mom = [_to_exact(v) for v in _values(m)]
+    if not mom:
+        raise NcprobError("a recurrence needs at least one moment, got none")
     full = [Fraction(1)] + mom
     n = (len(full)) // 2  # nodes supported by available moments
     sigma_prev = [Fraction(0)] * (2 * n)

@@ -1,7 +1,7 @@
-"""The public surface: every public top-level name of the library and
-every parameter with a default and defaulted dataclass field, pinned by
-name, so that adding or removing a name or a setting shows up as an edit
-here."""
+"""The public surface: every public top-level name of the library, every
+public method of its public classes and every parameter with a default
+and defaulted dataclass field, pinned by name, so that adding or removing
+a name or a setting shows up as an edit here."""
 
 import ast
 import pathlib
@@ -15,7 +15,8 @@ SRC = pathlib.Path(ncprob.__file__).parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # "module.name" of each public top-level function, class and single-name
-# constant, in source order
+# constant, in source order, and "module.Class.method" of each public
+# method after its class
 NAMES = """
 _kernels.FLOW_OK
 _kernels.FLOW_UNDERFLOW
@@ -32,6 +33,12 @@ convolutions.boolean_divisibility_root
 convolutions.clt_iterate
 graphs.VERTEX_GUARD
 graphs.RootedGraph
+graphs.RootedGraph.n
+graphs.RootedGraph.from_edges
+graphs.RootedGraph.single_vertex
+graphs.RootedGraph.max_degree
+graphs.RootedGraph.neighbors
+graphs.RootedGraph.depths
 graphs.path_graph
 graphs.star_graph
 graphs.cycle_graph
@@ -44,11 +51,24 @@ graphs.ball
 graphs.walk_moments
 graphs.spectral_distribution
 graphs.ApproxProcess
+graphs.ApproxProcess.scaled_moments
 graphs.spidernet_bound
 graphs.approx_process
 loewner.HullCollision
 loewner.DrivingFunction
+loewner.DrivingFunction.constant
+loewner.DrivingFunction.piecewise
+loewner.DrivingFunction.sampled
+loewner.DrivingFunction.bound
+loewner.DrivingFunction.horizon
+loewner.DrivingFunction.to_json
+loewner.DrivingFunction.from_json
 loewner.HerglotzField
+loewner.HerglotzField.constant
+loewner.HerglotzField.piecewise
+loewner.HerglotzField.from_driving
+loewner.HerglotzField.atoms
+loewner.HerglotzField.is_slit
 loewner.ChainPoint
 loewner.evaluate_chain
 loewner.evaluate_chain_point
@@ -60,6 +80,7 @@ loewner.nonlinear_resolvent
 loewner.resolvent_fmap
 loewner.sle_driving
 markov.TransitionMatrix
+markov.TransitionMatrix.n
 markov.is_irreducible
 markov.period
 markov.stationary_distribution
@@ -69,8 +90,10 @@ markov.hitting_time_mc
 markov.expected_reward
 markov.mrp_value
 markov.MDPSpec
+markov.MDPSpec.n_states
 markov.mdp_value_iteration
 markov.IsingState
+markov.IsingState.random
 markov.ising_energy
 markov.magnetization
 markov.metropolis_ising
@@ -85,17 +108,79 @@ measures.NcprobError
 measures.NoConvergence
 measures.sqrt_upper
 measures.AtomicMeasure
+measures.AtomicMeasure.from_pairs
+measures.AtomicMeasure.dirac
+measures.AtomicMeasure.positions
+measures.AtomicMeasure.weights
+measures.AtomicMeasure.support_bounds
+measures.AtomicMeasure.moments
+measures.AtomicMeasure.cdf
+measures.AtomicMeasure.mass
+measures.AtomicMeasure.sample
 measures.GridMeasure
+measures.GridMeasure.density_mass
+measures.GridMeasure.atom_mass
+measures.GridMeasure.mass
+measures.GridMeasure.support_bounds
+measures.GridMeasure.moments
+measures.GridMeasure.cdf
+measures.GridMeasure.sample
 measures.MomentSequence
+measures.MomentSequence.order
+measures.MomentSequence.hankel
+measures.MomentSequence.mean
+measures.MomentSequence.floats
+measures.MomentSequence.truncate
 measures.GRID_RESOLUTION
 measures.Dirac
+measures.Dirac.moments
+measures.Dirac.to_measure
+measures.Dirac.sample
 measures.Bernoulli
+measures.Bernoulli.moments
+measures.Bernoulli.to_measure
+measures.Bernoulli.sample
 measures.Normal
+measures.Normal.moments
+measures.Normal.to_measure
+measures.Normal.sample
 measures.Arcsine
+measures.Arcsine.half_width
+measures.Arcsine.density_at
+measures.Arcsine.cdf_exact
+measures.Arcsine.cauchy
+measures.Arcsine.moments
+measures.Arcsine.to_measure
+measures.Arcsine.sample
 measures.Semicircle
+measures.Semicircle.half_width
+measures.Semicircle.density_at
+measures.Semicircle.cdf_exact
+measures.Semicircle.cauchy
+measures.Semicircle.moments
+measures.Semicircle.to_measure
+measures.Semicircle.sample
 measures.Poisson
+measures.Poisson.moments
+measures.Poisson.to_measure
+measures.Poisson.sample
 measures.MarchenkoPastur
+measures.MarchenkoPastur.edges
+measures.MarchenkoPastur.cauchy
+measures.MarchenkoPastur.atom_candidates
+measures.MarchenkoPastur.density_at
+measures.MarchenkoPastur.moments
+measures.MarchenkoPastur.to_measure
+measures.MarchenkoPastur.sample
 measures.FreeMeixner
+measures.FreeMeixner.edges
+measures.FreeMeixner.fmap
+measures.FreeMeixner.cauchy
+measures.FreeMeixner.atom_candidates
+measures.FreeMeixner.jacobi
+measures.FreeMeixner.moments
+measures.FreeMeixner.to_measure
+measures.FreeMeixner.sample
 measures.moments
 measures.levy_distance
 measures.sample
@@ -244,7 +329,8 @@ def _top_level():
 
 def names():
     """Every public top-level function, class and single-name constant
-    across src/ncprob/*.py."""
+    across src/ncprob/*.py, each public class followed by its public
+    methods."""
     out = []
     for module, node in _top_level():
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
@@ -254,8 +340,13 @@ def names():
             name = node.targets[0].id
         else:
             continue
-        if not name.startswith("_"):
-            out.append(f"{module}.{name}")
+        if name.startswith("_"):
+            continue
+        out.append(f"{module}.{name}")
+        if isinstance(node, ast.ClassDef):
+            out += [f"{module}.{name}.{item.name}" for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                    and not item.name.startswith("_")]
     return out
 
 
@@ -281,7 +372,7 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 124
+    assert len(NAMES) == 208
 
 
 def test_option_surface():
@@ -322,6 +413,11 @@ def test_option_surface():
     ("ncprob.transforms", "b_series"),
     ("ncprob.transforms", "r_series"),
     ("ncprob.measures", "Law"),
+    ("ncprob.measures.MomentSequence", "variance"),
+    ("ncprob.loewner.HerglotzField", "scaled"),
+    ("ncprob.markov.IsingState", "aligned"),
+    ("ncprob.graphs.RootedGraph", "degree"),
+    ("ncprob.graphs.RootedGraph", "check_valid"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -36,6 +36,13 @@ def random_pc_field(seed, horizon=1.0, segments=3):
     return lw.HerglotzField.piecewise(breaks, measures)
 
 
+def scaled(field, c, d):
+    """The field of the rescaled chain h_t(z) = f_{d t}(c z) / c."""
+    return lw.HerglotzField(field.tbreaks / d, field.pos / c,
+                            field.slope * (d / c), field.wts * (d / c**2),
+                            field.horizon / d)
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: the scalar per-point Dormand-Prince kernel.  The lockstep
 # ``_kernels.flow_batch`` must reproduce it bit for bit, point by point.
@@ -446,6 +453,10 @@ class TestFromDriving:
         assert_same_field(lw.HerglotzField.from_driving(driving, horizon),
                           reference_from_driving(driving, horizon))
 
+    def test_piecewise_empty_measure_list(self):
+        with pytest.raises(ms.NcprobError, match="measure list is empty"):
+            lw.HerglotzField.piecewise([0], [])
+
 
 class TestChainArguments:
     """evaluate_chain, evaluate_chain_point and inverse_flow share one check
@@ -609,7 +620,7 @@ def slit_problems(draw):
         lw.DrivingFunction.piecewise(breaks, rng.uniform(-1, 1, segments)),
         horizon)
     if draw(st.booleans()):
-        field = field.scaled(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        field = scaled(field, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
     pad = draw(st.sampled_from(["none", "slot", "segment"]))
     if pad != "none":
         pos = np.hstack([field.pos, rng.uniform(-1, 1, (segments, 1))])
@@ -729,7 +740,7 @@ class TestSlitBatch:
         "padded": lambda: lw.HerglotzField(
             [0, 0.5, 1], [[0.2, 3.0], [-0.4, 0.0]], np.zeros((2, 2)),
             [[1.0, 0.0], [0.0, 1.0]], 1.0),
-        "scaled": lambda: zero_field(2.0).scaled(2.0, 2.0),
+        "scaled": lambda: scaled(zero_field(2.0), 2.0, 2.0),
     }
     FLOWED = {
         "sampled": lambda: lw.HerglotzField.from_driving(
@@ -737,7 +748,7 @@ class TestSlitBatch:
         "two-atom": lambda: lw.HerglotzField.constant(
             ms.AtomicMeasure(((0.0, 0.5), (1.0, 0.5))), 1.0),
         "two-atom-piecewise": lambda: random_pc_field(5),
-        "scaled-two-atom": lambda: random_pc_field(5).scaled(2.0, 2.0),
+        "scaled-two-atom": lambda: scaled(random_pc_field(5), 2.0, 2.0),
     }
 
     @pytest.mark.parametrize("name", [*SLITS, *FLOWED])
@@ -818,13 +829,13 @@ class TestChainMeasure:
 class TestScaling:
     def test_identity_scaling(self):
         field = random_pc_field(2)
-        sc = field.scaled(1.0, 1.0)
+        sc = scaled(field, 1.0, 1.0)
         a = lw.evaluate_chain(field, 0, 1.0, PROBES, tol=1e-10)
         b = lw.evaluate_chain(sc, 0, 1.0, PROBES, tol=1e-10)
         assert np.abs(a - b).max() < 1e-9
 
     def test_self_similar_slit(self):
-        sc = zero_field(4.0).scaled(2.0, 4.0)
+        sc = scaled(zero_field(4.0), 2.0, 4.0)
         got = lw.evaluate_chain(sc, 0.0, 0.7, PROBES, tol=1e-10)
         want = tr.sqrt_upper(PROBES**2 - 2 * 0.7)
         assert np.abs(got - want).max() < 1e-6
@@ -832,7 +843,7 @@ class TestScaling:
     def test_general_identity(self):
         field = random_pc_field(9, horizon=2.0)
         c, d = 1.7, 0.8
-        sc = field.scaled(c, d)
+        sc = scaled(field, c, d)
         t = 0.6
         got = lw.evaluate_chain(sc, 0.0, t, PROBES, tol=1e-11)
         want = lw.evaluate_chain(field, 0.0, d * t, c * PROBES,
@@ -843,7 +854,7 @@ class TestScaling:
         # c=2, d=1: driving U/c = 1/2 at rate d/c^2 = 1/4
         field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(1.0),
                                               horizon=4.0)
-        sc = field.scaled(2.0, 1.0)
+        sc = scaled(field, 2.0, 1.0)
         pos, wts = sc.atoms(0.5)
         assert pos[0] == pytest.approx(0.5)
         assert wts.sum() == pytest.approx(0.25)

@@ -41,6 +41,7 @@ class TestTransitionMatrix:
         ([[1.0, 0.5], [math.nan, 0.5]], "entries must lie in"),
         ([[1.5, 0.5], [-0.5, 0.5]], "entries must lie in"),
         ([[0.5, 0.5], [0.2, 0.2]], "columns must sum to 1"),
+        (np.zeros((0, 0)), "at least one state"),
     ])
     def test_bad_entries_refused(self, p, message):
         # NaN fails every comparison, so it must fail the checks too
@@ -168,6 +169,12 @@ class TestStationary:
     def test_nonpositive_episodes_raises(self, episodes):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ms.NcprobError, match="episodes must be positive"):
+            mk.hitting_time_mc(p, 0, episodes, seed=4)
+
+    @pytest.mark.parametrize("episodes", [1.5, 2.0, "3"])
+    def test_non_int_episodes_refused(self, episodes):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ms.NcprobError, match="positive and an int"):
             mk.hitting_time_mc(p, 0, episodes, seed=4)
 
 
@@ -481,7 +488,7 @@ class TestIsing:
         assert np.array_equal(out.spins[0, :], st0.spins[0, :])
 
     def test_zero_temperature_alignment(self):
-        st0 = mk.IsingState.aligned((6, 6), beta=60.0, field=0.3)
+        st0 = mk.IsingState(np.ones((6, 6)), beta=60.0, field=0.3)
         out = mk.metropolis_ising(st0, 50_000, seed=3)
         assert np.all(out.spins == 1)
         assert mk.magnetization(out) == 1.0
@@ -527,13 +534,13 @@ class TestIsing:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             runs = [mk.metropolis_ising(
-                mk.IsingState.aligned((4, 4), beta=1.0, coupling=j),
+                mk.IsingState(np.ones((4, 4)), beta=1.0, coupling=j),
                 2000, seed=1) for j in (100, 100.0)]
         assert np.array_equal(runs[0].spins, runs[1].spins)
         assert mk.magnetization(runs[0]) == 1.0
 
     @pytest.mark.parametrize("sampler", [
-        lambda: mk.metropolis_ising(mk.IsingState.aligned((2, 2)), 10,
+        lambda: mk.metropolis_ising(mk.IsingState(np.ones((2, 2))), 10,
                                     seed=1, chunk=0),
         lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 10,
                                         seed=1, chunk=0),
@@ -545,7 +552,7 @@ class TestIsing:
             sampler()
 
     def test_negative_steps_rejected(self):
-        state = mk.IsingState.aligned((2, 2))
+        state = mk.IsingState(np.ones((2, 2)))
         with pytest.raises(ms.NcprobError, match="steps must be >= 0"):
             mk.metropolis_ising(state, -5, seed=1)
         assert np.array_equal(mk.metropolis_ising(state, 0, seed=1).spins,
@@ -564,7 +571,7 @@ class TestIsing:
     def test_bad_parameters_rejected(self, params):
         with pytest.raises(ms.NcprobError,
                            match="need 0 < J < inf, 0 <= B < inf, beta > 0"):
-            mk.IsingState.aligned((2, 2), **params)
+            mk.IsingState(np.ones((2, 2)), **params)
 
     def test_zero_temperature_runs(self):
         # beta = inf accepts only moves that do not raise the energy

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -106,6 +107,16 @@ class TestNormalization:
                            match="not a probability Cauchy transform"):
             tr.stieltjes_invert(g, np.linspace(-1, 1, 11))
 
+    @pytest.mark.parametrize("entry, cands", [
+        (tr.stieltjes_invert, []), (tr.stieltjes_invert, None),
+        (tr.measure_from_ftransform, []), (tr.measure_from_ftransform, None)])
+    def test_rejects_nan(self, entry, cands):
+        # NaN fails every comparison, so the probe check must refuse it
+        # rather than let it through to a "recovered mass" of 0
+        nan_map = lambda z: np.full(np.shape(z), complex(math.nan, math.nan))
+        with pytest.raises(ms.NcprobError, match=r"iy\*G\(iy\) = nan"):
+            entry(nan_map, np.linspace(-1, 1, 11), cands)
+
 
 class TestStieltjesInversion:
     def test_dirac_atom(self):
@@ -164,7 +175,8 @@ class TestStieltjesInversion:
             tr.stieltjes_invert(g, np.linspace(-1, 1, 51))
 
     def test_atom_autodetection(self):
-        # no candidates supplied: the spike probe must find the atoms
+        # no candidates supplied: the atom is a real zero of F = 1/G, which
+        # the scan finds
         def gm(z):
             return 0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2 + 0.3 / (z - 3.0)
 
@@ -194,7 +206,7 @@ class TestStieltjesInversion:
         assert np.abs(m.floats() - want.floats()).max() < 2e-3
 
 
-# reference: the sequential bisection loops, one evaluation per step.  The
+# reference: the sequential bisection loop, one evaluation per step.  The
 # bracketed root search must find the same roots to 1e-10 * max(1, |x|)
 # wherever a bracket holds one zero, in at most 1 + 7 calls.
 
@@ -215,22 +227,6 @@ def reference_scan_real_zeros(f, grid, eps=1e-6, refine=40):
                 lo, flo = mid, fm
         roots.append(0.5 * (lo + hi))
     return roots
-
-
-def reference_refine_pole(g, a, halfwidth, eps=1e-7, iters=50):
-    lo, hi = a - halfwidth, a + halfwidth
-    flo = np.asarray(g(np.array([lo + 1j * eps])))[0].real
-    fhi = np.asarray(g(np.array([hi + 1j * eps])))[0].real
-    if flo * fhi >= 0:
-        return a
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(g(np.array([mid + 1j * eps])))[0].real
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def reciprocal(f):
@@ -305,12 +301,6 @@ class TestTreeBisection:
         want = reference_scan_real_zeros(f, grid)
         assert len(got) == len(want) == 1 and close(got[0], want[0])
         assert type(got[0]) is np.float64
-        g = reciprocal(f)
-        a = round(float(got[0]), 2)
-        counted = Counted(g)
-        pole = tr._refine_pole(counted, a, halfwidth=0.02)
-        assert pole != a and counted.calls <= 1 + 7
-        assert close(pole, reference_refine_pole(g, a, 0.02, iters=50))
 
     @pytest.mark.parametrize("u", [0.023648, -0.3, 0.2])
     def test_slit_chain_roots(self, u):
@@ -342,23 +332,6 @@ class TestTreeBisection:
             assert grid[i - 1] <= x <= grid[i] and is_root(f, x, 1e-6)
             if holds_one(changes, grid[i - 1], grid[i]):
                 assert close(x, w)
-
-    @given(seed=st.integers(0, 10_000), shift=st.floats(-0.01, 0.01))
-    @settings(max_examples=60, deadline=None)
-    def test_refine_pole_cauchy(self, seed, shift):
-        mu = random_atomic(seed)
-        g = partial(tr.cauchy, mu)
-        a = float(mu.atoms[0][0]) + shift
-        counted = Counted(g)
-        got = tr._refine_pole(counted, a, halfwidth=0.02)
-        assert counted.calls <= 1 + 7
-        want = reference_refine_pole(g, a, 0.02, iters=50)
-        if want == a:  # no sign change across the bracket
-            assert got == a
-            return
-        assert a - 0.02 <= got <= a + 0.02 and is_root(g, got, 1e-7)
-        if holds_one(atomic_sign_changes(mu), a - 0.02, a + 0.02):
-            assert close(got, want)
 
     @given(inner=st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0,
                                            math.nan]),
@@ -425,10 +398,6 @@ class TestTreeBisection:
                                          refine=refine)
         assert len(got) == 1
         assert abs(got[0] - want[0]) <= 0.5 ** (refine + 1)
-        g = lambda z: 1.0 / (z - root)
-        got = tr._refine_pole(g, 0.5, 0.25)
-        want = reference_refine_pole(g, 0.5, 0.25, iters=refine)
-        assert abs(got - want) <= 0.5 ** (refine + 2)
 
     @pytest.mark.parametrize("seed", STEP_COUNTS)
     def test_one_call_per_tree_level_block(self, seed):
@@ -446,22 +415,21 @@ class TestTreeBisection:
             assert tr.scan_real_zeros(one, grid[i - 1:i + 1]) == [x]
             alone.append(one.calls)
         assert counted.calls == max(alone) <= 1 + 7
-        g = Counted(partial(tr.cauchy, random_atomic(seed)))
-        a = float(random_atomic(seed).atoms[0][0])
-        tr._refine_pole(g, a, halfwidth=0.02)
-        assert g.calls <= 1 + 7
 
 
 # reference: the inversion with one call of the map per eps layer, a
 # separate call for the normalization probe and, in
 # reference_measure_from_ftransform, a separate scan row.  The shared-call
 # inversion must return the same grid, density and atoms bit for bit.
+# Without candidates, the atoms of G are the real zeros of 1/G.
 
-def reference_stieltjes_invert(g, grid, atom_candidates=(),
-                               eps_ladder=tr.DEFAULT_EPS_LADDER,
-                               refine_passes=2, auto_atoms=True):
+def reference_stieltjes_invert(g, grid, atom_candidates=None,
+                               eps_ladder=tr.DEFAULT_EPS_LADDER):
     if isinstance(g, (ms.AtomicMeasure, ms.GridMeasure)):
         g = partial(tr.cauchy, g)
+    if atom_candidates is None:
+        return reference_measure_from_ftransform(reciprocal(g), grid, None,
+                                                 eps_ladder)
     grid = np.asarray(grid, dtype=float)
     tr.check_cauchy_normalization(g)
 
@@ -482,23 +450,7 @@ def reference_stieltjes_invert(g, grid, atom_candidates=(),
         return tr.extrapolate_to_zero(eps_ladder, layers)
 
     density = density_at(grid)
-    if auto_atoms:
-        eps_min = min(eps_ladder)
-        h = float(np.median(np.diff(grid)))
-        found = False
-        for a in tr._spike_candidates(grid, density, eps_min):
-            if any(abs(a - x) <= 5 * max(eps_min, h) for x, _ in atoms):
-                continue
-            a = tr._refine_pole(g, a, halfwidth=3 * max(eps_min, h))
-            hit = tr._vetted_atom(g, a, eps_ladder)
-            if hit:
-                atoms.append(hit)
-                found = True
-        if found:
-            atoms.sort()
-            density = density_at(grid)
-
-    for _ in range(refine_passes):
+    for _ in range(2):  # refine passes
         scale = max(np.abs(density).max(), 1e-12)
         jump = np.abs(np.diff(density))
         flagged = np.nonzero(jump > 0.2 * scale)[0]
@@ -641,9 +593,8 @@ class TestSharedCallInversion:
         assert isinstance(got[0], bytes)
         assert got == outcome(reference_stieltjes_invert, g, grid, candidates)
 
-    def test_spike_autodetection(self):
-        # an atom found from a density spike: the grid's density is redone
-        # from the same ladder values with the atom's terms removed
+    def test_atom_autodetection(self):
+        # no candidates: the atom is found by the real-zero scan of 1/G
         g = lambda z: (0.7 * (z - tr.sqrt_upper(z * z - 4)) / 2
                        + 0.3 / (z - 3.0))
         grid = np.linspace(-2.4, 3.6, 601)
@@ -851,6 +802,19 @@ class TestFlowCalls:
         # only inside the support, where F is far from zero, so the
         # real-zero search and the atom vetting make no call
         assert sizes == [201 + 1 + 3 * 201, 3 * 42, 3 * 42]
+
+    def test_sle_vetoed_root(self, tmp_path, monkeypatch):
+        # one sign change of Re F is searched (63 and 17 points) and its
+        # root vetted (6 points) and refused; then the two refine passes.
+        # The digest pins the output files.
+        sizes = self.run(tmp_path, monkeypatch,
+                         lw.sle_driving(2.0, 1.0, 1e-2, seed=1), 201)
+        assert sizes == [201 + 1 + 3 * 201, 63, 17, 6, 3 * 77, 3 * 91]
+        digest = hashlib.sha256()
+        for name in ("chain.csv", "chain.json"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == (
+            "5e131c5b748a51c10595f2f773ac920a2aa4f2743e37d501f7b39f634aee8669")
 
     def test_readme_slit(self, tmp_path, monkeypatch):
         driving = lw.DrivingFunction.constant(0.023648)
@@ -1248,7 +1212,7 @@ class TestSeriesTransforms:
         mu = ms.AtomicMeasure(((-2, Fraction(1, 3)), (1, Fraction(2, 3))))
         m = mu.moments(6)
         f = tr.f_series(m)
-        assert f[2] == -m.variance()
+        assert f[2] == -(m[2] - m[1] ** 2)
 
     @settings(max_examples=60, deadline=None)
     @given(EXACT_MIX_SEQ)
@@ -1345,6 +1309,12 @@ class TestQuadrature:
         quad = tr.moment_quadrature(m)
         back = quad.moments(9)
         assert np.abs(back.floats() - m.floats()).max() < 1e-9
+
+    @pytest.mark.parametrize("fn", [tr.jacobi_recurrence,
+                                    tr.moment_quadrature])
+    def test_no_moments_refused(self, fn):
+        with pytest.raises(ms.NcprobError, match="at least one moment"):
+            fn([])
 
     def test_point_mass_rank_drop(self):
         quad = tr.moment_quadrature(ms.Dirac(2).moments(8))
