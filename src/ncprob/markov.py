@@ -186,7 +186,8 @@ def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
     An array ``p`` is checked as a ``TransitionMatrix``.  Raises
     NcprobError when ``state`` is transient: the chain might never return.
     """
-    if not (isinstance(episodes, (int, np.integer)) and episodes > 0):
+    if not (isinstance(episodes, (int, np.integer))
+            and not isinstance(episodes, bool) and episodes > 0):
         raise NcprobError(
             f"episodes must be positive and an int, got {episodes!r}")
     m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
@@ -385,8 +386,9 @@ def metropolis_ising(state, steps, seed, chunk=1 << 20):
     """
     if state.spins.size > 1 << 30:
         raise NcprobError("lattice too large")
-    if steps < 0:
-        raise NcprobError(f"steps must be >= 0, got {steps}")
+    if not (isinstance(steps, (int, np.integer))
+            and not isinstance(steps, bool) and steps >= 0):
+        raise NcprobError(f"steps must be >= 0 and an int, got {steps!r}")
     h, w = state.spins.shape
     stride = w + 2
     padded = np.zeros((h + 2, stride), dtype=np.int64)

@@ -3,11 +3,12 @@
 Three canonical representations: purely atomic measures, gridded densities
 with optional atoms, and truncated moment sequences.  Named laws (point
 masses, two-point laws, normal, arcsine, semicircle, Poisson,
-Marchenko-Pastur, free Meixner) provide exact moments, grid realizations,
-and seeded samplers.  The four laws with an interval of support (arcsine,
-semicircle, Marchenko-Pastur, free Meixner) also own their closed forms:
-``edges()`` of that interval, the Cauchy transform ``cauchy(z)`` and the
-points that may carry an atom, ``atom_candidates()``.
+Marchenko-Pastur, free Meixner) provide grid realizations, seeded samplers
+and exact moments, which one weighted Motzkin-path count takes from the
+law's Jacobi parameters.  The four laws with an interval of support
+(arcsine, semicircle, Marchenko-Pastur, free Meixner) also own their closed
+forms: ``edges()`` of that interval, the Cauchy transform ``cauchy(z)`` and
+the points that may carry an atom, ``atom_candidates()``.
 """
 
 import json
@@ -89,7 +90,7 @@ class AtomicMeasure:
 
     def moments(self, order):
         """Exact raw moments m_1..m_order (Fractions stay Fractions)."""
-        _check_order(order)
+        _check_count(order, "moment order")
         out = []
         for k in range(1, order + 1):
             out.append(sum(w * x**k for x, w in self.atoms))
@@ -157,7 +158,7 @@ class GridMeasure:
 
     def moments(self, order):
         """Raw moments by trapezoid quadrature plus exact atom sums."""
-        _check_order(order)
+        _check_count(order, "moment order")
         out = []
         for k in range(1, order + 1):
             m = np.trapezoid(self.grid**k * self.density, self.grid)
@@ -241,15 +242,15 @@ class MomentSequence:
         return np.array([float(v) for v in self.values])
 
     def truncate(self, order):
-        _check_order(order)
+        _check_count(order, "moment order")
         if order > self.order:
             raise NcprobError("cannot extend a moment sequence")
         return MomentSequence(self.values[:order])
 
 
-def _check_order(order):
-    if order < 1:
-        raise NcprobError("moment order must be >= 1")
+def _check_count(n, what):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise NcprobError(f"{what} must be >= 1 and an int, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +265,12 @@ _PAD = 1e-9
 class Dirac:
     c: float = 0.0
 
+    def __post_init__(self):
+        if not -math.inf < self.c < math.inf:
+            raise NcprobError(f"Dirac point c must be finite, got {self.c!r}")
+
     def moments(self, order):
-        _check_order(order)
-        return MomentSequence(tuple(self.c**k for k in range(1, order + 1)))
+        return _jacobi_moments(lambda j: self.c, lambda j: 0, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         return AtomicMeasure.dirac(self.c)
@@ -286,11 +290,9 @@ class Bernoulli:
             raise NcprobError("Bernoulli parameter must satisfy 0 < p < 1")
 
     def moments(self, order):
-        _check_order(order)
-        q = 1 - self.p
-        return MomentSequence(
-            tuple(self.p + ((-1) ** k) * q for k in range(1, order + 1))
-        )
+        d = 2 * self.p - 1
+        return _jacobi_moments(lambda j: -d if j else d,
+                               lambda j: 1 - d * d if j == 1 else 0, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         return AtomicMeasure(((-1, 1 - self.p), (1, self.p)))
@@ -306,42 +308,44 @@ class Normal:
     var: float = 1.0
 
     def __post_init__(self):
-        if self.var < 0:
-            raise NcprobError("variance must be >= 0")
+        if not (-math.inf < self.mean < math.inf and 0 <= self.var < math.inf):
+            raise NcprobError("Normal needs a finite mean and 0 <= var < inf,"
+                              f" got mean={self.mean!r}, var={self.var!r}")
 
     def moments(self, order):
-        _check_order(order)
-        central = [0] * (order + 1)
-        central[0] = 1
-        for k in range(2, order + 1, 2):
-            central[k] = _double_factorial(k - 1) * self.var ** (k // 2)
-        return MomentSequence(tuple(_shift_moments(central, self.mean)[1:]))
+        return _jacobi_moments(lambda j: self.mean, lambda j: j * self.var,
+                               order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
-        sd = math.sqrt(self.var)
-        grid = np.linspace(self.mean - 8.0 * sd, self.mean + 8.0 * sd,
-                           resolution)
-        dens = np.exp(-((grid - self.mean) ** 2) / (2 * self.var))
-        dens /= math.sqrt(2 * math.pi * self.var)
+        if self.var == 0:
+            raise NcprobError("Normal with variance 0 has no density")
+        m, v = float(self.mean), float(self.var)
+        sd = math.sqrt(v)
+        grid = np.linspace(m - 8.0 * sd, m + 8.0 * sd, resolution)
+        dens = np.exp(-((grid - m) ** 2) / (2 * v))
+        dens /= math.sqrt(2 * math.pi * v)
         dens /= np.trapezoid(dens, grid)
         return GridMeasure(grid, dens)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
-        return self.mean + math.sqrt(self.var) * rng.standard_normal(n)
+        return float(self.mean) + math.sqrt(self.var) * rng.standard_normal(n)
 
 
 @dataclass(frozen=True)
 class _SymmetricLaw:
     """A law with the given mean and variance on [mean - r, mean + r],
-    r = half_width()."""
+    r = half_width().  Its numerical methods work in floats: numpy makes an
+    array minus an exact parameter an object array."""
 
     mean: float = 0.0
     var: float = 1.0
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise NcprobError("variance must be positive")
+        if not (-math.inf < self.mean < math.inf and 0 < self.var < math.inf):
+            raise NcprobError(f"{type(self).__name__} needs a finite mean and "
+                              "0 < var < inf, got "
+                              f"mean={self.mean!r}, var={self.var!r}")
 
     def edges(self):
         r = self.half_width()
@@ -361,28 +365,23 @@ class Arcsine(_SymmetricLaw):
 
     def density_at(self, x):
         x = np.asarray(x, dtype=float)
-        u = 2 * self.var - (x - self.mean) ** 2
+        u = 2 * float(self.var) - (x - float(self.mean)) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(u > 0, 1.0 / (math.pi * np.sqrt(np.abs(u))), 0.0)
         return d
 
     def cdf_exact(self, x):
         r = self.half_width()
-        t = np.clip((np.asarray(x, dtype=float) - self.mean) / r, -1, 1)
+        t = np.clip((np.asarray(x, dtype=float) - float(self.mean)) / r, -1, 1)
         return 0.5 + np.arcsin(t) / math.pi
 
     def cauchy(self, z):
         return 1.0 / sqrt_upper((z - self.mean) ** 2 - 2 * self.var)
 
     def moments(self, order):
-        _check_order(order)
-        central = [0] * (order + 1)
-        central[0] = 1
-        for k in range(2, order + 1, 2):
-            j = k // 2
-            central[k] = (Fraction(math.comb(k, j), 2**j)
-                          * _exactify(self.var) ** j)
-        return MomentSequence(tuple(_shift_moments(central, self.mean)[1:]))
+        return _jacobi_moments(
+            lambda j: self.mean,
+            lambda j: self.var if j == 1 else Fraction(1, 2) * self.var, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         return _grid_from_edge_singular_law(self, resolution)
@@ -390,7 +389,7 @@ class Arcsine(_SymmetricLaw):
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
         theta = math.pi * (rng.random(n) - 0.5)
-        return self.mean + self.half_width() * np.sin(theta)
+        return float(self.mean) + self.half_width() * np.sin(theta)
 
 
 @dataclass(frozen=True)
@@ -400,27 +399,21 @@ class Semicircle(_SymmetricLaw):
 
     def density_at(self, x):
         x = np.asarray(x, dtype=float)
-        u = 4 * self.var - (x - self.mean) ** 2
+        u = 4 * float(self.var) - (x - float(self.mean)) ** 2
         return np.where(u > 0, np.sqrt(np.clip(u, 0, None))
                         / (2 * math.pi * self.var), 0.0)
 
     def cdf_exact(self, x):
         r = self.half_width()
-        t = np.clip((np.asarray(x, dtype=float) - self.mean) / r, -1, 1)
+        t = np.clip((np.asarray(x, dtype=float) - float(self.mean)) / r, -1, 1)
         return 0.5 + (t * np.sqrt(1 - t**2) + np.arcsin(t)) / math.pi
 
     def cauchy(self, z):
-        return (z - self.mean - sqrt_upper((z - self.mean) ** 2 - 4 * self.var)
-                ) / (2 * self.var)
+        m, v = float(self.mean), float(self.var)
+        return (z - m - sqrt_upper((z - m) ** 2 - 4 * v)) / (2 * v)
 
     def moments(self, order):
-        _check_order(order)
-        central = [0] * (order + 1)
-        central[0] = 1
-        for k in range(2, order + 1, 2):
-            j = k // 2
-            central[k] = _catalan(j) * _exactify(self.var) ** j
-        return MomentSequence(tuple(_shift_moments(central, self.mean)[1:]))
+        return _jacobi_moments(lambda j: self.mean, lambda j: self.var, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         lo, hi = self.edges()
@@ -432,7 +425,7 @@ class Semicircle(_SymmetricLaw):
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
         b = rng.beta(1.5, 1.5, size=n)
-        return self.mean + self.half_width() * (2 * b - 1)
+        return float(self.mean) + self.half_width() * (2 * b - 1)
 
 
 @dataclass(frozen=True)
@@ -440,28 +433,24 @@ class Poisson:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise NcprobError("Poisson rate must be positive")
+        if not (self.lam > 0 and self.lam < math.inf):
+            raise NcprobError(
+                f"Poisson rate must be positive and finite, got {self.lam!r}")
 
     def moments(self, order):
-        _check_order(order)
-        lam = _exactify(self.lam)
-        out = []
-        for k in range(1, order + 1):
-            out.append(sum(_stirling2(k, j) * lam**j for j in range(1, k + 1)))
-        return MomentSequence(tuple(out))
+        return _jacobi_moments(lambda j: j + self.lam, lambda j: j * self.lam,
+                               order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
-        lam = self.lam
-        w, atoms, k = 1.0, [], 0
-        pk = math.exp(-lam)
+        atoms, k = [], 0
+        pk = math.exp(-self.lam)
         acc = 0.0
         while acc < 1 - 1e-15 and k < 10_000:
             if pk > 0:
                 atoms.append((k, pk))
             acc += pk
             k += 1
-            pk *= lam / k
+            pk *= self.lam / k
         return AtomicMeasure.from_pairs(atoms, renormalize=True)
 
     def sample(self, n, seed):
@@ -476,15 +465,16 @@ class MarchenkoPastur:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise NcprobError("Marchenko-Pastur parameter must be positive")
+        if not (self.c > 0 and self.c < math.inf):
+            raise NcprobError("Marchenko-Pastur parameter must be positive "
+                              f"and finite, got c={self.c!r}")
 
     def edges(self):
         s = math.sqrt(self.c)
         return (1 - s) ** 2, (1 + s) ** 2
 
     def cauchy(self, z):
-        c = self.c
+        c = float(self.c)
         return (z + 1 - c - sqrt_upper(c**2 - 2 * c * (z + 1) + (z - 1) ** 2)
                 ) / (2 * z)
 
@@ -501,12 +491,8 @@ class MarchenkoPastur:
         return d
 
     def moments(self, order):
-        _check_order(order)
-        c = _exactify(self.c)
-        out = []
-        for k in range(1, order + 1):
-            out.append(sum(_narayana(k, j) * c**j for j in range(1, k + 1)))
-        return MomentSequence(tuple(out))
+        return _jacobi_moments(lambda j: self.c + 1 if j else self.c,
+                               lambda j: self.c, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         lo, hi = self.edges()
@@ -538,8 +524,10 @@ class FreeMeixner:
     u: int = 0
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise NcprobError("free Meixner needs a > 0 and c > 0")
+        if not (0 < self.a < math.inf and 0 < self.c < math.inf
+                and -math.inf < self.u < math.inf):
+            raise NcprobError("free Meixner needs a > 0 and c > 0, all finite,"
+                              f" got (a, c, u) = {(self.a, self.c, self.u)!r}")
 
     def edges(self):
         r = 2 * math.sqrt(self.c)
@@ -551,35 +539,30 @@ class FreeMeixner:
         Continued-fraction tail w solves c*w^2 - (z-u)*w + 1 = 0 with w ~ 1/z;
         then F(z) = z - a*w(z).  For a = 2c this is sqrt((z-u)^2 - 4c) + u.
         """
+        a, c, u = float(self.a), float(self.c), float(self.u)
         z = np.asarray(z, dtype=complex)
-        s = sqrt_upper((z - self.u) ** 2 - 4 * self.c)
-        w = ((z - self.u) - s) / (2 * self.c)
-        return z - self.a * w
+        s = sqrt_upper((z - u) ** 2 - 4 * c)
+        w = ((z - u) - s) / (2 * c)
+        return z - a * w
 
     def cauchy(self, z):
         return 1.0 / self.fmap(z)
 
     def atom_candidates(self):
         # real solutions of z - a*w(z) = 0 via the quadratic for w = z/a
-        a, c, u = self.a, self.c, self.u
-        aa = Fraction(c - a, a * a) if all(isinstance(t, int) for t in (a, c)) \
-            else (c - a) / a**2
-        bb = Fraction(u, a) if isinstance(u, int) else u / a
-        disc = float(bb) ** 2 - 4 * float(aa)
-        if disc < 0 or aa == 0:
+        a, c, u = float(self.a), float(self.c), float(self.u)
+        aa, bb = (c - a) / a**2, u / a
+        if aa == 0:  # a = c: the equation is linear
+            return [-1 / bb] if bb else []
+        disc = bb**2 - 4 * aa
+        if disc < 0:
             return []
         r = math.sqrt(disc)
-        return [(-float(bb) + s * r) / (2 * float(aa)) for s in (1, -1)]
-
-    def jacobi(self, depth):
-        alpha = [0] + [self.u] * depth
-        beta = [self.a] + [self.c] * depth
-        return alpha, beta
+        return [(-bb + s * r) / (2 * aa) for s in (1, -1)]
 
     def moments(self, order):
-        _check_order(order)
-        alpha, beta = self.jacobi(order)
-        return MomentSequence(tuple(_motzkin_moments(alpha, beta, order)[1:]))
+        return _jacobi_moments(lambda j: self.u if j else 0,
+                               lambda j: self.c if j > 1 else self.a, order)
 
     def to_measure(self, resolution=GRID_RESOLUTION):
         # realization goes through Stieltjes inversion; transforms imports
@@ -601,74 +584,32 @@ class FreeMeixner:
 # law helpers
 # ---------------------------------------------------------------------------
 
-def _exactify(x):
-    """Use exact arithmetic when a parameter is an exact number."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
-    return x
-
-
-def _double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
-def _catalan(j):
-    return Fraction(math.comb(2 * j, j), j + 1)
-
-
-def _narayana(k, j):
-    return Fraction(math.comb(k, j) * math.comb(k, j - 1), k)
-
-
-def _stirling2(k, j):
-    acc = Fraction(0)
-    for i in range(j + 1):
-        acc += Fraction((-1) ** (j - i) * math.comb(j, i) * i**k)
-    return acc / math.factorial(j)
-
-
-def _shift_moments(central, mean):
-    """Raw moments of X + mean from raw moments of X (index 0 .. K)."""
-    if mean == 0:
-        return central
-    mean = _exactify(mean)
-    k_max = len(central) - 1
+def _jacobi_moments(alpha, beta, order):
+    """Moments m_1..m_order of the law with Jacobi parameters alpha(j),
+    j >= 0, and beta(j), j >= 1, by Flajolet's count: m_k is the total
+    weight of the k-step Motzkin paths from level 0 back to 0 in which an
+    up-step weighs 1, a flat step at level j alpha_j and a down-step from
+    level j beta_j.  Exact or whole parameters give exact moments."""
+    _check_count(order, "moment order")
+    top = order // 2  # a path above this level cannot return in time
+    a = [alpha(j) for j in range(top + 1)]
+    b = [beta(j) for j in range(1, top + 2)]
+    exact = all(isinstance(x, numbers.Rational) or float(x).is_integer()
+                for x in a + b)
+    if exact:
+        # a k-step path has f flat and d down-steps, f + 2d = k, so alpha*D
+        # and beta*D^2 weigh it D^k more: D clears denominators, ints count
+        grade = math.lcm(*(Fraction(x).denominator for x in a + b))
+        a = [int(Fraction(x) * grade) for x in a]
+        b = [int(Fraction(x) * grade**2) for x in b]
+    # w[j]: weight of the paths so far ending at level j (w[-1] = w[top+1] = 0)
+    w = [1] + [0] * (top + 1)
     out = []
-    for k in range(k_max + 1):
-        out.append(sum(math.comb(k, j) * central[j] * mean ** (k - j)
-                       for j in range(k + 1)))
-    return out
-
-
-def _motzkin_moments(alpha, beta, order):
-    """Moments of the Jacobi matrix with monic recurrence data (alpha, beta).
-
-    Weighted Motzkin-path count: level-j flats weigh alpha[j], down-steps
-    from level j weigh beta[j-1].  Exact for exact inputs.
-    """
-    levels = order // 2 + 1
-    state = [0] * (levels + 1)
-    state[0] = 1
-    out = [1]
-    for _ in range(order):
-        new = [0] * (levels + 1)
-        for j, v in enumerate(state):
-            if v == 0:
-                continue
-            new[j] += v * alpha[j]
-            if j + 1 <= levels:
-                new[j + 1] += v
-            if j >= 1:
-                new[j - 1] += v * beta[j - 1]
-        state = new
-        out.append(state[0])
-    return out
+    for k in range(1, order + 1):
+        w = [w[j - 1] + a[j] * w[j] + b[j] * w[j + 1]
+             for j in range(top + 1)] + [0]
+        out.append(Fraction(w[0], grade**k) if exact else w[0])
+    return MomentSequence(tuple(out))
 
 
 def _grid_from_edge_singular_law(law, resolution):
@@ -747,8 +688,7 @@ def _breakpoints(m):
 
 def sample(law, n, seed):
     """Draw n samples; deterministic for a given seed."""
-    if n < 1:
-        raise NcprobError("sample count must be >= 1")
+    _check_count(n, "sample count")
     return law.sample(n, seed)
 
 

@@ -177,7 +177,6 @@ measures.FreeMeixner.edges
 measures.FreeMeixner.fmap
 measures.FreeMeixner.cauchy
 measures.FreeMeixner.atom_candidates
-measures.FreeMeixner.jacobi
 measures.FreeMeixner.moments
 measures.FreeMeixner.to_measure
 measures.FreeMeixner.sample
@@ -372,7 +371,7 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 208
+    assert len(NAMES) == 207
 
 
 def test_option_surface():
@@ -418,6 +417,7 @@ def test_option_surface():
     ("ncprob.markov.IsingState", "aligned"),
     ("ncprob.graphs.RootedGraph", "degree"),
     ("ncprob.graphs.RootedGraph", "check_valid"),
+    ("ncprob.measures.FreeMeixner", "jacobi"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -177,6 +177,13 @@ class TestStationary:
         with pytest.raises(ms.NcprobError, match="positive and an int"):
             mk.hitting_time_mc(p, 0, episodes, seed=4)
 
+    def test_bool_episodes_refused_numpy_int_taken(self):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ms.NcprobError, match="positive and an int"):
+            mk.hitting_time_mc(p, 0, True, seed=4)
+        assert (mk.hitting_time_mc(p, 0, np.int64(3), seed=4)
+                == mk.hitting_time_mc(p, 0, 3, seed=4))
+
 
 class TestIrreducibilityPeriod:
     def test_two_cycle(self):
@@ -557,6 +564,19 @@ class TestIsing:
             mk.metropolis_ising(state, -5, seed=1)
         assert np.array_equal(mk.metropolis_ising(state, 0, seed=1).spins,
                               state.spins)
+
+    @pytest.mark.parametrize("steps", [1.5, 0.5, True, "3"])
+    def test_non_int_steps_rejected(self, steps):
+        state = mk.IsingState.random((4, 4), seed=2)
+        with pytest.raises(ms.NcprobError, match="steps must be >= 0 and an "
+                                                 "int"):
+            mk.metropolis_ising(state, steps, seed=1)
+
+    def test_numpy_int_steps_taken(self):
+        state = mk.IsingState.random((4, 4), seed=2)
+        assert np.array_equal(
+            mk.metropolis_ising(state, np.int64(20), seed=1).spins,
+            mk.metropolis_ising(state, 20, seed=1).spins)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4,)])
     def test_empty_or_flat_lattice_rejected(self, shape):

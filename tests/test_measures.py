@@ -126,6 +126,114 @@ class TestMoments:
         assert abs(float(semi.moments(4)[4]) - 2) < 1e-4
 
 
+def catalan(j):
+    return math.comb(2 * j, j) // (j + 1)
+
+
+def narayana(k, j):
+    return math.comb(k, j) * math.comb(k, j - 1) // k
+
+
+def stirling2(k, j):
+    return sum((-1) ** (j - i) * math.comb(j, i) * i**k
+               for i in range(j + 1)) // math.factorial(j)
+
+
+def odd_double_factorial(k):
+    """(k - 1)!! for even k."""
+    return math.prod(range(1, k, 2))
+
+
+def shifted(central, mean, order):
+    """Raw moments m_1..m_order of X + mean from central(k) = E[X^k]."""
+    return [sum(math.comb(k, i) * central(i) * mean ** (k - i)
+                for i in range(k + 1)) for k in range(1, order + 1)]
+
+
+def even(f):
+    """central(k): f(k // 2) for even k, 0 for odd k."""
+    return lambda k: f(k // 2) if k % 2 == 0 else 0
+
+
+def marchenko_pastur(c, k):
+    """m_k of the free Poisson law of rate c, a Narayana polynomial."""
+    return sum(narayana(k, j) * c**j for j in range(1, k + 1)) if k else 1
+
+
+EXACT = st.one_of(st.integers(-3, 3),
+                  st.fractions(-3, 3, max_denominator=6))
+POSITIVE = st.one_of(st.integers(1, 3),
+                     st.fractions(Fraction(1, 6), 3, max_denominator=6))
+PROBABILITY = st.fractions(Fraction(1, 12), Fraction(11, 12),
+                           max_denominator=12)
+
+# law, parameter strategies, closed-form raw moments m_1..m_K
+CLOSED_FORMS = {
+    "dirac": (ms.Dirac, (EXACT,),
+              lambda c, K: [c**k for k in range(1, K + 1)]),
+    "bernoulli": (ms.Bernoulli, (PROBABILITY,),
+                  lambda p, K: [p + (-1) ** k * (1 - p)
+                                for k in range(1, K + 1)]),
+    "normal": (ms.Normal, (EXACT, POSITIVE), lambda m, v, K: shifted(
+        even(lambda j: odd_double_factorial(2 * j) * v**j), m, K)),
+    "arcsine": (ms.Arcsine, (EXACT, POSITIVE), lambda m, v, K: shifted(
+        even(lambda j: Fraction(math.comb(2 * j, j), 2**j) * v**j), m, K)),
+    "semicircle": (ms.Semicircle, (EXACT, POSITIVE), lambda m, v, K: shifted(
+        even(lambda j: catalan(j) * v**j), m, K)),
+    "poisson": (ms.Poisson, (POSITIVE,), lambda lam, K: [
+        sum(stirling2(k, j) * lam**j for j in range(1, k + 1))
+        for k in range(1, K + 1)]),
+    "marchenko-pastur": (ms.MarchenkoPastur, (POSITIVE,), lambda c, K: [
+        marchenko_pastur(c, k) for k in range(1, K + 1)]),
+    # m_{c,c,1} is the Marchenko-Pastur law of rate c shifted by -c
+    "free-meixner": (lambda c: ms.FreeMeixner(c, c, 1), (POSITIVE,),
+                     lambda c, K: shifted(
+                         lambda k: marchenko_pastur(c, k), -c, K)),
+}
+
+
+class TestJacobiMoments:
+    """Every named law's moments come from one Motzkin path count over
+    its Jacobi parameters; each is pinned here against its own closed
+    form: Catalan, Narayana and Stirling numbers, (k - 1)!! and central
+    binomials shifted by the mean, and the two-point and point-mass
+    powers."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_parameters(self, name, data, order):
+        law, strategies, closed_form = CLOSED_FORMS[name]
+        params = [data.draw(s) for s in strategies]
+        got = law(*params).moments(order).values
+        assert list(got) == closed_form(*params, order)
+        assert all(isinstance(v, (int, Fraction)) for v in got)
+        assert law(*params).moments(order + 1).values[:order] == got
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_float_parameters(self, name, data, order):
+        law, strategies, closed_form = CLOSED_FORMS[name]
+        params = [float(data.draw(s)) for s in strategies]
+        got = law(*params).moments(order).values
+        want = closed_form(*map(Fraction, params), order)
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_whole_float_parameters_stay_exact(self):
+        assert ms.Normal(1.0, 2).moments(3).values == (1, 3, 7)
+        assert all(isinstance(v, Fraction)
+                   for v in ms.Normal(1.0, 2).moments(3).values)
+
+    def test_free_meixner_linear_atom_equation(self):
+        # a = c makes the atom equation linear: one atom at -a/u, of mass
+        # 1 - c/u^2, which Stieltjes inversion missed without a candidate
+        mu = ms.FreeMeixner(1, 1, 2).to_measure()
+        ((x, w),) = mu.atoms
+        assert x == -0.5 and abs(w - 0.75) < 1e-4
+
+
 class TestLevyDistance:
     def test_identical_measures(self):
         d = ms.levy_distance(ms.AtomicMeasure.dirac(0), ms.AtomicMeasure.dirac(0))
