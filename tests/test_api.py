@@ -145,39 +145,49 @@ measures.Normal.moments
 measures.Normal.to_measure
 measures.Normal.sample
 measures.Arcsine
-measures.Arcsine.half_width
-measures.Arcsine.density_at
 measures.Arcsine.cdf_exact
-measures.Arcsine.cauchy
-measures.Arcsine.moments
-measures.Arcsine.to_measure
 measures.Arcsine.sample
+measures.Arcsine.moments
+measures.Arcsine.edges
+measures.Arcsine.fmap
+measures.Arcsine.cauchy
+measures.Arcsine.density_at
+measures.Arcsine.atoms
+measures.Arcsine.atom_candidates
+measures.Arcsine.to_measure
 measures.Semicircle
-measures.Semicircle.half_width
-measures.Semicircle.density_at
 measures.Semicircle.cdf_exact
-measures.Semicircle.cauchy
-measures.Semicircle.moments
-measures.Semicircle.to_measure
 measures.Semicircle.sample
+measures.Semicircle.moments
+measures.Semicircle.edges
+measures.Semicircle.fmap
+measures.Semicircle.cauchy
+measures.Semicircle.density_at
+measures.Semicircle.atoms
+measures.Semicircle.atom_candidates
+measures.Semicircle.to_measure
 measures.Poisson
 measures.Poisson.moments
 measures.Poisson.to_measure
 measures.Poisson.sample
 measures.MarchenkoPastur
-measures.MarchenkoPastur.edges
-measures.MarchenkoPastur.cauchy
-measures.MarchenkoPastur.atom_candidates
-measures.MarchenkoPastur.density_at
-measures.MarchenkoPastur.moments
-measures.MarchenkoPastur.to_measure
 measures.MarchenkoPastur.sample
+measures.MarchenkoPastur.moments
+measures.MarchenkoPastur.edges
+measures.MarchenkoPastur.fmap
+measures.MarchenkoPastur.cauchy
+measures.MarchenkoPastur.density_at
+measures.MarchenkoPastur.atoms
+measures.MarchenkoPastur.atom_candidates
+measures.MarchenkoPastur.to_measure
 measures.FreeMeixner
+measures.FreeMeixner.moments
 measures.FreeMeixner.edges
 measures.FreeMeixner.fmap
 measures.FreeMeixner.cauchy
+measures.FreeMeixner.density_at
+measures.FreeMeixner.atoms
 measures.FreeMeixner.atom_candidates
-measures.FreeMeixner.moments
 measures.FreeMeixner.to_measure
 measures.FreeMeixner.sample
 measures.moments
@@ -270,20 +280,16 @@ measures.AtomicMeasure.from_pairs(renormalize)
 measures.AtomicMeasure.cdf(left)
 measures.GridMeasure.cdf(left)
 measures.GridMeasure.atoms
-measures.Dirac.to_measure(resolution)
 measures.Dirac.c
-measures.Bernoulli.to_measure(resolution)
 measures.Bernoulli.p
-measures.Normal.to_measure(resolution)
 measures.Normal.mean
 measures.Normal.var
-measures.Arcsine.to_measure(resolution)
-measures.Semicircle.to_measure(resolution)
-measures.Poisson.to_measure(resolution)
+measures.Arcsine.mean
+measures.Arcsine.var
+measures.Semicircle.mean
+measures.Semicircle.var
 measures.Poisson.lam
-measures.MarchenkoPastur.to_measure(resolution)
 measures.MarchenkoPastur.c
-measures.FreeMeixner.to_measure(resolution)
 measures.FreeMeixner.a
 measures.FreeMeixner.c
 measures.FreeMeixner.u
@@ -326,11 +332,25 @@ def _top_level():
             yield path.stem, node
 
 
+def _methods(node, private):
+    """Public method names of class ``node``: its own in source order, then
+    those it inherits, unless it overrides them, from each base that is a
+    private class of its module (``private``: name -> ClassDef)."""
+    out = [item.name for item in node.body
+           if isinstance(item, FUNCTIONS) and not item.name.startswith("_")]
+    for base in node.bases:
+        if isinstance(base, ast.Name) and base.id in private:
+            out += [m for m in _methods(private[base.id], private)
+                    if m not in out]
+    return out
+
+
 def names():
     """Every public top-level function, class and single-name constant
     across src/ncprob/*.py, each public class followed by its public
-    methods."""
+    methods, inherited ones included."""
     out = []
+    private = {}  # module -> {name: ClassDef} of its private classes
     for module, node in _top_level():
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             name = node.name
@@ -340,12 +360,13 @@ def names():
         else:
             continue
         if name.startswith("_"):
+            if isinstance(node, ast.ClassDef):
+                private.setdefault(module, {})[name] = node
             continue
         out.append(f"{module}.{name}")
         if isinstance(node, ast.ClassDef):
-            out += [f"{module}.{name}.{item.name}" for item in node.body
-                    if isinstance(item, FUNCTIONS)
-                    and not item.name.startswith("_")]
+            out += [f"{module}.{name}.{m}"
+                    for m in _methods(node, private.get(module, {}))]
     return out
 
 
@@ -371,12 +392,12 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 207
+    assert len(NAMES) == 217
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 64
+    assert len(OPTIONS) == 60
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -418,6 +439,8 @@ def test_option_surface():
     ("ncprob.graphs.RootedGraph", "degree"),
     ("ncprob.graphs.RootedGraph", "check_valid"),
     ("ncprob.measures.FreeMeixner", "jacobi"),
+    ("ncprob.measures.Arcsine", "half_width"),
+    ("ncprob.measures.Semicircle", "half_width"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

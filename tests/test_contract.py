@@ -1,7 +1,8 @@
 """The refusal contract of the named laws: whatever parameters and counts
-a caller passes, a constructor, ``moments``, ``to_measure`` and
-``measures.sample`` return or raise ``NcprobError``, with no other
-exception and no numpy warning on the way."""
+a caller passes, a constructor, ``moments``, ``to_measure`` and ``sample``,
+called on the law or through ``measures.sample``, return or raise
+``NcprobError``, with no other exception and no numpy warning on the
+way."""
 
 import math
 import warnings
@@ -45,6 +46,7 @@ def test_law_surface(name, data, order, n):
             return
         returns_or_refuses(lambda: law.moments(order))
         returns_or_refuses(law.to_measure)
+        returns_or_refuses(lambda: law.sample(n, 1))
         returns_or_refuses(lambda: ms.sample(law, n, seed=1))
 
 
@@ -62,6 +64,12 @@ def test_law_surface(name, data, order, n):
     (lambda: ms.Semicircle().moments(2.5), "moment order must be >= 1"),
     (lambda: ms.Semicircle().moments(True), "moment order must be >= 1"),
     (lambda: ms.sample(ms.Normal(), 1.5, seed=1), "sample count must be"),
+    (lambda: ms.Normal().sample(1.5, 1), "an int, got 1.5"),
+    (lambda: ms.Poisson().sample(-1, 1), "an int, got -1"),
+    (lambda: ms.Dirac(1e200).moments(2), "moment m_2 is too large"),
+    (lambda: ms.Poisson(1e6).moments(60), "moment m_52 is too large"),
+    (lambda: ms.Semicircle(0, 1e-300).to_measure(),
+     "support width 4e-150 is too narrow"),
 ])
 def test_refusal_names_the_parameter(law, message):
     with pytest.raises(ms.NcprobError, match=message):

@@ -57,7 +57,7 @@ class TestMoments:
         # oracle: numeric integration of 1/(pi sqrt(2 - x^2)), smoothed by
         # the substitution x = sqrt(2) sin(theta)
         law = ms.Arcsine(0, 1)
-        r = law.half_width()
+        r = math.sqrt(2)
         for k, expected in ((2, 1.0), (4, 1.5)):
             val, err = si.quad(
                 lambda th, k=k: (r * math.sin(th)) ** k / math.pi,
@@ -234,6 +234,47 @@ class TestJacobiMoments:
         assert x == -0.5 and abs(w - 0.75) < 1e-4
 
 
+# each interval law with its atoms; FreeMeixner(2, 1, 0) is Arcsine(0, 2)
+TWO_STEP_LAWS = [
+    (ms.Semicircle(0.5, 2), []),
+    (ms.Arcsine(-1, 0.5), []),
+    (ms.MarchenkoPastur(0.5), [(0.0, 0.5)]),
+    (ms.FreeMeixner(4, 2, 1), [(-2.0, 1 / 3)]),
+    (ms.FreeMeixner(1, 1, 2), [(-0.5, 0.75)]),
+    (ms.FreeMeixner(2, 1, 0), []),
+]
+
+
+@pytest.mark.parametrize("law, atoms", TWO_STEP_LAWS, ids=repr)
+def test_two_step_law(law, atoms):
+    """One F for the four interval laws: its far field is the moment
+    series, its real zeros are the exact atoms, and the grid realization
+    keeps the variance."""
+    m = law.moments(30).floats()
+    z = 1e6j
+    series = 1 + sum(mk * z ** -k for k, mk in enumerate(m[:4], 1))
+    assert abs(z * law.cauchy(z) - series) <= 1e-12
+    radius = max(map(abs, law.edges()))
+    zs = 10 * radius * np.exp(1j * np.linspace(0.1, math.pi - 0.1, 7))
+    zs = np.concatenate([zs, 1e3 * zs])
+    series = sum(mk * zs ** -(k + 1) for k, mk in enumerate([1, *m]))
+    assert np.all(np.abs(1 / law.fmap(zs) - series) <= 1e-14 * np.abs(series))
+    assert law.atoms() == atoms
+    assert law.atom_candidates() == [x for x, _ in atoms]
+    mu = law.to_measure()
+    assert mu.atoms == tuple(atoms)
+    m2 = float(law.moments(2)[2])
+    assert abs(mu.moments(2)[2] - m2) <= 5e-4 * m2
+
+
+@pytest.mark.parametrize("law", [ms.Semicircle(0.5, 2), ms.Arcsine(-1, 0.5)],
+                         ids=repr)
+def test_realization_matches_exact_cdf(law):
+    mu = law.to_measure()
+    xs = np.linspace(*law.edges(), 41)
+    assert max(abs(mu.cdf(x) - law.cdf_exact(x)) for x in xs) <= 1e-5
+
+
 class TestLevyDistance:
     def test_identical_measures(self):
         d = ms.levy_distance(ms.AtomicMeasure.dirac(0), ms.AtomicMeasure.dirac(0))
@@ -405,7 +446,9 @@ class TestSerialization:
         assert back.atoms == mu.atoms
 
     def test_grid_roundtrip(self, tmp_path):
-        g = ms.Semicircle(0, 1).to_measure(resolution=64)
+        grid = np.linspace(-2, 2, 64)
+        dens = ms.Semicircle(0, 1).density_at(grid)
+        g = ms.GridMeasure(grid, dens / np.trapezoid(dens, grid))
         path = tmp_path / "g.json"
         ms.save_measure(g, path)
         back = ms.load_measure(path)
@@ -435,7 +478,9 @@ class TestSerialization:
             ms.measure_from_json(obj)
 
     def test_density_csv(self, tmp_path):
-        g = ms.Semicircle(0, 1).to_measure(resolution=16)
+        grid = np.linspace(-2, 2, 16)
+        dens = ms.Semicircle(0, 1).density_at(grid)
+        g = ms.GridMeasure(grid, dens / np.trapezoid(dens, grid))
         path = tmp_path / "d.csv"
         ms.write_density_csv(g, path)
         lines = path.read_text().strip().split("\n")
