@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import transforms as tr
-from .measures import AtomicMeasure, MomentSequence, NcprobError
+from .measures import AtomicMeasure, MomentSequence, NcprobError, _check_count
 from .series import _compose, _dilate, compose_power
 
 KINDS = ("classical", "boolean", "free", "monotone", "antimonotone")
@@ -112,8 +112,7 @@ def convolve_power(kind, m, n):
     _check_kind(kind)
     if not isinstance(m, MomentSequence):
         raise NcprobError("convolve_power expects a MomentSequence")
-    if n < 1:
-        raise NcprobError("need n >= 1")
+    _check_count(n, "convolution count n")
     if kind in tr.CUMULANT_KINDS:
         cum = tr.moments_to_cumulants(kind, m)
         return tr.cumulants_to_moments(kind, [n * c for c in cum])
@@ -123,16 +122,11 @@ def convolve_power(kind, m, n):
 
 def boolean_divisibility_root(m, n):
     """The n-th Boolean convolution root: B-transform divided by n."""
-    if n < 1:
-        raise NcprobError("need n >= 1")
+    _check_count(n, "root order n")
     cum = tr.moments_to_cumulants("boolean", m)
-    return tr.cumulants_to_moments("boolean", [_divide(c, n) for c in cum])
-
-
-def _divide(c, n):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c) / n
-    return c / n
+    return tr.cumulants_to_moments("boolean", [
+        Fraction(c) / n if isinstance(c, (int, Fraction)) else c / n
+        for c in cum])
 
 
 def _sqrt_scale(n):
@@ -168,8 +162,7 @@ def clt_iterate(kind, base, n):
             f"clt_iterate needs a base of order >= 2, got {base.order}")
     if abs(float(base[1])) > 1e-12 or abs(float(base[2]) - 1) > 1e-12:
         raise NcprobError("base must have mean 0 and variance 1")
-    if n < 1:
-        raise NcprobError(f"need n >= 1 convolution factors, got {n}")
+    _check_count(n, "convolution count n")
     lam = _sqrt_scale(n)
     if kind in ("monotone", "antimonotone"):
         f = tr.f_series(base)

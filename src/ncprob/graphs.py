@@ -12,11 +12,12 @@ build them import scipy, so importing this module does not.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, MomentSequence, NcprobError
+from .measures import AtomicMeasure, MomentSequence, NcprobError, _check_count
 
 VERTEX_GUARD = 10**7
 
@@ -127,10 +128,12 @@ def spidernet(n, u, depth):
     shell sizes are even so the antipode pairing is well defined).
     Vertices at the truncation depth keep their lateral wiring.
     """
-    if n < 1 or depth < 1:
-        raise NcprobError("need n >= 1 and depth >= 1")
-    if not 0 <= u <= 2 * n - 1:
-        raise NcprobError(f"spidernet needs 0 <= u <= {2 * n - 1}")
+    _check_count(n, "spidernet n")
+    _check_count(depth, "spidernet depth")
+    if (isinstance(u, bool) or not isinstance(u, numbers.Integral)
+            or not 0 <= u <= 2 * n - 1):
+        raise NcprobError(
+            f"spidernet needs 0 <= u <= {2 * n - 1} and an int, got {u!r}")
     shell_sizes = _spidernet_shells(n, depth)
     total = sum(shell_sizes)
     parts = []
@@ -293,8 +296,7 @@ def ball(g, radius):
 
 def walk_moments(g, order):
     """Exact closed-walk counts at the root: m_k = <e_o, A^k e_o>."""
-    if order < 1:
-        raise NcprobError("order must be >= 1")
+    _check_count(order, "walk order")
     maxdeg = max(g.max_degree(), 1)
     if order * math.log2(maxdeg) < 62:
         v = np.zeros(g.n, dtype=np.int64)
@@ -367,13 +369,14 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     truncated at the ball's radius, since the ball never reaches a deeper
     shell.
     """
-    if order < 1:
-        raise NcprobError("order must be >= 1")
+    _check_count(n, "approximation level n")
+    _check_count(order, "moment order")
     if not horizon > 0:
         raise NcprobError(f"horizon must be > 0, got {horizon}")
     if k_max is None:
         k_max = n
-    if not 1 <= k_max <= n:
+    _check_count(k_max, "k_max")
+    if k_max > n:
         raise NcprobError("need 1 <= k_max <= n")
     TT = float(horizon)
     bound = spidernet_bound(n, TT)

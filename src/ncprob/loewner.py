@@ -144,11 +144,7 @@ class HerglotzField:
 
     @classmethod
     def constant(cls, measure, horizon):
-        if not isinstance(measure, AtomicMeasure):
-            raise NcprobError("constant fields take an AtomicMeasure")
-        p = measure.positions[None, :]
-        w = measure.weights[None, :]
-        return cls([0.0, horizon], p, np.zeros_like(p), w, horizon)
+        return cls.piecewise([0.0, horizon], [measure])
 
     @classmethod
     def piecewise(cls, tbreaks, measures):
@@ -158,6 +154,9 @@ class HerglotzField:
         if not measures:
             raise NcprobError("the measure list is empty: a field needs at "
                               "least one time segment")
+        if not all(isinstance(m, AtomicMeasure) for m in measures):
+            raise NcprobError("field segments take AtomicMeasures, got "
+                              f"{[type(m).__name__ for m in measures]}")
         na = max(len(m.atoms) for m in measures)
         ns = len(measures)
         pos = np.zeros((ns, na))
@@ -312,7 +311,10 @@ def chain_measure(field, t, grid, tol=1e-9,
 # nonlinear resolvents
 # ---------------------------------------------------------------------------
 
-def _damped_newton(gen, t, w, tol, max_steps):
+_NEWTON_STEPS = 200  # Newton steps before a resolvent solve gives up
+
+
+def _damped_newton(gen, t, w, tol):
     """Solve z - t*G(z) = w entrywise for z in H, starting at z = w.
 
     The slope is the central difference of phi(z) = z - t*G(z) - w; each
@@ -325,7 +327,7 @@ def _damped_newton(gen, t, w, tol, max_steps):
 
     z = w.copy()
     r = phi(z, w)
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         live = np.flatnonzero(~(np.abs(r) <= tol))
         if live.size == 0:
             return z
@@ -354,8 +356,8 @@ def _damped_newton(gen, t, w, tol, max_steps):
         z[live], r[live] = zl, rl
     if np.all(np.abs(r) <= tol):
         return z
-    raise NoConvergence(f"residual {np.abs(r).max():.2e} after {max_steps} "
-                        "steps")
+    raise NoConvergence(f"residual {np.abs(r).max():.2e} after "
+                        f"{_NEWTON_STEPS} steps")
 
 
 def _resolvent_points(t, w):
@@ -369,17 +371,14 @@ def _resolvent_points(t, w):
     return w
 
 
-def nonlinear_resolvent(gen, t, w, tol=1e-12, max_steps=200):
+def nonlinear_resolvent(gen, t, w, tol=1e-12):
     """Solve w = z - t*G(z) for z in H by damped Newton iteration.
 
     ``gen`` is a Herglotz generator (maps H into H union R).  The iteration
     starts at z = w, halves its step until the residual decreases, and
     polishes to |z - t G(z) - w| <= tol.
     """
-    w = _resolvent_points(t, complex(w))
-    if t == 0:
-        return complex(w[0])
-    return complex(_damped_newton(gen, t, w, tol, max_steps)[0])
+    return complex(resolvent_fmap(gen, t, tol)(complex(w))[0])
 
 
 def resolvent_fmap(gen, t, tol=1e-12):
@@ -393,7 +392,7 @@ def resolvent_fmap(gen, t, tol=1e-12):
         w = _resolvent_points(t, w)
         if t == 0:
             return w.copy()
-        return _damped_newton(gen, t, w, tol, 200)
+        return _damped_newton(gen, t, w, tol)
 
     return ev
 

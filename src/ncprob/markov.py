@@ -138,6 +138,8 @@ def convergence_report(p, v):
 # which bounds the lists' memory
 _BLOCK = 4096
 
+_CHUNK = 1 << 20  # draws per chunk; a seed's output depends on it
+
 # bound on the entries of hitting_time_mc's next-state table, n (n (n - 1)
 # + 1) for a chain of n states: chains of up to 40 states
 _TABLE_MAX = 1 << 16
@@ -174,7 +176,7 @@ def _return_table(cols):
     return functools.partial(np.searchsorted, np.array(levels)), nxt
 
 
-def hitting_time_mc(p, state, episodes, seed, chunk=1 << 20):
+def hitting_time_mc(p, state, episodes, seed, chunk=_CHUNK):
     """Monte Carlo first-return times to ``state``; returns (mean, se, n).
 
     One uniform u per transition, drawn ``chunk`` at a time, moves the
@@ -375,12 +377,12 @@ def _acceptance_table(beta, coupling, field):
     return table
 
 
-def metropolis_ising(state, steps, seed, chunk=1 << 20):
+def metropolis_ising(state, steps, seed):
     """Run the single-flip Metropolis chain; returns the final state.
 
     Each of the ``steps`` proposals picks a uniform site and flips it with
-    the Metropolis probability; sites and uniforms are drawn ``chunk`` at
-    a time, sites first.  Spins sit in a zero-padded flat list, so a
+    the Metropolis probability; sites and uniforms are drawn _CHUNK at a
+    time, sites first.  Spins sit in a zero-padded flat list, so a
     neighbour sum is four fixed offsets; a frozen site's thresholds are
     -1.0, so it never flips.
     """
@@ -400,7 +402,7 @@ def metropolis_ising(state, steps, seed, chunk=1 << 20):
     never = [-1.0] * len(table)
     rows = [never if f else table for f in state.frozen.ravel().tolist()]
     rng = np.random.default_rng(seed)
-    for sites, u in _draw_blocks(rng, chunk, h * w, steps):
+    for sites, u in _draw_blocks(rng, _CHUNK, h * w, steps):
         for i, x in zip(sites.tolist(), u.tolist()):
             p = where[i]
             s = grid[p]
@@ -521,14 +523,14 @@ def _flip_table(shape, beta, coupling, field):
 
 
 def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
-                         seed, chunk=1 << 20):
+                         seed):
     """Visit counts over configuration ids after burn-in (small lattices).
 
     One single-flip chain starts from the all-up configuration and makes
     ``burn_in`` proposals, then ``samples`` more; the histogram counts the
     configuration id (bit i set iff flat spin i is up) after each of the
     ``samples`` proposals, so it sums to ``samples``.  Sites and uniforms
-    are drawn ``chunk`` at a time, sites first, and accepted as in
+    are drawn _CHUNK at a time, sites first, and accepted as in
     ``metropolis_ising``; each proposal is one lookup in ``_flip_table``,
     whose 2**m * m * (R + 1) entries (R <= 10 distinct thresholds) limit
     the lattice to 12 spins.
@@ -549,7 +551,7 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     c = (1 << m) - 1
     hist = np.zeros(1 << m, dtype=np.int64)
     for proposals, counted in ((burn_in, False), (samples, True)):
-        for sites, u in _draw_blocks(rng, chunk, m, proposals):
+        for sites, u in _draw_blocks(rng, _CHUNK, m, proposals):
             keys = rank(u) * m + sites
             path = [c := nxt[c][k] for k in keys.tolist()]
             if counted:

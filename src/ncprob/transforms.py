@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
-                       NcprobError, sqrt_upper)
+                       NcprobError, _is_real, sqrt_upper)
 from .series import _reciprocal, _sqrt
 
 
@@ -157,6 +158,18 @@ def _inversion_grid(grid):
     return grid
 
 
+def _real_points(values, what):
+    """``values`` as a 1-d float array, or NcprobError naming ``what``
+    unless it is a sequence of finite reals."""
+    seq = np.iterable(values) and not isinstance(values, (str, bytes))
+    items = list(values) if seq else [values]
+    for x in items:
+        if not (seq and _is_real(x) and abs(x) <= sys.float_info.max):
+            raise NcprobError(f"{what} must be a 1-d sequence of finite "
+                              f"reals, got {x!r}")
+    return np.array(items, dtype=float)
+
+
 def _ladder_points(xs, eps_ladder):
     """xs + i*eps for every eps of the ladder, one layer after another."""
     return np.concatenate([xs + 1j * eps for eps in eps_ladder])
@@ -172,12 +185,6 @@ def _ladder_density(xs, vals, atoms, eps_ladder):
             v = v - w / (xs + 1j * eps - a)
         layers.append(-v.imag / math.pi)
     return extrapolate_to_zero(eps_ladder, layers)
-
-
-def _extrapolated_mass(ladder, vals):
-    """iy*G(a+iy) extrapolated to y = 0 from ``vals`` = G at a + i*ladder."""
-    masses = [(1j * y * v).real for y, v in zip(ladder, vals)]
-    return float(extrapolate_to_zero(ladder, masses))
 
 
 # The real-zero search.  An equispaced call splits a bracket into _CELLS
@@ -311,25 +318,25 @@ def _bracketed_roots(f, lo, hi, flo, fhi, eps):
     return [np.float64(r) for r in roots]
 
 
-_VETO_LADDER = (1e-6, 3e-7, 1e-7)
+_ATOM_Y, _VETO_Y = 1e-6, 1e-7  # heights of an atom's mass and of its veto
 
 
-def _vetted_atom(g, a, eps_ladder):
-    """(a, mass) when the mass ladder at ``a`` shows an atom, else None.
-
-    One call of ``g`` evaluates ``eps_ladder`` and the branch-point veto
-    ladder: a genuine atom keeps its mass at much smaller regularization,
-    while square-root edges decay.
-    """
-    n = len(eps_ladder)
-    vals = np.asarray(g(np.array(
-        [a + 1j * y for y in (*eps_ladder, *_VETO_LADDER)])))
-    m = _extrapolated_mass(eps_ladder, vals[:n])
-    if m < ATOM_THRESHOLD:
-        return None
-    if _extrapolated_mass(_VETO_LADDER, vals[n:]) < 0.5 * m:
-        return None
-    return float(a), float(m)
+def _vetted_atoms(f, candidates):
+    """(a, mass) for each candidate a of mass Re(iy/F(a + iy)) at y = _ATOM_Y
+    at least ATOM_THRESHOLD, in order of a; the mass tends to mu({a})
+    (Julia-Caratheodory).  Next to a square-root edge it decays like
+    sqrt(y), so a candidate is kept only if its value at _VETO_Y is within
+    25 percent.  One call of ``f`` evaluates every candidate at both
+    heights; with no candidate there is no call."""
+    n = candidates.size
+    if n == 0:
+        return []
+    vals = 1.0 / np.asarray(f(np.concatenate([candidates + 1j * _ATOM_Y,
+                                              candidates + 1j * _VETO_Y])))
+    mass = (1j * _ATOM_Y * vals[:n]).real
+    low = (1j * _VETO_Y * vals[n:]).real
+    keep = (mass >= ATOM_THRESHOLD) & (np.abs(low - mass) <= 0.25 * mass)
+    return sorted(zip(candidates[keep].tolist(), mass[keep].tolist()))
 
 
 def stieltjes_invert(g, grid, atom_candidates=None,
@@ -337,76 +344,19 @@ def stieltjes_invert(g, grid, atom_candidates=None,
     """Recover a measure from its Cauchy transform ``g``, a vectorized
     function of a complex array, or from the measure itself.
 
-    Density via -Im G(x + i*eps)/pi extrapolated over the eps ladder; atom
-    masses via the iy*G(a+iy) limit at ``atom_candidates``, and at no other
-    point.  Without candidates the atoms are the real zeros of F = 1/G: this
-    is ``measure_from_ftransform`` of 1/g, whose docstring says which light
-    atoms stay in the density.  Cells with steep density jumps (square-root
-    support edges) are locally refined so the trapezoid mass stays
-    accurate.  The result is renormalized to unit mass if the recovered
-    mass lies within 2 percent of 1.  One call of ``g`` evaluates the
-    normalization probe and every ladder layer of the grid, and each refine
-    pass, two at most, one more.
+    This is ``measure_from_ftransform`` of 1/g: without ``atom_candidates``
+    the atoms are the real zeros of F = 1/G, and with them only those
+    points are vetted.
     """
     if isinstance(g, (AtomicMeasure, GridMeasure)):
         g = functools.partial(cauchy, g)
-    if atom_candidates is None:
-        def f(z):
-            # a NaN or zero G at the probe is refused there, with no warning
-            # first
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return 1.0 / np.asarray(g(z))
 
-        return measure_from_ftransform(f, grid, None, eps_ladder)
-    grid = _inversion_grid(grid)
-    first = np.asarray(g(np.concatenate(
-        [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
-    _require_normalized(first[0])
-    return _invert(g, grid, first[1:], atom_candidates, eps_ladder)
+    def f(z):
+        # a NaN or zero G is refused at the probe, with no warning first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / np.asarray(g(z))
 
-
-def _invert(g, grid, ladder, atom_candidates, eps_ladder):
-    """``stieltjes_invert`` with atoms at ``atom_candidates`` only, given
-    ``ladder``, the values of ``g`` at _ladder_points(grid, eps_ladder),
-    which the density over the grid reads."""
-    atoms = sorted(filter(None, (_vetted_atom(g, a, eps_ladder)
-                                 for a in atom_candidates)))
-    density = _ladder_density(grid, ladder, atoms, eps_ladder)
-    for _ in range(2):  # refine passes
-        scale = max(np.abs(density).max(), 1e-12)
-        jump = np.abs(np.diff(density))
-        flagged = np.nonzero(jump > 0.2 * scale)[0]
-        if flagged.size == 0:
-            break
-        cells = set()
-        for i in flagged:  # pad so the smeared edge lobes get resolved too
-            cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
-        extra = np.concatenate([
-            np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
-        ])
-        vals = g(_ladder_points(extra, eps_ladder))
-        grid = np.concatenate([grid, extra])
-        density = np.concatenate(
-            [density, _ladder_density(extra, vals, atoms, eps_ladder)])
-        order = np.argsort(grid)
-        grid, density = grid[order], density[order]
-
-    # renormalize on the signed mass (small negative extrapolation lobes
-    # legitimately cancel smeared edge surplus), then clip for output
-    mass = float(np.trapezoid(density, grid)) + sum(w for _, w in atoms)
-    if not 0.98 <= mass <= 1.02:
-        raise NcprobError(f"recovered mass {mass:.4f} outside [0.98, 1.02]")
-    density = np.clip(density / mass, 0.0, None)
-    atoms = [(a, w / mass) for a, w in atoms]
-    atom_total = sum(w for _, w in atoms)
-    dens_mass = float(np.trapezoid(density, grid))
-    if atom_total >= 1.0 or dens_mass <= 1e-12:
-        # purely atomic recovery; absorb clip residue into the atoms
-        density = np.zeros_like(density)
-        atoms = [(a, w / atom_total) for a, w in atoms]
-    else:
-        density *= (1.0 - atom_total) / dens_mass
-    return GridMeasure(grid, density, tuple(atoms))
+    return measure_from_ftransform(f, grid, atom_candidates, eps_ladder)
 
 
 def scan_real_zeros(f, grid):
@@ -451,10 +401,14 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     """Stieltjes inversion of 1/F for an F-transform ``f``, a vectorized
     function of a complex array.
 
-    Without ``atom_candidates`` the atoms are the real zeros of F, scanned
-    for at height _SCAN_EPS; with them, only those points are vetted.  One
-    call of ``f`` evaluates that scan row, the normalization probe and
-    every ladder layer of the grid.  The probe is checked before the scan.
+    Density via -Im G(x + i*eps)/pi extrapolated over the eps ladder; atoms
+    at the real zeros of F, scanned for at height _SCAN_EPS, or at
+    ``atom_candidates`` only, all vetted in one call (``_vetted_atoms``).
+    One call of ``f`` evaluates the scan row, the normalization probe and
+    every ladder layer of the grid; the probe is checked before the scan.
+    Cells with steep density jumps (square-root support edges) are refined,
+    one call for each of two passes at most.  The result is renormalized to
+    unit mass if the recovered mass lies within 2 percent of 1.
 
     An atom of mass m at a is a zero of F, |F(a + i*eps)| ~ eps/m, while
     inside the support F is far from real.  So a sign change of Re F over a
@@ -477,6 +431,13 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     """
     grid = _inversion_grid(grid)
     scan = atom_candidates is None
+    if not scan:
+        atom_candidates = _real_points(atom_candidates, "atom_candidates")
+    eps_ladder = tuple(_real_points(eps_ladder, "eps_ladder").tolist())
+    if not (eps_ladder and min(eps_ladder) > 0
+            and len(set(eps_ladder)) == len(eps_ladder)):
+        raise NcprobError("eps_ladder must hold one or more distinct "
+                          f"heights > 0, got {eps_ladder}")
     rows = [grid + 1j * _SCAN_EPS] if scan else []
     vals = np.asarray(f(np.concatenate(
         rows + [[1j * _NORM_Y], _ladder_points(grid, eps_ladder)])))
@@ -495,9 +456,45 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
         skip = (far[:-1] & far[1:] & (change[:-1] * reach < size[:-1])
                 & (change[1:] * reach < size[1:]))
         roots = _sign_change_roots(f, grid, row.real, _SCAN_EPS, ~skip)
-        atom_candidates = roots + _grid_atom_candidates(grid, row, roots)
-    return _invert(lambda z: 1.0 / f(z), grid, 1.0 / ladder, atom_candidates,
-                   eps_ladder)
+        atom_candidates = np.array(
+            roots + _grid_atom_candidates(grid, row, roots))
+    atoms = _vetted_atoms(f, atom_candidates)
+    density = _ladder_density(grid, 1.0 / ladder, atoms, eps_ladder)
+    for _ in range(2):  # refine passes
+        scale = max(np.abs(density).max(), 1e-12)
+        jump = np.abs(np.diff(density))
+        flagged = np.nonzero(jump > 0.2 * scale)[0]
+        if flagged.size == 0:
+            break
+        cells = set()
+        for i in flagged:  # pad so the smeared edge lobes get resolved too
+            cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
+        extra = np.concatenate([
+            np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
+        ])
+        vals = 1.0 / f(_ladder_points(extra, eps_ladder))
+        grid = np.concatenate([grid, extra])
+        density = np.concatenate(
+            [density, _ladder_density(extra, vals, atoms, eps_ladder)])
+        order = np.argsort(grid)
+        grid, density = grid[order], density[order]
+
+    # renormalize on the signed mass (small negative extrapolation lobes
+    # legitimately cancel smeared edge surplus), then clip for output
+    mass = float(np.trapezoid(density, grid)) + sum(w for _, w in atoms)
+    if not 0.98 <= mass <= 1.02:
+        raise NcprobError(f"recovered mass {mass:.4f} outside [0.98, 1.02]")
+    density = np.clip(density / mass, 0.0, None)
+    atoms = [(a, w / mass) for a, w in atoms]
+    atom_total = sum(w for _, w in atoms)
+    dens_mass = float(np.trapezoid(density, grid))
+    if atom_total >= 1.0 or dens_mass <= 1e-12:
+        # purely atomic recovery; absorb clip residue into the atoms
+        density = np.zeros_like(density)
+        atoms = [(a, w / atom_total) for a, w in atoms]
+    else:
+        density *= (1.0 - atom_total) / dens_mass
+    return GridMeasure(grid, density, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

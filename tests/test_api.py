@@ -258,7 +258,6 @@ loewner.chain_fmap(tol)
 loewner.chain_measure(tol)
 loewner.chain_measure(eps_ladder)
 loewner.nonlinear_resolvent(tol)
-loewner.nonlinear_resolvent(max_steps)
 loewner.resolvent_fmap(tol)
 markov.hitting_time_mc(chunk)
 markov.mdp_value_iteration(tol)
@@ -266,14 +265,12 @@ markov.IsingState.coupling
 markov.IsingState.field
 markov.IsingState.beta
 markov.IsingState.frozen
-markov.metropolis_ising(chunk)
 markov.exact_boltzmann(coupling)
 markov.exact_boltzmann(field)
 markov.metropolis_exact_kernel(coupling)
 markov.metropolis_exact_kernel(field)
 markov.detailed_balance_audit(coupling)
 markov.detailed_balance_audit(field)
-markov.metropolis_histogram(chunk)
 markov.homogeneous_kernel(eps_ladder)
 measures.AtomicMeasure.from_pairs(merge_tol)
 measures.AtomicMeasure.from_pairs(renormalize)
@@ -397,7 +394,7 @@ def test_name_surface():
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 60
+    assert len(OPTIONS) == 57
 
 
 @pytest.mark.parametrize("owner, name", [

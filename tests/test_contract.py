@@ -2,17 +2,24 @@
 a caller passes, a constructor, ``moments``, ``to_measure`` and ``sample``,
 called on the law or through ``measures.sample``, return or raise
 ``NcprobError``, with no other exception and no numpy warning on the
-way."""
+way.  The inversion entries and the count arguments of the convolution
+and graph builders refuse malformed input the same way, naming it."""
 
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import convolutions as cv
+from ncprob import graphs as gr
+from ncprob import loewner as lw
+from ncprob import markov as mk
 from ncprob import measures as ms
+from ncprob import transforms as tr
 
 # law and its number of parameters
 LAWS = {"dirac": (ms.Dirac, 1), "bernoulli": (ms.Bernoulli, 1),
@@ -74,3 +81,118 @@ def test_law_surface(name, data, order, n):
 def test_refusal_names_the_parameter(law, message):
     with pytest.raises(ms.NcprobError, match=message):
         law()
+
+
+class Counted:
+    """The semicircle's Cauchy transform, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return ms.Semicircle().cauchy(z)
+
+
+BAD_CANDIDATES = [
+    ([math.nan], "atom_candidates must be .* finite reals, got nan"),
+    ([0.0, math.inf], "atom_candidates must be .* finite reals, got inf"),
+    ([-math.inf], "atom_candidates must be .* finite reals, got -inf"),
+    ([10 ** 400], "atom_candidates must be .* finite reals, got 1000"),
+    ([Fraction(1, 3), np.float64(math.nan)], "got np.float64\\(nan\\)"),
+    (["x"], "atom_candidates must be a 1-d sequence of finite reals"),
+    ("0.5", "atom_candidates must be a 1-d sequence of finite reals"),
+    ([[0.0, 1.0]], "atom_candidates must be a 1-d sequence of finite reals"),
+    (np.zeros((2, 2)), "atom_candidates must be a 1-d sequence"),
+    (0.5, "atom_candidates must be a 1-d sequence of finite reals"),
+    ([True], "atom_candidates must be a 1-d sequence of finite reals"),
+    ([1j], "atom_candidates must be a 1-d sequence of finite reals"),
+]
+BAD_LADDERS = [
+    ((), "eps_ladder must hold one or more distinct heights > 0"),
+    ((1e-2, 1e-2), "eps_ladder must hold one or more distinct heights > 0"),
+    ((1e-2, 5e-3, 1e-2), "eps_ladder must hold one or more distinct"),
+    ((1e-2, math.nan), "eps_ladder must be .* finite reals, got nan"),
+    ((math.inf,), "eps_ladder must be .* finite reals, got inf"),
+    ((-1e-2,), "eps_ladder must hold one or more distinct heights > 0"),
+    ((1e-2, 0.0), "eps_ladder must hold one or more distinct heights > 0"),
+    (1e-2, "eps_ladder must be a 1-d sequence of finite reals"),
+    (("1e-2",), "eps_ladder must be a 1-d sequence of finite reals"),
+]
+GRID = np.linspace(-2.2, 2.2, 201)
+
+
+@pytest.mark.parametrize("cands, message", BAD_CANDIDATES)
+@pytest.mark.parametrize("entry", [tr.stieltjes_invert,
+                                   tr.measure_from_ftransform])
+def test_inversion_refuses_candidates(entry, cands, message):
+    # refused before the map is called; the semicircle's F = 1/G is as
+    # good a map for measure_from_ftransform as G is for stieltjes_invert
+    g = Counted()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            entry(g, GRID, cands)
+    assert g.calls == 0
+
+
+@pytest.mark.parametrize("ladder, message", BAD_LADDERS)
+def test_inversion_refuses_ladders(ladder, message):
+    field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(0.3),
+                                          1.0)
+    dirac = ms.AtomicMeasure.dirac(0.0)
+    calls = [
+        lambda: tr.stieltjes_invert(Counted(), GRID, None, ladder),
+        lambda: tr.stieltjes_invert(Counted(), GRID, [0.0], ladder),
+        lambda: tr.measure_from_ftransform(Counted(), GRID, None, ladder),
+        lambda: lw.chain_measure(field, 1.0, GRID, eps_ladder=ladder),
+        lambda: mk.homogeneous_kernel(dirac, 0.5, GRID, eps_ladder=ladder),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ms.NcprobError, match=message):
+                call()
+
+
+BERN = ms.MomentSequence((0, 1, 0, 1, 0, 1, 0, 1))
+DRIVING = lw.DrivingFunction.constant(0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    *[(lambda k=k: cv.clt_iterate(k, BERN, 1.5),
+       "convolution count n must be >= 1 and an int, got 1.5")
+      for k in cv.KINDS],
+    (lambda: cv.clt_iterate("monotone", BERN, 4.0),
+     "convolution count n must be >= 1 and an int, got 4.0"),
+    (lambda: cv.clt_iterate("free", BERN, True), "an int, got True"),
+    *[(lambda k=k: cv.convolve_power(k, BERN, 2.5),
+       "convolution count n must be >= 1 and an int, got 2.5")
+      for k in cv.KINDS],
+    (lambda: cv.convolve_power("free", BERN, 0), "an int, got 0"),
+    (lambda: cv.boolean_divisibility_root(BERN, 1.5),
+     "root order n must be >= 1 and an int, got 1.5"),
+    (lambda: gr.walk_moments(gr.path_graph(3), 1.5),
+     "walk order must be >= 1 and an int, got 1.5"),
+    (lambda: gr.walk_moments(gr.path_graph(3), True),
+     "walk order must be >= 1 and an int, got True"),
+    (lambda: gr.spidernet(1.5, 0, 2),
+     "spidernet n must be >= 1 and an int, got 1.5"),
+    (lambda: gr.spidernet(2, 0, 2.0),
+     "spidernet depth must be >= 1 and an int, got 2.0"),
+    (lambda: gr.spidernet(2, 1.0, 2), "an int, got 1.0"),
+    (lambda: gr.spidernet(2, True, 2), "an int, got True"),
+    (lambda: gr.approx_process(DRIVING, 1.0, 1.5),
+     "approximation level n must be >= 1 and an int, got 1.5"),
+    (lambda: gr.approx_process(DRIVING, 1.0, 2, order=2.5),
+     "moment order must be >= 1 and an int, got 2.5"),
+    (lambda: gr.approx_process(DRIVING, 1.0, 2, k_max=1.5),
+     "k_max must be >= 1 and an int, got 1.5"),
+    (lambda: gr.approx_process(DRIVING, 1.0, 2, k_max=3),
+     "need 1 <= k_max <= n"),
+])
+def test_count_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()

@@ -202,7 +202,8 @@ class TestCLT:
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_nonpositive_n_rejected(self, n):
-        with pytest.raises(ms.NcprobError, match="need n >= 1"):
+        with pytest.raises(ms.NcprobError,
+                           match="convolution count n must be >= 1"):
             cv.clt_iterate("free", BERN.truncate(4), n)
 
     def test_non_square_n_uses_floats(self):

@@ -198,8 +198,8 @@ class TestSpidernet:
                                       reference_spidernet(n, u, depth))
 
     @pytest.mark.parametrize("args, message", [
-        ((0, 0, 2), "need n >= 1 and depth >= 1"),
-        ((2, 0, 0), "need n >= 1 and depth >= 1"),
+        ((0, 0, 2), "spidernet n must be >= 1"),
+        ((2, 0, 0), "spidernet depth must be >= 1"),
         ((2, 4, 2), "spidernet needs 0 <= u <= 3"),
         ((2, -1, 2), "spidernet needs 0 <= u <= 3"),
         ((100, 0, 4), "truncated spidernet has 202020201 > 10000000"),

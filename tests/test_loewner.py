@@ -1,9 +1,10 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncprob import _kernels
@@ -412,6 +413,11 @@ def reference_from_driving(driving, horizon=None):
     return lw.HerglotzField(times, pos, slope, np.ones_like(pos), horizon)
 
 
+def slit_edge_gap(u, t):
+    """Distance from the atom of the slit at constant u to its support."""
+    return math.sqrt(u * u + 2 * t) - math.sqrt(2 * t)
+
+
 def assert_same_field(got, want):
     for name in ("tbreaks", "pos", "slope", "wts"):
         a, b = getattr(got, name), getattr(want, name)
@@ -456,6 +462,31 @@ class TestFromDriving:
     def test_piecewise_empty_measure_list(self):
         with pytest.raises(ms.NcprobError, match="measure list is empty"):
             lw.HerglotzField.piecewise([0], [])
+
+    @pytest.mark.parametrize("segment", [
+        ms.Semicircle().to_measure(), ((0.0, 1.0),), ms.Semicircle()])
+    def test_segments_must_be_atomic(self, segment):
+        dirac = ms.AtomicMeasure.dirac(0.0)
+        for build in (lambda: lw.HerglotzField.piecewise([0, 1], [segment]),
+                      lambda: lw.HerglotzField.piecewise(
+                          [0, 1, 2], [dirac, segment]),
+                      lambda: lw.HerglotzField.constant(segment, 1.0)):
+            with pytest.raises(ms.NcprobError,
+                               match="field segments take AtomicMeasures"):
+                build()
+
+    @pytest.mark.parametrize("atoms, horizon", [
+        (((0.0, 1.0),), 1.0), (((-1.5, 0.25), (0.3, 0.75)), 2),
+        (((0.1, 0.2), (0.4, 0.3), (2.0, 0.5)), 0.0)])
+    def test_constant_is_one_piecewise_segment(self, atoms, horizon):
+        mu = ms.AtomicMeasure(atoms)
+        got = lw.HerglotzField.constant(mu, horizon)
+        assert_same_field(got, lw.HerglotzField.piecewise([0.0, horizon],
+                                                          [mu]))
+        # the field the constant builder made on its own
+        p, w = mu.positions[None, :], mu.weights[None, :]
+        assert_same_field(got, lw.HerglotzField(
+            [0.0, horizon], p, np.zeros_like(p), w, horizon))
 
 
 class TestChainArguments:
@@ -798,8 +829,7 @@ class TestChainMeasure:
     @settings(max_examples=60, deadline=None)
     def test_free_meixner_atom(self, u, sign, t):
         # the constant slit at u != 0 has one atom, at the pole
-        # u - sgn(u) sqrt(u^2 + 2t) of 1/f_t; its mass is not pinned (the
-        # eps ladder straddles the pole's distance to the support edge)
+        # u - sgn(u) sqrt(u^2 + 2t) of 1/f_t
         u *= sign
         field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(u),
                                               horizon=t)
@@ -807,6 +837,30 @@ class TestChainMeasure:
         mu = lw.chain_measure(field, t, np.linspace(-half, half, 301))
         (a, _), = mu.atoms
         assert abs(a - (u - sign * math.sqrt(u * u + 2 * t))) <= 1e-7
+
+    @given(ut=st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0)).filter(
+        lambda ut: slit_edge_gap(*ut) >= 1e-4))
+    @example(ut=(0.005, 1.0))  # the edge 8.8e-6 from the atom
+    @settings(max_examples=40, deadline=None)
+    def test_free_meixner_atom_mass(self, ut):
+        # the atom's mass is |u|/sqrt(u^2 + 2t), on the CLI's grid and
+        # ladder and on a coarse grid with the default ladder.  The scan
+        # finds the zero of Re F at height 1e-6, which a square-root edge
+        # d away moves by less than 1e-12/d
+        u, t = ut
+        gap = slit_edge_gap(u, t)
+        root = math.sqrt(u * u + 2 * t)
+        field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(u),
+                                              horizon=t)
+        half = abs(u) + math.sqrt(2 * t) + 0.5
+        for points, ladder in ((1201, (5e-3, 2.5e-3, 1.25e-3)),
+                               (201, tr.DEFAULT_EPS_LADDER)):
+            mu = lw.chain_measure(field, t, np.linspace(-half, half, points),
+                                  eps_ladder=ladder)
+            (a, w), = mu.atoms
+            assert abs(a - (u - math.copysign(root, u))) <= max(1e-8,
+                                                                1e-12 / gap)
+            assert abs(w / (abs(u) / root) - 1) <= 1e-3
 
     def test_small_time_degenerates(self):
         grid = np.linspace(-0.5, 0.5, 401)
@@ -921,8 +975,9 @@ class TestResolvent:
         # damped step along the difference slope raises |phi|
         with pytest.raises(lw.NoConvergence, match="damping failed"):
             lw.nonlinear_resolvent(np.conj, 2.0, 1j)
-        with pytest.raises(lw.NoConvergence, match=r"after 1 steps"):
-            lw.nonlinear_resolvent(self.GEN, 4.0, 0.1 + 1e-3j, max_steps=1)
+        with (mock.patch.object(lw, "_NEWTON_STEPS", 1),
+              pytest.raises(lw.NoConvergence, match=r"after 1 steps")):
+            lw.nonlinear_resolvent(self.GEN, 4.0, 0.1 + 1e-3j)
 
     def test_fmap_entries_equal_one_point_calls(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@ import bisect
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,13 +548,9 @@ class TestIsing:
         assert mk.magnetization(runs[0]) == 1.0
 
     @pytest.mark.parametrize("sampler", [
-        lambda: mk.metropolis_ising(mk.IsingState(np.ones((2, 2))), 10,
-                                    seed=1, chunk=0),
-        lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 10,
-                                        seed=1, chunk=0),
         lambda: mk.hitting_time_mc(np.array([[0.5, 0.5], [0.5, 0.5]]), 0,
                                    10, seed=1, chunk=0),
-    ], ids=["ising", "histogram", "hitting"])
+    ], ids=["hitting"])
     def test_nonpositive_chunk_raises(self, sampler):
         with pytest.raises(ms.NcprobError, match="chunk must be positive"):
             sampler()
@@ -626,7 +623,8 @@ class TestIsing:
         state = mk.IsingState.random(
             (h, w), seed=seed, beta=beta, coupling=coupling, field=field,
             frozen=rng.random((h, w)) < frozen_frac)
-        got = mk.metropolis_ising(state, steps, seed, chunk=chunk)
+        with mock.patch.object(mk, "_CHUNK", chunk):
+            got = mk.metropolis_ising(state, steps, seed)
         want = reference_ising(state, steps, seed, chunk)
         assert got.spins.dtype == want.dtype
         assert np.array_equal(got.spins, want)
@@ -655,7 +653,8 @@ class TestIsing:
     def test_histogram_matches_reference(self, shape, beta, coupling, field,
                                          burn_in, samples, chunk, seed):
         args = (shape, beta, coupling, field, burn_in, samples, seed)
-        got = mk.metropolis_histogram(*args, chunk=chunk)
+        with mock.patch.object(mk, "_CHUNK", chunk):
+            got = mk.metropolis_histogram(*args)
         want = reference_histogram(*args, chunk=chunk)
         assert got.sum() == samples
         assert np.array_equal(got, want)

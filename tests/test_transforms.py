@@ -168,6 +168,21 @@ class TestStieltjesInversion:
         assert np.abs(np.interp(xs, rec.grid, rec.density)
                       - law.density_at(xs)).max() < 1e-3
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_candidates_share_one_vetting_call(self, k):
+        # the probe and the ladder share the first call; every candidate
+        # is read at its two heights in the second
+        mu = random_atomic(k, n=k)
+        sizes = []
+
+        def g(z):
+            sizes.append(z.size)
+            return tr.cauchy(mu, z)
+
+        rec = tr.stieltjes_invert(g, np.linspace(-3, 3, 61), mu.positions)
+        assert len(rec.atoms) == k
+        assert sizes[:2] == [1 + 3 * 61, 2 * k]
+
     def test_mass_error(self):
         g = lambda z: 1.0 / (z - 5.0)
         # grid misses the atom at 5 and no candidate is supplied
@@ -418,27 +433,48 @@ class TestTreeBisection:
 
 
 # reference: the inversion with one call of the map per eps layer, a
-# separate call for the normalization probe and, in
-# reference_measure_from_ftransform, a separate scan row.  The shared-call
+# separate call for the normalization probe and for each atom candidate's
+# two heights and, without candidates, a separate scan row.  The shared-call
 # inversion must return the same grid, density and atoms bit for bit.
-# Without candidates, the atoms of G are the real zeros of 1/G.
+# ``stieltjes_invert`` is the inversion of 1/G: its atoms are the real
+# zeros of 1/G, and G is read as 1/(1/G).
 
 def reference_stieltjes_invert(g, grid, atom_candidates=None,
                                eps_ladder=tr.DEFAULT_EPS_LADDER):
     if isinstance(g, (ms.AtomicMeasure, ms.GridMeasure)):
         g = partial(tr.cauchy, g)
-    if atom_candidates is None:
-        return reference_measure_from_ftransform(reciprocal(g), grid, None,
-                                                 eps_ladder)
-    grid = np.asarray(grid, dtype=float)
-    tr.check_cauchy_normalization(g)
+    return reference_measure_from_ftransform(reciprocal(g), grid,
+                                             atom_candidates, eps_ladder)
 
-    atoms = []
-    for a in atom_candidates:
-        hit = tr._vetted_atom(g, a, eps_ladder)
-        if hit:
-            atoms.append(hit)
-    atoms.sort()
+
+def reference_vetted_atom(g, a):
+    """(a, mass) when Re(iy*G(a + iy)) is at least ATOM_THRESHOLD at
+    y = 1e-6 and within 25 percent of it at y = 1e-7, else None."""
+    mass, low = [(1j * y * complex(np.asarray(g(np.array([a + 1j * y])))[0])
+                  ).real for y in (1e-6, 1e-7)]
+    if mass >= tr.ATOM_THRESHOLD and abs(low - mass) <= 0.25 * mass:
+        return float(a), float(mass)
+    return None
+
+
+def reference_measure_from_ftransform(f, grid, atom_candidates=None,
+                                      eps_ladder=tr.DEFAULT_EPS_LADDER):
+    grid = np.asarray(grid, dtype=float)
+    if atom_candidates is None:
+        roots = tr.scan_real_zeros(f, grid)
+        # grid points where F nearly vanishes with no root in a cell next
+        # to them: atoms that make no sign change of Re F
+        row = np.asarray(f(grid + 1e-6j))
+        last = grid.size - 1
+        atom_candidates = roots + [
+            float(x) for i, x in enumerate(grid)
+            if abs(row[i]) <= 1e-6 / tr.ATOM_THRESHOLD
+            and not any(grid[max(i - 1, 0)] <= r <= grid[min(i + 1, last)]
+                        for r in roots)]
+    g = reciprocal(f)
+    tr.check_cauchy_normalization(g)
+    atoms = sorted(filter(None, (reference_vetted_atom(g, a)
+                                 for a in atom_candidates)))
 
     def density_at(xs):
         layers = []
@@ -480,24 +516,6 @@ def reference_stieltjes_invert(g, grid, atom_candidates=None,
     else:
         density *= (1.0 - atom_total) / dens_mass
     return ms.GridMeasure(grid, density, tuple(atoms))
-
-
-def reference_measure_from_ftransform(f, grid, atom_candidates=None,
-                                      eps_ladder=tr.DEFAULT_EPS_LADDER):
-    if atom_candidates is None:
-        grid = np.asarray(grid, dtype=float)
-        roots = tr.scan_real_zeros(f, grid)
-        # grid points where F nearly vanishes with no root in a cell next
-        # to them: atoms that make no sign change of Re F
-        row = np.asarray(f(grid + 1e-6j))
-        last = grid.size - 1
-        atom_candidates = roots + [
-            float(x) for i, x in enumerate(grid)
-            if abs(row[i]) <= 1e-6 / tr.ATOM_THRESHOLD
-            and not any(grid[max(i - 1, 0)] <= r <= grid[min(i + 1, last)]
-                        for r in roots)]
-    return reference_stieltjes_invert(reciprocal(f), grid,
-                                      atom_candidates, eps_ladder)
 
 
 def reference_hilbert_transform(measure, x, eps=1e-2):
@@ -668,10 +686,13 @@ class TestRealZeroFilter:
            [d, -d], 3) for d in (1e-5, 1e-6, 5e-7, 1e-7, 0.0)],
         # four atoms within 4e-4: seen from the ladder's heights they act as
         # one, so F is flat at the ends of the cell holding the heaviest,
-        # but there |F| < eps/ATOM_THRESHOLD
+        # but there |F| < eps/ATOM_THRESHOLD.  The scan at 1e-6 finds the
+        # atoms at 0.15143511 and 0.15154761 and a zero between the atoms
+        # at 0.15146448 and 0.15154761 that carries no mass at 1e-6; the
+        # other two atoms make no sign change and stay in the density
         (((0.15143511, 0.227), (0.15146448, 0.176), (0.15154761, 0.545),
           (0.15179139, 0.052)), np.linspace(-2.5, 2.5, 37),
-         [-8.8e-7, 3e-8, -4.4e-7], 1),
+         [-8.8e-7, 3e-8, -4.4e-7], 2),
         # cells next to the poles narrower than twice the smallest ladder
         # height, so their flatness is measured over 2 * y
         (((-0.23125133, 0.587), (-0.22669612, 0.2), (-0.2246558, 0.122),
@@ -708,13 +729,13 @@ class TestRealZeroFilter:
     def test_atoms_sharing_cells_with_poles(self):
         # each cell next to the atoms at +-0.01 (grid points) holds a zero
         # and a pole of F, so the signs at its ends agree.  The masses are
-        # off by the eps ladder (atoms 0.01 apart) and are not pinned.
+        # read at heights far below the atoms' distance 0.01
         mu = ms.AtomicMeasure(((-0.01, 0.3), (0.0, 0.4), (0.01, 0.3)))
         f, grid = partial(tr.f_transform, mu), np.linspace(-2.5, 2.5, 1001)
         got = outcome(tr.measure_from_ftransform, f, grid)
         assert got == outcome(reference_measure_from_ftransform, f, grid)
-        positions = [float.fromhex(a) for a, _ in got[2]]
-        assert np.allclose(positions, mu.positions, rtol=0, atol=1e-12)
+        atoms = [(float.fromhex(a), float.fromhex(w)) for a, w in got[2]]
+        assert np.allclose(atoms, mu.atoms, rtol=0, atol=1e-9)
 
     @staticmethod
     def semicircle_with_atom(w, a):
@@ -769,6 +790,7 @@ class TestFlowCalls:
     one for the scan row and one for the normalization probe, they were 11
     (slit) and 19 (SLE) for the same points; with the real-zero search
     bisecting six levels per call they were 11 (SLE) and 12 (README).
+    Each root is vetted at two heights, in one call for all of them.
     The slits count ``slit_batch`` calls, the SLE path ``flow_batch``
     calls."""
 
@@ -805,11 +827,11 @@ class TestFlowCalls:
 
     def test_sle_vetoed_root(self, tmp_path, monkeypatch):
         # one sign change of Re F is searched (63 and 17 points) and its
-        # root vetted (6 points) and refused; then the two refine passes.
+        # root vetted (2 points) and refused; then the two refine passes.
         # The digest pins the output files.
         sizes = self.run(tmp_path, monkeypatch,
                          lw.sle_driving(2.0, 1.0, 1e-2, seed=1), 201)
-        assert sizes == [201 + 1 + 3 * 201, 63, 17, 6, 3 * 77, 3 * 91]
+        assert sizes == [201 + 1 + 3 * 201, 63, 17, 2, 3 * 77, 3 * 91]
         digest = hashlib.sha256()
         for name in ("chain.csv", "chain.json"):
             digest.update((tmp_path / name).read_bytes())
@@ -819,11 +841,14 @@ class TestFlowCalls:
     def test_readme_slit(self, tmp_path, monkeypatch):
         driving = lw.DrivingFunction.constant(0.023648)
         sizes = self.run(tmp_path, monkeypatch, driving, kernel="slit_batch")
-        assert sizes == [1201 + 1 + 3 * 1201, 63, 17, 6, 3 * 84, 3 * 77]
+        assert sizes == [1201 + 1 + 3 * 1201, 63, 17, 2, 3 * 84, 3 * 77]
         f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
         want = reference_scan_real_zeros(f, loewner_grid(driving, 1201))
-        (atom, _), = ms.load_measure(tmp_path / "chain.json").atoms
+        (atom, mass), = ms.load_measure(tmp_path / "chain.json").atoms
         assert len(want) == 1 and close(atom, want[0])
+        # the slit at constant u has an atom of mass |u|/sqrt(u^2 + 2t)
+        exact = 0.023648 / math.sqrt(0.023648 ** 2 + 2.0)
+        assert abs(mass / exact - 1) <= 1e-3
 
 
 CLOSED_FORM_MAPS = {law: law_map(law) for law in LAWS}
