@@ -24,8 +24,7 @@ from .measures import (NcprobError, NoConvergence, AtomicMeasure, GridMeasure,
                        Semicircle, Poisson, MarchenkoPastur, FreeMeixner,
                        levy_distance, moments, sample)
 from .transforms import (cauchy, f_transform, b_transform, stieltjes_invert,
-                         measure_from_ftransform, nevanlinna_extract,
-                         hilbert_transform, f_series, moment_quadrature)
+                         measure_from_ftransform, f_series, moment_quadrature)
 from .convolutions import (convolve, convolve_power, clt_iterate,
                            boolean_divisibility_root)
 from .loewner import (HullCollision, DrivingFunction, HerglotzField,

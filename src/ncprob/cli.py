@@ -92,7 +92,7 @@ def _cmd_convolve(args):
             rhs, measures.MomentSequence):
         lhs = lhs.truncate(min(lhs.order, args.order))
         rhs = rhs.truncate(min(rhs.order, args.order))
-    out = convolutions.convolve(args.kind, lhs, rhs, order=args.order)
+    out = convolutions.convolve(args.kind, lhs, rhs)
     measures.save_measure(out, args.out)
     return 0
 
@@ -319,7 +319,8 @@ def build_parser():
     c.add_argument("--kind", required=True, choices=convolutions.KINDS)
     c.add_argument("--lhs", required=True)
     c.add_argument("--rhs", required=True)
-    c.add_argument("--order", type=whole1, default=8)
+    c.add_argument("--order", type=whole1, default=8,
+                   help="truncates moment files; measure files ignore it")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_convolve)
 

@@ -3,9 +3,9 @@
 Moment-level arithmetic is exact (rational inputs stay rational): classical
 via binomial sums, Boolean and free via cumulant addition, monotone via
 composition of truncated F-series.  Measure-level convolutions of atomic
-measures run through the transforms: numeric F-composition / B-addition
-followed by Stieltjes inversion, and the free case through the cumulant
-route realized as a moment-matched quadrature measure.
+measures are exact for the classical kind; the other kinds evaluate an exact
+F-map (monotone composition, Boolean B-addition, free subordination) and
+recover the measure from it by Stieltjes inversion.
 """
 
 import math
@@ -62,7 +62,7 @@ def _default_grid(mu, nu):
     return np.linspace(-(r + pad), r + pad, 2001)
 
 
-def _convolve_measures(kind, mu, nu, order):
+def _convolve_measures(kind, mu, nu):
     if not (isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure)):
         raise NcprobError("measure-level convolution expects atomic inputs")
     if kind == "classical":
@@ -72,15 +72,21 @@ def _convolve_measures(kind, mu, nu, order):
                 key = x + y
                 pairs[key] = pairs.get(key, 0) + w * v
         return AtomicMeasure.from_pairs(pairs.items(), merge_tol=1e-12)
-    if kind == "free":
-        m = _convolve_moments("free", mu.moments(order), nu.moments(order))
-        return tr.moment_quadrature(m)
     if kind == "antimonotone":
-        return _convolve_measures("monotone", nu, mu, order)
+        return _convolve_measures("monotone", nu, mu)
     grid = _default_grid(mu, nu)
     if kind == "monotone":
         def fmap(z):
             return tr.f_transform(mu, tr.f_transform(nu, z))
+    elif kind == "free":
+        # subordination: F_{mu+nu}(z) = F_mu(w(z)) with w(z) the fixed point
+        # of w -> z + h_nu(z + h_mu(w)), h = F - id = -B (Biane 1998;
+        # Belinschi & Bercovici 2007)
+        def subordinate(w, z):
+            return z - tr.b_transform(nu, z - tr.b_transform(mu, w))
+
+        def fmap(z):
+            return tr.f_transform(mu, tr._fixed_point(subordinate, z, 1e-12))
     else:  # boolean
         def fmap(z):
             return z - tr.b_transform(mu, z) - tr.b_transform(nu, z)
@@ -89,14 +95,13 @@ def _convolve_measures(kind, mu, nu, order):
                                       eps_ladder=(2e-3, 1e-3, 5e-4))
 
 
-def convolve(kind, a, b, order=8):
+def convolve(kind, a, b):
     """Convolution of two measures or two moment sequences.
 
     Both inputs are moment sequences of the same order, or both are
     measures; mixing the two raises ``NcprobError``.  Measures must be
-    atomic; the result is atomic for the classical kind, a quadrature
-    measure matching 2*order moments for the free kind, and a recovered
-    GridMeasure for the monotone/Boolean kinds.
+    atomic; the result is atomic for the classical kind and a recovered
+    GridMeasure for the free, monotone and Boolean kinds.
     """
     _check_kind(kind)
     if isinstance(a, MomentSequence) != isinstance(b, MomentSequence):
@@ -104,7 +109,7 @@ def convolve(kind, a, b, order=8):
             "convolve needs two moment sequences or two atomic measures")
     if isinstance(a, MomentSequence):
         return _convolve_moments(kind, a, b)
-    return _convolve_measures(kind, a, b, order)
+    return _convolve_measures(kind, a, b)
 
 
 def convolve_power(kind, m, n):

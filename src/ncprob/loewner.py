@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, transforms
-from .measures import AtomicMeasure, NcprobError, NoConvergence, json_reals
+from .measures import AtomicMeasure, NcprobError, json_reals
 
 
 class HullCollision(NcprobError):
@@ -311,72 +311,29 @@ def chain_measure(field, t, grid, tol=1e-9,
 # nonlinear resolvents
 # ---------------------------------------------------------------------------
 
-_NEWTON_STEPS = 200  # Newton steps before a resolvent solve gives up
-
-
-def _damped_newton(gen, t, w, tol):
-    """Solve z - t*G(z) = w entrywise for z in H, starting at z = w.
-
-    The slope is the central difference of phi(z) = z - t*G(z) - w; each
-    entry halves its own step, up to 60 times, until |phi| drops with
-    Im z > 0.  Entries stop once |phi| <= tol, so every entry takes the
-    same steps as it would alone.
-    """
-    def phi(z, w):
-        return z - t * np.asarray(gen(z)) - w
-
-    z = w.copy()
-    r = phi(z, w)
-    for _ in range(_NEWTON_STEPS):
-        live = np.flatnonzero(~(np.abs(r) <= tol))
-        if live.size == 0:
-            return z
-        zl, rl, wl = z[live], r[live], w[live]
-        h = 1e-7 * np.maximum(1.0, np.abs(zl))
-        dphi = (phi(zl + h, wl) - phi(zl - h, wl)) / (2 * h)
-        if np.any(dphi == 0):
-            raise NoConvergence("vanishing derivative in Newton step")
-        step = rl / dphi
-        lam = 1.0
-        pending = np.ones(live.size, dtype=bool)
-        for _ in range(60):
-            znew = zl - lam * step
-            trial = np.flatnonzero(pending & (znew.imag > 0))
-            if trial.size:
-                rnew = phi(znew[trial], wl[trial])
-                better = np.abs(rnew) < np.abs(rl[trial])
-                took = trial[better]
-                zl[took], rl[took] = znew[took], rnew[better]
-                pending[took] = False
-                if not pending.any():
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("damping failed to reduce the residual")
-        z[live], r[live] = zl, rl
-    if np.all(np.abs(r) <= tol):
-        return z
-    raise NoConvergence(f"residual {np.abs(r).max():.2e} after "
-                        f"{_NEWTON_STEPS} steps")
-
-
-def _resolvent_points(t, w):
-    """``w`` as a 1-d complex array, or an NcprobError unless t >= 0 and
-    every Im w > 0."""
-    if t < 0:
-        raise NcprobError("resolvent time must be >= 0")
+def _resolvent_points(t, w, tol):
+    """``w`` as a 1-d complex array, or an NcprobError naming the argument
+    unless t >= 0 and tol > 0 are finite and every w is finite with
+    Im w > 0."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise NcprobError(f"resolvent time must be >= 0 and finite, got {t}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise NcprobError(f"resolvent tol must be finite and > 0, got {tol}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
+    if not np.all(np.isfinite(w)):
+        raise NcprobError("resolvent requires finite w")
     if np.any(w.imag <= 0):
         raise NcprobError("resolvent requires Im(w) > 0")
     return w
 
 
 def nonlinear_resolvent(gen, t, w, tol=1e-12):
-    """Solve w = z - t*G(z) for z in H by damped Newton iteration.
+    """Solve w = z - t*G(z) for z in H: the fixed point of
+    z -> w + t*G(z), which maps H into Im >= Im w.
 
-    ``gen`` is a Herglotz generator (maps H into H union R).  The iteration
-    starts at z = w, halves its step until the residual decreases, and
-    polishes to |z - t G(z) - w| <= tol.
+    ``gen`` is a Herglotz generator (maps H into H union R).  The solve
+    (``transforms._fixed_point``) stops once
+    |z - t G(z) - w| <= tol (1 + |z|^2).
     """
     return complex(resolvent_fmap(gen, t, tol)(complex(w))[0])
 
@@ -385,14 +342,15 @@ def resolvent_fmap(gen, t, tol=1e-12):
     """J_t, a vectorized function of a complex array (F-transform of a
     freely infinitely divisible law when gen is time-independent).
 
-    Runs the damped Newton iteration of nonlinear_resolvent on the whole
-    array, so each entry equals the one-point result.
+    Solves the fixed point of nonlinear_resolvent on the whole array, so
+    each entry equals the one-point result.
     """
     def ev(w):
-        w = _resolvent_points(t, w)
+        w = _resolvent_points(t, w, tol)
         if t == 0:
             return w.copy()
-        return _damped_newton(gen, t, w, tol)
+        return transforms._fixed_point(
+            lambda z, w: w + t * np.asarray(gen(z)), w, tol)
 
     return ev
 

@@ -52,6 +52,11 @@ class AtomicMeasure:
         ws = [w for _, w in atoms]
         if not atoms:
             raise NcprobError("atomic measure needs at least one atom")
+        for what, vals in (("position", xs), ("weight", ws)):
+            for v in vals:
+                if not (_is_real(v) and _is_finite(v)):
+                    raise NcprobError(
+                        f"atom {what} must be a finite real, got {v!r}")
         if any(w <= 0 for w in ws):
             raise NcprobError("atom weights must be strictly positive")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):

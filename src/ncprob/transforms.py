@@ -1,8 +1,8 @@
 """Holomorphic transforms of measures and moment/cumulant calculus.
 
 The Cauchy transform G(z) = integral of 1/(z - x), its reciprocal F = 1/G,
-the difference B = z - F, Stieltjes-Perron inversion with Richardson
-extrapolation in the regularization parameter, Nevanlinna data extraction,
+the difference B = z - F, fixed points of self-maps of H, Stieltjes-Perron
+inversion with Richardson extrapolation in the regularization parameter,
 and the bijections between moments and free/Boolean/classical cumulants.
 """
 
@@ -11,14 +11,13 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
-                       NcprobError, _is_real, sqrt_upper)
+                       NcprobError, NoConvergence, _is_real, sqrt_upper)
 from .series import _reciprocal, _sqrt
 
 
@@ -98,6 +97,80 @@ def f_transform(measure, z):
 def b_transform(measure, z):
     """B = z - F; maps H into the closed lower half-plane."""
     return np.asarray(z, dtype=complex) - f_transform(measure, z)
+
+
+# ---------------------------------------------------------------------------
+# fixed points in H
+# ---------------------------------------------------------------------------
+
+_FIXED_POINT_ROUNDS = 60  # rounds at one continuation level before refusing
+
+
+def _in_upper(vals):
+    if not np.all(vals.imag > 0):
+        raise NoConvergence("the map left the upper half-plane")
+    return vals
+
+
+def _fixed_point(phi, w, tol):
+    """For each entry of the 1-d complex array ``w``, the z in H with
+    z = phi(z, w), where phi(., w) maps H into Im >= Im w: a nonlinear
+    resolvent, or a subordination function of free convolution.
+
+    The solve continues in Im w.  It solves at w + i*s with
+    s = 10 (1 + |w|), then at s/10, s/100, ..., each level from the last
+    root, and at s = 0 once s/10 < 1e-3 Im w.  A round takes the Newton
+    step of z - phi(z), with a central-difference slope, when the step
+    lands in H, moves z by at most Im z and shrinks the gap
+    |z - phi|^2/(Im z Im phi); otherwise it takes the plain step
+    z -> phi(z), which never grows the gap (Schwarz-Pick).  A level ends
+    when |z - phi(z)| <= tol (1 + |z|^2) at the start of a round or after
+    its Newton step, a bound that holds next to a pole of the map, where z
+    is large.  Every entry takes the rounds it would take alone, so a batch
+    entry equals its one-point result.  ``phi`` is called only in H;
+    NoConvergence when it leaves H, or after _FIXED_POINT_ROUNDS rounds at
+    one level.
+    """
+    def met(z, f):
+        return np.abs(z - f) <= tol * (1 + np.abs(z) ** 2)
+
+    s = 10 * (1 + np.abs(w))
+    z = w + 1j * s
+    rounds = np.zeros(w.size, dtype=int)
+    live = np.arange(w.size)
+    while live.size:
+        n = live.size
+        zl, wl = z[live], w[live] + 1j * s[live]
+        h = 1e-7 * np.maximum(1.0, np.abs(zl))
+        vals = _in_upper(phi(np.concatenate([zl, zl + h, zl - h]),
+                             np.concatenate([wl, wl, wl])))
+        f, fp, fm = vals[:n], vals[n:2 * n], vals[2 * n:]
+        done = met(zl, f)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = (zl - f) / (1 - (fp - fm) / (2 * h))
+        zn = zl - step
+        ok = np.flatnonzero(~done & (zn.imag > 0)
+                            & (np.abs(step) <= zl.imag))
+        new = np.where(done, zl, f)
+        if ok.size:
+            fn = _in_upper(phi(zn[ok], wl[ok]))
+            shrinks = (np.abs(zn[ok] - fn) ** 2 / (zn[ok].imag * fn.imag)
+                       < np.abs(zl[ok] - f[ok]) ** 2
+                       / (zl[ok].imag * f[ok].imag))
+            took = ok[shrinks]
+            new[took] = zn[took]
+            # a Newton step that meets the stop rule ends its level at once
+            done[took] = met(zn[took], fn[shrinks])
+        z[live] = new
+        rounds[live] = np.where(done, 0, rounds[live] + 1)
+        if rounds.max() > _FIXED_POINT_ROUNDS:
+            raise NoConvergence(f"no fixed point within {tol:g} (1 + |z|^2) "
+                                f"after {_FIXED_POINT_ROUNDS} rounds")
+        sl = s[live]
+        lower = np.where(sl / 10 >= 1e-3 * w[live].imag, sl / 10, 0.0)
+        s[live] = np.where(done, lower, sl)
+        live = live[~(done & (sl == 0))]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +435,22 @@ def stieltjes_invert(g, grid, atom_candidates=None,
 def scan_real_zeros(f, grid):
     """Real-axis zero candidates of a holomorphic map from a sign scan.
 
-    Looks for sign changes of Re f(x + i*1e-6) along the grid and finds the
-    zero in each; used to locate poles of 1/F, i.e. atom candidates.  One
-    call evaluates the scan row, and the root search (``_bracketed_roots``)
-    makes one to seven more, each shared by every bracket.
+    Looks for upward sign changes of Re f(x + i*1e-6) along the grid and
+    finds the zero in each; used to locate poles of 1/F, i.e. atom
+    candidates.  One call evaluates the scan row, and the root search
+    (``_bracketed_roots``) makes one to seven more, each shared by every
+    bracket.
     """
     row = np.asarray(f(grid + 1j * _SCAN_EPS)).real
     return _sign_change_roots(f, grid, row, _SCAN_EPS)
 
 
 def _sign_change_roots(f, grid, row, eps, searched=True):
-    """The zero in every sign change of ``row`` = Re f(grid + i*eps) from
-    grid[i] to grid[i + 1] where ``searched`` (an array over i) holds."""
-    sign = np.sign(row)
-    cross = np.nonzero((sign[:-1] * sign[1:] < 0) & searched)[0]
+    """The zero in every change of ``row`` = Re f(grid + i*eps) from below 0
+    at grid[i] to above 0 at grid[i + 1] where ``searched`` (an array over
+    i) holds.  F'(a) = 1/mu({a}) > 0 at an atom a, so a downward change is a
+    pole of F, a zero of G, and never an atom."""
+    cross = np.nonzero((row[:-1] < 0) & (row[1:] > 0) & searched)[0]
     return _bracketed_roots(f, grid[cross], grid[cross + 1], row[cross],
                             row[cross + 1], eps)
 
@@ -495,55 +570,6 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
     else:
         density *= (1.0 - atom_total) / dens_mass
     return GridMeasure(grid, density, tuple(atoms))
-
-
-# ---------------------------------------------------------------------------
-# Nevanlinna data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NevanlinnaData:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.b < -1e-12:
-            raise NcprobError("Nevanlinna slope b must be nonnegative")
-
-
-def nevanlinna_extract(f):
-    """Extract (a, b): a = Re f(i), b = lim f(iy)/(iy), Richardson in 1/y."""
-    probe_ys = (1e3, 1e4, 1e5, 1e6)
-    check_zs = [1j, 1 + 1j, -2 + 0.5j, 3j]  # the first gives a = Re f(i)
-    vals = np.asarray(f(np.array(check_zs + [1j * y for y in probe_ys])))
-    if np.any(vals[:len(check_zs)].imag < -1e-9):
-        raise NcprobError("Im f < 0 at a probe point")
-    ratios = [(v / (1j * y)).real
-              for y, v in zip(probe_ys, vals[len(check_zs):])]
-    b = float(extrapolate_to_zero([1.0 / y for y in probe_ys], ratios))
-    return NevanlinnaData(a=float(vals[0].real), b=b)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert transform
-# ---------------------------------------------------------------------------
-
-def hilbert_transform(measure, x):
-    """(1/pi) Re G(x + i*eps) extrapolated to eps -> 0, for a measure or its
-    Cauchy transform, a vectorized function of a complex array.
-
-    Agrees with the principal-value integral for continuous densities.
-    """
-    if isinstance(measure, (AtomicMeasure, GridMeasure)):
-        for a, _ in measure.atoms:
-            if abs(x - a) < 1e-9:
-                raise NcprobError(f"x = {x} collides with atom at {a}")
-        g = functools.partial(cauchy, measure)
-    else:
-        g = measure
-    ladder = (1e-2, 5e-3, 2.5e-3)
-    vals = np.asarray(g(np.array([x + 1j * e for e in ladder]))).real
-    return float(extrapolate_to_zero(ladder, list(vals / math.pi)))
 
 
 # ---------------------------------------------------------------------------

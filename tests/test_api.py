@@ -224,9 +224,6 @@ transforms.check_cauchy_normalization
 transforms.stieltjes_invert
 transforms.scan_real_zeros
 transforms.measure_from_ftransform
-transforms.NevanlinnaData
-transforms.nevanlinna_extract
-transforms.hilbert_transform
 transforms.CUMULANT_KINDS
 transforms.moments_to_cumulants
 transforms.cumulants_to_moments
@@ -241,7 +238,6 @@ transforms.moment_quadrature
 # "module.Class.field", in source order
 OPTIONS = """
 cli.main(argv)
-convolutions.convolve(order)
 graphs.RootedGraph.from_edges(root)
 graphs.path_graph(root)
 graphs.cycle_graph(root)
@@ -389,12 +385,12 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 217
+    assert len(NAMES) == 214
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 57
+    assert len(OPTIONS) == 56
 
 
 @pytest.mark.parametrize("owner, name", [

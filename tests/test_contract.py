@@ -2,8 +2,9 @@
 a caller passes, a constructor, ``moments``, ``to_measure`` and ``sample``,
 called on the law or through ``measures.sample``, return or raise
 ``NcprobError``, with no other exception and no numpy warning on the
-way.  The inversion entries and the count arguments of the convolution
-and graph builders refuse malformed input the same way, naming it."""
+way.  The inversion entries, the count arguments of the convolution
+and graph builders, atomic measures and the resolvent's tolerance refuse
+malformed input the same way, naming it."""
 
 import math
 import warnings
@@ -192,6 +193,39 @@ DRIVING = lw.DrivingFunction.constant(0.0)
      "need 1 <= k_max <= n"),
 ])
 def test_count_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()
+
+
+def minus_bernoulli_cauchy(z):
+    return -0.5 * (1 / (z - 1) + 1 / (z + 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ms.AtomicMeasure(((math.nan, 1.0),)),
+     "atom position must be a finite real, got nan"),
+    (lambda: ms.AtomicMeasure(((math.inf, 1.0),)),
+     "atom position must be a finite real, got inf"),
+    (lambda: ms.AtomicMeasure(((0.0, 0.5), (-math.inf, 0.5))),
+     "atom position must be a finite real, got -inf"),
+    (lambda: ms.AtomicMeasure(((0.0, math.nan),)),
+     "atom weight must be a finite real, got nan"),
+    (lambda: ms.AtomicMeasure(((0.0, 0.5), (1.0, math.inf))),
+     "atom weight must be a finite real, got inf"),
+    (lambda: ms.AtomicMeasure((("0.5", 1.0),)),
+     "atom position must be a finite real, got '0.5'"),
+    (lambda: ms.AtomicMeasure(((0.5, 1j),)),
+     "atom weight must be a finite real, got 1j"),
+    *[(lambda tol=tol: lw.nonlinear_resolvent(minus_bernoulli_cauchy, 1.0,
+                                              0.3 + 1j, tol),
+       f"resolvent tol must be finite and > 0, got {tol}")
+      for tol in (0.0, -1e-12, math.nan, math.inf)],
+    (lambda: lw.resolvent_fmap(minus_bernoulli_cauchy, 1.0, 0.0)(
+        np.array([2j])), "resolvent tol must be finite and > 0, got 0.0"),
+])
+def test_kernel_input_refusal_names_the_argument(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ms.NcprobError, match=message):

@@ -134,7 +134,35 @@ class TestMeasureLevel:
             measure_out = cv.convolve(kind, mu, nu)
             moment_out = cv.convolve(kind, mu.moments(6), nu.moments(6))
             got = measure_out.moments(6)
-            assert np.abs(got.floats() - moment_out.floats()).max() < 1e-6
+            # the free kind is a density with square-root edges, recovered
+            # on the default grid; the atomic kinds recover their atoms
+            bound = 1e-2 if kind == "free" else 1e-6
+            assert np.abs(got.floats() - moment_out.floats()).max() < bound
+
+    def test_free_bernoullis_are_arcsine(self):
+        bern = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
+        out = cv.convolve("free", bern, bern)
+        assert out.atoms == ()
+        xs = np.linspace(-2.2, 2.2, 4001)
+        cdf = np.array([out.cdf(x) for x in xs])
+        assert np.abs(cdf - ms.Arcsine(0, 2).cdf_exact(xs)).max() <= 1e-3
+
+    def test_free_atom_rule(self):
+        # mu + nu has an atom at a + b exactly when mu({a}) + nu({b}) > 1,
+        # of mass the excess (Bercovici & Voiculescu 1998)
+        mu = ms.AtomicMeasure(((0, 0.7), (1, 0.3)))
+        nu = ms.AtomicMeasure(((0, 0.6), (2, 0.4)))
+        out = cv.convolve("free", mu, nu)
+        assert len(out.atoms) == 2
+        for (a, w), (x, m) in zip(out.atoms, [(0.0, 0.3), (2.0, 0.1)]):
+            assert abs(a - x) <= 1e-9 and abs(w - m) <= 1e-4
+
+    def test_free_dirac_shifts(self):
+        mu = ms.AtomicMeasure(((-1.0, 0.25), (0.2, 0.5), (1.3, 0.25)))
+        out = cv.convolve("free", mu, ms.AtomicMeasure.dirac(0.75))
+        assert len(out.atoms) == 3 and out.density_mass() <= 1e-6
+        for (a, w), (x, m) in zip(out.atoms, mu.atoms):
+            assert abs(a - (x + 0.75)) <= 1e-9 and abs(w - m) <= 1e-4
 
     def test_classical_vs_sampling(self):
         mu = ms.AtomicMeasure(((-1.0, 0.3), (0.5, 0.7)))

@@ -951,7 +951,7 @@ class TestResolvent:
 
     def test_no_convergence_outside_domain(self):
         gen = lambda z: z  # w = (1-t) z
-        with pytest.raises(lw.NoConvergence, match="vanishing derivative"):
+        with pytest.raises(ms.NoConvergence, match="no fixed point"):
             lw.nonlinear_resolvent(gen, 1.0, 1j)
 
     BERN = staticmethod(lambda z: -0.5 * (1 / (z - 1) + 1 / (z + 1)))
@@ -961,22 +961,32 @@ class TestResolvent:
         (1.0, 0.3 - 1j, "requires Im"),
         (1.0, 0.3, "requires Im"),
         (0.0, -2j, "requires Im"),
+        (math.nan, 0.3 + 1j, "time must be >= 0 and finite, got nan"),
+        (math.inf, 0.3 + 1j, "time must be >= 0 and finite, got inf"),
+        (1.0, complex(math.nan, 1.0), "requires finite w"),
+        (1.0, complex(0.3, math.inf), "requires finite w"),
+        (0.0, complex(-math.inf, 1.0), "requires finite w"),
     ])
     def test_both_entry_points_refuse(self, t, w, message):
-        with pytest.raises(ms.NcprobError, match=message):
-            lw.nonlinear_resolvent(self.BERN, t, w)
-        with pytest.raises(ms.NcprobError, match=message):
-            lw.resolvent_fmap(self.BERN, t)(np.array([2j, w]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.NcprobError, match=message):
+                lw.nonlinear_resolvent(self.BERN, t, w)
+            with pytest.raises(ms.NcprobError, match=message):
+                lw.resolvent_fmap(self.BERN, t)(np.array([2j, w]))
 
     def test_no_convergence_messages(self):
-        with pytest.raises(lw.NoConvergence, match="vanishing derivative"):
+        # z -> i + z has no fixed point in H: its plain steps climb forever
+        with pytest.raises(ms.NoConvergence,
+                           match=r"no fixed point within 1e-12 \(1 \+ \|z\|\^2\)"
+                                 r" after 60 rounds"):
             lw.nonlinear_resolvent(lambda z: z, 1.0, 1j)
-        # phi(z) = z - 2 conj(z) - w is not holomorphic: from w = i every
-        # damped step along the difference slope raises |phi|
-        with pytest.raises(lw.NoConvergence, match="damping failed"):
+        # z -> i + 2 conj(z) maps H out of H
+        with pytest.raises(ms.NoConvergence,
+                           match="the map left the upper half-plane"):
             lw.nonlinear_resolvent(np.conj, 2.0, 1j)
-        with (mock.patch.object(lw, "_NEWTON_STEPS", 1),
-              pytest.raises(lw.NoConvergence, match=r"after 1 steps")):
+        with (mock.patch.object(tr, "_FIXED_POINT_ROUNDS", 1),
+              pytest.raises(ms.NoConvergence, match=r"after 1 rounds")):
             lw.nonlinear_resolvent(self.GEN, 4.0, 0.1 + 1e-3j)
 
     def test_fmap_entries_equal_one_point_calls(self):
@@ -995,8 +1005,8 @@ class TestResolvent:
         def phi(z):
             return z + t / z - ws
 
-        # the undamped first step raises |phi| at 189 of the 500 points,
-        # and later undamped steps can leave H
+        # a plain Newton step from z = w raises |phi| at 189 of the 500
+        # points, and later plain steps can leave H
         h = 1e-7 * np.maximum(1.0, np.abs(ws))
         z1 = ws - phi(ws) * 2 * h / (phi(ws + h) - phi(ws - h))
         halved = (z1.imag <= 0) | ~(np.abs(phi(z1)) < np.abs(phi(ws)))
@@ -1022,24 +1032,59 @@ class TestResolvent:
         def bern(z):
             return -0.5 * (1 / (z - 1) + 1 / (z + 1))
 
-        single = {}
-        for w in ws:
-            try:
-                single[w] = lw.nonlinear_resolvent(bern, t, w)
-            except lw.NoConvergence:
-                pass  # the rule can stall far from the root in H
-        assert len(single) >= 250
-        good = np.array(list(single))
+        single = [lw.nonlinear_resolvent(bern, t, w) for w in ws]
         seen = []
 
         def gen(z):
             seen.append(z.imag.min(initial=np.inf))
             return bern(z)
 
-        got = lw.resolvent_fmap(gen, t)(good)
-        assert np.abs(got - t * bern(got) - good).max() <= 1e-12
+        got = lw.resolvent_fmap(gen, t)(ws)
+        residual = np.abs(got - t * bern(got) - ws)
+        assert np.all(residual <= 1e-12 * (1 + np.abs(got) ** 2))
         assert min(seen) > 0
-        assert got.tobytes() == np.array(list(single.values())).tobytes()
+        assert got.tobytes() == np.array(single).tobytes()
+
+    @staticmethod
+    def upper_root(atoms, t, w):
+        """The root in H of z + t G(z) = w for G of the atomic law, by
+        numpy.roots of (z - w) P(z) + t Q(z), where G = Q/P."""
+        xs = np.array([a for a, _ in atoms])
+        poly = np.poly(xs)
+        tail = t * sum(p * np.poly(np.delete(xs, i))
+                       for i, (_, p) in enumerate(atoms))
+        out = []
+        for wi in w:
+            coef = np.polymul(poly, [1, -wi])
+            coef[2:] += tail
+            roots = np.roots(coef)
+            out.append(roots[np.argmax(roots.imag)])
+        return np.array(out)
+
+    @staticmethod
+    def minus_cauchy(atoms):
+        return lambda z: -sum(p / (z - a) for a, p in atoms)
+
+    def test_bernoulli_matches_numpy_roots(self):
+        # Re w in [-0.5, 0.5], Im w log-uniform in [1e-8, 1], where a damped
+        # Newton iteration from z = w stalled at most points
+        rng = np.random.default_rng(0)
+        ws = rng.uniform(-0.5, 0.5, 200) + 1j * 10 ** rng.uniform(-8, 0, 200)
+        got = lw.resolvent_fmap(self.BERN, 1.0)(ws)
+        want = self.upper_root([(-1.0, 0.5), (1.0, 0.5)], 1.0, ws)
+        assert np.abs(got - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_atomic_generators_match_numpy_roots(self, t):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, int(4 * t)])
+            n = int(rng.integers(2, 5))
+            ps = rng.random(n) + 0.05
+            atoms = list(zip(np.sort(rng.uniform(-2, 2, n)), ps / ps.sum()))
+            ws = rng.uniform(-3, 3, 200) + 1j * 10 ** rng.uniform(-8, 0, 200)
+            got = lw.resolvent_fmap(self.minus_cauchy(atoms), t)(ws)
+            want = self.upper_root(atoms, t, ws)
+            assert np.abs(got - want).max() <= 1e-9, seed
 
 
 class TestSLE:
