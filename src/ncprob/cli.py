@@ -29,10 +29,12 @@ def _format_cell(x):
 
 
 def _write_csv(path, header, rows):
+    """``rows`` as CSV lines under a ``header`` line (none when ``header``
+    is empty), built in full and written at once."""
+    lines = [",".join(header)] if header else []
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(x) for x in row) + "\n")
+        fh.write("\n".join(lines + [""]))
 
 
 def _load_json(path):
@@ -170,7 +172,10 @@ def _cmd_sle(args):
     except NcprobError as exc:
         raise NcprobError(f"{exc} (--kappa {args.kappa}, "
                           f"--T {args.T}, --dt {args.dt})") from exc
-    _write_csv(args.out, ("t", "u"), zip(driving.times, driving.values))
+    if args.out.endswith(".json"):  # the driving file loewner reads
+        measures._write_json(args.out, driving.to_json())
+    else:
+        _write_csv(args.out, ("t", "u"), zip(driving.times, driving.values))
     return 0
 
 
@@ -252,8 +257,7 @@ def _cmd_markov(args):
         mdp = markov.MDPSpec(array("transitions", 3), array("R", 1), gamma())
         v, policy = markov.mdp_value_iteration(mdp, tol=args.tol)
         result = {"v": list(v), "policy": [int(a) for a in policy]}
-    with open(args.out, "w") as fh:
-        json.dump(result, fh)
+    measures._write_json(args.out, result)
     return 0
 
 
@@ -264,7 +268,7 @@ def _cmd_ising(args):
         beta=args.beta, coupling=args.J, field=args.B,
     )
     out = markov.metropolis_ising(state, args.steps, args.seed)
-    np.savetxt(args.out, out.spins, fmt="%d", delimiter=",")
+    _write_csv(args.out, None, out.spins.tolist())
     print(f"magnetization {markov.magnetization(out)!r}")
     return 0
 
@@ -278,7 +282,7 @@ def _cmd_lerw(args):
 
 def _cmd_gue(args):
     evals = randmat.gue_eigenvalues(args.N, args.seed)
-    _write_csv(args.out, ("eigenvalue",), [(x,) for x in evals])
+    _write_csv(args.out, ("eigenvalue",), zip(evals.tolist()))
     return 0
 
 
@@ -362,7 +366,9 @@ def build_parser():
     c.add_argument("--T", type=float, required=True)
     c.add_argument("--dt", type=float, required=True)
     c.add_argument("--seed", type=_whole, required=True)
-    c.add_argument("--out", required=True)
+    c.add_argument("--out", required=True,
+                   help="t,u CSV, or driving JSON for loewner --driving "
+                        "when it ends in .json")
     c.set_defaults(fn=_cmd_sle)
 
     c = sub.add_parser("spidernet-approx",

@@ -704,8 +704,8 @@ def measure_to_json(m):
         return {"atoms": [[float(x), float(w)] for x, w in m.atoms]}
     if isinstance(m, GridMeasure):
         return {
-            "grid": [float(x) for x in m.grid],
-            "density": [float(d) for d in m.density],
+            "grid": m.grid.tolist(),
+            "density": m.density.tolist(),
             "atoms": [[float(x), float(w)] for x, w in m.atoms],
         }
     if isinstance(m, MomentSequence):
@@ -776,9 +776,17 @@ def measure_from_json(obj):
     raise NcprobError("unrecognized measure JSON")
 
 
-def save_measure(m, path):
+def _write_json(path, obj):
+    """``obj`` as JSON, built whole and written at once.  json.dump would
+    stream it through json's pure-Python encoder; json.dumps uses the C
+    encoder, to the same bytes."""
+    text = json.dumps(obj)
     with open(path, "w") as fh:
-        json.dump(measure_to_json(m), fh)
+        fh.write(text)
+
+
+def save_measure(m, path):
+    _write_json(path, measure_to_json(m))
 
 
 def load_measure(path):
@@ -792,7 +800,7 @@ def write_density_csv(m, path):
     """Two-column x,density CSV for plotting."""
     if isinstance(m, AtomicMeasure):
         raise NcprobError("atomic measures have no density to emit")
+    rows = zip(m.grid.tolist(), m.density.tolist())
+    text = "x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in rows)
     with open(path, "w") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(m.grid, m.density):
-            fh.write(f"{float(x)!r},{float(d)!r}\n")
+        fh.write(text)

@@ -471,6 +471,18 @@ def _grid_atom_candidates(grid, row, roots):
     return [float(x) for x in grid[near[lone]]]
 
 
+def _refine_points(grid, flagged):
+    """Seven equispaced interior points in each cell [grid[i], grid[i+1]]
+    within two cells of a flagged one (padded so the smeared edge lobes get
+    resolved too), cell by cell in ascending order, from one linspace."""
+    # a mask, not np.unique, which would load numpy.ma (1.7 MB resident)
+    near = np.zeros(grid.size - 1, dtype=bool)
+    near[np.clip(flagged[:, None] + np.arange(-2, 3), 0, grid.size - 2)] = True
+    cells = np.flatnonzero(near)
+    return np.linspace(grid[cells], grid[cells + 1], 9,
+                       axis=1)[:, 1:-1].ravel()
+
+
 def measure_from_ftransform(f, grid, atom_candidates=None,
                             eps_ladder=DEFAULT_EPS_LADDER):
     """Stieltjes inversion of 1/F for an F-transform ``f``, a vectorized
@@ -541,12 +553,7 @@ def measure_from_ftransform(f, grid, atom_candidates=None,
         flagged = np.nonzero(jump > 0.2 * scale)[0]
         if flagged.size == 0:
             break
-        cells = set()
-        for i in flagged:  # pad so the smeared edge lobes get resolved too
-            cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
-        extra = np.concatenate([
-            np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
-        ])
+        extra = _refine_points(grid, flagged)
         vals = 1.0 / f(_ladder_points(extra, eps_ladder))
         grid = np.concatenate([grid, extra])
         density = np.concatenate(

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -8,8 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ncprob import cli, randmat
+from ncprob import cli, graphs, loewner, markov, randmat, transforms
 from ncprob import measures as ms
+
+LOEWNER_LADDER = (5e-3, 2.5e-3, 1.25e-3)  # the one ``ncprob loewner`` uses
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
 
 
 def run(args, tmp_path):
@@ -890,3 +896,204 @@ class TestPerSeedPin:
         for n, (g, w) in enumerate(zip(got, want), start=1):
             assert g == w, f"line {n} differs:\n got: {g}\nwant: {w}"
         assert len(got) == len(want)
+
+
+# The writers as they were, one write per row and json's streaming encoder:
+# every output file must keep these bytes.
+
+def reference_cell(x):
+    if isinstance(x, (bool, int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def reference_csv(header, rows):
+    fh = io.StringIO()
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(reference_cell(x) for x in row) + "\n")
+    return fh.getvalue()
+
+
+def reference_grid_csv(spins):
+    fh = io.BytesIO()
+    np.savetxt(fh, spins, fmt="%d", delimiter=",")
+    return fh.getvalue().decode()
+
+
+def reference_density_csv(m):
+    fh = io.StringIO()
+    fh.write("x,density\n")
+    for x, d in zip(m.grid, m.density):
+        fh.write(f"{float(x)!r},{float(d)!r}\n")
+    return fh.getvalue()
+
+
+def reference_json(obj):
+    fh = io.StringIO()
+    json.dump(obj, fh)
+    return fh.getvalue()
+
+
+def reference_measure_json(m):
+    if isinstance(m, ms.MomentSequence):
+        return reference_json({"moments": m.floats().tolist()})
+    atoms = [[float(x), float(w)] for x, w in m.atoms]
+    if isinstance(m, ms.AtomicMeasure):
+        return reference_json({"atoms": atoms})
+    return reference_json({"grid": [float(x) for x in m.grid],
+                           "density": [float(d) for d in m.density],
+                           "atoms": atoms})
+
+
+# signed zeros, the smallest subnormal, a huge float, a repeating fraction,
+# Python and numpy ints, floats and a bool, and spidernet's empty u cell
+EDGE_ROW = (-0.0, 5e-324, 1e300, 1 / 3, 7, -3, np.int64(-3), np.int8(1),
+            np.float64(1 / 3), np.float64(-0.0), np.float32(0.1), True, "")
+
+# a grid measure holding the edge floats: the density cells are 0 wherever
+# the grid spacing is huge, (1/3, 1) and (1, 2) carry mass 0.4 and 0.6
+EDGE_MEASURE = ms.GridMeasure(
+    [-1e300, -0.0, 5e-324, 1 / 3, 1.0, 2.0, 1e300],
+    [0.0, -0.0, 5e-324, 0.0, 1.2, 0.0, 0.0],
+    ((np.int64(3), 5e-324), (1 / 3, np.float64(1e-300))))
+
+
+class TestWriters:
+    def test_csv_cells(self, tmp_path):
+        rows = [EDGE_ROW, EDGE_ROW[::-1], ()]
+        header = tuple(f"c{i}" for i in range(len(EDGE_ROW)))
+        cli._write_csv(tmp_path / "a.csv", header, rows)
+        assert (tmp_path / "a.csv").read_text() == reference_csv(header, rows)
+
+    def test_csv_without_header(self, tmp_path):
+        spins = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        cli._write_csv(tmp_path / "g.csv", None, spins.tolist())
+        assert (tmp_path / "g.csv").read_text() == reference_grid_csv(spins)
+        cli._write_csv(tmp_path / "e.csv", None, [])
+        assert (tmp_path / "e.csv").read_text() == ""
+
+    def test_density_csv(self, tmp_path):
+        ms.write_density_csv(EDGE_MEASURE, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text() == \
+            reference_density_csv(EDGE_MEASURE)
+
+    @pytest.mark.parametrize("m", [
+        EDGE_MEASURE,
+        ms.AtomicMeasure(((np.int64(-1), np.float64(1 / 3)),
+                          (5e-324, 2 / 3))),
+        ms.MomentSequence((-0.0, 1 / 3, 5e-324, 0.2)),
+        ms.MomentSequence((-0.0, 1e300)),
+    ])
+    def test_measure_json(self, tmp_path, m):
+        ms.save_measure(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == reference_measure_json(m)
+
+    def test_loewner(self, files):
+        json.dump({"kind": "constant", "values": [0.023648]},
+                  open(files / "u.json", "w"))
+        assert run(["loewner", "--driving", "u.json", "--t", "1",
+                    "--grid-min", "-2", "--grid-max", "2",
+                    "--grid-points", "201", "--out", "chain"], files) == 0
+        field = loewner.HerglotzField.from_driving(
+            loewner.DrivingFunction.constant(0.023648), horizon=1.0)
+        mu = loewner.chain_measure(field, 1.0, np.linspace(-2, 2, 201),
+                                   tol=1e-9, eps_ladder=LOEWNER_LADDER)
+        assert len(mu.atoms) == 1
+        assert (files / "chain.csv").read_text() == reference_density_csv(mu)
+        assert (files / "chain.json").read_text() == \
+            reference_measure_json(mu)
+
+    def test_invert_json_out(self, files):
+        assert run(["invert", "--law", "free-meixner", "--fm-a", "4",
+                    "--fm-c", "2", "--fm-u", "1", "--grid-points", "301",
+                    "--out", "fm.csv", "--json-out", "fm.json"], files) == 0
+        law = ms.FreeMeixner(4, 2, 1)
+        lo, hi = law.edges()
+        rec = transforms.stieltjes_invert(
+            law.cauchy, np.linspace(lo - 0.2, hi + 0.2, 301),
+            atom_candidates=law.atom_candidates())
+        assert len(rec.atoms) == 1
+        assert (files / "fm.csv").read_text() == reference_density_csv(rec)
+        assert (files / "fm.json").read_text() == reference_measure_json(rec)
+
+    def test_gue(self, files):
+        assert run(["gue", "--N", "50", "--seed", "3", "--out", "eig.csv"],
+                   files) == 0
+        evals = randmat.gue_eigenvalues(50, 3)
+        assert (files / "eig.csv").read_text() == \
+            reference_csv(("eigenvalue",), [(x,) for x in evals])
+
+    def test_ising(self, files, capsys):
+        assert run(["ising", "--width", "9", "--height", "4", "--beta",
+                    "0.44", "--steps", "2000", "--seed", "5",
+                    "--out", "grid.csv"], files) == 0
+        state = markov.IsingState.random((4, 9), seed=6, beta=0.44,
+                                         coupling=1.0, field=0.0)
+        spins = markov.metropolis_ising(state, 2000, 5).spins
+        assert (files / "grid.csv").read_text() == reference_grid_csv(spins)
+
+    def test_markov_mrp(self, files):
+        assert run(["markov", "mrp", "--spec", "mrp.json",
+                    "--out", "v.json"], files) == 0
+        spec = json.load(open(files / "mrp.json"))
+        v = markov.mrp_value(markov.TransitionMatrix(np.array(spec["P"])),
+                             np.array(spec["R"]), spec["gamma"])
+        assert (files / "v.json").read_text() == reference_json({"v": list(v)})
+
+    def test_spidernet_empty_cell(self, files):
+        assert run(["spidernet-approx", "--driving", "u0.json", "--T", "2",
+                    "--n", "2", "--order", "4", "--out", "sp.csv"], files) == 0
+        res = graphs.approx_process(loewner.DrivingFunction.constant(0.0),
+                                    2.0, 2, order=4)
+        rows = [(k, res.us[k - 1] if k else "", res.graphs[k].n)
+                + tuple(res.scaled_moments(k).values)
+                for k in range(len(res.raw_moments))]
+        header = ("k", "u", "vertices", "m1", "m2", "m3", "m4")
+        assert (files / "sp.csv").read_text() == reference_csv(header, rows)
+
+    def test_sle_csv_and_json(self, files):
+        for out in ("d.csv", "d.json"):
+            assert run(["sle", "--kappa", "2", "--T", "0.1", "--dt", "0.01",
+                        "--seed", "3", "--out", out], files) == 0
+        driving = loewner.sle_driving(2.0, 0.1, 0.01, 3)
+        assert (files / "d.csv").read_text() == reference_csv(
+            ("t", "u"), zip(driving.times, driving.values))
+        assert (files / "d.json").read_text() == \
+            reference_json(driving.to_json())
+
+
+class TestSleDrivesLoewner:
+    def test_json_driving_round_trip(self, files):
+        assert run(["sle", "--kappa", "2", "--T", "0.1", "--dt", "0.01",
+                    "--seed", "3", "--out", "d.json"], files) == 0
+        assert run(["loewner", "--driving", "d.json", "--t", "0.1",
+                    "--grid-min", "-1.5", "--grid-max", "1.5",
+                    "--grid-points", "101", "--out", "chain"], files) == 0
+        field = loewner.HerglotzField.from_driving(
+            loewner.sle_driving(2.0, 0.1, 0.01, 3), horizon=0.1)
+        want = loewner.chain_measure(field, 0.1, np.linspace(-1.5, 1.5, 101),
+                                     tol=1e-9, eps_ladder=LOEWNER_LADDER)
+        got = ms.load_measure(files / "chain.json")
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.density.tobytes() == want.density.tobytes()
+        assert got.atoms == want.atoms
+
+
+def readme_commands():
+    """The ``ncprob ...`` lines of the README's CLI block, as argv lists."""
+    text = open(README).read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("ncprob ")]
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 11
+        for argv in commands:
+            cli.build_parser().parse_args(argv)  # exits 2 on a usage error

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncprob import _kernels, cli
@@ -457,6 +457,17 @@ def reference_vetted_atom(g, a):
     return None
 
 
+def reference_refine_points(grid, flagged):
+    """Seven interior points of each cell within two cells of a flagged
+    one, one linspace per cell."""
+    cells = set()
+    for i in flagged:
+        cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
+    return np.concatenate([
+        np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
+    ])
+
+
 def reference_measure_from_ftransform(f, grid, atom_candidates=None,
                                       eps_ladder=tr.DEFAULT_EPS_LADDER):
     grid = np.asarray(grid, dtype=float)
@@ -492,12 +503,7 @@ def reference_measure_from_ftransform(f, grid, atom_candidates=None,
         flagged = np.nonzero(jump > 0.2 * scale)[0]
         if flagged.size == 0:
             break
-        cells = set()
-        for i in flagged:
-            cells.update(range(max(i - 2, 0), min(i + 3, grid.size - 1)))
-        extra = np.concatenate([
-            np.linspace(grid[i], grid[i + 1], 9)[1:-1] for i in sorted(cells)
-        ])
+        extra = reference_refine_points(grid, flagged)
         grid = np.concatenate([grid, extra])
         density = np.concatenate([density, density_at(extra)])
         order = np.argsort(grid)
@@ -877,6 +883,39 @@ class TestInversionGrid:
             with pytest.raises(ms.NcprobError, match=message):
                 tr.measure_from_ftransform(f, grid, cands)
         assert g.calls == f.calls == 0
+
+
+# cells at least this wide have normal steps (width / 8), so linspace's
+# y * step is exact scaling; numpy switches every row of a call to another
+# formula once one cell's step underflows to 0, which floats this close
+# together (within about 2e-323) would trigger
+NORMAL_WIDTH = 8 * np.finfo(float).tiny
+
+
+@st.composite
+def grids_and_flags(draw):
+    grid = np.array(sorted(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2,
+        max_size=40, unique=True))))
+    flagged = draw(st.lists(st.integers(0, grid.size - 2), min_size=1,
+                            unique=True))
+    return grid, np.array(sorted(flagged))
+
+
+class TestRefinePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(grids_and_flags())
+    def test_one_linspace_matches_per_cell(self, case):
+        grid, flagged = case
+        assume(np.diff(grid).min() >= NORMAL_WIDTH)
+        want = reference_refine_points(grid, flagged)
+        assert tr._refine_points(grid, flagged).tobytes() == want.tobytes()
+
+    def test_padding_at_both_ends(self):
+        grid = np.arange(6.0)
+        got = tr._refine_points(grid, np.array([0, 4]))
+        assert got.tolist() == [i + k / 8 for i in range(5)
+                                for k in range(1, 8)]
 
 
 def _reference_values(m):
