@@ -9,13 +9,14 @@ kernels built from F-transforms.
 
 import functools
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transforms
-from .measures import AtomicMeasure, NcprobError, NoConvergence
+from .measures import AtomicMeasure, NcprobError, NoConvergence, _check_count
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +136,26 @@ def convergence_report(p, v):
 
 
 # draws per block: a sampler turns each block into a Python list to walk,
-# which bounds the lists' memory
+# so a block bounds the memory it holds, whatever its step count; a seed's
+# Metropolis output depends on it
 _BLOCK = 4096
-
-_CHUNK = 1 << 20  # draws per chunk; a seed's output depends on it
 
 # bound on the entries of hitting_time_mc's next-state table, n (n (n - 1)
 # + 1) for a chain of n states: chains of up to 40 states
 _TABLE_MAX = 1 << 16
 
 
-def _draw_blocks(rng, chunk, n_sites=0, count=None):
-    """Draw ``chunk`` at a time (``count`` in all, or without end) and yield
-    the draws as arrays of at most _BLOCK entries.  With ``n_sites`` every
-    chunk draws its sites before its uniforms and the blocks are (sites,
-    uniforms) pairs; without, they are uniforms."""
-    if chunk <= 0:
-        raise NcprobError("chunk must be positive")
-    left = math.inf if count is None else int(count)
+def _draw_blocks(rng, block, n_sites=0, count=None):
+    """Yield ``count`` draws (or draws without end) in blocks of at most
+    ``block``.  With ``n_sites`` each block draws its sites, then its
+    uniforms, and is a (sites, uniforms) pair; without, it is an array of
+    uniforms."""
+    left = math.inf if count is None else count
     while left > 0:
-        k = min(chunk, left)
+        k = min(block, left)
         sites = rng.integers(0, n_sites, size=k) if n_sites else None
         u = rng.random(k)
-        for lo in range(0, k, _BLOCK):
-            us = u[lo:lo + _BLOCK]
-            yield (sites[lo:lo + _BLOCK], us) if n_sites else us
+        yield (sites, u) if n_sites else u
         left -= k
 
 
@@ -176,25 +172,27 @@ def _return_table(cols):
     return functools.partial(np.searchsorted, np.array(levels)), nxt
 
 
-def hitting_time_mc(p, state, episodes, seed, chunk=_CHUNK):
+def hitting_time_mc(p, state, episodes, seed, chunk=_BLOCK):
     """Monte Carlo first-return times to ``state``; returns (mean, se, n).
 
-    One uniform u per transition, drawn ``chunk`` at a time, moves the
+    One uniform u per transition, drawn in blocks of ``chunk``, moves the
     chain from k to the first j with u <= sum_{i <= j} p_{ik} (the last
-    state if there is none).  Up to _TABLE_MAX entries, that move is one
-    lookup in ``_return_table`` keyed by the rank of u among the chain's
-    cumulative sums; a larger chain bisects its column per transition.
-    The walk stops at the ``episodes``-th return, so n == episodes.
-    An array ``p`` is checked as a ``TransitionMatrix``.  Raises
-    NcprobError when ``state`` is transient: the chain might never return.
+    state if there is none).  The uniforms are one PCG64 stream however
+    they are split, so ``chunk`` bounds the memory a block holds and
+    leaves the output unchanged.  Up to _TABLE_MAX entries, that move is
+    one lookup in ``_return_table`` keyed by the rank of u among the
+    chain's cumulative sums; a larger chain bisects its column per
+    transition.  The walk stops at the ``episodes``-th return, so
+    n == episodes.  An array ``p`` is checked as a ``TransitionMatrix``.
+    Raises NcprobError when ``state`` is transient: the chain might never
+    return.
     """
-    if not (isinstance(episodes, (int, np.integer))
-            and not isinstance(episodes, bool) and episodes > 0):
-        raise NcprobError(
-            f"episodes must be positive and an int, got {episodes!r}")
+    _check_count(episodes, "episodes")
+    _check_count(chunk, "chunk")
     m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
-    if not 0 <= state < m.shape[0]:
-        raise NcprobError(f"state {state} is not one of the chain's "
+    if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
+            or not 0 <= state < m.shape[0]):
+        raise NcprobError(f"state {state!r} is not one of the chain's "
                           f"{m.shape[0]} states")
     # a state is recurrent iff every state it reaches can reach it back
     if not np.all(_reachable(m.T, state)[_reachable(m, state)]):
@@ -381,16 +379,15 @@ def metropolis_ising(state, steps, seed):
     """Run the single-flip Metropolis chain; returns the final state.
 
     Each of the ``steps`` proposals picks a uniform site and flips it with
-    the Metropolis probability; sites and uniforms are drawn _CHUNK at a
-    time, sites first.  Spins sit in a zero-padded flat list, so a
-    neighbour sum is four fixed offsets; a frozen site's thresholds are
-    -1.0, so it never flips.
+    the Metropolis probability.  Each block of at most _BLOCK proposals
+    draws its sites, then its uniforms, so the walk holds one block of
+    draws whatever ``steps`` is.  Spins sit in a zero-padded flat list,
+    so a neighbour sum is four fixed offsets; a frozen site's thresholds
+    are -1.0, so it never flips.
     """
     if state.spins.size > 1 << 30:
         raise NcprobError("lattice too large")
-    if not (isinstance(steps, (int, np.integer))
-            and not isinstance(steps, bool) and steps >= 0):
-        raise NcprobError(f"steps must be >= 0 and an int, got {steps!r}")
+    _check_count(steps, "steps", 0)
     h, w = state.spins.shape
     stride = w + 2
     padded = np.zeros((h + 2, stride), dtype=np.int64)
@@ -402,7 +399,7 @@ def metropolis_ising(state, steps, seed):
     never = [-1.0] * len(table)
     rows = [never if f else table for f in state.frozen.ravel().tolist()]
     rng = np.random.default_rng(seed)
-    for sites, u in _draw_blocks(rng, _CHUNK, h * w, steps):
+    for sites, u in _draw_blocks(rng, _BLOCK, h * w, steps):
         for i, x in zip(sites.tolist(), u.tolist()):
             p = where[i]
             s = grid[p]
@@ -530,10 +527,10 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     ``burn_in`` proposals, then ``samples`` more; the histogram counts the
     configuration id (bit i set iff flat spin i is up) after each of the
     ``samples`` proposals, so it sums to ``samples``.  Sites and uniforms
-    are drawn _CHUNK at a time, sites first, and accepted as in
-    ``metropolis_ising``; each proposal is one lookup in ``_flip_table``,
-    whose 2**m * m * (R + 1) entries (R <= 10 distinct thresholds) limit
-    the lattice to 12 spins.
+    are drawn and accepted as in ``metropolis_ising``, the burn-in and the
+    samples each in their own blocks; each proposal is one lookup in
+    ``_flip_table``, whose 2**m * m * (R + 1) entries (R <= 10 distinct
+    thresholds) limit the lattice to 12 spins.
     """
     h, w = shape
     m = h * w
@@ -546,12 +543,14 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     if not (0 < coupling < math.inf and 0 <= field < math.inf
             and beta >= 0):
         raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta >= 0")
+    _check_count(burn_in, "burn_in", 0)
+    _check_count(samples, "samples")
     rank, nxt = _flip_table(shape, beta, coupling, field)
     rng = np.random.default_rng(seed)
     c = (1 << m) - 1
     hist = np.zeros(1 << m, dtype=np.int64)
     for proposals, counted in ((burn_in, False), (samples, True)):
-        for sites, u in _draw_blocks(rng, _CHUNK, m, proposals):
+        for sites, u in _draw_blocks(rng, _BLOCK, m, proposals):
             keys = rank(u) * m + sites
             path = [c := nxt[c][k] for k in keys.tolist()]
             if counted:
@@ -585,9 +584,10 @@ def loop_erase(path):
 
 def lerw(width, steps_cap, seed):
     """Loop-erased random walk from the origin until it exits the centered
-    square of half-width ``width``; raises NcprobError at the step cap."""
-    if width < 0:
-        raise NcprobError(f"width must be >= 0, got {width}")
+    square of half-width ``width``; raises NcprobError at the step cap.
+    Its steps are drawn in blocks of at most _BLOCK."""
+    _check_count(width, "width", 0)
+    _check_count(steps_cap, "steps_cap", 0)
     rng = np.random.default_rng(seed)
     pos = (0, 0)
     path = [pos]

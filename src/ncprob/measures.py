@@ -260,9 +260,9 @@ class MomentSequence:
         return MomentSequence(self.values[:order])
 
 
-def _check_count(n, what):
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise NcprobError(f"{what} must be >= 1 and an int, got {n!r}")
+def _check_count(n, what, least=1):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise NcprobError(f"{what} must be >= {least} and an int, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +386,26 @@ class _TwoStepLaw:
         """F = 1/G, a vectorized function of a complex array.  The tail is
         rationalized, w = ((z - alpha) - s)/(2 beta) = 2/((z - alpha) + s)
         with s = sqrt_upper((z - alpha)^2 - 4 beta) ~ z - alpha, so the
-        sum does not cancel where the difference did for large z."""
+        sum does not cancel where the difference did for large z.  With
+        t = z - alpha_0, F and F2, where beta F2 = beta t - beta_1/w, are
+        the roots of beta X^2 - (2 beta t - beta_1 (z - alpha)) X + P(t),
+        P(t) = (beta - beta_1) t^2 + beta_1 (alpha - alpha_0) t + beta_1^2.
+        Where F is the smaller root, t - beta_1 w cancels (F -> 0 at an
+        atom), so there F = P(t)/(beta F2), with P factored at its zeros
+        from ``_tail``."""
         a0, b1, a, b = self._floats()
         z = np.asarray(z, dtype=complex)
         d = z - a
-        return z - a0 - b1 * 2 / (d + sqrt_upper(d * d - 4 * b))
+        s = sqrt_upper(d * d - 4 * b)
+        f = z - a0 - b1 * 2 / (d + s)
+        g = b * (z - a0) - b1 * (d + s) / 2
+        lead, roots = self._tail
+        p = lead * b1 ** (2 - len(roots))
+        for _, hi, lo in roots:
+            p = p * ((z - hi) - lo)
+        # [()] makes a scalar of a 0-d result, as the arithmetic above does
+        return np.divide(p, g, out=np.asarray(f),
+                         where=np.abs(b * f) < np.abs(g))[()]
 
     def cauchy(self, z):
         return 1.0 / self.fmap(z)
@@ -421,18 +436,46 @@ class _TwoStepLaw:
         beta w^2 = 1 is a zero of F at an edge, where the density blows
         up (Arcsine, Marchenko-Pastur(1)); rounding may put it on either
         side, so a root counts only if 1 - beta w^2 exceeds 1e-12."""
+        b1, b = self._floats()[1::2]
+        return sorted((x, (1 - b * w * w) / (1 + (b1 - b) * w * w))
+                      for w, x, _ in self._tail[1]
+                      if w.imag == 0 and 1 - b * w * w > 1e-12)
+
+    @functools.cached_property
+    def _tail(self):
+        """(c, roots): (beta - beta_1) w^2 + (alpha - alpha_0) w + 1 is
+        c prod(w - root), and P(t) is c beta_1^(2 - len(roots))
+        prod(z - x) over the zeros x = alpha_0 + beta_1 w.  Each root
+        comes as (w, hi, lo), complex where it is not real, with x =
+        hi + lo: a real w first takes a Newton step in exact arithmetic
+        on the parameters' floats, so hi + lo carries about twice a
+        float's digits and z - x does not lose them next to an atom.
+        Computed once per law, since the exact step costs about 50 us."""
         a0, b1, a, b = self._floats()
         lead, d = b - b1, a - a0
-        roots = []
         if lead == 0:
-            roots = [-1 / d] if d else []
-        elif d * d >= 4 * lead:
+            c, ws = (d, [-1 / d]) if d else (1.0, [])
+        else:
             # q / lead adds terms of one sign; the other root is the
             # product of the two, 1 / lead, over it
-            q = -(d + math.copysign(math.sqrt(d * d - 4 * lead), d)) / 2
-            roots = [q / lead, 1 / q]
-        return sorted((a0 + b1 * w, (1 - b * w * w) / (1 + (b1 - b) * w * w))
-                      for w in roots if 1 - b * w * w > 1e-12)
+            disc = d * d - 4 * lead
+            root = math.sqrt(disc) if disc >= 0 else 1j * math.sqrt(-disc)
+            q = -(d + math.copysign(1.0, d) * root) / 2
+            c, ws = lead, [q / lead, 1 / q]
+        e0, e1, ea, eb = map(Fraction, (a0, b1, a, b))
+        el, ed = eb - e1, ea - e0
+        roots = []
+        for w in ws:
+            if w.imag:
+                roots.append((w, a0 + b1 * w, 0.0))
+                continue
+            v = Fraction(w)
+            slope = 2 * el * v + ed
+            if slope:
+                v -= ((el * v + ed) * v + 1) / slope
+            x = e0 + e1 * v
+            roots.append((w, float(x), float(x - Fraction(float(x)))))
+        return c, roots
 
     def atom_candidates(self):
         """Points that carry an atom, for Stieltjes inversion."""

@@ -876,14 +876,14 @@ class TestPerSeedPin:
     EXPECTED = (
         "np.complex128(0.08896604097534705+2.4328890059909187j) "
         "np.complex128(0.7967953652602296+1.6846624257814837j)\n"
-        "[[1, 1, -1, -1, 1, 1, 1, 1], "
-        "[-1, -1, -1, 1, 1, 1, 1, 1], "
-        "[-1, -1, -1, 1, 1, 1, 1, -1], "
-        "[-1, -1, -1, -1, 1, 1, -1, -1], "
-        "[-1, -1, -1, -1, 1, 1, 1, -1], "
+        "[[1, -1, -1, -1, 1, 1, 1, 1], "
+        "[1, 1, -1, -1, -1, 1, 1, 1], "
+        "[1, -1, -1, -1, -1, -1, -1, 1], "
+        "[-1, -1, -1, -1, -1, -1, 1, 1], "
+        "[-1, -1, -1, -1, -1, -1, 1, 1], "
         "[1, -1, -1, -1, -1, -1, 1, 1], "
-        "[-1, -1, -1, -1, -1, -1, 1, -1], "
-        "[-1, -1, -1, -1, -1, -1, 1, 1]]\n"
+        "[-1, -1, -1, -1, 1, 1, 1, -1], "
+        "[-1, -1, -1, -1, -1, -1, -1, -1]]\n"
         "[424, 110, 64, 100, 99, 100, 19, 90, 96, 21,"
         " 90, 113, 101, 78, 101, 394]\n"
         "(2.364, 0.04731815719150527, 500)\n"

@@ -3,8 +3,8 @@ a caller passes, a constructor, ``moments``, ``to_measure`` and ``sample``,
 called on the law or through ``measures.sample``, return or raise
 ``NcprobError``, with no other exception and no numpy warning on the
 way.  The inversion entries, the count arguments of the convolution
-and graph builders, atomic measures and the resolvent's tolerance refuse
-malformed input the same way, naming it."""
+and graph builders and of the Markov samplers, atomic measures and the
+resolvent's tolerance refuse malformed input the same way, naming it."""
 
 import math
 import warnings
@@ -193,6 +193,41 @@ DRIVING = lw.DrivingFunction.constant(0.0)
      "need 1 <= k_max <= n"),
 ])
 def test_count_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()
+
+
+HALVES = np.full((2, 2), 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, -1, 10, 1),
+     "burn_in must be >= 0 and an int, got -1"),
+    (lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, math.nan, 10,
+                                     1), "burn_in must be .* got nan"),
+    (lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 2.5, 1),
+     "samples must be >= 1 and an int, got 2.5"),
+    (lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 0, 1),
+     "samples must be >= 1 and an int, got 0"),
+    (lambda: mk.lerw(math.nan, 100, 1), "width must be >= 0 and an int"),
+    (lambda: mk.lerw(2.5, 100, 1), "width must be >= 0 and an int"),
+    (lambda: mk.lerw(3, -1, 1), "steps_cap must be >= 0 and an int, got -1"),
+    (lambda: mk.lerw(3, math.nan, 1), "steps_cap must be .* got nan"),
+    (lambda: mk.lerw(3, math.inf, 1), "steps_cap must be .* got inf"),
+    (lambda: mk.hitting_time_mc(HALVES, 0, 10, 1, chunk=1.5),
+     "chunk must be >= 1 and an int, got 1.5"),
+    (lambda: mk.hitting_time_mc(HALVES, 0, 10, 1, chunk=True),
+     "chunk must be >= 1 and an int, got True"),
+    (lambda: mk.hitting_time_mc(HALVES, 0, 10, 1, chunk=math.nan),
+     "chunk must be .* got nan"),
+    (lambda: mk.hitting_time_mc(HALVES, 1.5, 10, 1),
+     "state 1.5 is not one of the chain's 2 states"),
+    (lambda: mk.hitting_time_mc(HALVES, True, 10, 1),
+     "state True is not one of the chain's 2 states"),
+])
+def test_sampler_refusal_names_the_argument(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ms.NcprobError, match=message):

@@ -126,11 +126,18 @@ class TestStationary:
         assert got == want and got[2] == episodes
 
     def test_hitting_matches_reference_across_blocks(self):
-        # mean return time 100: 300 episodes cross 4096-uniform blocks and
-        # 5000-uniform chunks
+        # mean return time 100: 300 episodes cross 5000-uniform blocks
         p = np.array([[0.01, 0.01], [0.99, 0.99]])
         got = mk.hitting_time_mc(p, 0, 300, seed=7, chunk=5000)
         assert got == reference_hitting(p, 0, 300, 7, 5000)
+
+    def test_chunk_leaves_output_unchanged(self):
+        # the uniforms are one stream however the blocks split it
+        p = random_ergodic(5)
+        runs = {chunk: mk.hitting_time_mc(p, 1, 500, seed=3, chunk=chunk)
+                for chunk in (1, 7, 4096, 5000, 1 << 20)}
+        assert len(set(runs.values())) == 1
+        assert runs[4096] == mk.hitting_time_mc(p, 1, 500, seed=3)
 
     def test_large_chain_bisects_like_reference(self):
         # 41 states give a table of more than 2**16 entries, so the walk
@@ -169,18 +176,19 @@ class TestStationary:
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_nonpositive_episodes_raises(self, episodes):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ms.NcprobError, match="episodes must be positive"):
+        with pytest.raises(ms.NcprobError,
+                           match="episodes must be >= 1 and an int"):
             mk.hitting_time_mc(p, 0, episodes, seed=4)
 
     @pytest.mark.parametrize("episodes", [1.5, 2.0, "3"])
     def test_non_int_episodes_refused(self, episodes):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ms.NcprobError, match="positive and an int"):
+        with pytest.raises(ms.NcprobError, match=">= 1 and an int"):
             mk.hitting_time_mc(p, 0, episodes, seed=4)
 
     def test_bool_episodes_refused_numpy_int_taken(self):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ms.NcprobError, match="positive and an int"):
+        with pytest.raises(ms.NcprobError, match=">= 1 and an int"):
             mk.hitting_time_mc(p, 0, True, seed=4)
         assert (mk.hitting_time_mc(p, 0, np.int64(3), seed=4)
                 == mk.hitting_time_mc(p, 0, 3, seed=4))
@@ -390,7 +398,7 @@ def returns_surely(p, state):
 
 
 def reference_ising_run(spins, frozen, beta, coupling, field, sites, urand):
-    """Scalar reference for the single-flip chain: consumes one chunk of
+    """Scalar reference for the single-flip chain: consumes one block of
     proposals in place on a free-boundary lattice; returns the accepted
     count."""
     h, w = spins.shape
@@ -418,14 +426,15 @@ def reference_ising_run(spins, frozen, beta, coupling, field, sites, urand):
     return accepted
 
 
-def reference_ising(state, steps, seed, chunk):
+def reference_ising(state, steps, seed, block):
     """``metropolis_ising``'s final spins by ``reference_ising_run``,
-    drawing sites and uniforms in the same chunks and order."""
+    drawing sites, then uniforms, for each block of ``block``
+    proposals."""
     spins = state.spins.copy()
     rng = np.random.default_rng(seed)
     left = steps
     while left > 0:
-        k = min(chunk, left)
+        k = min(block, left)
         sites = rng.integers(0, spins.size, size=k)
         u = rng.random(k)
         reference_ising_run(spins, state.frozen, state.beta, state.coupling,
@@ -465,9 +474,9 @@ def reference_run_hist(spins, beta, coupling, field, sites, urand, hist,
 
 
 def reference_histogram(shape, beta, coupling, field, burn_in, samples, seed,
-                        chunk):
+                        block):
     """``metropolis_histogram`` driven by ``reference_run_hist``, drawing
-    sites and uniforms in the same chunks and order."""
+    sites, then uniforms, for each block of ``block`` proposals."""
     h, w = shape
     m = h * w
     rng = np.random.default_rng(seed)
@@ -478,7 +487,7 @@ def reference_histogram(shape, beta, coupling, field, burn_in, samples, seed,
         hist[:] = 0
         left = proposals
         while left > 0:
-            k = min(chunk, left)
+            k = min(block, left)
             sites = rng.integers(0, m, size=k)
             u = rng.random(k)
             config = reference_run_hist(spins, beta, coupling, field, sites,
@@ -552,7 +561,8 @@ class TestIsing:
                                    10, seed=1, chunk=0),
     ], ids=["hitting"])
     def test_nonpositive_chunk_raises(self, sampler):
-        with pytest.raises(ms.NcprobError, match="chunk must be positive"):
+        with pytest.raises(ms.NcprobError, match="chunk must be >= 1 and an "
+                                                 "int, got 0"):
             sampler()
 
     def test_negative_steps_rejected(self):
@@ -611,21 +621,21 @@ class TestIsing:
            beta=st.floats(0.0, 60.0, exclude_min=True),
            coupling=st.one_of(st.integers(1, 5), st.floats(0.01, 3.0)),
            field=st.one_of(st.just(0), st.floats(0.0, 2.0)),
-           steps=st.integers(0, 9000), chunk=st.integers(1, 10_000),
+           steps=st.integers(0, 9000), block=st.integers(1, 10_000),
            seed=st.integers(0, 2**32 - 1))
     @example(h=6, w=7, frozen_frac=0.3, beta=0.44, coupling=1, field=0,
-             steps=9000, chunk=5000, seed=0)
+             steps=9000, block=5000, seed=0)
     @example(h=1, w=1, frozen_frac=0.0, beta=60.0, coupling=2.0, field=0.5,
-             steps=100, chunk=7, seed=1)
+             steps=100, block=7, seed=1)
     def test_ising_matches_reference(self, h, w, frozen_frac, beta, coupling,
-                                     field, steps, chunk, seed):
+                                     field, steps, block, seed):
         rng = np.random.default_rng(seed)
         state = mk.IsingState.random(
             (h, w), seed=seed, beta=beta, coupling=coupling, field=field,
             frozen=rng.random((h, w)) < frozen_frac)
-        with mock.patch.object(mk, "_CHUNK", chunk):
+        with mock.patch.object(mk, "_BLOCK", block):
             got = mk.metropolis_ising(state, steps, seed)
-        want = reference_ising(state, steps, seed, chunk)
+        want = reference_ising(state, steps, seed, block)
         assert got.spins.dtype == want.dtype
         assert np.array_equal(got.spins, want)
 
@@ -634,28 +644,28 @@ class TestIsing:
                                   for w in range(1, 13) if h * w <= 12]),
            beta=st.floats(0.0, 60.0), coupling=st.floats(0.01, 3.0),
            field=st.floats(0.0, 2.0), burn_in=st.integers(0, 300),
-           samples=st.integers(1, 9000), chunk=st.integers(1, 10_000),
+           samples=st.integers(1, 9000), block=st.integers(1, 10_000),
            seed=st.integers(0, 2**32 - 1))
     @example(shape=(1, 1), beta=0.5, coupling=1.0, field=0.3, burn_in=0,
-             samples=100, chunk=7, seed=0)
+             samples=100, block=7, seed=0)
     @example(shape=(1, 3), beta=60.0, coupling=2.0, field=0.0, burn_in=40,
-             samples=120, chunk=40, seed=1)
+             samples=120, block=40, seed=1)
     @example(shape=(3, 3), beta=0.3, coupling=1.0, field=0.0, burn_in=0,
-             samples=9000, chunk=9000, seed=2)
+             samples=9000, block=9000, seed=2)
     @example(shape=(3, 3), beta=1.0, coupling=0.5, field=1.0, burn_in=250,
-             samples=8193, chunk=1000, seed=3)
+             samples=8193, block=1000, seed=3)
     @example(shape=(3, 4), beta=0.4, coupling=1.0, field=0.7, burn_in=300,
-             samples=9000, chunk=4097, seed=4)
+             samples=9000, block=4097, seed=4)
     @example(shape=(2, 6), beta=2.0, coupling=0.3, field=0.2, burn_in=0,
-             samples=5000, chunk=5000, seed=5)
+             samples=5000, block=5000, seed=5)
     @example(shape=(1, 12), beta=0.1, coupling=1.5, field=1.0, burn_in=100,
-             samples=9000, chunk=333, seed=6)
+             samples=9000, block=333, seed=6)
     def test_histogram_matches_reference(self, shape, beta, coupling, field,
-                                         burn_in, samples, chunk, seed):
+                                         burn_in, samples, block, seed):
         args = (shape, beta, coupling, field, burn_in, samples, seed)
-        with mock.patch.object(mk, "_CHUNK", chunk):
+        with mock.patch.object(mk, "_BLOCK", block):
             got = mk.metropolis_histogram(*args)
-        want = reference_histogram(*args, chunk=chunk)
+        want = reference_histogram(*args, block=block)
         assert got.sum() == samples
         assert np.array_equal(got, want)
 
@@ -683,7 +693,7 @@ class TestIsing:
         # energy, so at B > 0 the all-up start never moves
         args = ((2, 2), 0.0, 1.0, 0.5, 10, 1000, 1)
         assert np.array_equal(mk.metropolis_histogram(*args),
-                              reference_histogram(*args, chunk=1 << 20))
+                              reference_histogram(*args, block=mk._BLOCK))
         cold = mk.metropolis_histogram((2, 2), math.inf, 1.0, 0.5, 10, 1000,
                                        seed=1)
         assert cold[-1] == 1000
@@ -718,6 +728,33 @@ class TestIsing:
         for (c, i), t in thr.items():
             for u, r in zip(us, rank(np.array(us)).tolist()):
                 assert nxt[c][r * m + i] == (c ^ 1 << i if u < t else c)
+
+
+class TestWorkingSet:
+    """Each sampler holds one block of draws: its traced peak does not
+    grow with its step or episode count."""
+
+    @pytest.mark.parametrize("run, count, bound_mb", [
+        # criterion 10's chain: about 4e5 uniforms
+        (lambda n: mk.hitting_time_mc(random_ergodic(3), 0, n, seed=11),
+         100_000, 1),
+        # tracemalloc slows the walk to about 20 us a step; 5e4 steps'
+        # draws, all at once, would take 0.8 MB
+        (lambda n: mk.metropolis_ising(
+            mk.IsingState.random((64, 64), seed=1, beta=0.44), n, seed=2),
+         50_000, 1),
+        (lambda n: mk.metropolis_histogram((3, 3), 0.3, 1.0, 0.0, 20_000, n,
+                                           seed=5), 200_000, 2),
+    ], ids=["hitting", "ising", "histogram"])
+    def test_peak_bounded(self, run, count, bound_mb):
+        run(10)  # lazy imports and first-call set-up happen untraced
+        tracemalloc.start()
+        try:
+            run(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
 
 
 def reference_lerw(width, steps_cap, seed):

@@ -267,6 +267,53 @@ def test_two_step_law(law, atoms):
     assert abs(mu.moments(2)[2] - m2) <= 5e-4 * m2
 
 
+def reference_fmap(law, zs):
+    """F = z - alpha_0 - beta_1 w at 50 digits, on the law's float
+    parameters; the cancellation costs at most 17 of them."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a0, b1, a, b = map(mp.mpf, law._floats())
+        out = []
+        for z in zs.tolist():
+            d = mp.mpc(z) - a
+            out.append(mp.mpc(z) - a0
+                       - b1 * 2 / (d + 1j * mp.sqrt(4 * b - d * d)))
+        return out
+
+
+def fmap_error(law, zs):
+    return max(float(abs(mp_f - complex(f)) / abs(mp_f))
+               for f, mp_f in zip(law.fmap(zs), reference_fmap(law, zs)))
+
+
+@pytest.mark.parametrize("law", [
+    *[law for law, _ in TWO_STEP_LAWS],
+    # atoms off the float grid: FreeMeixner(4, 1, 0)'s at -+4/sqrt(3), and
+    # those of MarchenkoPastur(0.1) (at 0) and FreeMeixner(3, 0.7, -1.3)
+    # (at -3 and 3/2.3) on their rounded parameters
+    ms.MarchenkoPastur(0.1), ms.FreeMeixner(4, 1, 0),
+    ms.FreeMeixner(3, 0.7, -1.3),
+], ids=repr)
+def test_two_step_fmap_to_full_precision(law):
+    """F next to each atom, where z - alpha_0 - beta_1 w cancels, and on
+    a sweep across and around the support, at three heights."""
+    for x, _ in law.atoms():
+        near = x + np.linspace(-1e-3, 1e-3, 41) + 1e-6j
+        assert fmap_error(law, near) <= 1e-12
+    lo, hi = law.edges()
+    xs = np.linspace(lo - 1, hi + 1, 201)
+    # F vanishes at an edge of Arcsine and of FreeMeixner(2, 1, 0); there
+    # (z - alpha)^2 - 4 beta cancels under the square root
+    at_zero = np.zeros_like(xs, dtype=bool)
+    for e in law.edges():
+        if abs(law.fmap(e + 1e-12j)) <= 1e-5:
+            at_zero |= np.abs(xs - e) <= 1e-3
+    for h in (1e-6, 1e-3, 1.0):
+        assert fmap_error(law, xs[~at_zero] + 1j * h) <= 1e-12
+        if at_zero.any():
+            assert fmap_error(law, xs[at_zero] + 1j * h) <= 1e-10
+
+
 @pytest.mark.parametrize("law", [ms.Semicircle(0.5, 2), ms.Arcsine(-1, 0.5)],
                          ids=repr)
 def test_realization_matches_exact_cdf(law):
