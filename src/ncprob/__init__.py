@@ -22,7 +22,7 @@ if _threads:
 from .measures import (NcprobError, NoConvergence, AtomicMeasure, GridMeasure,
                        MomentSequence, Dirac, Bernoulli, Normal, Arcsine,
                        Semicircle, Poisson, MarchenkoPastur, FreeMeixner,
-                       levy_distance, moments, sample)
+                       moments, sample)
 from .transforms import (cauchy, f_transform, b_transform, stieltjes_invert,
                          measure_from_ftransform, f_series, moment_quadrature)
 from .convolutions import (convolve, convolve_power, clt_iterate,
@@ -38,7 +38,7 @@ from .markov import (TransitionMatrix, MDPSpec, IsingState,
                      stationary_distribution, is_irreducible, period,
                      iterate_distribution, convergence_report, mrp_value,
                      mdp_value_iteration, metropolis_ising, magnetization,
-                     exact_boltzmann, lerw, loop_erase, homogeneous_kernel)
+                     exact_boltzmann, lerw, loop_erase)
 from .randmat import (sample_gue, gue_eigenvalues, esd, wigner_check,
                       haar_unitary, freeness_statistic, free_ar1,
                       trace_state)

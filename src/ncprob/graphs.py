@@ -93,18 +93,22 @@ class RootedGraph:
 # ---------------------------------------------------------------------------
 
 def path_graph(vertices, root=0):
+    _check_count(vertices, "vertices")
     return RootedGraph.from_edges(
         vertices, [(i, i + 1) for i in range(vertices - 1)], root
     )
 
 
 def star_graph(leaves):
+    _check_count(leaves, "leaves", 0)
     return RootedGraph.from_edges(
         leaves + 1, [(0, i) for i in range(1, leaves + 1)], 0
     )
 
 
 def cycle_graph(vertices, root=0):
+    # two vertices would list their one edge twice, which is a path
+    _check_count(vertices, "cycle vertices", 3)
     edges = [(i, (i + 1) % vertices) for i in range(vertices)]
     return RootedGraph.from_edges(vertices, edges, root)
 
@@ -359,7 +363,7 @@ def spidernet_bound(n, horizon):
     return math.sqrt(horizon / 2) * (2 * math.sqrt(n) - n ** -1.5)
 
 
-def approx_process(driving, horizon, n, order=4, k_max=None):
+def approx_process(driving, horizon, n, order=4):
     """Spidernet comb-product approximation of the chain driven by U >= 0.
 
     Builds C_{n,k} = S_{n^2, u_1} comb ... comb S_{n^2, u_k} with
@@ -373,11 +377,6 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     _check_count(order, "moment order")
     if not horizon > 0:
         raise NcprobError(f"horizon must be > 0, got {horizon}")
-    if k_max is None:
-        k_max = n
-    _check_count(k_max, "k_max")
-    if k_max > n:
-        raise NcprobError("need 1 <= k_max <= n")
     TT = float(horizon)
     bound = spidernet_bound(n, TT)
     ts = np.linspace(0.0, TT, 257)
@@ -403,7 +402,7 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     # the k-th ball counts the k-tuples of depths that sum to <= radius
     shells = _spidernet_shells(n * n, radius)
     sizes = np.ones(1, dtype=np.int64)
-    for _ in range(k_max):
+    for _ in range(n):
         sizes = np.convolve(sizes, shells)[:radius + 1]
         if sizes.sum() > VERTEX_GUARD:
             raise NcprobError(
@@ -413,7 +412,7 @@ def approx_process(driving, horizon, n, order=4, k_max=None):
     graphs = [RootedGraph.single_vertex()]
     raw = [MomentSequence((0,) * order)]
     current = graphs[0]
-    for k in range(1, k_max + 1):
+    for k in range(1, n + 1):
         uk = int(math.floor(c * float(driving(k * TT / n))))
         us.append(uk)
         factor = spidernet(n * n, uk, radius)

@@ -3,8 +3,9 @@
 Column-stochastic transition matrices (entry (j, k) is the probability of
 moving to state j from state k), Markov reward processes and MDP value
 iteration, the single-flip Metropolis chain for the two-dimensional Ising
-model, loop-erased random walks, and the monotone-homogeneous transition
-kernels built from F-transforms.
+model, and loop-erased random walks.  The transition kernel of a monotone
+additive process, k(x, .) = delta_x |> mu, is
+``convolve("monotone", AtomicMeasure.dirac(x), mu)`` in ``convolutions``.
 """
 
 import functools
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transforms
 from .measures import AtomicMeasure, NcprobError, NoConvergence, _check_count
 
 
@@ -188,6 +188,7 @@ def hitting_time_mc(p, state, episodes, seed, chunk=_BLOCK):
     return.
     """
     _check_count(episodes, "episodes")
+    _check_count(seed, "seed", 0)
     _check_count(chunk, "chunk")
     m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
     if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
@@ -344,6 +345,7 @@ class IsingState:
 
     @classmethod
     def random(cls, shape, seed, **kw):
+        _check_count(seed, "seed", 0)
         rng = np.random.default_rng(seed)
         s = rng.integers(0, 2, size=shape).astype(np.int8) * 2 - 1
         return cls(s, **kw)
@@ -388,6 +390,7 @@ def metropolis_ising(state, steps, seed):
     if state.spins.size > 1 << 30:
         raise NcprobError("lattice too large")
     _check_count(steps, "steps", 0)
+    _check_count(seed, "seed", 0)
     h, w = state.spins.shape
     stride = w + 2
     padded = np.zeros((h + 2, stride), dtype=np.int64)
@@ -420,12 +423,28 @@ def _lattice_edges(shape):
     return edges
 
 
-def _config_energies(shape, coupling, field):
-    """Integer-weighted energies of all configurations of a small lattice.
+def _check_lattice(shape, beta, coupling, field):
+    """Refuse a lattice shape other than two ints >= 1 and parameters
+    outside 0 < J < inf, 0 <= B < inf, beta >= 0: NaN fails every
+    comparison, and beta = 0 and beta = inf are the infinite- and
+    zero-temperature chains."""
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2
+            and all(isinstance(side, numbers.Integral)
+                    and not isinstance(side, bool) and side >= 1
+                    for side in shape)):
+        raise NcprobError("lattice shape must be positive: two ints >= 1, "
+                          f"got {shape!r}")
+    if not (0 < coupling < math.inf and 0 <= field < math.inf
+            and beta >= 0):
+        raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta >= 0")
 
-    Returns (bond_sums, spin_sums) so H = -J*bond_sums - B*spin_sums; the
-    index encodes spins bitwise (bit i set iff flat spin i is up).
+
+def _config_energies(shape, beta, coupling, field):
+    """Energies H = -J * bond_sum - B * spin_sum of all configurations of
+    a small lattice, after ``_check_lattice``; the index encodes spins
+    bitwise (bit i set iff flat spin i is up).
     """
+    _check_lattice(shape, beta, coupling, field)
     h, w = shape
     m = h * w
     if m > 20:
@@ -436,15 +455,22 @@ def _config_energies(shape, coupling, field):
     bond = np.zeros(1 << m, dtype=np.int64)
     for a, b in edges:
         bond += spins[:, a] * spins[:, b]
-    return bond, spins.sum(axis=1)
+    return -coupling * bond - field * spins.sum(axis=1)
+
+
+def _boltzmann_weights(energy, beta):
+    """exp(-beta (H - min H)): 1 at the ground states for every beta >= 0,
+    and 0 elsewhere at beta = inf."""
+    gap = energy - energy.min()
+    return np.exp(np.multiply(-beta, gap, out=np.zeros(gap.shape),
+                              where=gap > 0))
 
 
 def exact_boltzmann(shape, beta, coupling=1.0, field=0.0):
     """Exact Boltzmann distribution over all configurations of a small
     free-boundary lattice, as (probabilities, AtomicMeasure over ids)."""
-    bond, mag = _config_energies(shape, coupling, field)
-    energy = -coupling * bond - field * mag
-    w = np.exp(-beta * (energy - energy.min()))
+    w = _boltzmann_weights(_config_energies(shape, beta, coupling, field),
+                           beta)
     probs = w / w.sum()
     measure = AtomicMeasure(tuple((int(i), float(p))
                             for i, p in enumerate(probs) if p > 0))
@@ -453,8 +479,7 @@ def exact_boltzmann(shape, beta, coupling=1.0, field=0.0):
 
 def metropolis_exact_kernel(shape, beta, coupling=1.0, field=0.0):
     """Full single-flip transition matrix over configurations."""
-    bond, mag = _config_energies(shape, coupling, field)
-    energy = -coupling * bond - field * mag
+    energy = _config_energies(shape, beta, coupling, field)
     m = shape[0] * shape[1]
     size = 1 << m
     if size > 1 << 12:
@@ -478,7 +503,7 @@ def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
     relative gap).
     """
     p, energy = metropolis_exact_kernel(shape, beta, coupling, field)
-    w = np.exp(-beta * (energy - energy.min()))
+    w = _boltzmann_weights(energy, beta)
     m = shape[0] * shape[1]
     worst = 0.0
     for s in range(1 << m):
@@ -532,19 +557,13 @@ def metropolis_histogram(shape, beta, coupling, field, burn_in, samples,
     ``_flip_table``, whose 2**m * m * (R + 1) entries (R <= 10 distinct
     thresholds) limit the lattice to 12 spins.
     """
-    h, w = shape
-    m = h * w
-    if h < 1 or w < 1:
-        raise NcprobError(f"lattice shape must be positive, got {shape}")
+    _check_lattice(shape, beta, coupling, field)
+    m = shape[0] * shape[1]
     if m > 12:
         raise NcprobError("histogram limited to 12 spins")
-    # NaN fails every comparison; beta = 0 and beta = inf are the infinite-
-    # and zero-temperature chains
-    if not (0 < coupling < math.inf and 0 <= field < math.inf
-            and beta >= 0):
-        raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta >= 0")
     _check_count(burn_in, "burn_in", 0)
     _check_count(samples, "samples")
+    _check_count(seed, "seed", 0)
     rank, nxt = _flip_table(shape, beta, coupling, field)
     rng = np.random.default_rng(seed)
     c = (1 << m) - 1
@@ -588,6 +607,7 @@ def lerw(width, steps_cap, seed):
     Its steps are drawn in blocks of at most _BLOCK."""
     _check_count(width, "width", 0)
     _check_count(steps_cap, "steps_cap", 0)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     pos = (0, 0)
     path = [pos]
@@ -601,17 +621,3 @@ def lerw(width, steps_cap, seed):
             if abs(pos[0]) > width or abs(pos[1]) > width:
                 return loop_erase(path), path
     raise NcprobError(f"walk did not exit within {steps_cap} steps")
-
-
-# ---------------------------------------------------------------------------
-# monotone-homogeneous kernels
-# ---------------------------------------------------------------------------
-
-def homogeneous_kernel(mu, x, grid,
-                       eps_ladder=transforms.DEFAULT_EPS_LADDER):
-    """Transition kernel k(x, .) of the monotone-homogeneous Markov process:
-    the measure with Cauchy transform 1/(F_mu(z) - x).  ``mu`` is a measure
-    or its F-transform, a vectorized function of a complex array."""
-    fmu = mu if callable(mu) else functools.partial(transforms.f_transform, mu)
-    return transforms.measure_from_ftransform(lambda z: fmu(z) - x, grid,
-                                              eps_ladder=eps_ladder)

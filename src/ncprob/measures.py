@@ -103,12 +103,8 @@ class AtomicMeasure:
             out.append(sum(w * x**k for x, w in self.atoms))
         return MomentSequence(tuple(out))
 
-    def cdf(self, x, left=False):
-        acc = 0
-        for a, w in self.atoms:
-            if a < x or (not left and a == x):
-                acc += w
-        return float(acc)
+    def cdf(self, x):
+        return float(sum(w for a, w in self.atoms if a <= x))
 
     def mass(self):
         return float(sum(w for _, w in self.atoms))
@@ -173,11 +169,11 @@ class GridMeasure:
             out.append(float(m))
         return MomentSequence(tuple(out))
 
-    def cdf(self, x, left=False):
+    def cdf(self, x):
         cum = _cumtrapz(self.density, self.grid)
         val = float(np.interp(x, self.grid, cum, left=0.0, right=cum[-1]))
         for a, w in self.atoms:
-            if a < x or (not left and a == x):
+            if a <= x:
                 val += w
         return val
 
@@ -689,47 +685,6 @@ def moments(measure, order):
     if isinstance(measure, MomentSequence):
         return measure.truncate(order)
     return measure.moments(order)
-
-
-def levy_distance(mu, nu):
-    """Levy metric: the least delta such that the CDFs of mu and nu sandwich
-    each other within a (delta, delta) margin.  Computed by bisection over
-    the merged breakpoint set.
-    """
-    pts = np.unique(np.concatenate([_breakpoints(mu), _breakpoints(nu)]))
-
-    def feasible(delta):
-        for a, b in ((mu, nu), (nu, mu)):
-            # sup_x F_a(x) - F_b(x + delta) <= delta; the sup over each
-            # continuity interval is attained approaching a breakpoint.
-            for x in pts:
-                if a.cdf(x) - b.cdf(x + delta) > delta + 1e-15:
-                    return False
-                if a.cdf(x, left=True) - b.cdf(x + delta, left=True) > delta + 1e-15:
-                    return False
-        return True
-
-    lo, hi = 0.0, 1.0
-    if feasible(0.0):
-        return 0.0
-    while not feasible(hi):
-        hi *= 2
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _breakpoints(m):
-    if isinstance(m, AtomicMeasure):
-        return m.positions
-    pts = [m.grid]
-    if m.atoms:
-        pts.append(np.array([x for x, _ in m.atoms]))
-    return np.concatenate(pts)
 
 
 def sample(law, n, seed):

@@ -412,8 +412,7 @@ def _vetted_atoms(f, candidates):
     return sorted(zip(candidates[keep].tolist(), mass[keep].tolist()))
 
 
-def stieltjes_invert(g, grid, atom_candidates=None,
-                     eps_ladder=DEFAULT_EPS_LADDER):
+def stieltjes_invert(g, grid, atom_candidates=None):
     """Recover a measure from its Cauchy transform ``g``, a vectorized
     function of a complex array, or from the measure itself.
 
@@ -429,7 +428,7 @@ def stieltjes_invert(g, grid, atom_candidates=None,
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / np.asarray(g(z))
 
-    return measure_from_ftransform(f, grid, atom_candidates, eps_ladder)
+    return measure_from_ftransform(f, grid, atom_candidates)
 
 
 def scan_real_zeros(f, grid):

@@ -103,7 +103,6 @@ markov.detailed_balance_audit
 markov.metropolis_histogram
 markov.loop_erase
 markov.lerw
-markov.homogeneous_kernel
 measures.NcprobError
 measures.NoConvergence
 measures.sqrt_upper
@@ -191,7 +190,6 @@ measures.FreeMeixner.atom_candidates
 measures.FreeMeixner.to_measure
 measures.FreeMeixner.sample
 measures.moments
-measures.levy_distance
 measures.sample
 measures.measure_to_json
 measures.json_real
@@ -242,7 +240,6 @@ graphs.RootedGraph.from_edges(root)
 graphs.path_graph(root)
 graphs.cycle_graph(root)
 graphs.approx_process(order)
-graphs.approx_process(k_max)
 loewner.DrivingFunction.times
 loewner.DrivingFunction.values
 loewner.HerglotzField.from_driving(horizon)
@@ -267,11 +264,8 @@ markov.metropolis_exact_kernel(coupling)
 markov.metropolis_exact_kernel(field)
 markov.detailed_balance_audit(coupling)
 markov.detailed_balance_audit(field)
-markov.homogeneous_kernel(eps_ladder)
 measures.AtomicMeasure.from_pairs(merge_tol)
 measures.AtomicMeasure.from_pairs(renormalize)
-measures.AtomicMeasure.cdf(left)
-measures.GridMeasure.cdf(left)
 measures.GridMeasure.atoms
 measures.Dirac.c
 measures.Bernoulli.p
@@ -290,7 +284,6 @@ measures.json_reals(size)
 randmat.free_ar1(noise)
 randmat.free_ar1(seed)
 transforms.stieltjes_invert(atom_candidates)
-transforms.stieltjes_invert(eps_ladder)
 transforms.measure_from_ftransform(atom_candidates)
 transforms.measure_from_ftransform(eps_ladder)
 """.split()
@@ -385,12 +378,12 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 214
+    assert len(NAMES) == 212
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 56
+    assert len(OPTIONS) == 51
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -434,6 +427,10 @@ def test_option_surface():
     ("ncprob.measures.FreeMeixner", "jacobi"),
     ("ncprob.measures.Arcsine", "half_width"),
     ("ncprob.measures.Semicircle", "half_width"),
+    ("ncprob", "homogeneous_kernel"),
+    ("ncprob.markov", "homogeneous_kernel"),
+    ("ncprob", "levy_distance"),
+    ("ncprob.measures", "levy_distance"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -20,6 +20,7 @@ from ncprob import graphs as gr
 from ncprob import loewner as lw
 from ncprob import markov as mk
 from ncprob import measures as ms
+from ncprob import randmat as rm
 from ncprob import transforms as tr
 
 # law and its number of parameters
@@ -141,13 +142,10 @@ def test_inversion_refuses_candidates(entry, cands, message):
 def test_inversion_refuses_ladders(ladder, message):
     field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(0.3),
                                           1.0)
-    dirac = ms.AtomicMeasure.dirac(0.0)
     calls = [
-        lambda: tr.stieltjes_invert(Counted(), GRID, None, ladder),
-        lambda: tr.stieltjes_invert(Counted(), GRID, [0.0], ladder),
         lambda: tr.measure_from_ftransform(Counted(), GRID, None, ladder),
+        lambda: tr.measure_from_ftransform(Counted(), GRID, [0.0], ladder),
         lambda: lw.chain_measure(field, 1.0, GRID, eps_ladder=ladder),
-        lambda: mk.homogeneous_kernel(dirac, 0.5, GRID, eps_ladder=ladder),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -187,10 +185,6 @@ DRIVING = lw.DrivingFunction.constant(0.0)
      "approximation level n must be >= 1 and an int, got 1.5"),
     (lambda: gr.approx_process(DRIVING, 1.0, 2, order=2.5),
      "moment order must be >= 1 and an int, got 2.5"),
-    (lambda: gr.approx_process(DRIVING, 1.0, 2, k_max=1.5),
-     "k_max must be >= 1 and an int, got 1.5"),
-    (lambda: gr.approx_process(DRIVING, 1.0, 2, k_max=3),
-     "need 1 <= k_max <= n"),
 ])
 def test_count_refusal_names_the_argument(call, message):
     with warnings.catch_warnings():
@@ -228,6 +222,65 @@ HALVES = np.full((2, 2), 0.5)
      "state True is not one of the chain's 2 states"),
 ])
 def test_sampler_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()
+
+
+NEED = "need 0 < J < inf, 0 <= B < inf, beta >= 0"
+SHAPE = "lattice shape must be positive: two ints >= 1, got "
+STATE = mk.IsingState(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mk.hitting_time_mc(HALVES, 0, 10, -1),
+     "seed must be >= 0 and an int, got -1"),
+    (lambda: mk.hitting_time_mc(HALVES, 0, 10, 1.5), "seed .* got 1.5"),
+    (lambda: mk.metropolis_histogram((2, 2), 0.4, 1.0, 0.0, 0, 10, -1),
+     "seed .* got -1"),
+    (lambda: mk.IsingState.random((2, 2), -1), "seed .* got -1"),
+    (lambda: mk.metropolis_ising(STATE, 3, 1.5), "seed .* got 1.5"),
+    (lambda: mk.metropolis_ising(STATE, 3, True), "seed .* got True"),
+    (lambda: mk.lerw(3, 10, math.nan), "seed .* got nan"),
+    (lambda: mk.metropolis_histogram((2,), 0.4, 1.0, 0.0, 0, 10, 1),
+     SHAPE + r"\(2,\)"),
+    (lambda: mk.metropolis_histogram((2.5, 2), 0.4, 1.0, 0.0, 0, 10, 1),
+     SHAPE + r"\(2.5, 2\)"),
+    (lambda: mk.metropolis_histogram(4, 0.4, 1.0, 0.0, 0, 10, 1),
+     SHAPE + "4"),
+    (lambda: mk.exact_boltzmann((2, 2), math.nan), NEED),
+    (lambda: mk.exact_boltzmann((0, 2), 0.3), SHAPE + r"\(0, 2\)"),
+    (lambda: mk.exact_boltzmann((2, 2), 0.3, coupling=-1), NEED),
+    (lambda: mk.exact_boltzmann((2, 2), 0.3, field=math.inf), NEED),
+    (lambda: mk.metropolis_exact_kernel((2, 2), -1.0), NEED),
+    (lambda: mk.metropolis_exact_kernel((2, True), 0.3), SHAPE),
+    (lambda: mk.detailed_balance_audit((2, 2), math.nan), NEED),
+    (lambda: mk.detailed_balance_audit((1.5, 2), 0.3), SHAPE),
+])
+def test_lattice_and_seed_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rm.sample_gue(1.5, 0), "need N >= 1 and an int, got 1.5"),
+    (lambda: rm.gue_eigenvalues(math.nan, 0), "need N >= 1 .* got nan"),
+    (lambda: rm.haar_unitary(0, 1), "need N >= 1 .* got 0"),
+    (lambda: rm.free_ar1(True, 2, 0.5), "need N >= 1 .* got True"),
+    (lambda: rm.free_ar1(4, 1.5, 0.5),
+     "steps must be >= 1 and an int, got 1.5"),
+    (lambda: rm.free_ar1(4, 0, 0.5), "steps must be >= 1 .* got 0"),
+    (lambda: gr.path_graph(0), "vertices must be >= 1 and an int, got 0"),
+    (lambda: gr.path_graph(2.0), "vertices must be >= 1 .* got 2.0"),
+    (lambda: gr.star_graph(-1), "leaves must be >= 0 and an int, got -1"),
+    (lambda: gr.cycle_graph(1),
+     "cycle vertices must be >= 3 and an int, got 1"),
+    (lambda: gr.cycle_graph(2), "cycle vertices must be >= 3 .* got 2"),
+])
+def test_size_refusal_names_the_count(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ms.NcprobError, match=message):

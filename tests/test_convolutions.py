@@ -176,6 +176,49 @@ class TestMeasureLevel:
             assert abs(mc - float(out.moments(3)[k])) < 5 * se
 
 
+class TestMonotoneKernel:
+    """The transition kernel k(x, .) = delta_x |> mu of the monotone
+    additive process with increments mu (Franz 2009): the law with Cauchy
+    transform 1/(F_mu(z) - x), from ``convolve`` for an atomic mu and from
+    ``measure_from_ftransform`` of F_mu - x on a grid of one's own."""
+
+    def test_x_zero_recovers_mu(self):
+        mu = ms.Semicircle(0, 1).to_measure()
+        grid = np.linspace(-2.4, 2.4, 901)
+        k = tr.measure_from_ftransform(lambda z: tr.f_transform(mu, z) - 0.0,
+                                       grid)
+        xs = np.linspace(-1.8, 1.8, 100)
+        want = ms.Semicircle(0, 1).density_at(xs)
+        assert np.abs(np.interp(xs, k.grid, k.density) - want).max() < 1e-3
+
+    def test_dirac_translation(self):
+        k = cv.convolve("monotone", ms.AtomicMeasure.dirac(1.5),
+                        ms.AtomicMeasure.dirac(0.75))
+        assert len(k.atoms) == 1
+        a, w = k.atoms[0]
+        assert abs(a - 2.25) < 1e-9 and abs(w - 1) < 1e-6
+
+    def test_arcsine_translation_equivariance(self):
+        mu = ms.Arcsine(0, 1).to_measure()
+        grid = np.linspace(-1.8, 2.8, 1301)
+        k = tr.measure_from_ftransform(lambda z: tr.f_transform(mu, z) - 1.0,
+                                       grid, eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
+        assert abs(k.mass() - 1) < 1e-3
+        assert abs(float(k.moments(1)[1]) - 1.0) < 1e-3
+
+    def test_chapman_kolmogorov(self):
+        # 1/(F_{mu |> nu}(z) - x) = int 1/(F_nu(z) - y) k_mu(x, dy)
+        mu = ms.AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
+        nu = ms.AtomicMeasure(((-0.5, 0.3), (0.8, 0.7)))
+        x = 0.4
+        kernel = cv.convolve("monotone", ms.AtomicMeasure.dirac(x), mu)
+        for z in (2j, 1 + 1j, -0.5 + 1.5j):
+            w = tr.f_transform(nu, np.array([z]))[0]
+            lhs = 1.0 / (tr.f_transform(mu, np.array([w]))[0] - x)
+            rhs = tr.cauchy(kernel, np.array([w]))[0]
+            assert abs(lhs - rhs) < 1e-3
+
+
 class TestFreePoisson:
     def test_matches_marchenko_pastur_transform(self):
         n, c = 2048, 1

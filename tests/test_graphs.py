@@ -328,8 +328,8 @@ class TestApproxProcess:
                 assert exact == Fraction(2 * k, n)
 
     def test_empty_product(self):
-        res = gr.approx_process(DrivingFunction.constant(0.0), 2.0, 2,
-                                order=4, k_max=1)
+        res = gr.approx_process(DrivingFunction.constant(0.0), 2.0, 1,
+                                order=4)
         assert res.graphs[0].n == 1
         assert res.raw_moments[0].values == (0, 0, 0, 0)
 

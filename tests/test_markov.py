@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ncprob import markov as mk
 from ncprob import measures as ms
-from ncprob import transforms as tr
 
 
 def basketball():
@@ -542,6 +541,17 @@ class TestIsing:
         assert probs[15] > 0.999
         assert abs(measure.mass() - 1) < 1e-12
 
+    def test_exact_zero_temperature(self):
+        # beta = inf: the law is uniform on the ground states, with no NaN
+        # from inf * 0 at them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, measure = mk.exact_boltzmann((2, 2), math.inf, field=0.5)
+            assert measure.atoms == ((15, 1.0),)
+            probs, _ = mk.exact_boltzmann((1, 2), math.inf)
+            assert probs.tolist() == [0.5, 0.0, 0.0, 0.5]
+            assert mk.detailed_balance_audit((2, 2), math.inf) == (True, 0.0)
+
     def test_enumeration_guard(self):
         with pytest.raises(ms.NcprobError,
                            match="exact enumeration limited to 20 spins"):
@@ -836,42 +846,3 @@ class TestLERW:
         erased = mk.loop_erase(path)
         assert len(set(erased)) == len(erased)
         assert erased[0] == path[0] and erased[-1] == path[-1]
-
-
-class TestHomogeneousKernel:
-    def test_x_zero_recovers_mu(self):
-        mu = ms.Semicircle(0, 1).to_measure()
-        grid = np.linspace(-2.4, 2.4, 901)
-        k = mk.homogeneous_kernel(mu, 0.0, grid)
-        xs = np.linspace(-1.8, 1.8, 100)
-        want = ms.Semicircle(0, 1).density_at(xs)
-        assert np.abs(np.interp(xs, k.grid, k.density) - want).max() < 1e-3
-
-    def test_dirac_translation(self):
-        mu = ms.AtomicMeasure.dirac(0.75)
-        k = mk.homogeneous_kernel(mu, 1.5, np.linspace(0, 4, 801))
-        assert len(k.atoms) == 1
-        a, w = k.atoms[0]
-        assert abs(a - 2.25) < 1e-9 and abs(w - 1) < 1e-6
-
-    def test_arcsine_translation_equivariance(self):
-        mu = ms.Arcsine(0, 1).to_measure()
-        grid = np.linspace(-1.8, 2.8, 1301)
-        k = mk.homogeneous_kernel(mu, 1.0, grid,
-                                  eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
-        assert abs(k.mass() - 1) < 1e-3
-        assert abs(float(k.moments(1)[1]) - 1.0) < 1e-3
-
-    def test_chapman_kolmogorov(self):
-        # 1/(F_{mu rhd nu}(z) - x) = int 1/(F_nu(z) - y) k_mu(x, dy)
-        mu = ms.AtomicMeasure(((-1.0, 0.5), (1.0, 0.5)))
-        nu = ms.AtomicMeasure(((-0.5, 0.3), (0.8, 0.7)))
-        x = 0.4
-        grid = np.linspace(-4, 4, 1601)
-        kernel = mk.homogeneous_kernel(mu, x, grid,
-                                       eps_ladder=(2e-3, 1e-3, 5e-4))
-        for z in (2j, 1 + 1j, -0.5 + 1.5j):
-            w = tr.f_transform(nu, np.array([z]))[0]
-            lhs = 1.0 / (tr.f_transform(mu, np.array([w]))[0] - x)
-            rhs = tr.cauchy(kernel, np.array([w]))[0]
-            assert abs(lhs - rhs) < 1e-3

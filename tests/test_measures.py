@@ -322,41 +322,6 @@ def test_realization_matches_exact_cdf(law):
     assert max(abs(mu.cdf(x) - law.cdf_exact(x)) for x in xs) <= 1e-5
 
 
-class TestLevyDistance:
-    def test_identical_measures(self):
-        d = ms.levy_distance(ms.AtomicMeasure.dirac(0), ms.AtomicMeasure.dirac(0))
-        assert d == 0
-        mu = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
-        assert ms.levy_distance(mu, mu) == 0
-
-    def test_two_diracs(self):
-        d = ms.levy_distance(ms.AtomicMeasure.dirac(0), ms.AtomicMeasure.dirac(1))
-        assert 0 < d <= 1
-        # brute-force oracle on a dense grid
-        xs = np.linspace(-2, 3, 4001)
-        a = ms.AtomicMeasure.dirac(0)
-        b = ms.AtomicMeasure.dirac(1)
-
-        def feasible(delta):
-            fa = np.array([a.cdf(x) for x in xs])
-            fbp = np.array([b.cdf(x + delta) + delta for x in xs])
-            fbm = np.array([b.cdf(x - delta) - delta for x in xs])
-            return np.all(fbm <= fa) and np.all(fa <= fbp)
-
-        assert feasible(d + 1e-6)
-        assert not feasible(d - 1e-3)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_symmetry_and_triangle(self, seed):
-        rng = np.random.default_rng(seed)
-        mu, nu, rho = (random_atomic(rng, n=3) for _ in range(3))
-        dmn = ms.levy_distance(mu, nu)
-        assert abs(dmn - ms.levy_distance(nu, mu)) < 1e-9
-        assert dmn <= (ms.levy_distance(mu, rho)
-                       + ms.levy_distance(rho, nu) + 1e-9)
-
-
 class TestSampling:
     def test_dirac_exact(self):
         assert list(ms.sample(ms.Dirac(3), 5, seed=1)) == [3.0] * 5
