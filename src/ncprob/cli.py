@@ -114,7 +114,7 @@ def _cmd_invert(args):
         law = _LAWS[args.law](args)
         gmap, pad = law.cauchy, 0.2
         lo, hi = law.edges()
-        candidates += law.atom_candidates()
+        candidates += [x for x, _ in law.atoms()]
     else:
         mu = measures.load_measure(args.measure)
         if isinstance(mu, measures.MomentSequence):
@@ -150,17 +150,16 @@ def _cmd_loewner(args):
         raise NcprobError(
             f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
             f"reach {reach!r}, whose square overflows a float")
-    ladder = (5e-3, 2.5e-3, 1.25e-3)
     # z - U(t) rounds to the float spacing at reach; G is read at height
     # min(ladder), so that spacing must be a thousandth of it or less
-    if math.ulp(reach) > 1e-3 * ladder[-1]:
+    low = min(loewner.EPS_LADDER)
+    if math.ulp(reach) > 1e-3 * low:
         raise NcprobError(
             f"driving bound {bound!r} and inversion grid [{lo!r}, {hi!r}] "
             f"reach {reach!r}, where floats are {math.ulp(reach):.3g} apart: "
-            f"more than 1e-3 of the smallest ladder height {ladder[-1]}")
+            f"more than 1e-3 of the smallest ladder height {low}")
     grid = np.linspace(lo, hi, args.grid_points)
-    mu = loewner.chain_measure(field, args.t, grid, tol=args.tol,
-                               eps_ladder=ladder)
+    mu = loewner.chain_measure(field, args.t, grid, tol=args.tol)
     measures.write_density_csv(mu, args.out + ".csv")
     measures.save_measure(mu, args.out + ".json")
     return 0

@@ -33,8 +33,8 @@ class RootedGraph:
     root: int
 
     def __post_init__(self):
-        n = self.adj.shape[0]
-        if not 0 <= self.root < n:
+        _check_count(self.root, "root", 0)
+        if self.root >= self.adj.shape[0]:
             raise NcprobError("root index out of range")
 
     @property

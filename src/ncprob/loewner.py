@@ -57,11 +57,13 @@ class DrivingFunction:
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.kind == "constant":
-            if len(self.values) != 1:
-                raise NcprobError("constant driving needs exactly one value")
+            if len(self.values) != 1 or self.times:
+                raise NcprobError("constant driving needs exactly one value "
+                                  "and no times")
         elif self.kind == "piecewise_constant":
-            if len(self.times) != len(self.values) + 1:
-                raise NcprobError("need len(times) == len(values) + 1")
+            if not self.values or len(self.times) != len(self.values) + 1:
+                raise NcprobError("need len(times) == len(values) + 1 >= 2 "
+                                  "for a piecewise_constant driving")
         else:
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise NcprobError(
@@ -300,11 +302,15 @@ def chain_fmap(field, t, tol=1e-9):
     return lambda z: evaluate_chain(field, 0.0, t, z, tol)
 
 
-def chain_measure(field, t, grid, tol=1e-9,
-                  eps_ladder=transforms.DEFAULT_EPS_LADDER):
-    """Recover the measure mu_t with F_{mu_t} = f_{0,t} by inversion."""
+# the heights ``chain_measure`` reads G at, and ``ncprob loewner`` with it
+EPS_LADDER = (5e-3, 2.5e-3, 1.25e-3)
+
+
+def chain_measure(field, t, grid, tol=1e-9):
+    """Recover the measure mu_t with F_{mu_t} = f_{0,t} by inversion on
+    ``EPS_LADDER``."""
     return transforms.measure_from_ftransform(chain_fmap(field, t, tol),
-                                              grid, eps_ladder=eps_ladder)
+                                              grid, eps_ladder=EPS_LADDER)
 
 
 # ---------------------------------------------------------------------------

@@ -314,13 +314,12 @@ def mdp_value_iteration(spec, tol=1e-10):
 
 @dataclass(frozen=True)
 class IsingState:
-    """Spin grid with couplings; free boundary, optional frozen cells."""
+    """Spin grid with couplings; free boundary."""
 
     spins: np.ndarray
     coupling: float = 1.0
     field: float = 0.0
     beta: float = 1.0
-    frozen: np.ndarray = None
 
     def __post_init__(self):
         s = np.asarray(self.spins, dtype=np.int8)
@@ -337,11 +336,6 @@ class IsingState:
         if not (0 < self.coupling < math.inf and 0 <= self.field < math.inf
                 and self.beta > 0):
             raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta > 0")
-        fr = (np.zeros_like(s, dtype=np.uint8) if self.frozen is None
-              else np.asarray(self.frozen, dtype=np.uint8))
-        if fr.shape != s.shape:
-            raise NcprobError("frozen mask shape mismatch")
-        object.__setattr__(self, "frozen", fr)
 
     @classmethod
     def random(cls, shape, seed, **kw):
@@ -384,8 +378,7 @@ def metropolis_ising(state, steps, seed):
     the Metropolis probability.  Each block of at most _BLOCK proposals
     draws its sites, then its uniforms, so the walk holds one block of
     draws whatever ``steps`` is.  Spins sit in a zero-padded flat list,
-    so a neighbour sum is four fixed offsets; a frozen site's thresholds
-    are -1.0, so it never flips.
+    so a neighbour sum is four fixed offsets.
     """
     if state.spins.size > 1 << 30:
         raise NcprobError("lattice too large")
@@ -399,19 +392,16 @@ def metropolis_ising(state, steps, seed):
     where = (np.arange(1, h + 1)[:, None] * stride
              + np.arange(1, w + 1)).ravel().tolist()
     table = _acceptance_table(state.beta, state.coupling, state.field)
-    never = [-1.0] * len(table)
-    rows = [never if f else table for f in state.frozen.ravel().tolist()]
     rng = np.random.default_rng(seed)
     for sites, u in _draw_blocks(rng, _BLOCK, h * w, steps):
         for i, x in zip(sites.tolist(), u.tolist()):
             p = where[i]
             s = grid[p]
-            if x < rows[i][5 * s + grid[p - 1] + grid[p + 1]
-                           + grid[p - stride] + grid[p + stride]]:
+            if x < table[5 * s + grid[p - 1] + grid[p + 1]
+                         + grid[p - stride] + grid[p + stride]]:
                 grid[p] = -s
     spins = np.array(grid, dtype=np.int8).reshape(h + 2, w + 2)[1:-1, 1:-1]
-    return IsingState(spins, state.coupling, state.field, state.beta,
-                      state.frozen)
+    return IsingState(spins, state.coupling, state.field, state.beta)
 
 
 def _lattice_edges(shape):

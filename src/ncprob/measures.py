@@ -473,10 +473,6 @@ class _TwoStepLaw:
             roots.append((w, float(x), float(x - Fraction(float(x)))))
         return c, roots
 
-    def atom_candidates(self):
-        """Points that carry an atom, for Stieltjes inversion."""
-        return [x for x, _ in self.atoms()]
-
     def to_measure(self):
         """The density at GRID_RESOLUTION nodes over the support widened by
         _PAD, scaled to the mass the atoms leave.  The density vanishes like

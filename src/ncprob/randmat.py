@@ -14,18 +14,11 @@ draws the dense complex matrix, which ``freeness_statistic`` and
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import AtomicMeasure, NcprobError, Semicircle, _check_count
-
-
-def _check_size(n):
-    """Refuse a matrix size N that is not an int >= 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise NcprobError(f"need N >= 1 and an int, got {n!r}")
 
 
 def trace_state(a):
@@ -48,7 +41,7 @@ def sample_gue(n, seed):
     included.  One (N, N) block of standard normals fills the matrix: the
     upper triangle and diagonal give the real parts, the strict lower
     triangle the imaginary parts."""
-    _check_size(n)
+    _check_count(n, "N")
     z = np.random.default_rng(seed).standard_normal((n, n))
     diag = z.diagonal() * math.sqrt(1.0 / n)
     z *= math.sqrt(1.0 / (2 * n))
@@ -76,7 +69,7 @@ def gue_eigenvalues(n, seed):
     two bands in O(N^2), with no N x N buffer."""
     from scipy.linalg import eigvalsh_tridiagonal
 
-    _check_size(n)
+    _check_count(n, "N")
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(n)
     e = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1)))
@@ -87,7 +80,7 @@ def haar_unitary(n, seed):
     """Haar-distributed unitary via QR of a complex Ginibre matrix with the
     phase fix making the R diagonal positive; ``seed`` as in
     ``sample_gue``."""
-    _check_size(n)
+    _check_count(n, "N")
     g = np.random.default_rng(seed).standard_normal((2, n, n))
     z = (g[0] + 1j * g[1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -193,7 +186,7 @@ def free_ar1(n, steps, c, noise="gue", seed=0):
     forms one N x N product (plus one per step for squared noise).  X is
     updated in place and no earlier X or noise is kept, so about three
     complex N x N arrays are alive at the peak."""
-    _check_size(n)
+    _check_count(n, "N")
     _check_count(steps, "steps")
     if not abs(c) < 1:
         raise NcprobError("need |c| < 1 for stationarity")

@@ -317,53 +317,41 @@ def _inverse_estimate(xs, vs, j):
                                                         xs[k:k + 6])))
 
 
-class _Bracket:
-    """One search: its sign-change cell (lo, hi, flo, fhi), its pending
-    window (or None), its equispaced calls so far and whether it has had
-    its window."""
-
-    def __init__(self, lo, hi, flo, fhi):
-        self.cell = (float(lo), float(hi), float(flo), float(fhi))
-        self.window, self.grids, self.tried = None, 0, False
-
-    def _grid(self):
-        return np.linspace(self.cell[0], self.cell[1], _CELLS + 1)
-
-    def points(self):
-        """Where the next call evaluates Re f."""
-        return self._grid()[1:-1] if self.window is None else self.window
-
-    def update(self, vs):
-        """Take Re f at ``points()``; gives the root once it is found."""
-        if self.window is not None:
-            xs, self.window = self.window, None
+def _bracket_search(lo, hi, flo, fhi):
+    """One search over the sign-change cell (lo, hi, flo, fhi), as a
+    generator: it yields the points where it needs Re f next, is sent
+    Re f there, and returns the root."""
+    lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
+    window, grids, tried = None, 0, False
+    while True:
+        if window is not None:
+            xs, window = window, None
+            vs = yield xs
             j = _first_change(vs)
             # none, or one against the cell's own (so the cell holds three
             # or more): equispaced calls go on over the cell
-            if j is None or vs[j] * self.cell[2] < 0:
-                return None
+            if j is None or vs[j] * flo < 0:
+                continue
         else:
-            xs = self._grid()
-            vs = np.concatenate([[self.cell[2]], vs, [self.cell[3]]])
+            xs = np.linspace(lo, hi, _CELLS + 1)
+            vs = np.concatenate([[flo], (yield xs[1:-1]), [fhi]])
             j = _bisected_cell(vs)
-            self.grids += 1
-        self.cell = lo, hi, flo, fhi = xs[j], xs[j + 1], vs[j], vs[j + 1]
+            grids += 1
+        lo, hi, flo, fhi = xs[j], xs[j + 1], vs[j], vs[j + 1]
         hit = flo * fhi < 0 and _inverse_estimate(xs, vs, j)
         # the first estimate is checked by a window; later ones end the
         # search once accurate
-        if (hit and self.tried
-                and hit[1] <= _ROOT_TOL * max(1.0, abs(hit[0]))):
+        if hit and tried and hit[1] <= _ROOT_TOL * max(1.0, abs(hit[0])):
             return hit[0]
-        if (flo * fhi == 0 or self.grids == _GRID_CALLS
+        if (flo * fhi == 0 or grids == _GRID_CALLS
                 or hi - lo <= _ROOT_TOL * max(1.0, abs(lo))):
-            return _secant(*self.cell)
-        if hit and not self.tried:
+            return _secant(lo, hi, flo, fhi)
+        if hit and not tried:
             x, err = hit
             w = max(4 * err, (hi - lo) / _CELLS,
                     _WINDOW_FLOOR * max(1.0, abs(x)))
-            self.window = np.linspace(max(x - w, lo), min(x + w, hi), _WINDOW)
-            self.tried = True
-        return None
+            window = np.linspace(max(x - w, lo), min(x + w, hi), _WINDOW)
+            tried = True
 
 
 def _bracketed_roots(f, lo, hi, flo, fhi, eps):
@@ -379,15 +367,19 @@ def _bracketed_roots(f, lo, hi, flo, fhi, eps):
     calls the secant root of the cell is taken, so a search makes at most
     _GRID_CALLS + 1 calls; at a simple zero it usually makes two.
     """
-    brackets = [_Bracket(*b) for b in zip(lo, hi, flo, fhi)]
-    roots = [None] * len(brackets)
-    while None in roots:
-        open_ = [b for b, r in enumerate(roots) if r is None]
-        pts = [brackets[b].points() for b in open_]
+    searches = [_bracket_search(*b) for b in zip(lo, hi, flo, fhi)]
+    pending = {b: next(s) for b, s in enumerate(searches)}
+    roots = [None] * len(searches)
+    while pending:
+        pts = list(pending.values())
         vals = np.asarray(f(np.concatenate(pts) + 1j * eps)).real
         splits = np.cumsum([p.size for p in pts])[:-1]
-        for b, vs in zip(open_, np.split(vals, splits)):
-            roots[b] = brackets[b].update(vs)
+        for b, vs in zip(list(pending), np.split(vals, splits)):
+            try:
+                pending[b] = searches[b].send(vs)
+            except StopIteration as stop:
+                roots[b] = stop.value
+                del pending[b]
     return [np.float64(r) for r in roots]
 
 

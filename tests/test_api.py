@@ -75,6 +75,7 @@ loewner.evaluate_chain_point
 loewner.slit_chain
 loewner.inverse_flow
 loewner.chain_fmap
+loewner.EPS_LADDER
 loewner.chain_measure
 loewner.nonlinear_resolvent
 loewner.resolvent_fmap
@@ -152,7 +153,6 @@ measures.Arcsine.fmap
 measures.Arcsine.cauchy
 measures.Arcsine.density_at
 measures.Arcsine.atoms
-measures.Arcsine.atom_candidates
 measures.Arcsine.to_measure
 measures.Semicircle
 measures.Semicircle.cdf_exact
@@ -163,7 +163,6 @@ measures.Semicircle.fmap
 measures.Semicircle.cauchy
 measures.Semicircle.density_at
 measures.Semicircle.atoms
-measures.Semicircle.atom_candidates
 measures.Semicircle.to_measure
 measures.Poisson
 measures.Poisson.moments
@@ -177,7 +176,6 @@ measures.MarchenkoPastur.fmap
 measures.MarchenkoPastur.cauchy
 measures.MarchenkoPastur.density_at
 measures.MarchenkoPastur.atoms
-measures.MarchenkoPastur.atom_candidates
 measures.MarchenkoPastur.to_measure
 measures.FreeMeixner
 measures.FreeMeixner.moments
@@ -186,7 +184,6 @@ measures.FreeMeixner.fmap
 measures.FreeMeixner.cauchy
 measures.FreeMeixner.density_at
 measures.FreeMeixner.atoms
-measures.FreeMeixner.atom_candidates
 measures.FreeMeixner.to_measure
 measures.FreeMeixner.sample
 measures.moments
@@ -249,7 +246,6 @@ loewner.slit_chain(tol)
 loewner.inverse_flow(tol)
 loewner.chain_fmap(tol)
 loewner.chain_measure(tol)
-loewner.chain_measure(eps_ladder)
 loewner.nonlinear_resolvent(tol)
 loewner.resolvent_fmap(tol)
 markov.hitting_time_mc(chunk)
@@ -257,7 +253,6 @@ markov.mdp_value_iteration(tol)
 markov.IsingState.coupling
 markov.IsingState.field
 markov.IsingState.beta
-markov.IsingState.frozen
 markov.exact_boltzmann(coupling)
 markov.exact_boltzmann(field)
 markov.metropolis_exact_kernel(coupling)
@@ -378,12 +373,12 @@ def options():
 
 def test_name_surface():
     assert names() == NAMES
-    assert len(NAMES) == 212
+    assert len(NAMES) == 209
 
 
 def test_option_surface():
     assert options() == OPTIONS
-    assert len(OPTIONS) == 51
+    assert len(OPTIONS) == 49
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -431,6 +426,9 @@ def test_option_surface():
     ("ncprob.markov", "homogeneous_kernel"),
     ("ncprob", "levy_distance"),
     ("ncprob.measures", "levy_distance"),
+    ("ncprob.measures.Semicircle", "atom_candidates"),
+    ("ncprob.measures.FreeMeixner", "atom_candidates"),
+    ("ncprob.markov.IsingState", "frozen"),
 ])
 def test_removed_name_absent(owner, name):
     obj = ncprob

@@ -13,7 +13,6 @@ import pytest
 from ncprob import cli, graphs, loewner, markov, randmat, transforms
 from ncprob import measures as ms
 
-LOEWNER_LADDER = (5e-3, 2.5e-3, 1.25e-3)  # the one ``ncprob loewner`` uses
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "README.md")
 
@@ -148,6 +147,10 @@ class TestExitCodes:
         ({"kind": "linear", "values": [0.0]}, "unknown driving kind 'linear'"),
         ({"kind": "sampled", "times": [0.0], "values": [0.0]},
          "sampled driving needs matching times/values"),
+        ({"kind": "constant", "times": [0.0], "values": [0.003]},
+         "constant driving needs exactly one value and no times"),
+        ({"kind": "piecewise_constant", "times": [0.0], "values": []},
+         "need len(times) == len(values) + 1 >= 2 for a piecewise"),
         ({"kind": "piecewise_constant", "times": [1.0, 0.0, 2.0],
           "values": [0.0, 1.0]}, "times must be strictly increasing"),
     ])
@@ -691,7 +694,7 @@ class TestSubcommands:
         obj = cli._LAWS[law](args)
         lo, hi = obj.edges()
         assert lo < hi
-        assert all(isinstance(x, float) for x in obj.atom_candidates())
+        assert all(isinstance(x, float) for x, _ in obj.atoms())
         y = 1e6
         assert abs(1j * y * obj.cauchy(np.array([1j * y]))[0] - 1) <= 1e-3
 
@@ -1000,7 +1003,7 @@ class TestWriters:
         field = loewner.HerglotzField.from_driving(
             loewner.DrivingFunction.constant(0.023648), horizon=1.0)
         mu = loewner.chain_measure(field, 1.0, np.linspace(-2, 2, 201),
-                                   tol=1e-9, eps_ladder=LOEWNER_LADDER)
+                                   tol=1e-9)
         assert len(mu.atoms) == 1
         assert (files / "chain.csv").read_text() == reference_density_csv(mu)
         assert (files / "chain.json").read_text() == \
@@ -1014,7 +1017,7 @@ class TestWriters:
         lo, hi = law.edges()
         rec = transforms.stieltjes_invert(
             law.cauchy, np.linspace(lo - 0.2, hi + 0.2, 301),
-            atom_candidates=law.atom_candidates())
+            atom_candidates=[x for x, _ in law.atoms()])
         assert len(rec.atoms) == 1
         assert (files / "fm.csv").read_text() == reference_density_csv(rec)
         assert (files / "fm.json").read_text() == reference_measure_json(rec)
@@ -1075,7 +1078,7 @@ class TestSleDrivesLoewner:
         field = loewner.HerglotzField.from_driving(
             loewner.sle_driving(2.0, 0.1, 0.01, 3), horizon=0.1)
         want = loewner.chain_measure(field, 0.1, np.linspace(-1.5, 1.5, 101),
-                                     tol=1e-9, eps_ladder=LOEWNER_LADDER)
+                                     tol=1e-9)
         got = ms.load_measure(files / "chain.json")
         assert got.grid.tobytes() == want.grid.tobytes()
         assert got.density.tobytes() == want.density.tobytes()

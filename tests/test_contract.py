@@ -140,12 +140,9 @@ def test_inversion_refuses_candidates(entry, cands, message):
 
 @pytest.mark.parametrize("ladder, message", BAD_LADDERS)
 def test_inversion_refuses_ladders(ladder, message):
-    field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(0.3),
-                                          1.0)
     calls = [
         lambda: tr.measure_from_ftransform(Counted(), GRID, None, ladder),
         lambda: tr.measure_from_ftransform(Counted(), GRID, [0.0], ladder),
-        lambda: lw.chain_measure(field, 1.0, GRID, eps_ladder=ladder),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -266,10 +263,10 @@ def test_lattice_and_seed_refusal_names_the_argument(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: rm.sample_gue(1.5, 0), "need N >= 1 and an int, got 1.5"),
-    (lambda: rm.gue_eigenvalues(math.nan, 0), "need N >= 1 .* got nan"),
-    (lambda: rm.haar_unitary(0, 1), "need N >= 1 .* got 0"),
-    (lambda: rm.free_ar1(True, 2, 0.5), "need N >= 1 .* got True"),
+    (lambda: rm.sample_gue(1.5, 0), "N must be >= 1 and an int, got 1.5"),
+    (lambda: rm.gue_eigenvalues(math.nan, 0), "N must be >= 1 .* got nan"),
+    (lambda: rm.haar_unitary(0, 1), "N must be >= 1 .* got 0"),
+    (lambda: rm.free_ar1(True, 2, 0.5), "N must be >= 1 .* got True"),
     (lambda: rm.free_ar1(4, 1.5, 0.5),
      "steps must be >= 1 and an int, got 1.5"),
     (lambda: rm.free_ar1(4, 0, 0.5), "steps must be >= 1 .* got 0"),
@@ -279,6 +276,12 @@ def test_lattice_and_seed_refusal_names_the_argument(call, message):
     (lambda: gr.cycle_graph(1),
      "cycle vertices must be >= 3 and an int, got 1"),
     (lambda: gr.cycle_graph(2), "cycle vertices must be >= 3 .* got 2"),
+    (lambda: gr.path_graph(3, root=1.5),
+     "root must be >= 0 and an int, got 1.5"),
+    (lambda: gr.path_graph(3, root=True), "root must be >= 0 .* got True"),
+    (lambda: gr.cycle_graph(3, root=-1), "root must be >= 0 .* got -1"),
+    (lambda: gr.RootedGraph.from_edges(2, [(0, 1)], root=2),
+     "root index out of range"),
 ])
 def test_size_refusal_names_the_count(call, message):
     with warnings.catch_warnings():

@@ -801,8 +801,7 @@ class TestSlitBatch:
 class TestChainMeasure:
     def test_arcsine_at_t1(self):
         grid = np.linspace(-1.75, 1.75, 1201)
-        mu = lw.chain_measure(zero_field(), 1.0, grid, tol=1e-9,
-                              eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
+        mu = lw.chain_measure(zero_field(), 1.0, grid, tol=1e-9)
         xs = grid[np.abs(grid) <= 1.2]
         want = ms.Arcsine(0, 1).density_at(xs)
         got = np.interp(xs, mu.grid, mu.density)
@@ -815,8 +814,7 @@ class TestChainMeasure:
         field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(u),
                                               horizon=2.0)
         grid = np.linspace(u - 2.4, u + 2.4, 1201)
-        mu = lw.chain_measure(field, 2.0, grid, tol=1e-9,
-                              eps_ladder=(5e-3, 2.5e-3, 1.25e-3))
+        mu = lw.chain_measure(field, 2.0, grid, tol=1e-9)
         fm = ms.FreeMeixner(2, 1, 1).to_measure()  # t = 2: a = t, c = t/2
         xs = np.linspace(u - 1.6, u + 1.6, 200)
         got = np.interp(xs, mu.grid, mu.density)
@@ -853,10 +851,10 @@ class TestChainMeasure:
         field = lw.HerglotzField.from_driving(lw.DrivingFunction.constant(u),
                                               horizon=t)
         half = abs(u) + math.sqrt(2 * t) + 0.5
-        for points, ladder in ((1201, (5e-3, 2.5e-3, 1.25e-3)),
-                               (201, tr.DEFAULT_EPS_LADDER)):
-            mu = lw.chain_measure(field, t, np.linspace(-half, half, points),
-                                  eps_ladder=ladder)
+        grid = lambda points: np.linspace(-half, half, points)
+        for mu in (lw.chain_measure(field, t, grid(1201)),
+                   tr.measure_from_ftransform(lw.chain_fmap(field, t),
+                                              grid(201))):
             (a, w), = mu.atoms
             assert abs(a - (u - math.copysign(root, u))) <= max(1e-8,
                                                                 1e-12 / gap)
@@ -864,8 +862,9 @@ class TestChainMeasure:
 
     def test_small_time_degenerates(self):
         grid = np.linspace(-0.5, 0.5, 401)
-        mu = lw.chain_measure(zero_field(), 1e-3, grid, tol=1e-10,
-                              eps_ladder=(2e-3, 1e-3, 5e-4))
+        mu = tr.measure_from_ftransform(
+            lw.chain_fmap(zero_field(), 1e-3, tol=1e-10), grid,
+            eps_ladder=(2e-3, 1e-3, 5e-4))
         assert float(mu.moments(2)[2]) < 1.5e-3
 
     def test_capacity_normalization(self):

@@ -396,7 +396,7 @@ def returns_surely(p, state):
     return bool(np.all(reach[state, reach[:, state]]))
 
 
-def reference_ising_run(spins, frozen, beta, coupling, field, sites, urand):
+def reference_ising_run(spins, beta, coupling, field, sites, urand):
     """Scalar reference for the single-flip chain: consumes one block of
     proposals in place on a free-boundary lattice; returns the accepted
     count."""
@@ -406,8 +406,6 @@ def reference_ising_run(spins, frozen, beta, coupling, field, sites, urand):
         idx = sites[m]
         i = idx // w
         jc = idx - i * w
-        if frozen[i, jc]:
-            continue
         s = spins[i, jc]
         nb = 0
         if i > 0:
@@ -436,8 +434,8 @@ def reference_ising(state, steps, seed, block):
         k = min(block, left)
         sites = rng.integers(0, spins.size, size=k)
         u = rng.random(k)
-        reference_ising_run(spins, state.frozen, state.beta, state.coupling,
-                            state.field, sites, u)
+        reference_ising_run(spins, state.beta, state.coupling, state.field,
+                            sites, u)
         left -= k
     return spins
 
@@ -496,13 +494,6 @@ def reference_histogram(shape, beta, coupling, field, burn_in, samples, seed,
 
 
 class TestIsing:
-    def test_frozen_spins_never_flip(self):
-        frozen = np.zeros((4, 4), dtype=np.uint8)
-        frozen[0, :] = 1
-        st0 = mk.IsingState.random((4, 4), seed=1, beta=0.1, frozen=frozen)
-        out = mk.metropolis_ising(st0, 20_000, seed=2)
-        assert np.array_equal(out.spins[0, :], st0.spins[0, :])
-
     def test_zero_temperature_alignment(self):
         st0 = mk.IsingState(np.ones((6, 6)), beta=60.0, field=0.3)
         out = mk.metropolis_ising(st0, 50_000, seed=3)
@@ -627,22 +618,19 @@ class TestIsing:
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(1, 6), w=st.integers(1, 7),
-           frozen_frac=st.sampled_from([0.0, 0.3, 1.0]),
            beta=st.floats(0.0, 60.0, exclude_min=True),
            coupling=st.one_of(st.integers(1, 5), st.floats(0.01, 3.0)),
            field=st.one_of(st.just(0), st.floats(0.0, 2.0)),
            steps=st.integers(0, 9000), block=st.integers(1, 10_000),
            seed=st.integers(0, 2**32 - 1))
-    @example(h=6, w=7, frozen_frac=0.3, beta=0.44, coupling=1, field=0,
+    @example(h=6, w=7, beta=0.44, coupling=1, field=0,
              steps=9000, block=5000, seed=0)
-    @example(h=1, w=1, frozen_frac=0.0, beta=60.0, coupling=2.0, field=0.5,
+    @example(h=1, w=1, beta=60.0, coupling=2.0, field=0.5,
              steps=100, block=7, seed=1)
-    def test_ising_matches_reference(self, h, w, frozen_frac, beta, coupling,
-                                     field, steps, block, seed):
-        rng = np.random.default_rng(seed)
+    def test_ising_matches_reference(self, h, w, beta, coupling, field,
+                                     steps, block, seed):
         state = mk.IsingState.random(
-            (h, w), seed=seed, beta=beta, coupling=coupling, field=field,
-            frozen=rng.random((h, w)) < frozen_frac)
+            (h, w), seed=seed, beta=beta, coupling=coupling, field=field)
         with mock.patch.object(mk, "_BLOCK", block):
             got = mk.metropolis_ising(state, steps, seed)
         want = reference_ising(state, steps, seed, block)

@@ -260,7 +260,6 @@ def test_two_step_law(law, atoms):
     series = sum(mk * zs ** -(k + 1) for k, mk in enumerate([1, *m]))
     assert np.all(np.abs(1 / law.fmap(zs) - series) <= 1e-14 * np.abs(series))
     assert law.atoms() == atoms
-    assert law.atom_candidates() == [x for x, _ in atoms]
     mu = law.to_measure()
     assert mu.atoms == tuple(atoms)
     m2 = float(law.moments(2)[2])

@@ -210,7 +210,7 @@ class TestGUELaw:
         assert -2.1 < lam[0] < -1.9 and 1.9 < lam[-1] < 2.1
 
     def test_rejects_empty(self):
-        with pytest.raises(ms.NcprobError, match="need N >= 1"):
+        with pytest.raises(ms.NcprobError, match="N must be >= 1"):
             rm.gue_eigenvalues(0, seed=0)
 
 

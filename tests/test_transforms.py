@@ -544,7 +544,6 @@ LAWS = {
 
 def law_map(law):
     return LAWS[law].cauchy
-LOEWNER_LADDER = (5e-3, 2.5e-3, 1.25e-3)  # the one ``ncprob loewner`` uses
 
 
 def loewner_grid(driving, points):
@@ -560,10 +559,10 @@ class TestSharedCallInversion:
         f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
         grid = loewner_grid(driving, 301)
         got = outcome(tr.measure_from_ftransform, f, grid,
-                      eps_ladder=LOEWNER_LADDER)
+                      eps_ladder=lw.EPS_LADDER)
         assert len(got[2]) == (u != 0)  # the atom of the free Meixner law
         assert got == outcome(reference_measure_from_ftransform, f, grid,
-                              eps_ladder=LOEWNER_LADDER)
+                              eps_ladder=lw.EPS_LADDER)
 
     def test_sle_chain_measure(self):
         driving = lw.sle_driving(2.0, 1.0, 1e-2, seed=7)
@@ -571,17 +570,17 @@ class TestSharedCallInversion:
         grid = loewner_grid(driving, 61)
         assert tr.scan_real_zeros(f, grid)  # the scan has a root to bisect
         got = outcome(tr.measure_from_ftransform, f, grid,
-                      eps_ladder=LOEWNER_LADDER)
+                      eps_ladder=lw.EPS_LADDER)
         assert len(np.frombuffer(got[0])) > grid.size  # cells were refined
         assert got == outcome(reference_measure_from_ftransform, f, grid,
-                              eps_ladder=LOEWNER_LADDER)
+                              eps_ladder=lw.EPS_LADDER)
 
     @pytest.mark.parametrize("law, lo, hi, candidates", [
         ("semicircle", -2.2, 2.2, []),
         ("arcsine", -1.62, 1.62, []),
         ("marchenko-pastur", -0.2, 3.12, [0.0]),
         ("free-meixner", -4.03, 4.03,
-         ms.FreeMeixner(4, 2, 1).atom_candidates()),
+         [x for x, _ in ms.FreeMeixner(4, 2, 1).atoms()]),
     ])
     def test_closed_form_laws(self, law, lo, hi, candidates):
         g, grid = law_map(law), np.linspace(lo, hi, 301)
@@ -601,7 +600,7 @@ class TestSharedCallInversion:
     def test_free_meixner_realization(self):
         # explicit candidates: no scan row in the shared call
         fmap, grid = ms.FreeMeixner(4, 2, 1).fmap, np.linspace(-4, 4, 301)
-        cands = ms.FreeMeixner(4, 2, 1).atom_candidates()
+        cands = [x for x, _ in ms.FreeMeixner(4, 2, 1).atoms()]
         ladder = (1e-4, 5e-5, 2.5e-5)
         assert outcome(tr.measure_from_ftransform, fmap, grid, cands,
                        ladder) == outcome(reference_measure_from_ftransform,
@@ -757,9 +756,9 @@ class TestRealZeroFilter:
         f = lw.chain_fmap(lw.HerglotzField.from_driving(driving, 1.0), 1.0)
         grid = loewner_grid(driving, points)
         assert (outcome(tr.measure_from_ftransform, f, grid,
-                        eps_ladder=LOEWNER_LADDER)
+                        eps_ladder=lw.EPS_LADDER)
                 == outcome(reference_measure_from_ftransform, f, grid,
-                           eps_ladder=LOEWNER_LADDER))
+                           eps_ladder=lw.EPS_LADDER))
 
 
 class TestFlowCalls:
