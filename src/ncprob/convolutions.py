@@ -3,9 +3,9 @@
 Moment-level arithmetic is exact (rational inputs stay rational): classical
 via binomial sums, Boolean and free via cumulant addition, monotone via
 composition of truncated F-series.  Measure-level convolutions of atomic
-measures are exact for the classical kind; the other kinds evaluate an exact
-F-map (monotone composition, Boolean B-addition, free subordination) and
-recover the measure from it by Stieltjes inversion.
+measures are atomic but for the free kind: classical by pairing atoms,
+Boolean and monotone as spectral measures of small symmetric matrices.  The
+free kind recovers its measure from the subordination F-map by inversion.
 """
 
 import math
@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import transforms as tr
-from .measures import AtomicMeasure, MomentSequence, NcprobError, _check_count
+from .measures import (AtomicMeasure, MomentSequence, NcprobError,
+                       _check_count, _spectral_pairs)
 from .series import _compose, _dilate, compose_power
 
 KINDS = ("classical", "boolean", "free", "monotone", "antimonotone")
@@ -62,6 +63,15 @@ def _default_grid(mu, nu):
     return np.linspace(-(r + pad), r + pad, 2001)
 
 
+def _root_form(mu):
+    """H diag(positions) H, with H the Householder reflection taking e_0 to
+    -sqrt(weights): a matrix whose spectral measure at e_0 is ``mu``."""
+    u = np.sqrt(mu.weights)
+    u[0] += 1.0  # u = e_0 + sqrt(weights), stable as its entries are >= 0
+    h = np.eye(len(u)) - np.outer(u, u) / u[0]
+    return (h * mu.positions) @ h
+
+
 def _convolve_measures(kind, mu, nu):
     if not (isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure)):
         raise NcprobError("measure-level convolution expects atomic inputs")
@@ -74,11 +84,7 @@ def _convolve_measures(kind, mu, nu):
         return AtomicMeasure.from_pairs(pairs.items(), merge_tol=1e-12)
     if kind == "antimonotone":
         return _convolve_measures("monotone", nu, mu)
-    grid = _default_grid(mu, nu)
-    if kind == "monotone":
-        def fmap(z):
-            return tr.f_transform(mu, tr.f_transform(nu, z))
-    elif kind == "free":
+    if kind == "free":
         # subordination: F_{mu+nu}(z) = F_mu(w(z)) with w(z) the fixed point
         # of w -> z + h_nu(z + h_mu(w)), h = F - id = -B (Biane 1998;
         # Belinschi & Bercovici 2007)
@@ -87,12 +93,27 @@ def _convolve_measures(kind, mu, nu):
 
         def fmap(z):
             return tr.f_transform(mu, tr._fixed_point(subordinate, z, 1e-12))
-    else:  # boolean
-        def fmap(z):
-            return z - tr.b_transform(mu, z) - tr.b_transform(nu, z)
-    # atomic transforms evaluate exactly, so a fine ladder is cheap
-    return tr.measure_from_ftransform(fmap, grid,
-                                      eps_ladder=(2e-3, 1e-3, 5e-4))
+        # atomic transforms evaluate exactly, so a fine ladder is cheap
+        return tr.measure_from_ftransform(fmap, _default_grid(mu, nu),
+                                          eps_ladder=(2e-3, 1e-3, 5e-4))
+    n, m = len(mu.atoms), len(nu.atoms)
+    side = n + m - 1 if kind == "boolean" else m
+    if side > 4096:
+        raise NcprobError(f"{kind} convolution of {n}- and {m}-atom laws "
+                          f"needs a dense eigensolve of side {side} > 4096")
+    r = _root_form(nu)
+    if kind == "boolean":
+        # F_mu + F_nu - z: mu's root form, reversed, and nu's share one root
+        glued = np.pad(_root_form(mu)[::-1, ::-1], (0, m - 1))
+        glued[n - 1:, n - 1:] += r
+        return AtomicMeasure.from_pairs(_spectral_pairs(glued, n - 1),
+                                        merge_tol=1e-12, renormalize=True)
+    # G_mu(F_nu(z)); adding a to nu's root entry lowers F_nu by a
+    alpha, pairs = r[0, 0], []
+    for a, w in mu.atoms:
+        r[0, 0] = alpha + a
+        pairs += [(x, float(w) * p) for x, p in _spectral_pairs(r, 0)]
+    return AtomicMeasure.from_pairs(pairs, merge_tol=1e-12, renormalize=True)
 
 
 def convolve(kind, a, b):
@@ -100,8 +121,8 @@ def convolve(kind, a, b):
 
     Both inputs are moment sequences of the same order, or both are
     measures; mixing the two raises ``NcprobError``.  Measures must be
-    atomic; the result is atomic for the classical kind and a recovered
-    GridMeasure for the free, monotone and Boolean kinds.
+    atomic; the result is atomic for every kind but free, whose result is
+    a GridMeasure recovered by Stieltjes inversion.
     """
     _check_kind(kind)
     if isinstance(a, MomentSequence) != isinstance(b, MomentSequence):

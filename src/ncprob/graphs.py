@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, MomentSequence, NcprobError, _check_count
+from .measures import (AtomicMeasure, MomentSequence, NcprobError,
+                       _check_count, _spectral_pairs)
 
 VERTEX_GUARD = 10**7
 
@@ -326,9 +327,7 @@ def spectral_distribution(g):
     """Atoms at adjacency eigenvalues weighted by squared root components."""
     if g.n > 4096:
         raise NcprobError("dense eigensolve limited to 4096 vertices")
-    evals, evecs = np.linalg.eigh(g.adj.toarray().astype(float))
-    weights = evecs[g.root, :] ** 2
-    pairs = [(float(x), float(w)) for x, w in zip(evals, weights) if w > 1e-15]
+    pairs = _spectral_pairs(g.adj.toarray().astype(float), g.root)
     return AtomicMeasure.from_pairs(pairs, merge_tol=1e-9, renormalize=True)
 
 

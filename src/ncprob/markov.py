@@ -57,6 +57,15 @@ def _as_matrix(p):
     return p.p if isinstance(p, TransitionMatrix) else np.asarray(p, dtype=float)
 
 
+def _per_state(v, n, what):
+    """``v`` as a float array, refused unless it has one entry per state."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise NcprobError(f"{what} needs one entry per state ({n}), got "
+                          f"shape {v.shape}")
+    return v
+
+
 def is_irreducible(p):
     """Strong connectivity of the support digraph: state 0 reaches every
     state and every state reaches state 0 (False for an empty chain)."""
@@ -120,7 +129,7 @@ def convergence_report(p, v):
     nmax = 200
     m = _as_matrix(p)
     pi = stationary_distribution(m)
-    v = np.asarray(v, dtype=float)
+    v = _per_state(v, m.shape[0], "initial vector v0")
     errs = []
     w = v.copy()
     for _ in range(nmax):
@@ -245,7 +254,7 @@ def hitting_time_mc(p, state, episodes, seed, chunk=_BLOCK):
 def expected_reward(p, rewards):
     """One-step expected rewards: R(s) = sum_s' p_{s',s} R(s')."""
     m = _as_matrix(p)
-    return np.asarray(rewards, dtype=float) @ m
+    return _per_state(rewards, m.shape[0], "reward vector R") @ m
 
 
 def mrp_value(p, rewards, gamma):
@@ -272,10 +281,13 @@ class MDPSpec:
     def __post_init__(self):
         t = np.asarray(self.transitions, dtype=float)
         object.__setattr__(self, "transitions", t)
-        object.__setattr__(self, "rewards", np.asarray(self.rewards,
-                                                       dtype=float))
         if t.ndim != 3 or t.shape[0] != t.shape[1]:
             raise NcprobError("transition tensor must be (s', s, a)")
+        if t.shape[2] == 0:
+            raise NcprobError(f"transitions need at least one action, got "
+                              f"shape {t.shape}")
+        object.__setattr__(self, "rewards", _per_state(
+            self.rewards, t.shape[0], "reward vector R"))
         _check_stochastic(t, "every (s, a) column must be stochastic")
         if not 0 <= self.gamma < 1:
             raise NcprobError("discount must lie in [0, 1)")

@@ -261,6 +261,14 @@ def _check_count(n, what, least=1):
         raise NcprobError(f"{what} must be >= {least} and an int, got {n!r}")
 
 
+def _spectral_pairs(matrix, row):
+    """Spectral measure of the symmetric ``matrix`` at basis vector ``row``
+    as (eigenvalue, squared component) pairs, less weights <= 1e-15."""
+    evals, evecs = np.linalg.eigh(matrix)
+    weights = evecs[row, :] ** 2
+    return [(float(x), float(w)) for x, w in zip(evals, weights) if w > 1e-15]
+
+
 # ---------------------------------------------------------------------------
 # named laws
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
 from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
-                       NcprobError, NoConvergence, _is_real, sqrt_upper)
+                       NcprobError, NoConvergence, _is_real, _spectral_pairs,
+                       sqrt_upper)
 from .series import _reciprocal, _sqrt
 
 
@@ -763,13 +764,8 @@ def moment_quadrature(m):
     exactly (up to float rounding in the eigensolve).
     """
     alpha, beta = jacobi_recurrence(m)
-    n = len(alpha)
     d = np.array([float(a) for a in alpha])
     e = np.sqrt(np.array([float(b) for b in beta[1:]]))
-    jac = np.diag(d)
-    if n > 1:
-        jac += np.diag(e, 1) + np.diag(e, -1)
-    evals, evecs = np.linalg.eigh(jac)
-    weights = evecs[0, :] ** 2
-    pairs = [(float(x), float(w)) for x, w in zip(evals, weights) if w > 1e-15]
-    return AtomicMeasure.from_pairs(pairs, merge_tol=1e-12, renormalize=True)
+    jac = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return AtomicMeasure.from_pairs(_spectral_pairs(jac, 0), merge_tol=1e-12,
+                                    renormalize=True)

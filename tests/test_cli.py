@@ -541,6 +541,22 @@ class TestExitCodes:
                                            "spec.json", "--out", "bad.json"])
         assert f"error: markov {mode} spec {message}\n" in err
 
+    @pytest.mark.parametrize("mode, spec, message", [
+        ("mdp", dict(MDP, transitions=[[[], []], [[], []]]),
+         "transitions need at least one action, got shape (2, 2, 0)"),
+        ("mrp", {"P": P, "R": [0, 0, 1], "gamma": 0.5},
+         "reward vector R needs one entry per state (2), got shape (3,)"),
+        ("mdp", dict(MDP, R=[0, 0, 1]),
+         "reward vector R needs one entry per state (2), got shape (3,)"),
+        ("converge", {"P": [[0.5, 0.5], [0.5, 0.5]], "v0": [1, 0, 0]},
+         "initial vector v0 needs one entry per state (2), got shape (3,)"),
+    ])
+    def test_markov_spec_sizes(self, files, capsys, mode, spec, message):
+        json.dump(spec, open(files / "spec.json", "w"))
+        err = self.refused(files, capsys, ["markov", mode, "--spec",
+                                           "spec.json", "--out", "bad.json"])
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("driving, flags", [
         ({"kind": "constant", "values": [1e308]}, []),
         ({"kind": "constant", "values": [-9e307]}, []),
@@ -666,6 +682,18 @@ class TestSubcommands:
         positions = [a for a, _ in out.atoms]
         assert positions == pytest.approx([-math.sqrt(2), math.sqrt(2)],
                                           abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["boolean", "monotone",
+                                      "antimonotone"])
+    def test_convolve_writes_atoms(self, files, kind):
+        json.dump({"atoms": [[0, 0.25], [2, 0.75]]},
+                  open(files / "m.json", "w"))
+        code = run(["convolve", "--kind", kind, "--lhs", "bern.json",
+                    "--rhs", "m.json", "--out", "out.json"], files)
+        assert code == 0
+        out = json.load(open(files / "out.json"))
+        assert list(out) == ["atoms"]
+        assert sum(w for _, w in out["atoms"]) == pytest.approx(1, abs=1e-12)
 
     def test_invert_free_meixner_atom(self, files):
         code = run(["invert", "--law", "free-meixner", "--fm-a", "4",

@@ -262,6 +262,10 @@ def test_lattice_and_seed_refusal_names_the_argument(call, message):
             call()
 
 
+def uniform_atoms(n):
+    return ms.AtomicMeasure(tuple((i, Fraction(1, n)) for i in range(n)))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: rm.sample_gue(1.5, 0), "N must be >= 1 and an int, got 1.5"),
     (lambda: rm.gue_eigenvalues(math.nan, 0), "N must be >= 1 .* got nan"),
@@ -282,6 +286,13 @@ def test_lattice_and_seed_refusal_names_the_argument(call, message):
     (lambda: gr.cycle_graph(3, root=-1), "root must be >= 0 .* got -1"),
     (lambda: gr.RootedGraph.from_edges(2, [(0, 1)], root=2),
      "root index out of range"),
+    (lambda: cv.convolve("boolean", uniform_atoms(2049), uniform_atoms(2049)),
+     "boolean convolution of 2049- and 2049-atom laws needs a dense "
+     "eigensolve of side 4097 > 4096"),
+    (lambda: cv.convolve("antimonotone", uniform_atoms(4097),
+                         ms.AtomicMeasure.dirac(0)),
+     "monotone convolution of 1- and 4097-atom laws needs a dense "
+     "eigensolve of side 4097 > 4096"),
 ])
 def test_size_refusal_names_the_count(call, message):
     with warnings.catch_warnings():

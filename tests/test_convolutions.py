@@ -26,7 +26,16 @@ def exact_two_point(a, b, wa):
     return ms.AtomicMeasure(((a, wa), (b, 1 - wa))).moments(8)
 
 
+def random_atoms(rng):
+    """A law of one to four atoms in [-2, 2] with weights >= 0.05 / 4.2."""
+    xs = np.unique(rng.uniform(-2, 2, size=rng.integers(1, 5)))
+    ws = rng.random(xs.size) + 0.05
+    return ms.AtomicMeasure(tuple(zip(xs.tolist(), (ws / ws.sum()).tolist())))
+
+
 BERN = ms.MomentSequence((0, 1, 0, 1, 0, 1, 0, 1))
+ROOT2 = math.sqrt(2)
+PHI = (1 + math.sqrt(5)) / 2
 
 
 class TestMomentLevel:
@@ -110,18 +119,13 @@ class TestMeasureLevel:
     def test_monotone_diracs(self):
         out = cv.convolve("monotone", ms.AtomicMeasure.dirac(0.5),
                           ms.AtomicMeasure.dirac(1.25))
-        assert len(out.atoms) == 1
-        a, w = out.atoms[0]
-        assert abs(a - 1.75) < 1e-9 and abs(w - 1) < 1e-6
+        assert out.atoms == ((1.75, 1.0),)
 
     def test_boolean_bernoullis(self):
         bern = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
         out = cv.convolve("boolean", bern, bern)
-        assert len(out.atoms) == 2
-        (a1, w1), (a2, w2) = out.atoms
-        assert abs(a1 + math.sqrt(2)) < 1e-9 and abs(a2 - math.sqrt(2)) < 1e-9
-        assert abs(w1 - 0.5) < 1e-6 and abs(w2 - 0.5) < 1e-6
-        assert out.density_mass() < 1e-6
+        assert out.positions == pytest.approx([-ROOT2, ROOT2], abs=1e-14)
+        assert out.weights == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_measure_level_matches_moment_level(self):
         rng = np.random.default_rng(12)
@@ -133,11 +137,12 @@ class TestMeasureLevel:
         for kind in cv.KINDS:
             measure_out = cv.convolve(kind, mu, nu)
             moment_out = cv.convolve(kind, mu.moments(6), nu.moments(6))
-            got = measure_out.moments(6)
+            got, want = measure_out.moments(6).floats(), moment_out.floats()
             # the free kind is a density with square-root edges, recovered
-            # on the default grid; the atomic kinds recover their atoms
-            bound = 1e-2 if kind == "free" else 1e-6
-            assert np.abs(got.floats() - moment_out.floats()).max() < bound
+            # on the default grid; the other kinds are exactly atomic
+            bound = (1e-2 if kind == "free"
+                     else 1e-12 * np.maximum(1, np.abs(want)))
+            assert np.all(np.abs(got - want) < bound)
 
     def test_free_bernoullis_are_arcsine(self):
         bern = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
@@ -174,6 +179,73 @@ class TestMeasureLevel:
             mc = (s**k).mean()
             se = (s**k).std() / math.sqrt(n)
             assert abs(mc - float(out.moments(3)[k])) < 5 * se
+
+
+class TestAtomicConvolutions:
+    """Boolean and monotone convolutions of atomic laws are atomic, the
+    spectral measures of small symmetric matrices (Speicher & Woroudi
+    1997; Muraki 2000)."""
+
+    def test_moments_match_moment_level(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            mu, nu = random_atoms(rng), random_atoms(rng)
+            for kind in ("boolean", "monotone", "antimonotone"):
+                got = cv.convolve(kind, mu, nu).moments(8).floats()
+                want = cv.convolve(kind, mu.moments(8),
+                                   nu.moments(8)).floats()
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.maximum(1, np.abs(want)))
+
+    def test_monotone_bernoullis(self):
+        # B |> B is +-phi, +-1/phi; B (+) B is in test_boolean_bernoullis
+        bern = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
+        mono = cv.convolve("monotone", bern, bern)
+        assert mono.positions == pytest.approx(
+            [-PHI, -1 / PHI, 1 / PHI, PHI], abs=1e-14)
+        outer, inner = (5 + math.sqrt(5)) / 20, (5 - math.sqrt(5)) / 20
+        assert mono.weights == pytest.approx([outer, inner, inner, outer],
+                                             abs=1e-14)
+
+    def test_close_atoms_kept(self):
+        # a 1.2e-3 gap, finer than the default inversion grid's step
+        mu = ms.AtomicMeasure(((-1.2347, 0.2), (-1.2335, 0.5), (1.2, 0.3)))
+        out = cv.convolve("monotone", ms.AtomicMeasure.dirac(0.0), mu)
+        assert out.positions == pytest.approx(mu.positions, abs=1e-12)
+        assert out.weights == pytest.approx(mu.weights, abs=1e-12)
+
+    def test_thirty_by_thirty_monotone(self):
+        mu = ms.AtomicMeasure(tuple((x, 1 / 30)
+                                    for x in np.linspace(-1, 1, 30)))
+        nu = ms.AtomicMeasure(tuple((x, 1 / 30)
+                                    for x in np.linspace(-1.3, 0.7, 30)))
+        out = cv.convolve("monotone", mu, nu)
+        assert len(out.atoms) == 900
+        want = cv.convolve("monotone", mu.moments(8), nu.moments(8)).floats()
+        assert np.all(np.abs(out.moments(8).floats() - want)
+                      <= 1e-12 * np.maximum(1, np.abs(want)))
+
+    def test_grid_inversion_of_the_boolean_fmap(self):
+        # F_mu + F_nu - z, inverted on the grid the free kind uses
+        bern = ms.AtomicMeasure(((-1, 0.5), (1, 0.5)))
+        out = tr.measure_from_ftransform(
+            lambda z: 2 * tr.f_transform(bern, z) - z,
+            cv._default_grid(bern, bern), eps_ladder=(2e-3, 1e-3, 5e-4))
+        assert len(out.atoms) == 2
+        (a1, w1), (a2, w2) = out.atoms
+        assert abs(a1 + ROOT2) < 1e-9 and abs(a2 - ROOT2) < 1e-9
+        assert abs(w1 - 0.5) < 1e-6 and abs(w2 - 0.5) < 1e-6
+        assert out.density_mass() < 1e-6
+
+    def test_grid_inversion_of_the_monotone_fmap(self):
+        # F_mu(F_nu(z)) for two Diracs, inverted on the same grid
+        mu, nu = ms.AtomicMeasure.dirac(0.5), ms.AtomicMeasure.dirac(1.25)
+        out = tr.measure_from_ftransform(
+            lambda z: tr.f_transform(mu, tr.f_transform(nu, z)),
+            cv._default_grid(mu, nu), eps_ladder=(2e-3, 1e-3, 5e-4))
+        assert len(out.atoms) == 1
+        a, w = out.atoms[0]
+        assert abs(a - 1.75) < 1e-9 and abs(w - 1) < 1e-6
 
 
 class TestMonotoneKernel:
@@ -216,7 +288,7 @@ class TestMonotoneKernel:
             w = tr.f_transform(nu, np.array([z]))[0]
             lhs = 1.0 / (tr.f_transform(mu, np.array([w]))[0] - x)
             rhs = tr.cauchy(kernel, np.array([w]))[0]
-            assert abs(lhs - rhs) < 1e-3
+            assert abs(lhs - rhs) < 1e-12
 
 
 class TestFreePoisson:
