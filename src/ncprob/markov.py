@@ -54,7 +54,24 @@ def _check_stochastic(p, column_message):
 
 
 def _as_matrix(p):
-    return p.p if isinstance(p, TransitionMatrix) else np.asarray(p, dtype=float)
+    """The support matrix of ``p``: any square array, or a chain's."""
+    m = p.p if isinstance(p, TransitionMatrix) else np.asarray(p, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NcprobError(f"matrix must be square, got shape {m.shape}")
+    return m
+
+
+def _chain(p):
+    """The matrix of ``p``; an array is checked as a ``TransitionMatrix``."""
+    return (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
+
+
+def _check_state(state, n):
+    """Refuse a ``state`` other than an int in [0, n)."""
+    if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
+            or not 0 <= state < n):
+        raise NcprobError(f"state {state!r} is not one of the chain's "
+                          f"{n} states")
 
 
 def _per_state(v, n, what):
@@ -90,6 +107,7 @@ def period(p, state):
     """gcd of return-walk lengths through the state, scanned up to 2N."""
     m = _as_matrix(p) > 0
     n = m.shape[0]
+    _check_state(state, n)
     reach = np.eye(n, dtype=bool)
     g = 0
     for length in range(1, 2 * n + 1):
@@ -103,7 +121,7 @@ def period(p, state):
 
 def stationary_distribution(p):
     """The unique pi with P pi = pi for an irreducible chain."""
-    m = _as_matrix(p)
+    m = _chain(p)
     if not is_irreducible(m):
         raise NcprobError("chain is not irreducible")
     n = m.shape[0]
@@ -117,7 +135,7 @@ def stationary_distribution(p):
 
 
 def iterate_distribution(p, v, n):
-    m = _as_matrix(p)
+    m = _chain(p)
     v = np.asarray(v, dtype=float)
     for _ in range(n):
         v = m @ v
@@ -127,7 +145,7 @@ def iterate_distribution(p, v, n):
 def convergence_report(p, v):
     """Geometric-rate fit of ||P^n v - pi||_inf; returns (pi, theta, c)."""
     nmax = 200
-    m = _as_matrix(p)
+    m = _chain(p)
     pi = stationary_distribution(m)
     v = _per_state(v, m.shape[0], "initial vector v0")
     errs = []
@@ -199,11 +217,8 @@ def hitting_time_mc(p, state, episodes, seed, chunk=_BLOCK):
     _check_count(episodes, "episodes")
     _check_count(seed, "seed", 0)
     _check_count(chunk, "chunk")
-    m = (p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)).p
-    if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
-            or not 0 <= state < m.shape[0]):
-        raise NcprobError(f"state {state!r} is not one of the chain's "
-                          f"{m.shape[0]} states")
+    m = _chain(p)
+    _check_state(state, m.shape[0])
     # a state is recurrent iff every state it reaches can reach it back
     if not np.all(_reachable(m.T, state)[_reachable(m, state)]):
         raise NcprobError(f"state {state} is transient: its "
@@ -253,7 +268,7 @@ def hitting_time_mc(p, state, episodes, seed, chunk=_BLOCK):
 
 def expected_reward(p, rewards):
     """One-step expected rewards: R(s) = sum_s' p_{s',s} R(s')."""
-    m = _as_matrix(p)
+    m = _chain(p)
     return _per_state(rewards, m.shape[0], "reward vector R") @ m
 
 
@@ -261,9 +276,11 @@ def mrp_value(p, rewards, gamma):
     """Solve the row-vector Bellman equation v = R + gamma * v P."""
     if not 0 <= gamma < 1:
         raise NcprobError("discount must lie in [0, 1)")
-    m = _as_matrix(p)
+    m = _chain(p)
     r = expected_reward(m, rewards)
     v = np.linalg.solve(np.eye(m.shape[0]) - gamma * m.T, r)
+    if not np.isfinite(v).all():
+        raise NoConvergence("MRP values left the float range")
     residual = np.abs(v - (r + gamma * v @ m)).max()
     if not residual <= 1e-10:
         raise NoConvergence(f"Bellman residual {residual:.3g} exceeds 1e-10")
@@ -308,9 +325,14 @@ def mdp_value_iteration(spec, tol=1e-10):
     v = np.zeros(spec.n_states)
     max_iter = max(1, int(math.log(max(tol, 1e-300)) / math.log(spec.gamma))
                    + 50) if spec.gamma > 0 else 2
-    for _ in range(max_iter):
-        q = rsa + spec.gamma * np.einsum("psa,p->sa", t, v)
+    for sweep in range(max_iter):
+        # a value past the float range is inf or NaN, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = rsa + spec.gamma * np.einsum("psa,p->sa", t, v)
         vnew = q.max(axis=1)
+        if not np.isfinite(vnew).all():
+            raise NoConvergence(f"value iteration left the float range at "
+                                f"sweep {sweep + 1}")
         step = np.abs(vnew - v).max()
         v = vnew
         if step <= tol:
@@ -416,15 +438,6 @@ def metropolis_ising(state, steps, seed):
     return IsingState(spins, state.coupling, state.field, state.beta)
 
 
-def _lattice_edges(shape):
-    h, w = shape
-    idx = np.arange(h * w).reshape(h, w)
-    edges = []
-    edges += list(zip(idx[:-1, :].ravel(), idx[1:, :].ravel()))
-    edges += list(zip(idx[:, :-1].ravel(), idx[:, 1:].ravel()))
-    return edges
-
-
 def _check_lattice(shape, beta, coupling, field):
     """Refuse a lattice shape other than two ints >= 1 and parameters
     outside 0 < J < inf, 0 <= B < inf, beta >= 0: NaN fails every
@@ -441,59 +454,79 @@ def _check_lattice(shape, beta, coupling, field):
         raise NcprobError("need 0 < J < inf, 0 <= B < inf, beta >= 0")
 
 
-def _config_energies(shape, beta, coupling, field):
-    """Energies H = -J * bond_sum - B * spin_sum of all configurations of
-    a small lattice, after ``_check_lattice``; the index encodes spins
-    bitwise (bit i set iff flat spin i is up).
-    """
-    _check_lattice(shape, beta, coupling, field)
+def _configurations(shape):
+    """Every configuration of a free-boundary lattice of m spins in id order
+    (bit i set iff flat spin i is up), as int8 arrays (spins, nb) of shape
+    (2**m, m): each spin and the sum of its up to four neighbours."""
     h, w = shape
     m = h * w
-    if m > 20:
+    words = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(words, axis=1, count=m, bitorder="little")
+    spins = bits.view(np.int8) * 2 - 1
+    grid = spins.reshape(-1, h, w)
+    nb = np.zeros_like(grid)
+    nb[:, 1:] += grid[:, :-1]
+    nb[:, :-1] += grid[:, 1:]
+    nb[:, :, 1:] += grid[:, :, :-1]
+    nb[:, :, :-1] += grid[:, :, 1:]
+    return spins, nb.reshape(-1, m)
+
+
+def _flips(m):
+    """(ids, flipped) with ids[c, 0] = c and flipped[c, i] = c ^ 2**i."""
+    ids = np.arange(1 << m)[:, None]
+    return ids, ids ^ (1 << np.arange(m))
+
+
+def _config_energies(shape, beta, coupling, field):
+    """Energies H = -J * bond_sum - B * spin_sum of all configurations of
+    a small lattice, after ``_check_lattice``, in ``_configurations``'
+    order.  Each bond is counted once as sum_i s_i nb_i / 2, in integers.
+    """
+    _check_lattice(shape, beta, coupling, field)
+    if shape[0] * shape[1] > 20:
         raise NcprobError("exact enumeration limited to 20 spins")
-    ids = np.arange(1 << m, dtype=np.int64)
-    spins = ((ids[:, None] >> np.arange(m)) & 1) * 2 - 1  # (2^m, m)
-    edges = _lattice_edges(shape)
-    bond = np.zeros(1 << m, dtype=np.int64)
-    for a, b in edges:
-        bond += spins[:, a] * spins[:, b]
-    return -coupling * bond - field * spins.sum(axis=1)
+    spins, nb = _configurations(shape)
+    bond = (spins * nb).sum(axis=1, dtype=np.int64) // 2
+    return -coupling * bond - field * spins.sum(axis=1, dtype=np.int64)
+
+
+def _boltzmann_factor(gap, beta):
+    """exp(-beta * gap) where gap > 0 and 1 elsewhere, for every beta >= 0
+    (0 where gap > 0 at beta = inf)."""
+    return np.exp(np.multiply(-beta, gap, out=np.zeros(gap.shape),
+                              where=gap > 0))
 
 
 def _boltzmann_weights(energy, beta):
     """exp(-beta (H - min H)): 1 at the ground states for every beta >= 0,
     and 0 elsewhere at beta = inf."""
-    gap = energy - energy.min()
-    return np.exp(np.multiply(-beta, gap, out=np.zeros(gap.shape),
-                              where=gap > 0))
+    return _boltzmann_factor(energy - energy.min(), beta)
 
 
 def exact_boltzmann(shape, beta, coupling=1.0, field=0.0):
     """Exact Boltzmann distribution over all configurations of a small
     free-boundary lattice, as (probabilities, AtomicMeasure over ids)."""
-    w = _boltzmann_weights(_config_energies(shape, beta, coupling, field),
-                           beta)
-    probs = w / w.sum()
+    probs = _boltzmann_weights(
+        _config_energies(shape, beta, coupling, field), beta)
+    probs /= probs.sum()
     measure = AtomicMeasure(tuple((int(i), float(p))
                             for i, p in enumerate(probs) if p > 0))
     return probs, measure
 
 
 def metropolis_exact_kernel(shape, beta, coupling=1.0, field=0.0):
-    """Full single-flip transition matrix over configurations."""
+    """Full single-flip transition matrix over configurations: each site is
+    proposed w.p. 1/m and its flip accepted w.p. exp(-beta max(dE, 0))."""
     energy = _config_energies(shape, beta, coupling, field)
     m = shape[0] * shape[1]
-    size = 1 << m
-    if size > 1 << 12:
+    if m > 12:
         raise NcprobError("kernel audit limited to 12 spins")
-    p = np.zeros((size, size))
-    for s in range(size):
-        for i in range(m):
-            s2 = s ^ (1 << i)
-            delta = energy[s2] - energy[s]
-            acc = 1.0 if delta <= 0 else math.exp(-beta * delta)
-            p[s2, s] += acc / m
-        p[s, s] = 1.0 - p[:, s].sum()
+    ids, flipped = _flips(m)
+    rate = _boltzmann_factor(energy[flipped] - energy[ids], beta) / m
+    p = np.zeros((1 << m, 1 << m))
+    p[flipped, ids] = rate
+    np.fill_diagonal(p, 1.0 - rate.sum(axis=1))
     return TransitionMatrix(p), energy
 
 
@@ -506,16 +539,11 @@ def detailed_balance_audit(shape, beta, coupling=1.0, field=0.0):
     """
     p, energy = metropolis_exact_kernel(shape, beta, coupling, field)
     w = _boltzmann_weights(energy, beta)
-    m = shape[0] * shape[1]
-    worst = 0.0
-    for s in range(1 << m):
-        for i in range(m):
-            s2 = s ^ (1 << i)
-            if s2 < s:
-                continue
-            lhs = p.p[s2, s] * w[s]
-            rhs = p.p[s, s2] * w[s2]
-            worst = max(worst, abs(lhs - rhs) / max(lhs, rhs, 1e-300))
+    ids, flipped = _flips(shape[0] * shape[1])
+    lhs = p.p[flipped, ids] * w[ids]
+    rhs = p.p[ids, flipped] * w[flipped]
+    worst = float((np.abs(lhs - rhs)
+                   / np.maximum(np.maximum(lhs, rhs), 1e-300)).max())
     return worst <= 1e-14, worst
 
 
@@ -526,21 +554,14 @@ def _flip_table(shape, beta, coupling, field):
     nxt[c][rank(u) * m + i], where rank counts the distinct acceptance
     thresholds <= each of an array of uniforms.  The flip is accepted iff
     u < thr, that is iff rank(u) <= j for thr = levels[j]."""
-    h, w = shape
-    m = h * w
-    ids = np.arange(1 << m)
-    bit = 1 << np.arange(m)
-    padded = np.zeros((1 << m, h + 2, w + 2), dtype=np.int64)
-    padded[:, 1:-1, 1:-1] = (2 * (ids[:, None] & bit > 0) - 1).reshape(
-        -1, h, w)
-    nb = (padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1]
-          + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:])
-    table = np.array(_acceptance_table(beta, coupling, field))
-    thr = table[5 * padded[:, 1:-1, 1:-1] + nb].reshape(-1, m)
+    spins, nb = _configurations(shape)
+    m = spins.shape[1]
+    thr = np.array(_acceptance_table(beta, coupling, field))[5 * spins + nb]
     levels = sorted(set(thr.ravel().tolist()))
     accept = (np.arange(len(levels) + 1)[:, None]
               <= np.searchsorted(levels, thr)[:, None, :])
-    nxt = np.where(accept, ids[:, None, None] ^ bit, ids[:, None, None])
+    ids, flipped = _flips(m)
+    nxt = np.where(accept, flipped[:, None], ids[:, None])
     return (functools.partial(np.searchsorted, np.array(levels),
                               side="right"),
             nxt.reshape(1 << m, -1).tolist())

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,6 +215,11 @@ class MomentSequence:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise NcprobError("moment sequence needs order >= 1")
+        # every comparison with a NaN is False, so the PSD test below would
+        # pass one, and the eigensolve does not converge on an infinity
+        for k, v in enumerate(self.values, start=1):
+            if not _is_finite(v):
+                raise NcprobError(f"moment m_{k} must be finite, got {v!r}")
         h = self.hankel()
         scale = max(1.0, float(np.abs(h).max()))
         if np.linalg.eigvalsh(h).min() < -1e-9 * scale:
@@ -351,6 +357,11 @@ class Normal:
         return float(self.mean) + math.sqrt(self.var) * rng.standard_normal(n)
 
 
+# bounds on a two-step law's Jacobi parameters: F's numerator P(t) has
+# degree 4 in their scale, |alpha| or sqrt(beta), and stays a float
+_ALPHA_MAX, _BETA_MAX = 1e75, 1e150
+
+
 class _TwoStepLaw:
     """A law with Jacobi parameters (alpha_0, beta_1) and then a constant
     (alpha, beta): the free Meixner class with a constant recursion from
@@ -370,6 +381,13 @@ class _TwoStepLaw:
         if not (-math.inf < a0 < math.inf and -math.inf < a < math.inf
                 and 0 < b1 < math.inf and 0 < b < math.inf):
             raise NcprobError(self._REFUSAL.format(**vars(self)))
+        if not (max(abs(a0), abs(a)) <= _ALPHA_MAX
+                and max(b1, b) <= _BETA_MAX):
+            raise NcprobError(
+                f"{type(self).__name__} is too wide for F in floats: its "
+                f"Jacobi parameters need |alpha| <= {_ALPHA_MAX:g} and "
+                f"beta <= {_BETA_MAX:g}, got "
+                + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()))
 
     def _floats(self):
         return tuple(map(float, self._jacobi()))
@@ -731,25 +749,27 @@ def _is_finite(v):
 
 
 def json_real(value, where):
-    """``value`` when it is a finite real number (bools are not numbers
-    here); else an NcprobError naming ``where``."""
+    """``value`` when it is a real number (bools are not numbers here) that
+    is finite as a float: |value| <= sys.float_info.max, which refuses NaN,
+    the infinities and ints past the float range alike; else an
+    NcprobError naming ``where``."""
     if not _is_real(value):
         raise NcprobError(f"{where} must be a real number, got {value!r}")
-    if not _is_finite(value):
+    if not abs(value) <= sys.float_info.max:
         raise NcprobError(f"{where} must be finite, got {value!r}")
     return value
 
 
 def json_reals(values, where, size=None):
     """``values`` as given when it is a list (of ``size`` entries, if set)
-    of finite real numbers, so ints stay ints; else an NcprobError naming
-    ``where`` or its bad entry."""
+    of numbers ``json_real`` takes, so ints stay ints; else an NcprobError
+    naming ``where`` or its bad entry."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         want = "a list" if size is None else f"a list of {size} numbers"
         raise NcprobError(f"{where} must be {want}, got {values!r}")
     for i, v in enumerate(values):
-        if not (_is_real(v) and _is_finite(v)):  # json_real names it
-            json_real(v, f"{where}[{i}]")
+        if not (_is_real(v) and abs(v) <= sys.float_info.max):
+            json_real(v, f"{where}[{i}]")  # raises, naming the entry
     return values
 
 

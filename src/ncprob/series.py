@@ -8,8 +8,6 @@ validity bookkeeping is needed, and ints and ``fractions.Fraction`` stay
 exact; floats and complex numbers work too.
 """
 
-from fractions import Fraction
-
 from .measures import NcprobError
 
 
@@ -66,12 +64,3 @@ def _dilate(p, lam):
     under x -> lam * x: p_k becomes p_k * lam^k."""
     return [c * lam ** k for k, c in enumerate(p)]
 
-
-def _sqrt(p):
-    """The square root 1 + ... of P with leading coefficient 1; exact for
-    exact P."""
-    out = [1]
-    for k in range(1, len(p)):
-        acc = sum(out[i] * out[k - i] for i in range(1, k))
-        out.append((p[k] - acc) * Fraction(1, 2))
-    return out

@@ -16,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 # sqrt_upper is re-exported: callers reach it as transforms.sqrt_upper
-from .measures import (AtomicMeasure, GridMeasure, MomentSequence,
-                       NcprobError, NoConvergence, _is_real, _spectral_pairs,
-                       sqrt_upper)
-from .series import _reciprocal, _sqrt
+from .measures import (AtomicMeasure, FreeMeixner, GridMeasure,
+                       MomentSequence, NcprobError, NoConvergence, _is_real,
+                       _spectral_pairs, sqrt_upper)
+from .series import _reciprocal
 
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -705,11 +705,9 @@ def series_moments(f, order):
 
 
 def free_meixner_f_series(n, u, order):
-    """Exact series of sqrt((z-u)^2 - 4n) + u down to z^(-order)."""
-    u = Fraction(u)
-    root = _sqrt([1, -2 * u, u * u - 4 * n] + [0] * (order - 1))
-    root[1] += u
-    return root
+    """Exact F-series, to w^order, of the spidernet S_{n,u}'s law, the free
+    Meixner law with a = 2n, c = n: F = sqrt((z-u)^2 - 4n) + u."""
+    return f_series(FreeMeixner(2 * n, n, Fraction(u)).moments(order))
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,15 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (files / "bad.csv").exists()
 
+    @pytest.mark.parametrize("law, flags", [
+        ("semicircle", ["--sigma", "1e150"]),
+        ("free-meixner", ["--fm-a", str(10**200), "--fm-c", str(10**200)]),
+    ])
+    def test_law_too_wide(self, files, capsys, law, flags):
+        err = self.refused(files, capsys, ["invert", "--law", law, *flags,
+                                           "--out", "bad.csv"])
+        assert "is too wide for F in floats" in err
+
     @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
     def test_nonfinite_ar1_coefficient(self, files, capsys, c):
         code = run(["free-ar1", "--N", "4", "--steps", "2", f"--c={c}",
@@ -452,6 +461,11 @@ class TestExitCodes:
         ({"moments": [0, math.inf]}, "moments[1]", "inf"),
         ({"grid": [-1, 1], "density": [0.5, -math.inf]}, "density[1]",
          "-inf"),
+        # past the float range: json.dump writes 10**400 as digits
+        pytest.param({"atoms": [[10**400, 1]]}, "atoms[0][0]",
+                     str(10**400), id="atom-1e400"),
+        pytest.param({"grid": [-1, 1], "density": [0.5, -10**400]},
+                     "density[1]", str(-10**400), id="density--1e400"),
     ])
     def test_nonfinite_measure(self, files, capsys, measure, entry, value):
         json.dump(measure, open(files / "m.json", "w"))
@@ -467,6 +481,9 @@ class TestExitCodes:
         ({"kind": "constant", "values": [True]}, "values[0]"),
         ({"kind": "sampled", "times": 1, "values": [0, 1]}, "times"),
         ({"kind": "sampled", "times": [0, None], "values": [0, 1]},
+         "times[1]"),
+        ({"kind": "constant", "values": [10**400]}, "values[0]"),
+        ({"kind": "sampled", "times": [0, -10**400], "values": [0, 1]},
          "times[1]"),
     ])
     @pytest.mark.parametrize("command", ["loewner", "spidernet-approx"])
@@ -533,6 +550,12 @@ class TestExitCodes:
          "'R'[1] must be finite, got -inf"),
         ("mrp", {"P": P, "R": [0, 1], "gamma": math.inf},
          "'gamma' must be finite, got inf"),
+        pytest.param("stationary", {"P": [[0.5, 10**400], [0.5, 0.7]]},
+                     f"'P'[0][1] must be finite, got {10**400}", id="P-1e400"),
+        pytest.param("converge", {"P": P, "v0": [10**400, 0]},
+                     f"'v0'[0] must be finite, got {10**400}", id="v0-1e400"),
+        pytest.param("mrp", {"P": P, "R": [0, -10**400], "gamma": 0.5},
+                     f"'R'[1] must be finite, got {-10**400}", id="R--1e400"),
     ])
     def test_non_numeric_markov_spec(self, files, capsys, mode, spec,
                                      message):
@@ -552,6 +575,20 @@ class TestExitCodes:
          "initial vector v0 needs one entry per state (2), got shape (3,)"),
     ])
     def test_markov_spec_sizes(self, files, capsys, mode, spec, message):
+        json.dump(spec, open(files / "spec.json", "w"))
+        err = self.refused(files, capsys, ["markov", mode, "--spec",
+                                           "spec.json", "--out", "bad.json"])
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("mode, spec, message", [
+        ("mdp", {"transitions": [[[1]]], "R": [1e308], "gamma": 0.99},
+         "value iteration left the float range at sweep 2"),
+        ("mrp", {"P": [[1]], "R": [1e308], "gamma": 0.99},
+         "MRP values left the float range"),
+    ])
+    def test_values_past_float_range(self, files, capsys, mode, spec,
+                                     message):
+        # v* = 1e308 / (1 - 0.99) is past the largest float
         json.dump(spec, open(files / "spec.json", "w"))
         err = self.refused(files, capsys, ["markov", mode, "--spec",
                                            "spec.json", "--out", "bad.json"])

@@ -79,6 +79,19 @@ def test_law_surface(name, data, order, n):
     (lambda: ms.Poisson(1e6).moments(60), "moment m_52 is too large"),
     (lambda: ms.Semicircle(0, 1e-300).to_measure(),
      "support width 4e-150 is too narrow"),
+    (lambda: ms.Arcsine(0, 1e300),
+     r"Arcsine is too wide for F in floats: .* got mean=0, var=1e\+300"),
+    (lambda: ms.Semicircle(0, 1e300),
+     r"Semicircle is too wide for F .* got mean=0, var=1e\+300"),
+    (lambda: ms.MarchenkoPastur(1e300),
+     r"MarchenkoPastur is too wide for F .* got c=1e\+300"),
+    pytest.param(lambda: ms.FreeMeixner(10**200, 10**200, 0),
+                 f"FreeMeixner is too wide for F .* got a={10**200}, "
+                 f"c={10**200}, u=0", id="free-meixner-1e200"),
+    (lambda: ms.MomentSequence((0.0, math.nan)),
+     "moment m_2 must be finite, got nan"),
+    (lambda: ms.MomentSequence((0.0, math.inf, 1.0)),
+     "moment m_2 must be finite, got inf"),
 ])
 def test_refusal_names_the_parameter(law, message):
     with pytest.raises(ms.NcprobError, match=message):
@@ -219,6 +232,35 @@ HALVES = np.full((2, 2), 0.5)
      "state True is not one of the chain's 2 states"),
 ])
 def test_sampler_refusal_names_the_argument(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.NcprobError, match=message):
+            call()
+
+
+# columns summing to 0.7: not a chain
+SHORT = [[0.5, 0.5], [0.2, 0.2]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mk.stationary_distribution(SHORT), "columns must sum to 1"),
+    (lambda: mk.iterate_distribution(SHORT, [1, 0], 3),
+     "columns must sum to 1"),
+    (lambda: mk.convergence_report(SHORT, [1, 0]), "columns must sum to 1"),
+    (lambda: mk.expected_reward(SHORT, [1, 0]), "columns must sum to 1"),
+    (lambda: mk.mrp_value(SHORT, [1, 0], 0.5), "columns must sum to 1"),
+    (lambda: mk.stationary_distribution([[1, math.nan], [0, 0.5]]),
+     r"entries must lie in \[0, 1\]"),
+    (lambda: mk.mrp_value([0.5, 0.5], [1, 0], 0.5),
+     "transition matrix must be square"),
+    (lambda: mk.period(np.eye(2), 5),
+     "state 5 is not one of the chain's 2 states"),
+    (lambda: mk.period(np.eye(2), 1.5),
+     "state 1.5 is not one of the chain's 2 states"),
+    (lambda: mk.is_irreducible(np.ones(3)),
+     r"matrix must be square, got shape \(3,\)"),
+])
+def test_chain_refusal_names_the_condition(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ms.NcprobError, match=message):

@@ -311,6 +311,15 @@ class TestMDP:
         with pytest.raises(ms.NcprobError, match=message):
             mk.MDPSpec(t, [0.0, 1.0], 0.5)
 
+    def test_values_past_float_range_refused(self):
+        # v* = 1e308 / (1 - 0.99) is past the largest float
+        spec = mk.MDPSpec([[[1.0]]], [1e308], 0.99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.NoConvergence,
+                               match="left the float range at sweep 2"):
+                mk.mdp_value_iteration(spec)
+
     def test_dominated_action_never_chosen(self):
         spec = self._toy()
         _, policy = mk.mdp_value_iteration(spec, tol=1e-12)
